@@ -15,8 +15,10 @@
 //!   (the paper reports such failures are rare — 0.06 % on PT — and resolves
 //!   them with the fastest route, as we do).
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::OnceLock;
 
 use crate::graph::{RoadNetwork, SegmentId};
 use crate::shortest::{node_path, Weight};
@@ -31,12 +33,55 @@ const DEFAULT_MAX_SETTLED: usize = 50_000;
 /// Historical-count route planner (see module docs).
 #[derive(Debug, Clone)]
 pub struct RoutePlanner {
-    /// `counts[(e, e')]` = number of observed transitions.
+    /// `counts[(e, e')]` = number of observed transitions. The fit-time
+    /// store: searches read [`EdgeWeights`] instead.
     counts: HashMap<(u32, u32), f64>,
     /// Total outgoing observations per segment.
     out_total: Vec<f64>,
     /// Cap on settled Dijkstra states before falling back.
     max_settled: usize,
+    /// Search weights derived from the two tables above: built by the first
+    /// search after the last [`RoutePlanner::observe`], which empties it.
+    weights: OnceLock<EdgeWeights>,
+}
+
+/// The search's edge weights `−ln P(e'|e)`, one per successor slot, in CSR
+/// form aligned with [`RoadNetwork::successors`].
+#[derive(Debug, Clone)]
+struct EdgeWeights {
+    /// Slots `off[e]..off[e + 1]` of `w` belong to segment `e`, in
+    /// `net.successors(e)` order.
+    off: Vec<u32>,
+    /// `f64::INFINITY` on a forbidden U-turn: `cost + ∞` never beats a
+    /// tentative distance, so the relax test itself skips the slot.
+    w: Vec<f64>,
+}
+
+impl EdgeWeights {
+    fn build(planner: &RoutePlanner, net: &RoadNetwork) -> Self {
+        let mut off = Vec::with_capacity(net.num_segments() + 1);
+        let mut w = Vec::new();
+        off.push(0);
+        for seg in net.segment_ids() {
+            let succ = net.successors(seg);
+            let twin = net.reverse_twin(seg);
+            for &next in succ {
+                // Forbid immediate U-turns unless the segment dead-ends:
+                // historical trajectories essentially never bounce back.
+                w.push(if Some(next) == twin && succ.len() > 1 {
+                    f64::INFINITY
+                } else {
+                    -planner.transition_prob(net, seg, next).ln()
+                });
+            }
+            off.push(u32::try_from(w.len()).expect("successor slots fit u32"));
+        }
+        Self { off, w }
+    }
+
+    fn of(&self, seg: u32) -> &[f64] {
+        &self.w[self.off[seg as usize] as usize..self.off[seg as usize + 1] as usize]
+    }
 }
 
 #[derive(Debug, PartialEq)]
@@ -46,6 +91,13 @@ struct Item {
 }
 impl Eq for Item {}
 impl Ord for Item {
+    // Equal-cost pop order *is* output. On a grid with smoothed counts most
+    // states tie, and which tied state `BinaryHeap` pops first — a function
+    // of its internal layout, hence of the exact push/pop sequence — picks
+    // the route every matcher returns. Do not "fix" this with a
+    // `(cost, seg)` tie-break, `total_cmp` or another heap: routes move and
+    // `seg_f1` with them (`golden_routes_on_the_untrained_grid` and
+    // `tests/props_planner.rs` pin it).
     fn cmp(&self, other: &Self) -> Ordering {
         other.cost.partial_cmp(&self.cost).unwrap_or(Ordering::Equal)
     }
@@ -53,6 +105,46 @@ impl Ord for Item {
 impl PartialOrd for Item {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// Tentative distance and predecessor of one segment, valid for the search
+/// whose generation equals `stamp`.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    dist: f64,
+    prev: u32,
+    stamp: u32,
+}
+
+/// Per-thread search state, reused by every gap the thread stitches: a
+/// search claims a fresh generation instead of clearing `slots`.
+struct Search {
+    slots: Vec<Slot>,
+    gen: u32,
+    heap: BinaryHeap<Item>,
+}
+
+thread_local! {
+    static SEARCH: RefCell<Search> =
+        const { RefCell::new(Search { slots: Vec::new(), gen: 0, heap: BinaryHeap::new() }) };
+}
+
+impl Search {
+    /// Starts a search over `n` segments and returns its generation: no
+    /// slot carries it yet and the heap is empty.
+    fn begin(&mut self, n: usize) -> u32 {
+        if self.slots.len() < n {
+            self.slots.resize(n, Slot::default());
+        }
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            // Wrapped: stamps written 2^32 searches ago would read as live.
+            self.slots.fill(Slot::default());
+            self.gen = 1;
+        }
+        self.heap.clear();
+        self.gen
     }
 }
 
@@ -66,6 +158,7 @@ impl RoutePlanner {
             counts: HashMap::new(),
             out_total: vec![0.0; net.num_segments()],
             max_settled: DEFAULT_MAX_SETTLED,
+            weights: OnceLock::new(),
         }
     }
 
@@ -80,7 +173,16 @@ impl RoutePlanner {
     }
 
     /// Adds one historical route's transitions to the statistics.
+    ///
+    /// # Panics
+    /// Panics, before recording anything, if a segment with an outgoing
+    /// transition is not in the network the planner was created for.
     pub fn observe(&mut self, route: &[SegmentId]) {
+        let n = self.out_total.len();
+        if let Some(bad) = route.windows(2).map(|w| w[0]).find(|s| s.idx() >= n) {
+            panic!("observed route leaves segment {}, but the planner's network has {n}", bad.0);
+        }
+        self.weights.take();
         for w in route.windows(2) {
             *self.counts.entry((w[0].0, w[1].0)).or_insert(0.0) += 1.0;
             self.out_total[w[0].idx()] += 1.0;
@@ -112,83 +214,89 @@ impl RoutePlanner {
         src: SegmentId,
         dst: SegmentId,
     ) -> Option<Vec<SegmentId>> {
-        if src == dst {
-            return Some(vec![src]);
-        }
-        if let Some(path) = self.plan_statistical(net, src, dst) {
-            return Some(path);
-        }
-        self.plan_fastest(net, src, dst)
+        let mut path = vec![src];
+        (src == dst || self.extend(net, src, dst, &mut path)).then_some(path)
     }
 
-    fn plan_statistical(
+    /// Appends the planned route from `src` (already `route`'s last
+    /// element, `≠ dst`) through `dst`. `false`: disconnected pair, `route`
+    /// untouched.
+    fn extend(
         &self,
         net: &RoadNetwork,
         src: SegmentId,
         dst: SegmentId,
-    ) -> Option<Vec<SegmentId>> {
-        let mut dist: HashMap<u32, f64> = HashMap::new();
-        let mut prev: HashMap<u32, u32> = HashMap::new();
-        let mut heap = BinaryHeap::new();
-        dist.insert(src.0, 0.0);
-        heap.push(Item { cost: 0.0, seg: src.0 });
-        let mut settled = 0usize;
-        while let Some(Item { cost, seg }) = heap.pop() {
-            if seg == dst.0 {
-                let mut path = vec![dst];
-                let mut cur = dst.0;
-                while cur != src.0 {
-                    cur = prev[&cur];
-                    path.push(SegmentId(cur));
+        route: &mut Vec<SegmentId>,
+    ) -> bool {
+        self.extend_statistical(net, src, dst, route) || self.extend_fastest(net, src, dst, route)
+    }
+
+    fn extend_statistical(
+        &self,
+        net: &RoadNetwork,
+        src: SegmentId,
+        dst: SegmentId,
+        route: &mut Vec<SegmentId>,
+    ) -> bool {
+        // A planner answers for the network it was created for; handed
+        // another it would read the wrong rows of both tables.
+        debug_assert_eq!(self.out_total.len(), net.num_segments(), "planner of another net");
+        let weights = self.weights.get_or_init(|| EdgeWeights::build(self, net));
+        debug_assert_eq!(weights.off.len(), net.num_segments() + 1, "weights of another net");
+        SEARCH.with_borrow_mut(|search| {
+            let gen = search.begin(net.num_segments());
+            let Search { slots, heap, .. } = search;
+            slots[src.idx()] = Slot { dist: 0.0, prev: src.0, stamp: gen };
+            heap.push(Item { cost: 0.0, seg: src.0 });
+            let mut settled = 0usize;
+            while let Some(Item { cost, seg }) = heap.pop() {
+                if seg == dst.0 {
+                    let start = route.len();
+                    let mut cur = dst.0;
+                    while cur != src.0 {
+                        route.push(SegmentId(cur));
+                        cur = slots[cur as usize].prev;
+                    }
+                    route[start..].reverse();
+                    return true;
                 }
-                path.reverse();
-                return Some(path);
-            }
-            if cost > *dist.get(&seg).unwrap_or(&f64::INFINITY) {
-                continue;
-            }
-            settled += 1;
-            if settled > self.max_settled {
-                return None;
-            }
-            for &next in net.successors(SegmentId(seg)) {
-                // Forbid immediate U-turns unless the segment dead-ends:
-                // historical trajectories essentially never bounce back.
-                if Some(next) == net.reverse_twin(SegmentId(seg))
-                    && net.successors(SegmentId(seg)).len() > 1
-                {
+                // Everything popped was pushed, hence stamped, by this search.
+                if cost > slots[seg as usize].dist {
                     continue;
                 }
-                let p = self.transition_prob(net, SegmentId(seg), next);
-                let nc = cost - p.ln();
-                if nc < *dist.get(&next.0).unwrap_or(&f64::INFINITY) {
-                    dist.insert(next.0, nc);
-                    prev.insert(next.0, seg);
-                    heap.push(Item { cost: nc, seg: next.0 });
+                settled += 1;
+                if settled > self.max_settled {
+                    return false;
+                }
+                for (&next, &w) in net.successors(SegmentId(seg)).iter().zip(weights.of(seg)) {
+                    let nc = cost + w;
+                    let slot = &mut slots[next.idx()];
+                    let known = if slot.stamp == gen { slot.dist } else { f64::INFINITY };
+                    if nc < known {
+                        *slot = Slot { dist: nc, prev: seg, stamp: gen };
+                        heap.push(Item { cost: nc, seg: next.0 });
+                    }
                 }
             }
-        }
-        None
+            false
+        })
     }
 
-    fn plan_fastest(
+    fn extend_fastest(
         &self,
         net: &RoadNetwork,
         src: SegmentId,
         dst: SegmentId,
-    ) -> Option<Vec<SegmentId>> {
-        let (_, mid) = node_path(
-            net,
-            net.segment(src).to,
-            net.segment(dst).from,
-            Weight::Time,
-            f64::INFINITY,
-        )?;
-        let mut path = Vec::with_capacity(mid.len() + 2);
-        path.push(src);
-        path.extend(mid);
-        path.push(dst);
-        Some(path)
+        route: &mut Vec<SegmentId>,
+    ) -> bool {
+        let Some((_, mid)) =
+            node_path(net, net.segment(src).to, net.segment(dst).from, Weight::Time, f64::INFINITY)
+        else {
+            return false;
+        };
+        route.extend(mid);
+        route.push(dst);
+        true
     }
 
     /// Stitches a sequence of matched segments into a route (Algorithm 1,
@@ -205,8 +313,9 @@ impl RoutePlanner {
                 Some(&last) if last == seg => {}
                 Some(&last) if net.segment(last).to == net.segment(seg).from => route.push(seg),
                 Some(&last) => {
-                    let gap = self.plan(net, last, seg)?;
-                    route.extend(&gap[1..]);
+                    if !self.extend(net, last, seg, &mut route) {
+                        return None;
+                    }
                 }
             }
         }
@@ -309,6 +418,74 @@ mod tests {
         assert!(net.is_path(&path));
         assert_eq!(*path.first().unwrap(), src);
         assert_eq!(*path.last().unwrap(), dst);
+    }
+
+    /// Routes the parent of the dense-state rewrite returned, whose
+    /// equal-cost ties `BinaryHeap`'s pop order decided (see `Item::cmp`).
+    #[test]
+    fn golden_routes_on_the_untrained_grid() {
+        let net = grid();
+        let planner = RoutePlanner::untrained(&net);
+        let golden: [&[u32]; 3] = [
+            &[0, 4, 10, 35, 51, 71, 76, 91, 95, 105],
+            &[105, 103, 101, 99, 98, 82, 62, 43, 24, 3, 0],
+            &[3, 0, 4, 10, 35, 51, 71, 76, 93, 104],
+        ];
+        for want in golden {
+            let want: Vec<SegmentId> = want.iter().map(|&s| SegmentId(s)).collect();
+            let got = planner.plan(&net, want[0], *want.last().unwrap());
+            assert_eq!(got, Some(want));
+        }
+    }
+
+    #[test]
+    fn generation_wrap_leaks_no_stale_stamp() {
+        let net = grid();
+        let planner = RoutePlanner::untrained(&net);
+        let n = net.num_segments() as u32;
+        // The fourth search (run as generation 1 again) ends where the first
+        // began, on a slot whose stale distance is 0 and which the two-hop
+        // searches in between never touch: were that stamp still readable,
+        // nothing could relax into it and the fallback route, a different
+        // one, would come back.
+        let pairs = [(n - 1, 0), (0, 10), (0, 10), (0, n - 1), (0, 10)];
+        let plan = |&(s, d): &(u32, u32)| planner.plan(&net, SegmentId(s), SegmentId(d));
+        // A fresh thread has untouched search state.
+        let want: Vec<_> =
+            std::thread::scope(|s| s.spawn(|| pairs.iter().map(plan).collect()).join().unwrap());
+        // Stamp slots under generations 1 and 2, then jump to the brink: the
+        // last three searches run as u32::MAX, 1 (wrapped) and 2.
+        assert_eq!(pairs[..2].iter().map(plan).collect::<Vec<_>>(), want[..2]);
+        SEARCH.with_borrow_mut(|search| search.gen = u32::MAX - 1);
+        assert_eq!(pairs[2..].iter().map(plan).collect::<Vec<_>>(), want[2..]);
+        assert_eq!(SEARCH.with_borrow(|search| search.gen), 2);
+    }
+
+    #[test]
+    fn observe_rejects_an_out_of_range_segment_before_recording() {
+        let net = grid();
+        let e = SegmentId(0);
+        let next = net.successors(e)[0];
+        let mut planner = RoutePlanner::untrained(&net);
+        let before = planner.transition_prob(&net, e, next);
+        let bad = [e, next, SegmentId(4000), e];
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            planner.observe(&bad);
+        }))
+        .expect_err("segment 4000 is not on the grid");
+        let msg = panic.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("segment 4000"), "{msg}");
+        assert_eq!(planner.transition_prob(&net, e, next), before);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "planner of another net")]
+    fn planning_on_another_network_is_caught_in_debug_builds() {
+        let planner = RoutePlanner::untrained(&grid());
+        let other =
+            generate_city(&NetworkConfig { nx: 5, ny: 5, seed: 7, ..NetworkConfig::default() });
+        let _ = planner.plan(&other, SegmentId(0), SegmentId(1));
     }
 
     #[test]
