@@ -1,36 +1,21 @@
-//! Artifact-backed preparation and the cold-start benchmark rows.
-//!
-//! [`build_image`] packs everything a serving process needs — the road
-//! graph, the FMM distance table, trained weight blobs, node2vec
-//! embeddings — into one `trmma_core::artifact` image, and
-//! [`prepare_from_artifact`] is the startup path that *consumes* it: a
-//! [`Bundle`] whose network and embeddings come straight from the image
-//! instead of being re-derived (no node2vec training, no Dijkstra
-//! sweeps). [`bench_cold_start`] measures exactly that trade: wall-clock
-//! of `DistTable::build` versus validating the image and serving the
-//! table zero-copy from it, with a bitwise-identity check over every
-//! stored pair. The rows land under `"cold_start"` in both committed
-//! benchmark documents (`BENCH_inference.json`, `BENCH_streaming.json`).
+//! Packing a prepared [`Bundle`] into one `trmma_core::artifact` image —
+//! the road graph, the FMM distance table, trained weight blobs, node2vec
+//! embeddings and (optionally) a sharded network — for `trmma-artifacts
+//! build`.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use trmma_core::{Artifact, ArtifactBuilder, ArtifactError};
-use trmma_roadnet::{
-    DistTable, GridCut, NodeId, RoadNetwork, RoutePlanner, ShardPlan, ShardedNetwork,
-};
-use trmma_traj::dataset::{build_dataset, DatasetConfig, Split};
+use trmma_core::ArtifactBuilder;
+use trmma_roadnet::{DistTable, GridCut, RoadNetwork, ShardPlan, ShardedNetwork};
 
 use crate::harness::Bundle;
-use crate::json::Value;
 
-/// The grid-cut seed every harness entry point uses when sharding a
-/// network, so `trmma-artifacts build --shards N` and a benchmark binary's
-/// in-process `--shards N` produce the same [`ShardPlan`] (and therefore
-/// interchangeable shard payloads).
+/// The grid-cut seed used whenever the harness shards a network, so every
+/// `trmma-artifacts build --shards N` of one network produces the same
+/// [`ShardPlan`] (and therefore interchangeable shard payloads).
 pub const SHARD_CUT_SEED: u64 = 17;
 
-/// Partitions `net` into `n` grid tiles with the harness-wide cut seed and
+/// Partitions `net` into `n` grid tiles with [`SHARD_CUT_SEED`] and
 /// builds the sharded network at `delta` (the route-distance bound the
 /// HMM-family transitions run under).
 #[must_use]
@@ -67,170 +52,16 @@ pub fn build_image(
     b.finish()
 }
 
-/// Rebuilds a [`Bundle`] with the expensive pieces served from a loaded
-/// artifact: the network is materialized from the image's graph section
-/// and the node2vec embeddings are read instead of retrained. The
-/// trajectory corpus is still generated from `cfg` (trajectories are
-/// workload, not model state) and the route planner is re-fitted on the
-/// training routes — both cheap next to node2vec training.
-///
-/// The artifact graph must be **bit-identical** to the dataset's: the
-/// samples reference segment ids, and the distance table and embedding
-/// rows in the image are keyed by them.
-///
-/// # Errors
-/// Any decode error of the graph/embeddings sections, or
-/// [`ArtifactError::Malformed`] when the artifact was built for a
-/// different network than `cfg` generates.
-pub fn prepare_from_artifact(
-    cfg: &DatasetConfig,
-    gamma: f64,
-    art: &Artifact,
-) -> Result<Bundle, ArtifactError> {
-    let ds = build_dataset(cfg);
-    let net = Arc::new(art.graph()?);
-    if !same_network(&net, &ds.net) {
-        return Err(ArtifactError::Malformed("artifact graph does not match the dataset network"));
-    }
-    let node2vec = art.embeddings()?;
-    if node2vec.rows() != net.num_segments() {
-        return Err(ArtifactError::Malformed("embedding rows do not match the segment count"));
-    }
-    let train = ds.samples(Split::Train, gamma, 71);
-    let test = ds.samples(Split::Test, gamma, 72);
-    let mut planner = RoutePlanner::untrained(&net);
-    for s in &train {
-        planner.observe(&s.route.segs);
-    }
-    Ok(Bundle { ds, net, planner: Arc::new(planner), node2vec, train, test, gamma })
-}
-
-/// Bit-level equality of two networks: node position bits, segment
-/// endpoints and classes (geometry and lengths are derived from these).
-fn same_network(a: &RoadNetwork, b: &RoadNetwork) -> bool {
-    a.num_nodes() == b.num_nodes()
-        && a.num_segments() == b.num_segments()
-        && (0..a.num_nodes()).all(|i| {
-            let (p, q) = (a.node_pos(NodeId(i as u32)), b.node_pos(NodeId(i as u32)));
-            p.x.to_bits() == q.x.to_bits() && p.y.to_bits() == q.y.to_bits()
-        })
-        && a.segments()
-            .iter()
-            .zip(b.segments())
-            .all(|(s, t)| s.from == t.from && s.to == t.to && s.class == t.class)
-}
-
-/// One measured cold-start path (`BENCH_*.json` → `"cold_start"`).
-#[derive(Debug, Clone)]
-pub struct ColdStartRow {
-    /// `"dist_table_build"` (in-process Dijkstra sweeps) or
-    /// `"artifact_load"` (validate the image, serve the table from it).
-    pub source: String,
-    /// Wall-clock milliseconds to a query-ready distance table.
-    pub cold_start_ms: f64,
-    /// Speedup over the in-process build (the build row's own is 1).
-    pub speedup: f64,
-    /// Whether this path's table answers bitwise-identically to the
-    /// freshly built reference over every stored pair.
-    pub identical: bool,
-    /// Records in the resulting table.
-    pub table_records: usize,
-}
-
-/// Measures both cold-start paths to a query-ready distance table: the
-/// in-process `DistTable::build` at `delta`, and decoding `image`
-/// (header + CRC validation) then serving the table zero-copy from it.
-/// The loaded table is checked bitwise against the built one — equal
-/// record counts and identical distance bits for every stored pair.
-#[must_use]
-pub fn bench_cold_start(net: &RoadNetwork, delta: f64, image: Vec<u8>) -> Vec<ColdStartRow> {
-    let t0 = Instant::now();
-    let built = DistTable::build(net, delta);
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let t1 = Instant::now();
-    let art = Artifact::decode(image).expect("artifact image validates");
-    let loaded = art.dist_table().expect("artifact has a dist_table section");
-    let load_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-    let mut identical =
-        built.len() == loaded.len() && built.delta().to_bits() == loaded.delta().to_bits();
-    built.for_each_pair(|s, d, dist| {
-        identical &= loaded.query(NodeId(s), NodeId(d)).map(f64::to_bits) == Some(dist.to_bits());
-    });
-
-    vec![
-        ColdStartRow {
-            source: "dist_table_build".to_string(),
-            cold_start_ms: build_ms,
-            speedup: 1.0,
-            identical: true,
-            table_records: built.len(),
-        },
-        ColdStartRow {
-            source: "artifact_load".to_string(),
-            cold_start_ms: load_ms,
-            speedup: if load_ms > 0.0 { build_ms / load_ms } else { f64::INFINITY },
-            identical,
-            table_records: loaded.len(),
-        },
-    ]
-}
-
-/// Appends the `"cold_start"` array to a benchmark document (no-op on a
-/// non-object, which the callers never produce).
-pub fn attach_cold_start(doc: &mut Value, rows: &[ColdStartRow]) {
-    if let Value::Object(fields) = doc {
-        fields.push(("cold_start".to_string(), cold_start_to_json(rows)));
-    }
-}
-
-/// The `"cold_start"` rows as a JSON array.
-#[must_use]
-pub fn cold_start_to_json(rows: &[ColdStartRow]) -> Value {
-    Value::Array(
-        rows.iter()
-            .map(|r| {
-                crate::json!({
-                    "source": r.source,
-                    "cold_start_ms": r.cold_start_ms,
-                    "speedup_vs_build": r.speedup,
-                    "identical_to_built": r.identical,
-                    "table_records": r.table_records,
-                })
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trmma_core::SectionKind;
-
-    fn tiny_bundle() -> Bundle {
-        Bundle::prepare(&DatasetConfig::tiny(), 0.2, 8)
-    }
-
-    #[test]
-    fn image_round_trips_through_prepare() {
-        let bundle = tiny_bundle();
-        let image = build_image(&bundle, &[("mma", b"blob".to_vec())], 400.0, None);
-        let art = Artifact::decode(image).unwrap();
-        assert_eq!(art.sections().len(), 4);
-        assert!(art.sections().iter().any(|s| s.kind == SectionKind::Params as u16));
-
-        let loaded = prepare_from_artifact(&DatasetConfig::tiny(), 0.2, &art).unwrap();
-        assert!(same_network(&loaded.net, &bundle.net));
-        assert_eq!(loaded.node2vec.data(), bundle.node2vec.data());
-        assert_eq!(loaded.train.len(), bundle.train.len());
-        assert_eq!(loaded.test.len(), bundle.test.len());
-        assert_eq!(art.params_blob("mma").unwrap(), b"blob");
-    }
+    use trmma_core::{Artifact, SectionKind};
+    use trmma_roadnet::NodeId;
+    use trmma_traj::dataset::DatasetConfig;
 
     #[test]
     fn sharded_image_serves_an_equivalent_network() {
-        let bundle = tiny_bundle();
+        let bundle = Bundle::prepare(&DatasetConfig::tiny(), 0.2, 8);
         let image = build_image(&bundle, &[], 400.0, Some(4));
         let art = Artifact::decode(image).unwrap();
         assert!(art.sections().iter().any(|s| s.kind == SectionKind::Shards as u16));
@@ -249,42 +80,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn mismatched_network_is_rejected() {
-        let bundle = tiny_bundle();
-        let image = build_image(&bundle, &[], 400.0, None);
-        let art = Artifact::decode(image).unwrap();
-        // A different dataset generates a different network.
-        let mut other = DatasetConfig::tiny();
-        other.net.seed = other.net.seed.wrapping_add(1);
-        assert!(matches!(
-            prepare_from_artifact(&other, 0.2, &art),
-            Err(ArtifactError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn cold_start_rows_are_identical_and_positive() {
-        let bundle = tiny_bundle();
-        let image = build_image(&bundle, &[], 400.0, None);
-        let rows = bench_cold_start(&bundle.net, 400.0, image);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].source, "dist_table_build");
-        assert_eq!(rows[1].source, "artifact_load");
-        for r in &rows {
-            assert!(r.identical, "{} diverged from the built table", r.source);
-            assert!(r.cold_start_ms >= 0.0);
-            assert!(r.table_records > 0);
-        }
-        assert_eq!(rows[0].table_records, rows[1].table_records);
-
-        let mut doc = Value::Object(vec![]);
-        attach_cold_start(&mut doc, &rows);
-        let s = crate::json::to_string_pretty(&doc);
-        assert!(s.contains("\"cold_start\""));
-        assert!(s.contains("\"cold_start_ms\""));
-        assert!(s.contains("\"identical_to_built\": true"));
     }
 }

@@ -11,15 +11,12 @@
 //! plain `MMA` row stays on the sequential per-call API so the adjacent
 //! `MMA (batch)` row still shows the engine's win over it.
 
-use std::sync::Arc;
-
 use trmma_baselines::{FmmMatcher, HmmConfig, HmmMatcher, NearestMatcher};
 use trmma_bench::harness::{
-    eval_matching, eval_matching_batch, eval_matching_pooled, per_1000, trained_mma, Bundle,
-    ExpConfig,
+    eval_matching, eval_matching_pooled, per_1000, trained_mma, Bundle, ExpConfig,
 };
 use trmma_bench::report::{write_json, Table};
-use trmma_core::{BatchMatcher, BatchOptions};
+use trmma_core::BatchOptions;
 use trmma_traj::MapMatcher;
 
 fn main() {
@@ -65,23 +62,8 @@ fn main() {
 
         // The batched engine over the same trained matcher: identical
         // output, all cores, per-worker scratch reuse.
-        let engine = BatchMatcher::new(Arc::new(mma), BatchOptions::default());
-        let (metrics, secs) = eval_matching_batch(&engine, &bundle.test);
-        let s1k = per_1000(secs, bundle.test.len());
-        table.row(vec![
-            bundle.ds.name.clone(),
-            "MMA (batch)".into(),
-            format!("{s1k:.3}"),
-            format!("{:.2}", 100.0 * metrics.f1),
-            "0.00".into(),
-        ]);
-        json.push(trmma_bench::json!({
-            "dataset": bundle.ds.name,
-            "method": "MMA (batch)",
-            "sec_per_1000": s1k,
-            "f1": metrics.f1,
-            "precompute_s": 0.0,
-        }));
+        let (m, s) = eval_matching_pooled(&mma, &bundle.test, opts);
+        emit("MMA (batch)", m, s, 0.0);
     }
     table.print();
     println!("\nExpected shape (paper Fig. 9): MMA fastest at the best F1; FMM trades precompute for faster inference than HMM; the batch engine divides MMA's time by roughly the core count.");

@@ -24,7 +24,7 @@
 //! * `--max-seconds S` — exit after `S` seconds (default: run forever).
 //!
 //! Scale knobs `TRMMA_SCALE` / `TRMMA_PROFILE` / `TRMMA_DATASETS` select
-//! the road network exactly as in the bench binaries.
+//! the road network exactly as in the table/figure binaries.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

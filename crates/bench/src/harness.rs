@@ -25,16 +25,74 @@ pub struct ExpConfig {
 }
 
 impl ExpConfig {
-    /// Reads the configuration from the environment.
+    /// Reads the configuration from the environment. Unset variables take
+    /// their defaults.
+    ///
+    /// # Panics
+    /// On a malformed or unknown value, naming the variable, the value and
+    /// what is accepted — a mistyped knob must not run a different
+    /// experiment (or none) under the intended name.
     #[must_use]
     pub fn from_env() -> Self {
-        let scale = std::env::var("TRMMA_SCALE").ok().and_then(|v| v.parse().ok()).unwrap_or(0.25);
-        let epochs = std::env::var("TRMMA_EPOCHS").ok().and_then(|v| v.parse().ok()).unwrap_or(5);
-        let paper_profile = std::env::var("TRMMA_PROFILE").is_ok_and(|v| v == "paper");
-        let datasets = std::env::var("TRMMA_DATASETS")
-            .map(|v| v.split(',').map(|s| s.trim().to_uppercase()).collect())
-            .unwrap_or_else(|_| vec!["PT".into(), "XA".into(), "BJ".into(), "CD".into()]);
-        Self { scale, epochs, paper_profile, datasets }
+        let var = |name: &str| match std::env::var(name) {
+            Ok(v) => Some(v),
+            Err(std::env::VarError::NotPresent) => None,
+            Err(std::env::VarError::NotUnicode(v)) => panic!("{name}={v:?} is not UTF-8"),
+        };
+        Self::parse(
+            var("TRMMA_SCALE"),
+            var("TRMMA_EPOCHS"),
+            var("TRMMA_PROFILE"),
+            var("TRMMA_DATASETS"),
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`ExpConfig::from_env`] on the four variables' values (`None` =
+    /// unset), with the rejection message as the error.
+    fn parse(
+        scale: Option<String>,
+        epochs: Option<String>,
+        profile: Option<String>,
+        datasets: Option<String>,
+    ) -> Result<Self, String> {
+        let scale = match scale {
+            None => 0.25,
+            Some(v) => match v.trim().parse::<f64>() {
+                Ok(x) if x.is_finite() && x > 0.0 => x,
+                _ => {
+                    return Err(format!("TRMMA_SCALE={v:?}: expected a positive number, e.g. 0.25"))
+                }
+            },
+        };
+        let epochs = match epochs {
+            None => 5,
+            Some(v) => v
+                .trim()
+                .parse::<usize>()
+                .map_err(|_| format!("TRMMA_EPOCHS={v:?}: expected a whole number, e.g. 5"))?,
+        };
+        let paper_profile = match profile.as_deref() {
+            None | Some("small") => false,
+            Some("paper") => true,
+            Some(v) => return Err(format!("TRMMA_PROFILE={v:?}: expected `small` or `paper`")),
+        };
+        let known: Vec<String> =
+            DatasetConfig::all_four(scale).into_iter().map(|c| c.name).collect();
+        let datasets = match datasets {
+            None => known,
+            Some(v) => {
+                let picked: Vec<String> = v.split(',').map(|s| s.trim().to_uppercase()).collect();
+                if let Some(bad) = picked.iter().find(|d| !known.contains(d)) {
+                    return Err(format!(
+                        "TRMMA_DATASETS={v:?}: unknown dataset {bad:?}, expected a comma list among {}",
+                        known.join(",")
+                    ));
+                }
+                picked
+            }
+        };
+        Ok(Self { scale, epochs, paper_profile, datasets })
     }
 
     /// The dataset configs selected by `TRMMA_DATASETS`.
@@ -240,18 +298,6 @@ pub fn eval_recovery_batch(
     (avg.mean_recovery(), timing.wall_s)
 }
 
-/// Evaluates the batched matcher over the test set: mean route metrics plus
-/// the batch wall-clock seconds. The parallel analogue of [`eval_matching`].
-#[must_use]
-pub fn eval_matching_batch(
-    engine: &trmma_core::BatchMatcher,
-    test: &[Sample],
-) -> (trmma_traj::MatchingMetrics, f64) {
-    let batch: Vec<_> = test.iter().map(|s| s.sparse.clone()).collect();
-    let (results, timing) = engine.match_batch_timed(&batch);
-    (mean_matching_metrics(&results, test), timing.wall_s)
-}
-
 /// Wall-clock seconds for `f`, returned alongside its output.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
@@ -281,10 +327,38 @@ mod tests {
 
     #[test]
     fn env_defaults() {
-        let cfg =
-            ExpConfig { scale: 0.25, epochs: 5, paper_profile: false, datasets: vec!["PT".into()] };
-        assert_eq!(cfg.dataset_configs().len(), 1);
-        assert_eq!(cfg.dataset_configs()[0].name, "PT");
+        let cfg = ExpConfig::parse(None, None, None, None).unwrap();
+        assert_eq!((cfg.scale, cfg.epochs, cfg.paper_profile), (0.25, 5, false));
+        assert_eq!(cfg.datasets, ["PT", "XA", "BJ", "CD"]);
+        assert_eq!(cfg.dataset_configs().len(), 4);
+
+        let s = |v: &str| Some(v.to_string());
+        let cfg = ExpConfig::parse(s("0.1"), s("1"), s("paper"), s("pt, CD")).unwrap();
+        assert_eq!((cfg.scale, cfg.epochs, cfg.paper_profile), (0.1, 1, true));
+        let names: Vec<String> = cfg.dataset_configs().into_iter().map(|c| c.name).collect();
+        assert_eq!(names, ["PT", "CD"]);
+    }
+
+    #[test]
+    fn malformed_env_values_are_rejected_by_name() {
+        let s = |v: &str| Some(v.to_string());
+        let err = |scale, epochs, profile, datasets| {
+            ExpConfig::parse(scale, epochs, profile, datasets).unwrap_err()
+        };
+        for bad in ["0,5", "0", "-1", "nan", ""] {
+            let e = err(s(bad), None, None, None);
+            assert!(e.contains("TRMMA_SCALE") && e.contains(&format!("{bad:?}")), "{e}");
+        }
+        for bad in ["ten", "-1", "1.5"] {
+            let e = err(None, s(bad), None, None);
+            assert!(e.contains("TRMMA_EPOCHS") && e.contains(&format!("{bad:?}")), "{e}");
+        }
+        let e = err(None, None, s("Paper"), None);
+        assert!(e.contains("TRMMA_PROFILE") && e.contains("\"Paper\"") && e.contains("paper`"));
+        for bad in ["PX", "PT,PX", "", "PT,"] {
+            let e = err(None, None, None, s(bad));
+            assert!(e.contains("TRMMA_DATASETS") && e.contains("PT,XA,BJ,CD"), "{e}");
+        }
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!
 //! Every binary prints the paper-style rows to stdout *and* appends a JSON
 //! artifact under `target/experiments/` so EXPERIMENTS.md numbers are
-//! reproducible. The two committed artifacts (`BENCH_inference.json`,
-//! `BENCH_streaming.json`) are documented field-by-field in the repo-root
-//! `BENCHMARKS.md`.
+//! reproducible. Performance numbers come from the standalone `benchmark/`
+//! package, not from this crate.
 //!
 //! # Example
 //!
@@ -33,10 +32,8 @@
 //! ```
 
 pub mod artifacts;
-pub mod batch_bench;
 pub mod harness;
 pub mod json;
-pub mod remote_bench;
 pub mod report;
 pub mod stream_bench;
 

@@ -82,35 +82,6 @@ pub fn write_json(name: &str, value: &crate::json::Value) {
     }
 }
 
-/// Writes the batched-inference benchmark document to
-/// `BENCH_inference.json` in the repository root (override the path with
-/// `TRMMA_BENCH_OUT`), so the perf trajectory of the engine is versioned
-/// alongside the code. Best-effort like [`write_json`].
-pub fn write_bench_inference(value: &crate::json::Value) {
-    let path = std::env::var("TRMMA_BENCH_OUT").unwrap_or_else(|_| "BENCH_inference.json".into());
-    let s = crate::json::to_string_pretty(value);
-    if let Err(e) = fs::write(&path, s) {
-        eprintln!("warn: cannot write {path}: {e}");
-    } else {
-        eprintln!("artifact: {path}");
-    }
-}
-
-/// Writes the streaming benchmark document to `BENCH_streaming.json` in
-/// the repository root (override with `TRMMA_BENCH_STREAMING_OUT`) — the
-/// committed perf trajectory of the streaming engine. Best-effort like
-/// [`write_json`].
-pub fn write_bench_streaming(value: &crate::json::Value) {
-    let path = std::env::var("TRMMA_BENCH_STREAMING_OUT")
-        .unwrap_or_else(|_| "BENCH_streaming.json".into());
-    let s = crate::json::to_string_pretty(value);
-    if let Err(e) = fs::write(&path, s) {
-        eprintln!("warn: cannot write {path}: {e}");
-    } else {
-        eprintln!("artifact: {path}");
-    }
-}
-
 /// Formats a fraction as a percentage with two decimals (paper style).
 #[must_use]
 pub fn pct(x: f64) -> String {

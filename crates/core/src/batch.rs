@@ -5,11 +5,10 @@
 //! at a time through an allocation-heavy path leaves most of that on the
 //! table, so this module adds the production-shaped entry points:
 //!
-//! * [`BatchMatcher`] — map-matches a `&[Trajectory]` across a worker pool
-//!   sharing one immutable [`Mma`] (`Arc`, read-mostly);
-//! * [`BatchRecovery`] — the full MMA → TRMMA pipeline over a batch;
-//! * [`par_recover`] / [`par_match`] — the same fan-out for *any*
-//!   [`TrajectoryRecovery`] / [`MapMatcher`], used to parallelise baselines.
+//! * [`par_match_pooled`] — map-matches a `&[Trajectory]` across a worker
+//!   pool sharing one immutable [`ScratchMatcher`] ([`Mma`] or a baseline),
+//!   one scratch per worker;
+//! * [`BatchRecovery`] — the full MMA → TRMMA pipeline over a batch.
 //!
 //! **Sharing/ownership model.** Workers are `std::thread::scope` threads
 //! pulling indices from one atomic counter (work stealing by construction:
@@ -24,14 +23,13 @@
 //! **Determinism.** Inference is a pure function of (model, trajectory), so
 //! results are written back by input index and are bitwise-identical for
 //! any thread count and any input order — property-tested in this module
-//! and relied on by the benchmark harness when it validates the parallel
-//! path against the sequential one.
+//! and in `tests/props_batch.rs`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use trmma_nn::Graph;
-use trmma_traj::api::{MapMatcher, MatchResult, ScratchMatcher, TrajectoryRecovery};
+use trmma_traj::api::{MatchResult, ScratchMatcher};
 use trmma_traj::types::{MatchedTrajectory, Trajectory};
 
 use crate::mma::{Mma, MmaScratch};
@@ -74,31 +72,8 @@ pub struct BatchTiming {
     pub wall_s: f64,
     /// Heap allocations absorbed by the per-worker scratch arenas over the
     /// batch (summed across workers; see
-    /// [`trmma_traj::api::ScratchStats`]). Zero for scratch-less paths.
+    /// [`trmma_traj::api::ScratchStats`]).
     pub allocs_avoided: u64,
-}
-
-impl BatchTiming {
-    /// Items per second over the batch wall-clock.
-    #[must_use]
-    pub fn throughput(&self) -> f64 {
-        if self.wall_s <= 0.0 {
-            return 0.0;
-        }
-        self.per_item_s.len() as f64 / self.wall_s
-    }
-
-    /// The `q`-quantile (0–1) of per-item latency, in seconds.
-    #[must_use]
-    pub fn latency_quantile(&self, q: f64) -> f64 {
-        if self.per_item_s.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.per_item_s.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let ix = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        sorted[ix]
-    }
 }
 
 /// Fans `items` out over `threads` workers, each with its own scratch state
@@ -227,51 +202,6 @@ where
     (results, BatchTiming { per_item_s, wall_s, allocs_avoided })
 }
 
-/// Parallel batched map matching with a shared [`Mma`]; see module docs.
-#[derive(Clone)]
-pub struct BatchMatcher {
-    mma: Arc<Mma>,
-    opts: BatchOptions,
-}
-
-impl BatchMatcher {
-    /// Wraps a trained (or untrained) model for batch serving.
-    #[must_use]
-    pub fn new(mma: Arc<Mma>, opts: BatchOptions) -> Self {
-        Self { mma, opts }
-    }
-
-    /// The wrapped model.
-    #[must_use]
-    pub fn model(&self) -> &Mma {
-        &self.mma
-    }
-
-    /// Map-matches every trajectory of the batch; output `i` corresponds to
-    /// input `i` and is identical to
-    /// `self.model().match_trajectory(&batch[i])`.
-    #[must_use]
-    pub fn match_batch(&self, batch: &[Trajectory]) -> Vec<MatchResult> {
-        let threads = self.opts.effective_threads(batch.len());
-        parallel_map(batch, threads, MmaScratch::new, |scratch, traj| {
-            self.mma.match_trajectory_with(scratch, traj)
-        })
-    }
-
-    /// [`BatchMatcher::match_batch`] plus per-item and wall-clock timing.
-    #[must_use]
-    pub fn match_batch_timed(&self, batch: &[Trajectory]) -> (Vec<MatchResult>, BatchTiming) {
-        let threads = self.opts.effective_threads(batch.len());
-        timed_map(
-            batch,
-            threads,
-            MmaScratch::new,
-            |scratch, traj| self.mma.match_trajectory_with(scratch, traj),
-            MmaScratch::allocs_avoided,
-        )
-    }
-}
-
 /// Per-worker scratch of the full recovery pipeline: the MMA state and the
 /// TRMMA tape. Network-distance lookups during post-batch evaluation go
 /// through a shared [`DistCache`], whose misses reuse warm Dijkstra state
@@ -391,33 +321,6 @@ pub fn par_match_pooled<M: ScratchMatcher + Sync>(
     )
 }
 
-/// Fans any [`MapMatcher`] out over a batch (no scratch reuse — the trait
-/// has no scratch surface — but full thread-level parallelism). Prefer
-/// [`par_match_pooled`] when the matcher implements [`ScratchMatcher`].
-/// Output order matches input order.
-#[must_use]
-pub fn par_match(
-    matcher: &dyn MapMatcher,
-    batch: &[Trajectory],
-    opts: BatchOptions,
-) -> (Vec<MatchResult>, BatchTiming) {
-    let threads = opts.effective_threads(batch.len());
-    timed_map(batch, threads, || (), |(), traj| matcher.match_trajectory(traj), |()| 0)
-}
-
-/// Fans any [`TrajectoryRecovery`] out over a batch. Output order matches
-/// input order.
-#[must_use]
-pub fn par_recover(
-    method: &dyn TrajectoryRecovery,
-    batch: &[Trajectory],
-    epsilon_s: f64,
-    opts: BatchOptions,
-) -> (Vec<MatchedTrajectory>, BatchTiming) {
-    let threads = opts.effective_threads(batch.len());
-    timed_map(batch, threads, || (), |(), traj| method.recover(traj, epsilon_s), |()| 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,6 +330,7 @@ mod tests {
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
     use trmma_roadnet::{RoadNetwork, RoutePlanner};
+    use trmma_traj::api::MapMatcher;
     use trmma_traj::dataset::{build_dataset, DatasetConfig, Split};
 
     fn setup() -> (Arc<RoadNetwork>, Arc<RoutePlanner>, trmma_traj::Dataset) {
@@ -457,8 +361,7 @@ mod tests {
             ds.samples(Split::Test, 0.2, 3).into_iter().take(8).map(|s| s.sparse).collect();
         let sequential: Vec<_> = batch.iter().map(|t| mma.match_trajectory(t)).collect();
         for threads in [1, 2, 4] {
-            let engine = BatchMatcher::new(mma.clone(), BatchOptions::with_threads(threads));
-            let got = engine.match_batch(&batch);
+            let (got, _) = par_match_pooled(&*mma, &batch, BatchOptions::with_threads(threads));
             assert_eq!(got, sequential, "thread count {threads} changed output");
         }
     }
@@ -506,32 +409,7 @@ mod tests {
         assert_eq!(results.len(), batch.len());
         assert_eq!(timing.per_item_s.len(), batch.len());
         assert!(timing.wall_s > 0.0);
-        assert!(timing.throughput() > 0.0);
-        let p50 = timing.latency_quantile(0.5);
-        let p99 = timing.latency_quantile(0.99);
-        assert!(p50 <= p99 + 1e-12, "quantiles out of order");
-    }
-
-    #[test]
-    fn par_helpers_match_direct_calls() {
-        let (net, planner, ds) = setup();
-        let (mma, model) = trained_models(&net, &planner, &ds);
-        let batch: Vec<Trajectory> =
-            ds.samples(Split::Test, 0.2, 6).into_iter().take(5).map(|s| s.sparse).collect();
-        let eps = ds.epsilon_s;
-        let mma_ref: &Mma = &mma;
-        let (matched, _) = par_match(mma_ref, &batch, BatchOptions::with_threads(3));
-        let direct: Vec<_> = batch.iter().map(|t| mma_ref.match_trajectory(t)).collect();
-        assert_eq!(matched, direct);
-
-        let pipeline = crate::pipeline::TrmmaPipeline::new(
-            Box::new(Mma::new(net, planner, None, MmaConfig::small())),
-            Trmma::new(model.network_arc(), TrmmaConfig::small()),
-            "TRMMA",
-        );
-        let (rec, timing) = par_recover(&pipeline, &batch, eps, BatchOptions::default());
-        assert_eq!(rec.len(), batch.len());
-        assert_eq!(timing.per_item_s.len(), batch.len());
+        assert!(timing.per_item_s.iter().all(|&s| s > 0.0 && s <= timing.wall_s));
     }
 
     #[test]
@@ -549,6 +427,7 @@ mod tests {
             let (got, timing) = par_match_pooled(&hmm, &batch, opts);
             assert_eq!(got, hmm_ref, "HMM diverged at {threads} threads");
             assert_eq!(timing.per_item_s.len(), batch.len());
+            assert!(timing.allocs_avoided > 0, "scratch_stats must reach BatchTiming");
             let (got, _) = par_match_pooled(&fmm, &batch, opts);
             assert_eq!(got, fmm_ref, "FMM diverged at {threads} threads");
         }

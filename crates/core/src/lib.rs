@@ -19,16 +19,16 @@
 //!   multitask loss of Eq. 19–21 (Algorithm 2).
 //! * [`pipeline::TrmmaPipeline`] — the end-to-end system (MMA feeding
 //!   TRMMA) plus the ablation wirings of Table IV.
-//! * [`batch`] — the batched, parallel inference engine: [`BatchMatcher`]
+//! * [`batch`] — the batched, parallel inference engine: [`par_match_pooled`]
 //!   and [`BatchRecovery`] fan a `&[Trajectory]` out across worker threads
 //!   that share one immutable model and reuse per-worker scratch state,
 //!   with output bitwise-identical to the sequential API.
 //! * [`stream`] — the streaming session engine: [`StreamEngine`]
 //!   multiplexes live `trmma_traj::OnlineMatcher` sessions (points arriving
 //!   one at a time, interleaved across devices) over the same per-worker
-//!   scratch model, behind a load-aware router ([`RouterPolicy`]:
-//!   power-of-two-choices placement plus migration of watermark-stable
-//!   sessions off hot workers, telemetered via [`RouterStats`]), with
+//!   scratch model, behind a load-aware router (power-of-two-choices
+//!   placement plus migration of watermark-stable sessions off hot
+//!   workers, telemetered via [`RouterStats`]), with
 //!   provisional per-point matches, stabilized-prefix watermarks, and
 //!   idle-session finalize-on-timeout.
 //!
@@ -75,10 +75,7 @@ pub mod stream;
 pub mod trmma;
 
 pub use artifact::{Artifact, ArtifactBuilder, ArtifactError, SectionKind, ShardsMeta};
-pub use batch::{
-    par_match, par_match_pooled, par_recover, BatchMatcher, BatchOptions, BatchRecovery,
-    BatchTiming,
-};
+pub use batch::{par_match_pooled, BatchOptions, BatchRecovery, BatchTiming};
 pub use mma::{Mma, MmaConfig, MmaScratch, MmaSession};
 pub use pipeline::TrmmaPipeline;
 pub use serve::{
@@ -87,7 +84,7 @@ pub use serve::{
 };
 pub use snapshot::SessionSnapshot;
 pub use stream::{
-    FaultPlan, FinalizeReason, RecvEventError, RouterPolicy, RouterStats, SessionId, StreamEngine,
-    StreamEvent, StreamOptions, StreamStats, WorkerTelemetry,
+    FaultPlan, FinalizeReason, RecvEventError, RouterStats, SessionId, StreamEngine, StreamEvent,
+    StreamOptions, StreamStats, WorkerTelemetry,
 };
 pub use trmma::{Trmma, TrmmaConfig};

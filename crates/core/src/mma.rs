@@ -700,7 +700,7 @@ impl OnlineMatcher for Mma {
 
 /// A cheaply cloneable handle making a shared model usable as a matcher:
 /// one trained [`Mma`] behind an `Arc` can be wired into a
-/// [`crate::TrmmaPipeline`] *and* a [`crate::BatchMatcher`] simultaneously
+/// [`crate::TrmmaPipeline`] *and* a [`crate::BatchRecovery`] simultaneously
 /// without duplicating weights.
 #[derive(Clone)]
 pub struct SharedMma(pub Arc<Mma>);

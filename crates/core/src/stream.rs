@@ -16,9 +16,9 @@
 //! **Architecture.** [`StreamEngine::new`] spawns `threads` workers, each
 //! owning a bounded command queue, one scratch, and a session table.
 //! [`StreamEngine::push`] routes a `(session id, point)` pair through the
-//! engine-side router: a new session is *placed* on a worker by the
-//! configured [`RouterPolicy`] and stays there (its points are decoded in
-//! arrival order on its home worker) until it ends or is *migrated*.
+//! engine-side router: a new session is *placed* on a worker and stays
+//! there (its points are decoded in arrival order on its home worker)
+//! until it ends or is *migrated*.
 //! Points of *different* sessions may arrive in any interleaving. Every
 //! processed point emits a [`StreamEvent::Update`] (provisional match +
 //! stabilized-prefix watermark + worker-side processing time) on the
@@ -26,14 +26,13 @@
 //! [`StreamEngine::shutdown`] emit [`StreamEvent::Finalized`] with the
 //! full offline-equivalent [`MatchResult`].
 //!
-//! **Routing.** The historical router was `id % threads` — stateless, but
-//! under skewed session-id distributions it starves some workers while
-//! others queue up (kept available as [`RouterPolicy::HashMod`] for
-//! comparison). The default [`RouterPolicy::PowerOfTwo`] places each new
-//! session by *power-of-two-choices*: sample two distinct workers, place
-//! on the one with the lower instantaneous load (queue depth + live
-//! sessions) — the classic balanced-allocations result that exponentially
-//! tightens the load gap versus single-choice hashing. The router also
+//! **Routing.** A stateless `id % threads` router starves some workers
+//! while others queue up under skewed session-id distributions, so the
+//! router places each new session by *power-of-two-choices*: sample two
+//! distinct workers, place on the one with the lower instantaneous load
+//! (queue depth + live sessions) — the classic balanced-allocations
+//! result that exponentially tightens the load gap versus single-choice
+//! hashing. The router also
 //! *migrates* sessions: when the load gap between the hottest and coolest
 //! worker exceeds [`StreamOptions::rebalance_threshold`], the
 //! least-recently-pushed session on the hot worker is moved to the cool
@@ -80,8 +79,8 @@
 //!   point is counted in [`StreamStats::late_dropped`] and skipped (the
 //!   incremental decoders cannot un-push evidence).
 //! * Decoding is a pure function of (model, point sequence), so for any
-//!   thread count, any cross-session interleaving, any router policy and
-//!   any migration schedule, a session's finalized result is identical to
+//!   thread count, any cross-session interleaving and any migration
+//!   schedule, a session's finalized result is identical to
 //!   the offline `match_trajectory` on the same points — property-tested
 //!   in `tests/props_streaming.rs`.
 //!
@@ -101,7 +100,7 @@
 //! versioned, checksummed [`SessionSnapshot`] and
 //! [`StreamEngine::restore`] resumes them on a successor engine with zero
 //! drops. A seeded [`FaultPlan`] can inject worker panics, command stalls
-//! and reply delays for tests and the chaos benchmark; recovery counters
+//! and reply delays for tests; recovery counters
 //! (`worker_restarts`, `sessions_recovered`, `points_replayed`) surface
 //! in [`RouterStats`]. See DESIGN.md §5.
 
@@ -123,32 +122,6 @@ use crate::snapshot::SessionSnapshot;
 /// Identifies one live trajectory (one device/trip) within the engine.
 pub type SessionId = u64;
 
-/// How [`StreamEngine`] assigns new sessions to workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouterPolicy {
-    /// The legacy static router: worker `id % threads`. Stateless, but a
-    /// skewed session-id distribution concentrates load on few workers.
-    /// Never migrates.
-    HashMod,
-    /// Load-aware placement (the default): sample two distinct workers,
-    /// place on the one with the lower queue depth + live-session count,
-    /// and migrate watermark-stable sessions off hot workers when the
-    /// load gap exceeds [`StreamOptions::rebalance_threshold`].
-    PowerOfTwo,
-}
-
-impl RouterPolicy {
-    /// Stable identifier used in benchmark artifacts
-    /// (`BENCH_streaming.json`'s `router` column).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::HashMod => "hash_mod",
-            Self::PowerOfTwo => "power_of_two",
-        }
-    }
-}
-
 /// Tuning knobs of the streaming engine.
 ///
 /// Mirrors [`crate::BatchOptions`]: zero-config by default, an explicit
@@ -165,33 +138,28 @@ impl RouterPolicy {
 ///   skipped, never decoded.
 /// * **Idle eviction** — `idle_timeout_s` finalizes sessions that go
 ///   quiet (the trip is assumed over); `0` disables eviction.
-/// * **Routing** — `router_policy` selects session placement
-///   ([`RouterPolicy::PowerOfTwo`] load-aware placement by default,
-///   [`RouterPolicy::HashMod`] for the legacy `id % threads`), and
-///   `rebalance_threshold` sets the hot/cool worker load gap that
-///   triggers migration of watermark-stable sessions (`0` disables
-///   migration).
+/// * **Routing** — new sessions are placed by power-of-two-choices on
+///   the less loaded of two sampled workers, and `rebalance_threshold`
+///   sets the hot/cool worker load gap that triggers migration of
+///   watermark-stable sessions (`0` disables migration).
 ///
 /// ```
-/// use trmma_core::{RouterPolicy, StreamOptions};
+/// use trmma_core::StreamOptions;
 ///
 /// // Default: hardware threads, 30 s idle eviction, 1024-deep queues,
 /// // load-aware routing with migration at a load gap of 16.
 /// let opts = StreamOptions::default();
 /// assert_eq!(opts.threads, 0); // 0 = available_parallelism
-/// assert_eq!(opts.router, RouterPolicy::PowerOfTwo);
 /// assert_eq!(opts.rebalance_threshold, 16);
 ///
 /// // Builder style, mirroring `BatchOptions::with_threads`:
 /// let opts = StreamOptions::with_threads(4)
 ///     .idle_timeout_s(5.0)            // evict sessions quiet for 5 s
 ///     .queue_capacity(256)            // push() blocks 256 commands deep
-///     .router_policy(RouterPolicy::HashMod) // legacy id % threads
 ///     .rebalance_threshold(0);        // no migration
 /// assert_eq!(opts.threads, 4);
 /// assert_eq!(opts.effective_threads(), 4);
 /// assert_eq!(opts.queue_capacity, 256);
-/// assert_eq!(opts.router, RouterPolicy::HashMod);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamOptions {
@@ -204,12 +172,10 @@ pub struct StreamOptions {
     /// [`StreamEngine::push`] blocks while the target worker is this far
     /// behind.
     pub queue_capacity: usize,
-    /// Session-placement policy (see [`RouterPolicy`]).
-    pub router: RouterPolicy,
     /// Load gap (hottest minus coolest worker, in queued commands + live
     /// sessions) above which the router migrates one watermark-stable
     /// session per check off the hot worker. `0` disables automatic
-    /// migration. Only meaningful under [`RouterPolicy::PowerOfTwo`].
+    /// migration.
     pub rebalance_threshold: usize,
     /// Accepted points between per-session checkpoints: every this many
     /// accepted pushes a worker ships a snapshot of the session's decoder
@@ -236,7 +202,6 @@ impl Default for StreamOptions {
             threads: 0,
             idle_timeout_s: 30.0,
             queue_capacity: 1024,
-            router: RouterPolicy::PowerOfTwo,
             rebalance_threshold: 16,
             checkpoint_every: 64,
             push_timeout_s: 30.0,
@@ -269,13 +234,6 @@ impl StreamOptions {
     #[must_use]
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Sets the session-placement policy.
-    #[must_use]
-    pub fn router_policy(mut self, policy: RouterPolicy) -> Self {
-        self.router = policy;
         self
     }
 
@@ -438,8 +396,6 @@ pub struct WorkerTelemetry {
 /// `live_sessions`, which are instantaneous.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterStats {
-    /// The placement policy the engine runs.
-    pub policy: RouterPolicy,
     /// Per-worker telemetry, indexed by worker.
     pub workers: Vec<WorkerTelemetry>,
     /// Migrations the router initiated (detach requests sent).
@@ -471,30 +427,7 @@ pub struct RouterStats {
     pub recovery_time_s: f64,
 }
 
-fn variance(xs: impl Iterator<Item = f64>) -> f64 {
-    let v: Vec<f64> = xs.collect();
-    if v.is_empty() {
-        return 0.0;
-    }
-    let mean = v.iter().sum::<f64>() / v.len() as f64;
-    v.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / v.len() as f64
-}
-
 impl RouterStats {
-    /// Population variance of the per-worker queue-depth high-water marks
-    /// — the scalar the skewed-arrival benchmark compares across router
-    /// policies (lower = better balanced).
-    #[must_use]
-    pub fn queue_depth_hwm_variance(&self) -> f64 {
-        variance(self.workers.iter().map(|w| w.queue_depth_hwm as f64))
-    }
-
-    /// Population variance of per-worker decoded-point counts.
-    #[must_use]
-    pub fn points_variance(&self) -> f64 {
-        variance(self.workers.iter().map(|w| w.points as f64))
-    }
-
     /// Total sessions migrated between workers.
     #[must_use]
     pub fn migrated(&self) -> u64 {
@@ -591,7 +524,7 @@ impl std::error::Error for RecvEventError {}
 #[derive(Debug)]
 pub struct InjectedPanic;
 
-/// A seeded chaos schedule for tests and the `--chaos` benchmark sweep:
+/// A seeded chaos schedule for tests:
 /// with probability `*_per_mille`/1000 per worker command, inject a worker
 /// panic (the supervisor must recover every session), stall the command
 /// (queue backpressure under the push deadline), or delay a migration
@@ -1112,7 +1045,6 @@ pub struct StreamEngine<M: OnlineMatcher + 'static> {
     rtx: Sender<Reply<M::Session>>,
     loads: Arc<Vec<WorkerLoad>>,
     router: Mutex<Router<M::Session>>,
-    policy: RouterPolicy,
     rebalance_gap: usize,
     queue_cap: usize,
     idle: Option<Duration>,
@@ -1132,8 +1064,7 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
     /// Like [`StreamEngine::new`], but with an active fault-injection
     /// plan: workers panic/stall and replies lag per `plan`, and the
     /// supervisor is expected to keep every session whole regardless.
-    /// Test and benchmark harness only — a production engine runs
-    /// fault-free.
+    /// Tests only — a production engine runs fault-free.
     #[must_use]
     pub fn with_faults(matcher: Arc<M>, opts: StreamOptions, plan: FaultPlan) -> Self {
         Self::build(matcher, opts, Some(Arc::new(FaultState::new(plan))))
@@ -1194,7 +1125,6 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
             rtx,
             loads,
             router,
-            policy: opts.router,
             rebalance_gap: opts.rebalance_threshold,
             queue_cap,
             idle,
@@ -1277,42 +1207,28 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
         }
     }
 
-    /// Picks the worker for a brand-new session under the engine's policy,
+    /// Picks the worker for a brand-new session by power-of-two-choices,
     /// skipping permanently failed slots. Callers guarantee at least one
     /// worker is alive.
     #[allow(clippy::cast_possible_truncation)]
-    fn place_new(&self, router: &mut Router<M::Session>, session: SessionId) -> usize {
+    fn place_new(&self, router: &mut Router<M::Session>) -> usize {
         let alive: Vec<usize> = (0..router.txs.len()).filter(|&w| !router.failed[w]).collect();
         let n = alive.len();
         debug_assert!(n > 0, "place_new requires a live worker");
-        let w = match self.policy {
-            RouterPolicy::HashMod => {
-                // Preserve id % threads when the full pool is alive; fold
-                // onto the survivors otherwise.
-                let w0 = (session % router.txs.len() as u64) as usize;
-                if router.failed[w0] {
-                    alive[(session % n as u64) as usize]
-                } else {
-                    w0
-                }
+        let w = if n == 1 {
+            alive[0]
+        } else {
+            // Two distinct uniform picks; keep the less loaded.
+            let ai = (splitmix64(&mut router.rng) % n as u64) as usize;
+            let mut bi = (splitmix64(&mut router.rng) % (n - 1) as u64) as usize;
+            if bi >= ai {
+                bi += 1;
             }
-            RouterPolicy::PowerOfTwo => {
-                if n == 1 {
-                    alive[0]
-                } else {
-                    // Two distinct uniform picks; keep the less loaded.
-                    let ai = (splitmix64(&mut router.rng) % n as u64) as usize;
-                    let mut bi = (splitmix64(&mut router.rng) % (n - 1) as u64) as usize;
-                    if bi >= ai {
-                        bi += 1;
-                    }
-                    let (a, b) = (alive[ai], alive[bi]);
-                    if self.loads[b].load() < self.loads[a].load() {
-                        b
-                    } else {
-                        a
-                    }
-                }
+            let (a, b) = (alive[ai], alive[bi]);
+            if self.loads[b].load() < self.loads[a].load() {
+                b
+            } else {
+                a
             }
         };
         self.loads[w].placed.fetch_add(1, Ordering::Relaxed);
@@ -1724,7 +1640,7 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
                     *worker
                 }
                 None => {
-                    let w = self.place_new(r, session);
+                    let w = self.place_new(r);
                     r.place.insert(
                         session,
                         Placement::On { worker: w, last_push: Instant::now(), finished: false },
@@ -1774,7 +1690,7 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
     /// placements.
     fn after_push(&self, router: &mut Router<M::Session>) {
         router.pushes += 1;
-        if self.policy == RouterPolicy::PowerOfTwo && router.pushes.is_multiple_of(64) {
+        if router.pushes.is_multiple_of(64) {
             self.maybe_rebalance(router);
         }
         if router.pushes.is_multiple_of(1024) {
@@ -1862,7 +1778,6 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
         let mut router = self.router.lock().expect("router poisoned");
         self.drain_replies(&mut router);
         RouterStats {
-            policy: self.policy,
             workers: self.loads.iter().map(WorkerLoad::snapshot).collect(),
             migrations_requested: router.migrations_requested,
             migrations_completed: router.migrations_completed,
@@ -2072,7 +1987,7 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
                 last_idx: 0,
                 since_ckpt: 0,
             };
-            let w = self.place_new(&mut router, snap.session);
+            let w = self.place_new(&mut router);
             let mut log = SessionLog::new();
             log.ckpt = Some(Ckpt {
                 idx: 0,
@@ -2266,6 +2181,13 @@ mod tests {
         for sid in 0..batch.len() {
             engine.finish(sid as SessionId);
         }
+        // Workers publish the counter after each command: read it once
+        // the queues have drained, before shutdown tears them down.
+        assert!(engine.quiesce(Duration::from_secs(60)));
+        assert!(
+            engine.router_stats().allocs_avoided() > 0,
+            "workers must report arena reuse via RouterStats"
+        );
         let (events, stats) = engine.shutdown();
         let finals = collect_finalized(&events);
         assert_eq!(finals.len(), batch.len());
@@ -2381,61 +2303,22 @@ mod tests {
         let d = StreamOptions::default();
         assert_eq!(d.threads, 0);
         assert!(d.effective_threads() >= 1);
-        assert_eq!(d.router, RouterPolicy::PowerOfTwo);
         assert_eq!(d.rebalance_threshold, 16);
         let o = StreamOptions::with_threads(3)
             .idle_timeout_s(0.0)
             .queue_capacity(0)
-            .router_policy(RouterPolicy::HashMod)
             .rebalance_threshold(0);
         assert_eq!(o.effective_threads(), 3);
         assert_eq!(o.queue_capacity, 1, "capacity clamps to 1");
         assert!(o.idle_timeout().is_none(), "0 disables eviction");
-        assert_eq!(o.router, RouterPolicy::HashMod);
         assert_eq!(o.rebalance_threshold, 0);
         assert!(StreamOptions::default().idle_timeout().is_some());
-        assert_eq!(RouterPolicy::HashMod.name(), "hash_mod");
-        assert_eq!(RouterPolicy::PowerOfTwo.name(), "power_of_two");
     }
 
     /// Session ids that all collide modulo the worker count: the adversary
     /// workload of the load-aware router.
     fn skewed_ids(n: usize, threads: usize) -> Vec<SessionId> {
         (0..n).map(|i| (i * threads) as SessionId).collect()
-    }
-
-    #[test]
-    fn hash_mod_starves_workers_under_skewed_ids() {
-        let (hmm, batch) = world();
-        let threads = 3;
-        let engine = StreamEngine::new(
-            hmm.clone(),
-            StreamOptions::with_threads(threads)
-                .idle_timeout_s(0.0)
-                .router_policy(RouterPolicy::HashMod),
-        );
-        let ids = skewed_ids(batch.len(), threads);
-        for (t, &sid) in batch.iter().zip(&ids) {
-            for &p in &t.points {
-                engine.push(sid, p);
-            }
-        }
-        let rs = engine.router_stats();
-        assert_eq!(rs.policy, RouterPolicy::HashMod);
-        assert_eq!(rs.workers[0].sessions_placed, batch.len() as u64);
-        for w in &rs.workers[1..] {
-            assert_eq!(w.sessions_placed, 0, "hash router must starve non-zero workers");
-            assert_eq!(w.queue_depth_hwm, 0);
-        }
-        assert_eq!(rs.migrations_requested, 0, "hash router never migrates");
-        for &sid in &ids {
-            engine.finish(sid);
-        }
-        let (events, _) = engine.shutdown();
-        let finals = collect_finalized(&events);
-        for (t, &sid) in batch.iter().zip(&ids) {
-            assert_eq!(finals[&sid].1, hmm.match_trajectory(t));
-        }
     }
 
     #[test]

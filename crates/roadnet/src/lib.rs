@@ -59,8 +59,5 @@ pub mod transition;
 pub use gen::{generate_city, NetworkConfig};
 pub use graph::{NodeId, RoadClass, RoadNetwork, Segment, SegmentId};
 pub use planner::RoutePlanner;
-pub use shard::{
-    monolithic_resident_bytes, CutStrategy, GridCut, HashCut, Shard, ShardPlan, ShardStats,
-    ShardedNetwork,
-};
+pub use shard::{CutStrategy, GridCut, HashCut, Shard, ShardPlan, ShardStats, ShardedNetwork};
 pub use transition::{DistImageError, DistTable, TransitionError, TransitionProvider};

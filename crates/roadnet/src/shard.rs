@@ -97,7 +97,7 @@ fn splitmix64(mut x: u64) -> u64 {
 impl GridCut {
     /// A grid cut with `tiles_x * tiles_y == n` tiles, picking the factor
     /// pair closest to square (falling back to `1 × n` for primes) — the
-    /// shape behind the bench binaries' `--shards N` flag.
+    /// shape behind `trmma-artifacts build --shards N`.
     #[must_use]
     pub fn square(n: usize, seed: u64) -> Self {
         let n = n.max(1);
@@ -582,17 +582,6 @@ impl ShardedNetwork {
         self.shard_stats().iter().map(|s| s.resident_bytes).sum::<usize>()
             + self.overlay.resident_bytes()
     }
-}
-
-/// Resident-bytes estimate of the monolithic deployment a
-/// [`ShardedNetwork`] replaces: one whole-network R-tree plus (optionally)
-/// one whole-graph distance table. Counts the same structures the same
-/// way as [`ShardedNetwork::resident_bytes`], so the sharded-vs-monolithic
-/// comparison rows in the benchmark documents are apples to apples.
-#[must_use]
-pub fn monolithic_resident_bytes(net: &RoadNetwork, table: Option<&DistTable>) -> usize {
-    net.num_segments() * std::mem::size_of::<IndexedSegment>()
-        + table.map_or(0, DistTable::resident_bytes)
 }
 
 #[cfg(test)]

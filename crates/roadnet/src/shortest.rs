@@ -3,8 +3,8 @@
 //! Provides the primitives used throughout the pipeline:
 //!
 //! * early-exit Dijkstra between nodes ([`node_dist`], [`node_path`]),
-//! * bounded single-source sweeps ([`bounded_sssp`]) — the building block of
-//!   FMM's upper-bounded origin-destination table,
+//! * bounded single-source sweeps ([`SsspPool::bounded_sssp_into`]) — the
+//!   building block of FMM's upper-bounded origin-destination table,
 //! * network distance between map-matched points ([`matched_dist`]) — the
 //!   `d(a_i, â_i)` of the MAE/RMSE metric (Eq. 22),
 //! * a concurrency-safe memo ([`DistCache`]) so metric evaluation and HMM
@@ -192,152 +192,6 @@ pub fn node_path_by(
     None
 }
 
-/// A* shortest path under the length weight, using the straight-line
-/// distance to the target as the (admissible, consistent) heuristic.
-///
-/// Returns the same answers as [`node_path`] with `Weight::Length`, while
-/// settling substantially fewer states on spread-out queries — useful for
-/// latency-sensitive call sites such as interactive route planning.
-#[must_use]
-pub fn astar_path(
-    net: &RoadNetwork,
-    src: NodeId,
-    dst: NodeId,
-    max_cost: f64,
-) -> Option<(f64, Vec<SegmentId>)> {
-    if src == dst {
-        return Some((0.0, Vec::new()));
-    }
-    let goal = net.node_pos(dst);
-    let h = |n: u32| net.node_pos(NodeId(n)).dist(goal);
-    let mut dist: HashMap<u32, f64> = HashMap::new();
-    let mut prev: HashMap<u32, SegmentId> = HashMap::new();
-    let mut heap = BinaryHeap::new();
-    dist.insert(src.0, 0.0);
-    heap.push(QueueItem { dist: h(src.0), node: src.0 });
-    while let Some(QueueItem { dist: f, node }) = heap.pop() {
-        let g = dist.get(&node).copied().unwrap_or(f64::INFINITY);
-        if node == dst.0 {
-            let mut path = Vec::new();
-            let mut cur = dst.0;
-            while cur != src.0 {
-                let seg = prev[&cur];
-                path.push(seg);
-                cur = net.segment(seg).from.0;
-            }
-            path.reverse();
-            return Some((g, path));
-        }
-        if f > g + h(node) + 1e-9 {
-            continue; // stale entry
-        }
-        for &seg in net.out_segments(NodeId(node)) {
-            let ng = g + net.segment(seg).length;
-            if ng > max_cost {
-                continue;
-            }
-            let to = net.segment(seg).to.0;
-            if ng < *dist.get(&to).unwrap_or(&f64::INFINITY) {
-                dist.insert(to, ng);
-                prev.insert(to, seg);
-                heap.push(QueueItem { dist: ng + h(to), node: to });
-            }
-        }
-    }
-    None
-}
-
-/// Bidirectional Dijkstra for the length weight: alternating forward and
-/// backward sweeps that stop once the frontiers provably bracket the
-/// optimum. Equivalent to [`node_dist`] but explores roughly half the
-/// states on large networks.
-#[must_use]
-pub fn bidirectional_dist(
-    net: &RoadNetwork,
-    src: NodeId,
-    dst: NodeId,
-    max_cost: f64,
-) -> Option<f64> {
-    if src == dst {
-        return Some(0.0);
-    }
-    let mut df: HashMap<u32, f64> = HashMap::new();
-    let mut db: HashMap<u32, f64> = HashMap::new();
-    let mut hf = BinaryHeap::new();
-    let mut hb = BinaryHeap::new();
-    df.insert(src.0, 0.0);
-    db.insert(dst.0, 0.0);
-    hf.push(QueueItem { dist: 0.0, node: src.0 });
-    hb.push(QueueItem { dist: 0.0, node: dst.0 });
-    let mut best = f64::INFINITY;
-    loop {
-        let top_f = hf.peek().map_or(f64::INFINITY, |q| q.dist);
-        let top_b = hb.peek().map_or(f64::INFINITY, |q| q.dist);
-        if top_f + top_b >= best || (top_f == f64::INFINITY && top_b == f64::INFINITY) {
-            break;
-        }
-        if top_f <= top_b {
-            if let Some(QueueItem { dist: d, node }) = hf.pop() {
-                if d > *df.get(&node).unwrap_or(&f64::INFINITY) {
-                    continue;
-                }
-                if let Some(&bd) = db.get(&node) {
-                    best = best.min(d + bd);
-                }
-                for &seg in net.out_segments(NodeId(node)) {
-                    let nd = d + net.segment(seg).length;
-                    if nd > max_cost {
-                        continue;
-                    }
-                    let to = net.segment(seg).to.0;
-                    if nd < *df.get(&to).unwrap_or(&f64::INFINITY) {
-                        df.insert(to, nd);
-                        hf.push(QueueItem { dist: nd, node: to });
-                    }
-                }
-            }
-        } else if let Some(QueueItem { dist: d, node }) = hb.pop() {
-            if d > *db.get(&node).unwrap_or(&f64::INFINITY) {
-                continue;
-            }
-            if let Some(&fd) = df.get(&node) {
-                best = best.min(d + fd);
-            }
-            for &seg in net.in_segments(NodeId(node)) {
-                let nd = d + net.segment(seg).length;
-                if nd > max_cost {
-                    continue;
-                }
-                let from = net.segment(seg).from.0;
-                if nd < *db.get(&from).unwrap_or(&f64::INFINITY) {
-                    db.insert(from, nd);
-                    hb.push(QueueItem { dist: nd, node: from });
-                }
-            }
-        }
-    }
-    if best.is_finite() && best <= max_cost {
-        Some(best)
-    } else {
-        None
-    }
-}
-
-/// All nodes reachable from `src` within `delta` (inclusive), with their
-/// distances. This bounded sweep is the kernel of FMM's UBODT precomputation.
-#[must_use]
-pub fn bounded_sssp(
-    net: &RoadNetwork,
-    src: NodeId,
-    weight: Weight,
-    delta: f64,
-) -> Vec<(NodeId, f64)> {
-    let mut pool = SsspPool::new();
-    let mut out = Vec::new();
-    pool.bounded_sssp_into(net, src, weight, delta, &mut out);
-    out
-}
-
 /// Work-attribution counters of an [`SsspPool`]; deltas of these flow into
 /// [`CacheStats`] when searches run under a [`DistCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -427,10 +281,10 @@ const WARM_BUDGET_DEFAULT: u64 = 50_000;
 /// resuming a paused sweep is cheaper still — an HMM transition layer
 /// queries every previous-layer candidate (the same handful of sources)
 /// against every current-layer candidate, so all but the first lookup per
-/// source land inside an already-settled frontier. [`bounded_sssp`] and
-/// [`DistCache`] both run their searches through a pool, so only cache
-/// *misses* pay for a sweep at all — and even those usually just grow a
-/// retained frontier by a few pops.
+/// source land inside an already-settled frontier. [`DistCache`] runs
+/// its searches through a pool, so only cache *misses* pay for a sweep at
+/// all — and even those usually just grow a retained frontier by a few
+/// pops.
 #[derive(Debug)]
 pub struct SsspPool {
     dist: HashMap<u32, f64>,
@@ -485,7 +339,7 @@ impl SsspPool {
     }
 
     /// Drops every retained warm frontier (their buffers are recycled).
-    pub fn invalidate_warm(&mut self) {
+    fn invalidate_warm(&mut self) {
         let states: Vec<u32> = self.warm.keys().copied().collect();
         for src in states {
             if let Some(st) = self.warm.remove(&src) {
@@ -719,8 +573,10 @@ impl SsspPool {
         None
     }
 
-    /// Bounded sweep from `src`, writing `(node, dist)` pairs sorted by node
-    /// id into `out` (cleared first). Same contract as [`bounded_sssp`].
+    /// Bounded sweep from `src`: every node reachable within `delta`
+    /// (inclusive) with its distance, written as `(node, dist)` pairs
+    /// sorted by node id into `out` (cleared first). The kernel of FMM's
+    /// UBODT precomputation.
     pub fn bounded_sssp_into(
         &mut self,
         net: &RoadNetwork,
@@ -805,8 +661,7 @@ impl SsspPool {
     /// Whether the pool currently retains a warm frontier for `src`.
     /// [`DistCache`] eviction consults this to avoid discarding pairs whose
     /// source still has live settled state.
-    #[must_use]
-    pub fn has_warm_frontier(&self, src: NodeId) -> bool {
+    fn has_warm_frontier(&self, src: NodeId) -> bool {
         self.warm.contains_key(&src.0)
     }
 }
@@ -1182,13 +1037,20 @@ mod tests {
         assert!(net.is_path(&path));
     }
 
+    /// A bounded length sweep through a fresh pool.
+    fn fresh_sweep(net: &RoadNetwork, src: NodeId, delta: f64) -> Vec<(NodeId, f64)> {
+        let mut out = Vec::new();
+        SsspPool::new().bounded_sssp_into(net, src, Weight::Length, delta, &mut out);
+        out
+    }
+
     #[test]
     fn bounded_sssp_collects_reachable() {
         let net = line3();
-        let within_150 = bounded_sssp(&net, NodeId(0), Weight::Length, 150.0);
+        let within_150 = fresh_sweep(&net, NodeId(0), 150.0);
         let nodes: Vec<u32> = within_150.iter().map(|(n, _)| n.0).collect();
         assert_eq!(nodes, vec![0, 1]);
-        let all = bounded_sssp(&net, NodeId(0), Weight::Length, 1e9);
+        let all = fresh_sweep(&net, NodeId(0), 1e9);
         assert_eq!(all.len(), 3);
     }
 
@@ -1231,53 +1093,6 @@ mod tests {
     }
 
     #[test]
-    fn astar_matches_dijkstra() {
-        let net = crate::gen::generate_city(&crate::gen::NetworkConfig::with_size(8, 8, 33));
-        for (s, d) in [(0u32, 40u32), (5, 60), (12, 12), (63, 2)] {
-            let m = net.num_nodes() as u32;
-            let (src, dst) = (NodeId(s % m), NodeId(d % m));
-            let dij = node_path(&net, src, dst, Weight::Length, f64::INFINITY);
-            let ast = astar_path(&net, src, dst, f64::INFINITY);
-            match (dij, ast) {
-                (Some((cd, pd)), Some((ca, pa))) => {
-                    assert!((cd - ca).abs() < 1e-9, "{src:?}->{dst:?}: {cd} vs {ca}");
-                    assert!(net.is_path(&pa));
-                    // Paths may differ on ties; costs must not.
-                    let len_a: f64 = pa.iter().map(|&e| net.segment(e).length).sum();
-                    let len_d: f64 = pd.iter().map(|&e| net.segment(e).length).sum();
-                    assert!((len_a - len_d).abs() < 1e-9);
-                }
-                (None, None) => {}
-                other => panic!("dijkstra/astar disagree on reachability: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn bidirectional_matches_dijkstra() {
-        let net = crate::gen::generate_city(&crate::gen::NetworkConfig::with_size(8, 8, 34));
-        let m = net.num_nodes() as u32;
-        for (s, d) in [(0u32, 50u32), (7, 19), (22, 22), (61, 3), (14, 59)] {
-            let (src, dst) = (NodeId(s % m), NodeId(d % m));
-            let a = node_dist(&net, src, dst, Weight::Length, f64::INFINITY);
-            let b = bidirectional_dist(&net, src, dst, f64::INFINITY);
-            match (a, b) {
-                (Some(x), Some(y)) => assert!((x - y).abs() < 1e-9, "{src:?}->{dst:?}"),
-                (None, None) => {}
-                other => panic!("reachability mismatch: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn astar_respects_bound() {
-        let net = line3();
-        assert!(astar_path(&net, NodeId(0), NodeId(2), 150.0).is_none());
-        assert!(astar_path(&net, NodeId(0), NodeId(2), 250.0).is_some());
-        assert!(bidirectional_dist(&net, NodeId(0), NodeId(2), 150.0).is_none());
-    }
-
-    #[test]
     fn sssp_pool_matches_fresh_searches() {
         let net = crate::gen::generate_city(&crate::gen::NetworkConfig::with_size(7, 7, 12));
         let m = net.num_nodes() as u32;
@@ -1288,11 +1103,11 @@ mod tests {
             let pooled = pool.node_dist(&net, src, dst, Weight::Length, f64::INFINITY);
             assert_eq!(fresh, pooled, "{src:?}->{dst:?}");
         }
-        // Bounded sweeps agree with the allocating variant across reuses.
+        // Bounded sweeps through the reused pool agree with a fresh one.
         let mut out = Vec::new();
         for src in [NodeId(0), NodeId(9), NodeId(20)] {
             pool.bounded_sssp_into(&net, src, Weight::Length, 700.0, &mut out);
-            assert_eq!(out, bounded_sssp(&net, src, Weight::Length, 700.0));
+            assert_eq!(out, fresh_sweep(&net, src, 700.0));
         }
     }
 
@@ -1488,7 +1303,7 @@ mod tests {
             .map(|sg| (sg.from, sg.to, sg.class))
             .collect();
         let sub = RoadNetwork::new(pos, edges);
-        let want = bounded_sssp(&sub, NodeId(0), Weight::Length, 900.0);
+        let want = fresh_sweep(&sub, NodeId(0), 900.0);
         assert_eq!(got.len(), want.len());
         for ((gn, gd), (wn, wd)) in got.iter().zip(&want) {
             assert_eq!(gn, wn);

@@ -371,9 +371,9 @@ impl TransitionProvider {
     }
 
     /// Lookup counters of the oracle's mid-route stage, for tracking cache
-    /// efficacy across runs (surfaced by `bench_inference` /
-    /// `bench_streaming`). Table-backed providers count hash probes (hit =
-    /// pair within delta); Dijkstra-backed providers report the shared
+    /// efficacy across runs (the benchmark's `roadnet.shortest.*` and
+    /// `roadnet.transition.*`). Table-backed providers count hash probes
+    /// (hit = pair within delta); Dijkstra-backed providers report the shared
     /// [`DistCache`]'s counters (hit = memoised, miss = a sweep ran) —
     /// which include every other user of that cache when it is shared.
     /// Same-segment forward moves are answered directly and never counted.

@@ -93,7 +93,7 @@ fn main() {
         stats.finalized_shutdown
     );
 
-    println!("\nrouter ({:?}): per-worker telemetry", router.policy);
+    println!("\nrouter: per-worker telemetry");
     for (w, t) in router.workers.iter().enumerate() {
         println!(
             "worker {w}: {} sessions placed, {} points decoded, queue-depth high-water {}, {} migrated in / {} out",

@@ -9,7 +9,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use trmma::core::{BatchMatcher, BatchOptions, BatchRecovery, Mma, MmaConfig, Trmma, TrmmaConfig};
+use trmma::core::{
+    par_match_pooled, BatchOptions, BatchRecovery, Mma, MmaConfig, Trmma, TrmmaConfig,
+};
 use trmma::roadnet::RoutePlanner;
 use trmma::traj::dataset::{build_dataset, DatasetConfig, Split};
 use trmma::traj::types::{MatchedTrajectory, Trajectory};
@@ -65,17 +67,17 @@ proptest! {
         shuffle_seed in 0u64..1_000,
     ) {
         let fx = fixture();
-        let engine = BatchMatcher::new(fx.mma.clone(), BatchOptions::with_threads(threads));
+        let opts = BatchOptions::with_threads(threads);
 
         // Same order: identical to the sequential reference.
-        let got = engine.match_batch(&fx.batch);
+        let (got, _) = par_match_pooled(&*fx.mma, &fx.batch, opts);
         prop_assert_eq!(&got, &fx.match_ref);
 
         // Shuffled order: each trajectory keeps its result.
         let mut order: Vec<usize> = (0..fx.batch.len()).collect();
         order.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
         let shuffled: Vec<Trajectory> = order.iter().map(|&i| fx.batch[i].clone()).collect();
-        let got_shuffled = engine.match_batch(&shuffled);
+        let (got_shuffled, _) = par_match_pooled(&*fx.mma, &shuffled, opts);
         for (slot, &src) in order.iter().enumerate() {
             prop_assert_eq!(&got_shuffled[slot], &fx.match_ref[src]);
         }

@@ -12,7 +12,7 @@
 //!   decode of every longer prefix, including the final one);
 //! * **Engine equivalence** — replaying many sessions through
 //!   `StreamEngine` under arbitrary cross-session interleavings, chunk
-//!   sizes, thread counts *and router policies* finalizes every session to
+//!   sizes and thread counts finalizes every session to
 //!   exactly the offline decode, with per-update provisional matches and
 //!   watermarks consistent with the direct session API;
 //! * **Migration safety** — forcing sessions to migrate between workers at
@@ -31,8 +31,7 @@ use rand::{Rng, SeedableRng};
 
 use trmma::baselines::{FmmMatcher, HmmConfig, HmmMatcher, LhmmMatcher, NearestMatcher};
 use trmma::core::{
-    FinalizeReason, Mma, MmaConfig, RouterPolicy, SessionId, StreamEngine, StreamEvent,
-    StreamOptions,
+    FinalizeReason, Mma, MmaConfig, SessionId, StreamEngine, StreamEvent, StreamOptions,
 };
 use trmma::roadnet::{generate_city, NetworkConfig, RoadNetwork, RoutePlanner};
 use trmma::traj::gen::{generate_trajectory, sparsify, TrajConfig};
@@ -141,7 +140,6 @@ fn assert_engine_identical<M: OnlineMatcher + 'static>(
     threads: usize,
     interleave_seed: u64,
     max_chunk: usize,
-    policy: RouterPolicy,
     force_migrations: bool,
 ) {
     // Automatic rebalancing off: it issues stable-only detaches that a
@@ -150,10 +148,7 @@ fn assert_engine_identical<M: OnlineMatcher + 'static>(
     // are unaffected by the threshold.
     let engine = StreamEngine::new(
         matcher.clone(),
-        StreamOptions::with_threads(threads)
-            .idle_timeout_s(0.0)
-            .router_policy(policy)
-            .rebalance_threshold(0),
+        StreamOptions::with_threads(threads).idle_timeout_s(0.0).rebalance_threshold(0),
     );
     let mut rng = StdRng::seed_from_u64(interleave_seed);
     let mut cursors = vec![0usize; batch.len()];
@@ -232,7 +227,7 @@ fn assert_engine_identical<M: OnlineMatcher + 'static>(
         assert_eq!(
             finals.get(&(sid as SessionId)),
             Some(&matcher.match_trajectory(t)),
-            "{} session {sid} diverged at {threads} threads ({policy:?})",
+            "{} session {sid} diverged at {threads} threads",
             matcher.name()
         );
     }
@@ -283,15 +278,12 @@ proptest! {
         let batch: Vec<Trajectory> = samples.iter().map(|s| s.sparse.clone()).collect();
         let planner = Arc::new(RoutePlanner::untrained(&net));
         let cfg = HmmConfig::default();
-        // Both router policies must satisfy the identity; derive the policy
-        // from the seed so the case budget covers each.
-        let policy = if net_seed % 2 == 0 { RouterPolicy::PowerOfTwo } else { RouterPolicy::HashMod };
         // One global-attention decoder (MMA) and one lattice decoder (HMM)
         // cover both session shapes; FMM/LHMM share HMM's session type.
         let hmm = Arc::new(HmmMatcher::new(net.clone(), planner.clone(), cfg));
         let mma = Arc::new(Mma::new(net.clone(), planner, None, MmaConfig::small()));
-        assert_engine_identical(&hmm, &batch, threads, interleave_seed, max_chunk, policy, false);
-        assert_engine_identical(&mma, &batch, threads, interleave_seed, max_chunk, policy, false);
+        assert_engine_identical(&hmm, &batch, threads, interleave_seed, max_chunk, false);
+        assert_engine_identical(&mma, &batch, threads, interleave_seed, max_chunk, false);
     }
 
     #[test]
@@ -311,12 +303,8 @@ proptest! {
         let cfg = HmmConfig::default();
         let hmm = Arc::new(HmmMatcher::new(net.clone(), planner.clone(), cfg));
         let mma = Arc::new(Mma::new(net.clone(), planner, None, MmaConfig::small()));
-        assert_engine_identical(
-            &hmm, &batch, threads, interleave_seed, max_chunk, RouterPolicy::PowerOfTwo, true,
-        );
-        assert_engine_identical(
-            &mma, &batch, threads, interleave_seed, max_chunk, RouterPolicy::PowerOfTwo, true,
-        );
+        assert_engine_identical(&hmm, &batch, threads, interleave_seed, max_chunk, true);
+        assert_engine_identical(&mma, &batch, threads, interleave_seed, max_chunk, true);
     }
 }
 
@@ -331,7 +319,7 @@ fn sessions_sharing_a_worker_do_not_interfere() {
     let hmm = Arc::new(HmmMatcher::new(net, planner, HmmConfig::default()));
     let batch: Vec<Trajectory> = samples.iter().map(|s| s.sparse.clone()).collect();
     // One worker → every session lands on the same scratch.
-    assert_engine_identical(&hmm, &batch, 1, 17, 3, RouterPolicy::PowerOfTwo, false);
+    assert_engine_identical(&hmm, &batch, 1, 17, 3, false);
 }
 
 /// The acceptance bar of the migration feature: every `OnlineMatcher` in
@@ -351,9 +339,9 @@ fn every_matcher_survives_forced_migrations() {
     let fmm = Arc::new(FmmMatcher::new(net.clone(), planner.clone(), cfg.clone()));
     let lhmm = Arc::new(LhmmMatcher::fit(net.clone(), planner.clone(), cfg, &samples));
     let mma = Arc::new(Mma::new(net.clone(), planner, None, MmaConfig::small()));
-    assert_engine_identical(&nearest, &batch, 3, 23, 4, RouterPolicy::PowerOfTwo, true);
-    assert_engine_identical(&hmm, &batch, 3, 23, 4, RouterPolicy::PowerOfTwo, true);
-    assert_engine_identical(&fmm, &batch, 3, 23, 4, RouterPolicy::PowerOfTwo, true);
-    assert_engine_identical(&lhmm, &batch, 3, 23, 4, RouterPolicy::PowerOfTwo, true);
-    assert_engine_identical(&mma, &batch, 3, 23, 4, RouterPolicy::PowerOfTwo, true);
+    assert_engine_identical(&nearest, &batch, 3, 23, 4, true);
+    assert_engine_identical(&hmm, &batch, 3, 23, 4, true);
+    assert_engine_identical(&fmm, &batch, 3, 23, 4, true);
+    assert_engine_identical(&lhmm, &batch, 3, 23, 4, true);
+    assert_engine_identical(&mma, &batch, 3, 23, 4, true);
 }
