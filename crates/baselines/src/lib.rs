@@ -104,3 +104,25 @@ impl TrainReport {
         self.epoch_times_s.iter().sum::<f64>() / self.epoch_times_s.len() as f64
     }
 }
+
+#[cfg(test)]
+pub(crate) mod test_support {
+    use trmma_traj::api::TrajectoryRecovery;
+    use trmma_traj::types::Trajectory;
+
+    /// Every ε that [`trmma_traj::epsilon_ticks`] must refuse, handed to
+    /// `method.recover`: each has to panic naming `epsilon_s` and the value
+    /// instead of sizing an output from it.
+    pub fn assert_rejects_unusable_epsilon(method: &dyn TrajectoryRecovery, traj: &Trajectory) {
+        for (eps, shown) in
+            [(0.0, "got 0"), (-15.0, "got -15"), (f64::NAN, "got NaN"), (f64::INFINITY, "got inf")]
+        {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                method.recover(traj, eps)
+            }))
+            .expect_err("an unusable ε must not be recovered with");
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains("epsilon_s") && msg.contains(shown), "ε = {eps}: {msg}");
+        }
+    }
+}

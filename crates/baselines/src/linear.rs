@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use trmma_roadnet::{RoadNetwork, SegmentId};
-use trmma_traj::api::{MapMatcher, TrajectoryRecovery};
+use trmma_traj::api::{epsilon_ticks, MapMatcher, TrajectoryRecovery};
 use trmma_traj::types::{MatchedPoint, MatchedTrajectory, Route, Trajectory};
 
 /// Linear-interpolation recovery over any matcher's route.
@@ -101,7 +101,7 @@ impl<M: MapMatcher> TrajectoryRecovery for LinearRecovery<M> {
             let b_off = b_off.max(prev_off); // guard against backtracking noise
             let interval = b.t - a.t;
             let missing = if interval > 0.0 {
-                ((interval / epsilon_s).round() as usize).saturating_sub(1)
+                epsilon_ticks(interval, epsilon_s).saturating_sub(1)
             } else {
                 0
             };
@@ -210,5 +210,28 @@ mod tests {
         let (_, rec, cfg) = setup();
         let recovered = rec.recover(&Trajectory::default(), cfg.epsilon_s);
         assert!(recovered.is_empty());
+    }
+
+    #[test]
+    fn unusable_epsilon_is_rejected_by_name() {
+        let (net, rec, cfg) = setup();
+        let mut rng = StdRng::seed_from_u64(6);
+        let raw = generate_trajectory(&net, &cfg, &mut rng).unwrap();
+        let s = sparsify(&raw, 0.25, &mut rng);
+        crate::test_support::assert_rejects_unusable_epsilon(&rec, &s.sparse);
+    }
+
+    #[test]
+    fn non_positive_intervals_have_no_missing_points() {
+        let (net, rec, cfg) = setup();
+        let mut rng = StdRng::seed_from_u64(7);
+        let raw = generate_trajectory(&net, &cfg, &mut rng).unwrap();
+        let mut sparse = sparsify(&raw, 0.25, &mut rng).sparse;
+        // Equal and decreasing timestamps: every gap has interval <= 0.
+        let t0 = sparse.points[0].t;
+        for (i, p) in sparse.points.iter_mut().enumerate() {
+            p.t = t0 - (i / 2) as f64;
+        }
+        assert_eq!(rec.recover(&sparse, cfg.epsilon_s).len(), sparse.len());
     }
 }

@@ -18,7 +18,7 @@ use rand::SeedableRng;
 use trmma_geom::BBox;
 use trmma_nn::{Adam, Graph, GruCell, Linear, Matrix, Mlp, NodeId, Param};
 use trmma_roadnet::{RoadNetwork, SegmentId};
-use trmma_traj::api::{CandidateFinder, TrajectoryRecovery};
+use trmma_traj::api::{epsilon_ticks, CandidateFinder, TrajectoryRecovery};
 use trmma_traj::types::{MatchedPoint, MatchedTrajectory, Trajectory};
 use trmma_traj::Sample;
 
@@ -216,7 +216,7 @@ impl TrajectoryRecovery for Seq2SeqFull {
         let mut prev = MatchedPoint::new(init.seg, init.ratio, first.t);
         let mut out = vec![prev];
         let t_end = traj.points.last().expect("non-empty").t;
-        let steps = ((t_end - first.t) / epsilon_s).round() as usize;
+        let steps = epsilon_ticks(t_end - first.t, epsilon_s);
         for j in 1..=steps {
             h = self.decode_step(&mut g, h, prev.seg, prev.ratio);
             let logits = self.seg_head.forward(&mut g, h);
@@ -272,6 +272,15 @@ mod tests {
             "loss should drop: {:?}",
             report.epoch_losses
         );
+    }
+
+    #[test]
+    fn unusable_epsilon_is_rejected_by_name() {
+        let ds = build_dataset(&DatasetConfig::tiny());
+        let cfg = Seq2SeqConfig { d_model: 16, d_emb: 8, ..Seq2SeqConfig::default() };
+        let model = Seq2SeqFull::new(Arc::new(ds.net.clone()), cfg);
+        let s = &ds.samples(Split::Test, 0.2, 3)[0];
+        crate::test_support::assert_rejects_unusable_epsilon(&model, &s.sparse);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use trmma_bench::harness::{Bundle, ExpConfig};
 use trmma_core::{Trmma, TrmmaConfig};
 use trmma_roadnet::shortest::DistCache;
+use trmma_traj::epsilon_ticks;
 use trmma_traj::metrics::recovery_metrics;
 use trmma_traj::types::{MatchedPoint, MatchedTrajectory};
 
@@ -33,7 +34,7 @@ fn linear_on_truth(bundle: &Bundle, s: &trmma_traj::Sample, epsilon: f64) -> Mat
     for w in s.sparse_truth.windows(2) {
         let (a, b) = (&w[0], &w[1]);
         let (b_idx, b_off) = offset(b.seg, b.ratio, cur);
-        let missing = ((b.t - a.t) / epsilon).round() as usize - 1;
+        let missing = epsilon_ticks(b.t - a.t, epsilon) - 1;
         for j in 1..=missing {
             let f = j as f64 / (missing + 1) as f64;
             let (idx, ratio) = locate(prev_off + f * (b_off - prev_off));

@@ -203,9 +203,11 @@ where
 }
 
 /// Per-worker scratch of the full recovery pipeline: the MMA state and the
-/// TRMMA tape. Network-distance lookups during post-batch evaluation go
-/// through a shared [`DistCache`], whose misses reuse warm Dijkstra state
-/// internally (see [`SsspPool`]).
+/// TRMMA tape. The tape carries each trajectory's encoder pass and
+/// decoder-weight bindings; the per-point decode records nothing on it
+/// (see [`Trmma::recover_from_match_with`]). Network-distance lookups
+/// during post-batch evaluation go through a shared [`DistCache`], whose
+/// misses reuse warm Dijkstra state internally (see [`SsspPool`]).
 ///
 /// [`DistCache`]: trmma_roadnet::shortest::DistCache
 /// [`SsspPool`]: trmma_roadnet::shortest::SsspPool
@@ -224,7 +226,10 @@ impl RecoveryScratch {
 }
 
 /// Parallel batched trajectory recovery (MMA → TRMMA) with shared models;
-/// see module docs.
+/// see module docs. Each worker runs [`Mma::match_trajectory_with`] then
+/// [`Trmma::recover_from_match_with`] through its own [`RecoveryScratch`];
+/// the models' weights are read through their shared `Param` locks once
+/// per trajectory (when the tape binds them), never per decoded point.
 #[derive(Clone)]
 pub struct BatchRecovery {
     mma: Arc<Mma>,

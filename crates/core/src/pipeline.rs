@@ -51,8 +51,11 @@ impl TrmmaPipeline {
     }
 
     /// Recovers a whole batch in parallel, sharing this pipeline read-only
-    /// across workers and reusing one TRMMA tape per worker. Output `i`
-    /// equals `self.recover(&batch[i], epsilon_s)`.
+    /// across workers and reusing one TRMMA tape per worker (it carries
+    /// each trajectory's encoder pass and decoder-weight bindings; the
+    /// per-point decode runs off it, see
+    /// [`Trmma::recover_from_match_with`]). Output `i` equals
+    /// `self.recover(&batch[i], epsilon_s)`.
     ///
     /// For the MMA-matcher pipeline, [`crate::batch::BatchRecovery`] is the
     /// faster entry point (it also reuses the matcher's scratch); this

@@ -9,10 +9,11 @@ use rand::SeedableRng;
 
 use trmma_baselines::TrainReport;
 use trmma_geom::BBox;
+use trmma_nn::kernels::{add_rows_in_order, matvec_skip_zero, vecmat_skip_zero};
 use trmma_nn::{Adam, Graph, GruCell, Linear, Matrix, Mlp, NodeId, Param, TransformerEncoder};
 use trmma_roadnet::{RoadNetwork, SegmentId};
 use trmma_traj::types::{MatchedPoint, MatchedTrajectory, Route, Trajectory};
-use trmma_traj::Sample;
+use trmma_traj::{epsilon_ticks, Sample};
 
 /// Hyper-parameters of TRMMA (§VI-A; defaults follow the paper with widths
 /// scaled to the synthetic data).
@@ -511,6 +512,16 @@ impl Trmma {
     /// is reset (arena kept) instead of reallocated per trajectory. The
     /// batch engine's per-worker hot path; output is bitwise-identical to
     /// the allocating variant.
+    ///
+    /// Only the DualFormer encoder (once per trajectory) and the decoder's
+    /// weight bindings go on the tape. The per-point decode is replayed off
+    /// it on flat slices — a workspace sized once per call, nothing
+    /// allocated or recorded per point — bit for bit what the tape step
+    /// functions record when training (DESIGN.md §14).
+    ///
+    /// # Panics
+    /// Panics unless `epsilon_s` is finite and positive (see
+    /// [`epsilon_ticks`]).
     #[must_use]
     pub fn recover_from_match_with(
         &self,
@@ -526,8 +537,9 @@ impl Trmma {
         let segs = &route.segs;
         g.reset();
         let big_h = self.encode(g, traj, matched, segs);
-        let mut h = g.mean_rows(big_h);
+        let h0 = g.mean_rows(big_h);
         let geom = RouteGeom::new(&self.net, segs);
+        let mut dec = Decoder::bind(self, g, big_h, h0, &geom);
 
         let mut out: Vec<MatchedPoint> = Vec::new();
         let mut cursor = segs.iter().position(|&s| s == matched[0].seg).unwrap_or(0);
@@ -537,7 +549,7 @@ impl Trmma {
         for next_obs in matched.iter().skip(1) {
             let interval = next_obs.t - prev.t;
             let missing = if interval > 0.0 {
-                ((interval / epsilon_s).round() as usize).saturating_sub(1)
+                epsilon_ticks(interval, epsilon_s).saturating_sub(1)
             } else {
                 0
             };
@@ -555,34 +567,270 @@ impl Trmma {
             let off_b = geom.offset(gap_end, next_obs.ratio).max(gap_start_off);
             for j in 1..=missing {
                 let frac = j as f64 / span;
-                h = self.gru_step(g, big_h, h, cursor, prev.ratio, frac, gap_norm);
+                dec.gru_step(cursor, prev.ratio, frac, gap_norm);
                 let anchor = gap_start_off + frac * (off_b - gap_start_off);
-                let w = self.cls_scores(g, big_h, h, &geom, prev_off, anchor, off_b);
-                let col = g.value(w);
+                let col = dec.cls_scores(prev_off, anchor, off_b);
                 // Eq. 17: argmax over the sub-route R[a_{j-1}.e, :],
                 // bounded above by the next observation's segment.
                 let mut best = cursor;
                 for k in cursor..=gap_end {
-                    if col.get(k, 0) > col.get(best, 0) {
+                    if col[k] > col[best] {
                         best = k;
                     }
                 }
-                let ratio_node =
-                    self.ratio_pred(g, big_h, h, w, frac, anchor - prev_off, off_b - gap_start_off);
-                let ratio = g.value(ratio_node).get(0, 0);
+                let ratio = dec.ratio_pred(frac, anchor - prev_off, off_b - gap_start_off);
                 cursor = best;
                 prev = MatchedPoint::new(segs[best], ratio, base_t + j as f64 * epsilon_s);
                 prev_off = geom.offset(best, prev.ratio).max(prev_off);
                 out.push(prev);
             }
             // Advance over the observed point.
-            h = self.gru_step(g, big_h, h, cursor, prev.ratio, 1.0, gap_norm);
+            dec.gru_step(cursor, prev.ratio, 1.0, gap_norm);
             cursor = gap_end.max(cursor);
             out.push(*next_obs);
             prev = *next_obs;
             prev_off = off_b;
         }
         MatchedTrajectory::new(out)
+    }
+}
+
+/// A [`Linear`] bound on a tape ([`Linear::bind`]), read as flat row-major
+/// slices.
+#[derive(Clone, Copy)]
+struct Dense<'a> {
+    w: &'a [f64],
+    b: Option<&'a [f64]>,
+}
+
+impl<'a> Dense<'a> {
+    fn new(g: &'a Graph, (w, b): (NodeId, Option<NodeId>)) -> Self {
+        Self { w: g.value(w).data(), b: b.map(|b| g.value(b).data()) }
+    }
+
+    /// The bias `add_row` of [`Linear::forward`]: added after the full sum,
+    /// never as its initial value.
+    fn add_bias(&self, out: &mut [f64]) {
+        if let Some(b) = self.b {
+            for (o, &y) in out.iter_mut().zip(b) {
+                *o += y;
+            }
+        }
+    }
+
+    /// [`Linear::forward`] on one row: `out = x · W (+ b)`.
+    fn forward(&self, x: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
+        vecmat_skip_zero(x, self.w, out);
+        self.add_bias(out);
+    }
+}
+
+/// `Graph::relu` in place.
+fn relu(xs: &mut [f64]) {
+    for x in xs {
+        *x = x.max(0.0);
+    }
+}
+
+/// `Graph::sigmoid` on one element.
+fn sigmoid(x: f64) -> f64 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// The decoder of one trajectory, run forward-only on flat slices.
+///
+/// [`Trmma::gru_step`], [`Trmma::cls_scores`] and [`Trmma::ratio_pred`]
+/// stay the definition of the decoder — training differentiates through
+/// them — and each method here replays the one of the same name: the same
+/// operands, multiplied and added in the same order, with the same
+/// zero-coefficient skips as `Matrix::matmul_into`, so every output bit is
+/// the tape's (`tape_free_decode_*` tests). What the tape cannot do and
+/// this does: Eq. 15's first layer runs over `[H | h repeated | feats]`,
+/// and an i-k-j product adds a row's terms left to right, so the `H` part
+/// of every row's sum is a prefix that depends on the trajectory only
+/// (`p`, computed once), and the `h` part adds the same `dh` product rows
+/// to every route row (`t`, computed once per step, then only *added* per
+/// row). All buffers are sized here, once per trajectory.
+struct Decoder<'a> {
+    dh: usize,
+    geom: &'a RouteGeom,
+    /// `H`, `ℓ_R × dh`.
+    big_h: &'a [f64],
+    /// `W_z, U_z, W_r, U_r, W_h, U_h`.
+    gru: [Dense<'a>; 6],
+    cls: [Dense<'a>; 2],
+    ratio: [Dense<'a>; 2],
+    /// `H · W_8[0..dh]`, `ℓ_R × dh`.
+    p: Vec<f64>,
+    /// GRU hidden state.
+    h: Vec<f64>,
+    /// GRU input `[H[prev] | prev ratio, frac, gap_norm]`.
+    x: Vec<f64>,
+    /// Four `dh`-wide rows of GRU intermediates.
+    gates: Vec<f64>,
+    /// The non-skipped rows of `h[k] · W_8[dh + k]`, at most `dh × dh`.
+    t: Vec<f64>,
+    /// Eq. 15's hidden layer, `ℓ_R × dh`.
+    hidden: Vec<f64>,
+    /// Eq. 15's scores `w`, then (in place) their softmax `ψ`.
+    w: Vec<f64>,
+    /// Eq. 18's input `[h | ψ · H | frac, anchor − prev, gap]`.
+    cat: Vec<f64>,
+    /// Eq. 18's hidden layer.
+    ratio_hidden: Vec<f64>,
+}
+
+impl<'a> Decoder<'a> {
+    /// Binds `model`'s decoder weights on `g` (one copy per trajectory;
+    /// nothing is recorded on `g` after this) and computes the route-side
+    /// prefix `p`.
+    fn bind(
+        model: &Trmma,
+        g: &'a mut Graph,
+        big_h: NodeId,
+        h0: NodeId,
+        geom: &'a RouteGeom,
+    ) -> Self {
+        let gru = model.gru.linears().map(|l| l.bind(g));
+        let cls = model.cls_mlp.layers().map(|l| l.bind(g));
+        let ratio = model.ratio_mlp.layers().map(|l| l.bind(g));
+        let g = &*g;
+        let dh = model.cfg.dh;
+        let big_h = g.value(big_h).data();
+        let cls = cls.map(|ids| Dense::new(g, ids));
+        let mut p = vec![0.0; big_h.len()];
+        for (p_row, h_row) in p.chunks_exact_mut(dh).zip(big_h.chunks_exact(dh)) {
+            vecmat_skip_zero(h_row, &cls[0].w[..dh * dh], p_row);
+        }
+        let rows = geom.lens.len();
+        Self {
+            dh,
+            geom,
+            big_h,
+            gru: gru.map(|ids| Dense::new(g, ids)),
+            cls,
+            ratio: ratio.map(|ids| Dense::new(g, ids)),
+            p,
+            h: g.value(h0).data().to_vec(),
+            x: vec![0.0; dh + 3],
+            gates: vec![0.0; 4 * dh],
+            t: vec![0.0; dh * dh],
+            hidden: vec![0.0; rows * dh],
+            w: vec![0.0; rows],
+            cat: vec![0.0; 2 * dh + 3],
+            ratio_hidden: vec![0.0; dh],
+        }
+    }
+
+    /// [`Trmma::gru_step`] (`GruCell::step`), advancing `self.h`.
+    fn gru_step(&mut self, prev_pos: usize, prev_ratio: f64, frac: f64, gap_norm: f64) {
+        let dh = self.dh;
+        let [wz, uz, wr, ur, wh, uh] = self.gru;
+        self.x[..dh].copy_from_slice(&self.big_h[prev_pos * dh..(prev_pos + 1) * dh]);
+        self.x[dh..].copy_from_slice(&[prev_ratio, frac, gap_norm]);
+        let x = &self.x[..];
+        let (z, rest) = self.gates.split_at_mut(dh);
+        let (r, rest) = rest.split_at_mut(dh);
+        let (a, b) = rest.split_at_mut(dh);
+        // z = σ(x·Wz + bz + h·Uz)
+        wz.forward(x, z);
+        uz.forward(&self.h, a);
+        for (z, &zh) in z.iter_mut().zip(&*a) {
+            *z = sigmoid(*z + zh);
+        }
+        // r ∘ h, with r = σ(x·Wr + br + h·Ur)
+        wr.forward(x, r);
+        ur.forward(&self.h, a);
+        for ((r, &rh), &h) in r.iter_mut().zip(&*a).zip(&self.h) {
+            *r = sigmoid(*r + rh) * h;
+        }
+        // h̃ = tanh(x·Wh + bh + (r ∘ h)·Uh)
+        wh.forward(x, a);
+        uh.forward(r, b);
+        // h' = (1 − z) ∘ h + z ∘ h̃, `1 − z` as the tape forms it:
+        // `scale(z, -1.0)` then `add_scalar(1.0)`.
+        #[allow(clippy::neg_multiply)]
+        for (((h, &z), &hx), &hh) in self.h.iter_mut().zip(&*z).zip(&*a).zip(&*b) {
+            *h = (-1.0 * z + 1.0) * *h + z * (hx + hh).tanh();
+        }
+    }
+
+    /// [`Trmma::cls_scores`] for the current `self.h`: the scores column
+    /// `w` over all route rows (kept in `self.w` for [`Decoder::ratio_pred`]).
+    fn cls_scores(&mut self, prev_off: f64, anchor_off: f64, end_off: f64) -> &[f64] {
+        let dh = self.dh;
+        let [l1, l2] = self.cls;
+        let (w_h, w_feats) = l1.w[dh * dh..].split_at(dh * dh);
+        // The `h` part of the first layer: one product row per non-zero
+        // `h[k]`, shared by every route row.
+        let mut used = 0;
+        for (&a, w_row) in self.h.iter().zip(w_h.chunks_exact(dh)) {
+            if a == 0.0 {
+                continue;
+            }
+            for (t, &b) in self.t[used..used + dh].iter_mut().zip(w_row) {
+                *t = a * b;
+            }
+            used += dh;
+        }
+        add_rows_in_order(&self.p, &self.t[..used], dh, &mut self.hidden);
+        const S: f64 = 200.0;
+        let geom = self.geom;
+        for (k, row) in self.hidden.chunks_exact_mut(dh).enumerate() {
+            let mid = geom.prefix[k] + geom.lens[k] / 2.0;
+            let feats = [
+                ((mid - anchor_off) / S).clamp(-4.0, 4.0),
+                ((geom.prefix[k] - prev_off) / S).clamp(-4.0, 4.0),
+                ((geom.prefix[k] + geom.lens[k] - end_off) / S).clamp(-4.0, 4.0),
+            ];
+            vecmat_skip_zero(&feats, w_feats, row);
+            l1.add_bias(row);
+            relu(row);
+        }
+        self.w.fill(0.0);
+        matvec_skip_zero(&self.hidden, l2.w, &mut self.w);
+        if let Some(b) = l2.b {
+            for w in &mut self.w {
+                *w += b[0];
+            }
+        }
+        &self.w
+    }
+
+    /// [`Trmma::ratio_pred`] for the current `self.h` and the scores the
+    /// preceding [`Decoder::cls_scores`] left in `self.w` (consumed: turned
+    /// into `ψ` in place).
+    fn ratio_pred(&mut self, frac: f64, anchor_minus_prev: f64, gap_m: f64) -> f64 {
+        let dh = self.dh;
+        let [l1, l2] = self.ratio;
+        // ψ = softmax(w), as `Graph::softmax_rows`.
+        let psi = &mut self.w[..];
+        let max = psi.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let mut sum = 0.0;
+        for x in psi.iter_mut() {
+            *x = (*x - max).exp();
+            sum += *x;
+        }
+        for x in psi.iter_mut() {
+            *x /= sum;
+        }
+        let (h, rest) = self.cat.split_at_mut(dh);
+        let (ctx, scalars) = rest.split_at_mut(dh);
+        h.copy_from_slice(&self.h);
+        ctx.fill(0.0);
+        vecmat_skip_zero(psi, self.big_h, ctx);
+        scalars.copy_from_slice(&[
+            frac,
+            (anchor_minus_prev / 200.0).clamp(-4.0, 4.0),
+            (gap_m / 1000.0).min(5.0),
+        ]);
+        l1.forward(&self.cat, &mut self.ratio_hidden);
+        relu(&mut self.ratio_hidden);
+        let mut pre = [0.0];
+        matvec_skip_zero(&self.ratio_hidden, l2.w, &mut pre);
+        l2.add_bias(&mut pre);
+        sigmoid(pre[0])
     }
 }
 
@@ -747,6 +995,382 @@ mod tests {
         // -epoch model would (they are by construction the best epoch).
         let restored = model.validation_loss(&val);
         assert!(restored.is_finite());
+    }
+
+    impl Trmma {
+        /// The decode loop as it ran before it left the tape, kept verbatim:
+        /// every step recorded through the unchanged `gru_step` /
+        /// `cls_scores` / `ratio_pred` that training differentiates. The
+        /// reference [`Decoder`] must match bit for bit.
+        fn recover_on_tape(
+            &self,
+            g: &mut Graph,
+            traj: &Trajectory,
+            matched: &[MatchedPoint],
+            route: &Route,
+            epsilon_s: f64,
+        ) -> MatchedTrajectory {
+            if matched.is_empty() || route.is_empty() {
+                return MatchedTrajectory::new(matched.to_vec());
+            }
+            let segs = &route.segs;
+            g.reset();
+            let big_h = self.encode(g, traj, matched, segs);
+            let mut h = g.mean_rows(big_h);
+            let geom = RouteGeom::new(&self.net, segs);
+
+            let mut out: Vec<MatchedPoint> = Vec::new();
+            let mut cursor = segs.iter().position(|&s| s == matched[0].seg).unwrap_or(0);
+            out.push(matched[0]);
+            let mut prev = matched[0];
+            let mut prev_off = geom.offset(cursor, prev.ratio);
+            for next_obs in matched.iter().skip(1) {
+                let interval = next_obs.t - prev.t;
+                let missing = if interval > 0.0 {
+                    ((interval / epsilon_s).round() as usize).saturating_sub(1)
+                } else {
+                    0
+                };
+                let gap_end = segs[cursor..]
+                    .iter()
+                    .position(|&s| s == next_obs.seg)
+                    .map_or(segs.len() - 1, |d| cursor + d);
+                let base_t = prev.t;
+                let span = (missing + 1) as f64;
+                let gap_norm = (span / 20.0).min(2.0);
+                let gap_start_off = prev_off;
+                let off_b = geom.offset(gap_end, next_obs.ratio).max(gap_start_off);
+                for j in 1..=missing {
+                    let frac = j as f64 / span;
+                    h = self.gru_step(g, big_h, h, cursor, prev.ratio, frac, gap_norm);
+                    let anchor = gap_start_off + frac * (off_b - gap_start_off);
+                    let w = self.cls_scores(g, big_h, h, &geom, prev_off, anchor, off_b);
+                    let col = g.value(w);
+                    let mut best = cursor;
+                    for k in cursor..=gap_end {
+                        if col.get(k, 0) > col.get(best, 0) {
+                            best = k;
+                        }
+                    }
+                    let ratio_node = self.ratio_pred(
+                        g,
+                        big_h,
+                        h,
+                        w,
+                        frac,
+                        anchor - prev_off,
+                        off_b - gap_start_off,
+                    );
+                    let ratio = g.value(ratio_node).get(0, 0);
+                    cursor = best;
+                    prev = MatchedPoint::new(segs[best], ratio, base_t + j as f64 * epsilon_s);
+                    prev_off = geom.offset(best, prev.ratio).max(prev_off);
+                    out.push(prev);
+                }
+                h = self.gru_step(g, big_h, h, cursor, prev.ratio, 1.0, gap_norm);
+                cursor = gap_end.max(cursor);
+                out.push(*next_obs);
+                prev = *next_obs;
+                prev_off = off_b;
+            }
+            MatchedTrajectory::new(out)
+        }
+    }
+
+    /// Asserts the tape-free decode equals the tape decode on every bit,
+    /// through a fresh graph and through `dirty` (left holding whatever the
+    /// previous call recorded). Returns the number of decoded points.
+    fn assert_decode_matches_tape(
+        model: &Trmma,
+        dirty: &mut Graph,
+        traj: &Trajectory,
+        matched: &[MatchedPoint],
+        route: &Route,
+        eps: f64,
+        what: &str,
+    ) -> usize {
+        let bits = |m: &MatchedTrajectory| -> Vec<(SegmentId, u64, u64)> {
+            m.points.iter().map(|p| (p.seg, p.ratio.to_bits(), p.t.to_bits())).collect()
+        };
+        let want = bits(&model.recover_on_tape(&mut Graph::new(), traj, matched, route, eps));
+        let fresh = bits(&model.recover_from_match(traj, matched, route, eps));
+        assert_eq!(fresh, want, "{what}: fresh graph");
+        let reused = bits(&model.recover_from_match_with(dirty, traj, matched, route, eps));
+        assert_eq!(reused, want, "{what}: dirty reused graph");
+        want.len().saturating_sub(matched.len())
+    }
+
+    #[test]
+    fn tape_free_decode_is_bitwise_the_tape_decode_on_a_seeded_sweep() {
+        let mut decoded = 0usize;
+        for net_seed in [9u64, 31, 77] {
+            let ds = build_dataset(&DatasetConfig {
+                net: trmma_roadnet::NetworkConfig::with_size(7, 7, net_seed),
+                n_trajectories: 20,
+                seed: 900 + net_seed,
+                ..DatasetConfig::tiny()
+            });
+            let net = Arc::new(ds.net.clone());
+            let train: Vec<_> = ds.samples(Split::Train, 0.2, 3).into_iter().take(3).collect();
+            // dh = 20 leaves a four-column tail behind the eight-wide blocks.
+            for dh in [8usize, 20, 24] {
+                for use_dualformer in [true, false] {
+                    for trained in [false, true] {
+                        let cfg = TrmmaConfig {
+                            dh,
+                            d_emb: 6,
+                            n_heads: 2,
+                            ffn: 16,
+                            use_dualformer,
+                            seed: net_seed + dh as u64,
+                            ..TrmmaConfig::small()
+                        };
+                        let mut model = Trmma::new(net.clone(), cfg);
+                        if trained {
+                            model.train(&train, 1);
+                        }
+                        let mut dirty = Graph::new();
+                        for (gi, gamma) in [0.1, 0.2, 0.5].into_iter().enumerate() {
+                            let samples = ds.samples(Split::Test, gamma, net_seed + gi as u64);
+                            let s = &samples[(dh + gi) % samples.len()];
+                            for eps in [ds.epsilon_s, ds.epsilon_s / 2.0] {
+                                let what = format!(
+                                    "net {net_seed} dh {dh} df {use_dualformer} \
+                                     trained {trained} γ {gamma} ε {eps}"
+                                );
+                                let (traj, matched, route) = truth_inputs(s);
+                                decoded += assert_decode_matches_tape(
+                                    &model, &mut dirty, traj, matched, &route, eps, &what,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(decoded > 2_000, "the sweep decoded only {decoded} points");
+    }
+
+    /// A trajectory whose GPS points sit on their matched points.
+    fn traj_on(net: &RoadNetwork, matched: &[MatchedPoint]) -> Trajectory {
+        Trajectory {
+            points: matched
+                .iter()
+                .map(|a| trmma_traj::types::GpsPoint { pos: a.pos(net), t: a.t })
+                .collect(),
+        }
+    }
+
+    /// Hand-built inputs for every branch of the decode loop's bookkeeping;
+    /// ratios of exactly 0.0 and 1.0 make GRU inputs and metre features
+    /// exact zeros, so those coefficient skips are taken too.
+    fn edge_cases(net: &RoadNetwork) -> Vec<(&'static str, Vec<MatchedPoint>, Route)> {
+        use trmma_traj::types::MatchedPoint as MP;
+        let e0 = SegmentId(0);
+        let e1 = net.successors(e0)[0];
+        let e2 = net.successors(e1)[0];
+        let e3 = net.successors(e2)[0];
+        let off_route = SegmentId((net.num_segments() - 1) as u32);
+        assert!(![e0, e1, e2, e3].contains(&off_route));
+        vec![
+            (
+                "one-segment route",
+                vec![MP::new(e0, 0.0, 0.0), MP::new(e0, 0.4, 60.0), MP::new(e0, 1.0, 105.0)],
+                Route::new(vec![e0]),
+            ),
+            (
+                "a gap with zero missing points",
+                vec![MP::new(e0, 0.2, 0.0), MP::new(e1, 0.1, 15.0), MP::new(e2, 1.0, 75.0)],
+                Route::new(vec![e0, e1, e2]),
+            ),
+            (
+                "equal and decreasing timestamps",
+                vec![
+                    MP::new(e0, 0.0, 30.0),
+                    MP::new(e1, 0.5, 30.0),
+                    MP::new(e1, 0.7, 10.0),
+                    MP::new(e2, 0.5, 100.0),
+                ],
+                Route::new(vec![e0, e1, e2]),
+            ),
+            (
+                "first matched segment absent from the route",
+                vec![MP::new(off_route, 0.3, 0.0), MP::new(e2, 0.5, 90.0)],
+                Route::new(vec![e0, e1, e2]),
+            ),
+            (
+                "next observation absent from the sub-route",
+                vec![MP::new(e1, 0.0, 0.0), MP::new(e0, 0.5, 60.0), MP::new(off_route, 0.5, 120.0)],
+                Route::new(vec![e0, e1, e2, e3]),
+            ),
+            (
+                "a route that revisits a segment",
+                vec![
+                    MP::new(e0, 0.5, 0.0),
+                    MP::new(e1, 0.5, 45.0),
+                    MP::new(e0, 0.25, 120.0),
+                    MP::new(e2, 1.0, 200.0),
+                ],
+                Route::new(vec![e0, e1, e0, e1, e2]),
+            ),
+        ]
+    }
+
+    #[test]
+    fn tape_free_decode_is_bitwise_the_tape_decode_on_edge_inputs() {
+        let (net, ds) = setup();
+        let mut trained = Trmma::new(net.clone(), TrmmaConfig::small());
+        let train: Vec<_> = ds.samples(Split::Train, 0.2, 3).into_iter().take(4).collect();
+        trained.train(&train, 1);
+        let untrained =
+            Trmma::new(net.clone(), TrmmaConfig { use_dualformer: false, ..TrmmaConfig::small() });
+        let mut dirty = Graph::new();
+        for model in [&trained, &untrained] {
+            for (what, matched, route) in edge_cases(&net) {
+                let traj = traj_on(&net, &matched);
+                for eps in [15.0, 7.5] {
+                    assert_decode_matches_tape(
+                        model, &mut dirty, &traj, &matched, &route, eps, what,
+                    );
+                }
+            }
+            // Nothing to decode: echoed back, as on the tape.
+            let (_, matched, route) = edge_cases(&net).remove(0);
+            let traj = traj_on(&net, &matched);
+            assert_decode_matches_tape(model, &mut dirty, &traj, &[], &route, 15.0, "no matches");
+            let empty = Route::default();
+            assert_decode_matches_tape(
+                model,
+                &mut dirty,
+                &traj,
+                &matched,
+                &empty,
+                15.0,
+                "empty route",
+            );
+        }
+    }
+
+    /// Overwrites every weight with a copy holding exact `0.0`, `-0.0`,
+    /// whole zero rows and whole zero columns (every column `c % 4 == 1`).
+    /// Zero columns reach the layer-norm gains and biases, so `H`, its row
+    /// mean `h_0`, every later `h` (the GRU candidate's column is zero too),
+    /// `ψ · H` and both MLPs' hidden layers are exactly zero in those
+    /// columns. With finite weights a skipped `0.0 · b` could not show (a
+    /// sum that starts at `+0.0` never reaches `-0.0`), so the decoder rows
+    /// those structural zeros multiply are then set to `+inf`: the output
+    /// stays finite only if every `a == 0.0` skip `matmul_into` takes on
+    /// the tape is taken.
+    fn salt_weights_with_zeros(model: &Trmma) {
+        for p in &model.params {
+            let mut m = p.value();
+            let (rows, cols) = m.shape();
+            for r in 0..rows {
+                for c in 0..cols {
+                    let zero_line = (rows > 1 && r % 5 == 3) || c % 4 == 1;
+                    match (zero_line, (r * cols + c) % 7) {
+                        (true, _) | (false, 0) => m.set(r, c, 0.0),
+                        (false, 3) => m.set(r, c, -0.0),
+                        _ => {}
+                    }
+                }
+            }
+            p.set_value(m);
+        }
+        let dh = model.cfg.dh;
+        let decoder = model.gru.linears().into_iter().chain(model.cls_mlp.layers());
+        for lin in decoder.chain(model.ratio_mlp.layers()) {
+            let mut m = lin.weight().value();
+            // Rows fed by `H`, `h`, `ψ · H` or a hidden layer — not the
+            // three trailing scalar inputs.
+            for r in (0..m.rows() / dh * dh).filter(|r| (r % dh) % 4 == 1) {
+                m.row_mut(r).fill(f64::INFINITY);
+            }
+            lin.weight().set_value(m);
+        }
+    }
+
+    #[test]
+    fn tape_free_decode_takes_every_zero_skip_the_tape_takes() {
+        let (net, ds) = setup();
+        let samples = ds.samples(Split::Test, 0.2, 6);
+        for use_dualformer in [true, false] {
+            for steep in [false, true] {
+                let model = Trmma::new(
+                    net.clone(),
+                    TrmmaConfig { dh: 20, use_dualformer, ..TrmmaConfig::small() },
+                );
+                salt_weights_with_zeros(&model);
+                if steep {
+                    // Scores thousands apart: ψ underflows to exact zeros,
+                    // the coefficients of `ψ · H`.
+                    let w9 = model.cls_mlp.layers()[1].weight();
+                    w9.set_value(w9.value().map(|x| x * 1e5));
+                }
+
+                // The salting reaches the operands it is meant to reach.
+                let s = &samples[0];
+                let mut g = Graph::new();
+                let big_h = model.encode(&mut g, &s.sparse, &s.sparse_truth, &s.route.segs);
+                let h0 = g.mean_rows(big_h);
+                let geom = RouteGeom::new(&net, &s.route.segs);
+                let h1 = model.gru_step(&mut g, big_h, h0, 0, 0.0, 0.5, 0.1);
+                assert!(g.value(big_h).data().contains(&0.0), "H has no zero");
+                assert!(g.value(h1).data().contains(&0.0), "h has no zero");
+                if steep {
+                    let w = model.cls_scores(&mut g, big_h, h1, &geom, 0.0, 50.0, 400.0);
+                    let w_row = g.transpose(w);
+                    let psi = g.softmax_rows(w_row);
+                    assert!(g.value(psi).data().contains(&0.0), "ψ has no zero");
+                }
+                let (traj, matched, route) = truth_inputs(s);
+                let on_tape = model.recover_on_tape(&mut g, traj, matched, &route, ds.epsilon_s);
+                assert!(on_tape.len() > matched.len());
+                assert!(
+                    on_tape.points.iter().all(|p| p.ratio.is_finite()),
+                    "a poisoned row was not skipped on the tape"
+                );
+
+                let mut dirty = Graph::new();
+                let what = format!("salted, df {use_dualformer}, steep {steep}");
+                for s in samples.iter().take(3) {
+                    let (traj, matched, route) = truth_inputs(s);
+                    assert_decode_matches_tape(
+                        &model,
+                        &mut dirty,
+                        traj,
+                        matched,
+                        &route,
+                        ds.epsilon_s,
+                        &what,
+                    );
+                }
+                for (_, matched, route) in edge_cases(&net) {
+                    let traj = traj_on(&net, &matched);
+                    assert_decode_matches_tape(
+                        &model, &mut dirty, &traj, &matched, &route, 15.0, &what,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unusable_epsilon_is_rejected_by_name() {
+        let (net, ds) = setup();
+        let model = Trmma::new(net, TrmmaConfig::small());
+        let s = &ds.samples(Split::Test, 0.2, 1)[0];
+        let (traj, matched, route) = truth_inputs(s);
+        for (eps, shown) in
+            [(0.0, "got 0"), (-15.0, "got -15"), (f64::NAN, "got NaN"), (f64::INFINITY, "got inf")]
+        {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                model.recover_from_match(traj, matched, &route, eps)
+            }))
+            .expect_err("an unusable ε must not be recovered with");
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains("epsilon_s") && msg.contains(shown), "ε = {eps}: {msg}");
+        }
     }
 
     #[test]

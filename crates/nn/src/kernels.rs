@@ -73,6 +73,78 @@ pub fn matvec_skip_zero(lhs: &[f64], x: &[f64], out: &mut [f64]) {
     }
 }
 
+/// Row-vector–matrix product `out[j] += Σ_k x[k] · w[k][j]` over a
+/// row-major `x.len() × out.len()` right-hand side, skipping zero
+/// coefficients.
+///
+/// This is one left-hand row of [`crate::Matrix::matmul_into`]'s i-k-j
+/// loop: ascending `k`, `x[k] == 0.0` skipped, each product added onto the
+/// running `out[j]`. Because it accumulates, a sum the tape forms over a
+/// column-concatenated input can be carried across calls — one call per
+/// concatenated part, in order, against the matching rows of `w` — and
+/// stays bitwise what the single product would have been.
+///
+/// # Panics
+/// Panics if `w.len() != x.len() * out.len()`.
+pub fn vecmat_skip_zero(x: &[f64], w: &[f64], out: &mut [f64]) {
+    assert_eq!(w.len(), x.len() * out.len(), "vecmat shape mismatch");
+    if out.is_empty() {
+        return;
+    }
+    for (&a, w_row) in x.iter().zip(w.chunks_exact(out.len())) {
+        if a == 0.0 {
+            continue;
+        }
+        for (o, &b) in out.iter_mut().zip(w_row) {
+            *o += a * b;
+        }
+    }
+}
+
+/// Column-block width of [`add_rows_in_order`]: eight `f64` accumulators
+/// fit the baseline x86-64 register file with room for the loads.
+const ROW_BLOCK: usize = 8;
+
+/// `out[i][j] = init[i][j] + rows[0][j] + rows[1][j] + …`: the same ordered
+/// stack of `n`-wide `rows` added, top to bottom, onto every `n`-wide row
+/// of `init`.
+///
+/// The additions of one output element happen in `rows` order starting from
+/// its `init` value — the order an i-k-j matmul adds the terms of a
+/// left-hand part that is one row repeated — so columns are independent and
+/// are processed eight at a time with the accumulators held in registers
+/// across the whole stack, then a narrower tail.
+///
+/// # Panics
+/// Panics if `n == 0`, `init.len() != out.len()`, or either `init` or
+/// `rows` is not a whole number of `n`-wide rows.
+pub fn add_rows_in_order(init: &[f64], rows: &[f64], n: usize, out: &mut [f64]) {
+    assert!(n > 0, "rows must have a width");
+    assert_eq!(init.len(), out.len(), "init and out differ in shape");
+    assert_eq!(init.len() % n, 0, "init is not … × n");
+    assert_eq!(rows.len() % n, 0, "rows is not … × n");
+    let tail = n - n % ROW_BLOCK;
+    for (o_row, i_row) in out.chunks_exact_mut(n).zip(init.chunks_exact(n)) {
+        for j in (0..tail).step_by(ROW_BLOCK) {
+            let mut acc = [0.0; ROW_BLOCK];
+            acc.copy_from_slice(&i_row[j..j + ROW_BLOCK]);
+            for r in rows.chunks_exact(n) {
+                for (a, &t) in acc.iter_mut().zip(&r[j..j + ROW_BLOCK]) {
+                    *a += t;
+                }
+            }
+            o_row[j..j + ROW_BLOCK].copy_from_slice(&acc);
+        }
+        let acc = &mut o_row[tail..];
+        acc.copy_from_slice(&i_row[tail..]);
+        for r in rows.chunks_exact(n) {
+            for (a, &t) in acc.iter_mut().zip(&r[tail..]) {
+                *a += t;
+            }
+        }
+    }
+}
+
 /// Index of the maximum element, first occurrence winning ties via strict
 /// `>` — the tie-breaking every decoder in this workspace relies on.
 /// Returns 0 for an empty slice.
@@ -147,6 +219,82 @@ mod tests {
         }
         assert_eq!(out[0].to_bits(), want[0].to_bits());
         assert_eq!(out[1].to_bits(), want[1].to_bits());
+    }
+
+    #[test]
+    fn vecmat_matches_matmul_into_row_and_carries_a_prefix() {
+        // One lhs row against a 5 × 3 rhs, zeros of both signs among the
+        // coefficients and a non-finite rhs row only a taken skip hides.
+        let x = [0.7, 0.0, -1.3, -0.0, 2.0];
+        let mut w: Vec<f64> = (0..15).map(|i| (i as f64 - 6.5) * 0.37).collect();
+        w[3..6].fill(f64::INFINITY);
+        let lhs = crate::Matrix::from_vec(1, 5, x.to_vec());
+        let rhs = crate::Matrix::from_vec(5, 3, w.clone());
+        let mut want = crate::Matrix::zeros(1, 3);
+        lhs.matmul_into(&rhs, &mut want);
+        let mut got = [0.0; 3];
+        vecmat_skip_zero(&x, &w, &mut got);
+        assert_eq!(got.map(f64::to_bits), [0, 1, 2].map(|j| want.get(0, j).to_bits()));
+        // Split after two coefficients: the second call continues the sum.
+        let mut split = [0.0; 3];
+        vecmat_skip_zero(&x[..2], &w[..6], &mut split);
+        vecmat_skip_zero(&x[2..], &w[6..], &mut split);
+        assert_eq!(split.map(f64::to_bits), got.map(f64::to_bits));
+        // A skipped term leaves `-0.0` alone; an added `0.0 · b` would not.
+        let mut neg_zero = [-0.0];
+        vecmat_skip_zero(&[0.0], &[5.0], &mut neg_zero);
+        assert_eq!(neg_zero[0].to_bits(), (-0.0f64).to_bits());
+        vecmat_skip_zero(&[], &[], &mut neg_zero);
+        vecmat_skip_zero(&[1.0], &[], &mut []);
+    }
+
+    #[test]
+    fn add_rows_matches_repeated_row_matmul_for_every_width() {
+        // `[A | h repeated]` through matmul_into equals the prefix `A · W_a`
+        // plus the product rows `h[k] · W_h[k]` (zero `h[k]` skipped) added
+        // in order — for every block/tail split of the output width.
+        let (rows, ka) = (3, 4);
+        let h = [0.9, 0.0, -1.7, 2.6, -0.0, 0.35];
+        for n in 1..=19 {
+            let cell = |i: usize, m: usize| ((i * 7 % m) as f64 - 5.0) * 0.31;
+            let a: Vec<f64> = (0..rows * ka).map(|i| cell(i, 13)).collect();
+            let w: Vec<f64> = (0..(ka + h.len()) * n).map(|i| cell(i, 11)).collect();
+            let (w_a, w_h) = w.split_at(ka * n);
+
+            let cat: Vec<f64> =
+                a.chunks_exact(ka).flat_map(|r| r.iter().chain(&h).copied()).collect();
+            let lhs = crate::Matrix::from_vec(rows, ka + h.len(), cat);
+            let mut want = crate::Matrix::zeros(rows, n);
+            lhs.matmul_into(&crate::Matrix::from_vec(ka + h.len(), n, w.clone()), &mut want);
+
+            let mut init = vec![0.0; rows * n];
+            for (p, r) in init.chunks_exact_mut(n).zip(a.chunks_exact(ka)) {
+                vecmat_skip_zero(r, w_a, p);
+            }
+            let products: Vec<f64> = h
+                .iter()
+                .zip(w_h.chunks_exact(n))
+                .filter(|(&c, _)| c != 0.0)
+                .flat_map(|(&c, r)| r.iter().map(move |&b| c * b))
+                .collect();
+            let mut got = vec![f64::NAN; rows * n];
+            add_rows_in_order(&init, &products, n, &mut got);
+            assert_eq!(
+                got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                want.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "n = {n}"
+            );
+            // No rows to add: a copy. No init rows: nothing written.
+            add_rows_in_order(&init, &[], n, &mut got);
+            assert_eq!(got, init);
+            add_rows_in_order(&[], &products, n, &mut []);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rows is not")]
+    fn add_rows_validates_shapes() {
+        add_rows_in_order(&[0.0; 4], &[0.0; 3], 2, &mut [0.0; 4]);
     }
 
     #[test]

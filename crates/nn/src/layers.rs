@@ -57,6 +57,13 @@ impl Linear {
         }
     }
 
+    /// Binds the layer's weight and bias on `g` (memoised, see
+    /// [`Graph::param`]) without applying it, for forward-only loops that
+    /// read `g.value(id).data()` directly instead of recording ops.
+    pub fn bind(&self, g: &mut Graph) -> (NodeId, Option<NodeId>) {
+        (g.param(&self.w), self.b.as_ref().map(|b| g.param(b)))
+    }
+
     /// Embedding lookup: rows of `W` selected by id — equivalent to one-hot
     /// times `W` (Eq. 1) but O(k·d) instead of O(n·d), gathering straight
     /// out of the parameter so the full table never hits the tape.
@@ -94,6 +101,12 @@ impl Mlp {
         let h = self.l1.forward(g, x);
         let h = g.relu(h);
         self.l2.forward(g, h)
+    }
+
+    /// The two layers, input side first.
+    #[must_use]
+    pub fn layers(&self) -> [&Linear; 2] {
+        [&self.l1, &self.l2]
     }
 
     /// The learnable parameters.
@@ -371,13 +384,18 @@ impl GruCell {
         g.add(keep, update)
     }
 
+    /// The six layers in [`GruCell::step`]'s order: `W_z, U_z, W_r, U_r,
+    /// W_h, U_h` (the `W`s take the input and carry the bias, the `U`s take
+    /// the hidden state).
+    #[must_use]
+    pub fn linears(&self) -> [&Linear; 6] {
+        [&self.wz, &self.uz, &self.wr, &self.ur, &self.wh, &self.uh]
+    }
+
     /// The learnable parameters.
     #[must_use]
     pub fn params(&self) -> Vec<Param> {
-        [&self.wz, &self.uz, &self.wr, &self.ur, &self.wh, &self.uh]
-            .iter()
-            .flat_map(|l| l.params())
-            .collect()
+        self.linears().iter().flat_map(|l| l.params()).collect()
     }
 }
 

@@ -100,7 +100,31 @@ pub trait TrajectoryRecovery: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Recovers the map-matched ε-sampling trajectory of sparse `traj`.
+    ///
+    /// # Panics
+    /// Implementations count ε-ticks through [`epsilon_ticks`], which
+    /// panics unless `epsilon_s` is finite and positive.
     fn recover(&self, traj: &Trajectory, epsilon_s: f64) -> MatchedTrajectory;
+}
+
+/// Number of ε-ticks in `interval_s`: `(interval_s / epsilon_s).round()`,
+/// the count every recovery method sizes its output from.
+///
+/// `epsilon_s` comes straight from the caller of
+/// [`TrajectoryRecovery::recover`]; a zero, negative or non-finite value
+/// would turn the quotient into `usize::MAX` points to emit, so it is
+/// rejected here, once, for all of them. A non-positive or NaN
+/// `interval_s` counts zero ticks (the saturating float → integer cast).
+///
+/// # Panics
+/// Panics naming the value unless `epsilon_s` is finite and `> 0.0`.
+#[must_use]
+pub fn epsilon_ticks(interval_s: f64, epsilon_s: f64) -> usize {
+    assert!(
+        epsilon_s.is_finite() && epsilon_s > 0.0,
+        "epsilon_s must be finite and > 0.0, got {epsilon_s}"
+    );
+    (interval_s / epsilon_s).round() as usize
 }
 
 /// One candidate segment of a GPS point, with its perpendicular distance and
@@ -261,6 +285,23 @@ impl CandidateFinder {
 mod tests {
     use super::*;
     use trmma_roadnet::{generate_city, NetworkConfig};
+
+    #[test]
+    fn epsilon_ticks_rounds_and_saturates_at_zero() {
+        assert_eq!(epsilon_ticks(45.0, 15.0), 3);
+        assert_eq!(epsilon_ticks(52.4, 15.0), 3);
+        assert_eq!(epsilon_ticks(52.6, 15.0), 4);
+        assert_eq!(epsilon_ticks(7.4, 15.0), 0);
+        assert_eq!(epsilon_ticks(0.0, 15.0), 0);
+        assert_eq!(epsilon_ticks(-30.0, 15.0), 0);
+        assert_eq!(epsilon_ticks(f64::NAN, 15.0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon_s must be finite and > 0.0, got 0")]
+    fn epsilon_ticks_rejects_zero() {
+        let _ = epsilon_ticks(60.0, 0.0);
+    }
 
     #[test]
     fn candidates_sorted_and_sized() {

@@ -48,8 +48,8 @@ pub mod snapshot;
 pub mod types;
 
 pub use api::{
-    stitch_route, Candidate, CandidateFinder, CandidateScratch, MapMatcher, MatchResult,
-    ScratchMatcher, ScratchStats, TrajectoryRecovery,
+    epsilon_ticks, stitch_route, Candidate, CandidateFinder, CandidateScratch, MapMatcher,
+    MatchResult, ScratchMatcher, ScratchStats, TrajectoryRecovery,
 };
 pub use dataset::{build_dataset, Dataset, DatasetConfig, Split};
 pub use gen::{sparsify, RawTrajectory, Sample, TrajConfig};

@@ -12,13 +12,18 @@
 //!   [`LatticeArena`] decodes identically to the fresh-allocation
 //!   `advance` path;
 //! * vectorized kernels: the chunked emission kernel, the zero-skipping
-//!   matvec and `argmax` reproduce their scalar references bit for bit.
+//!   matvec, `argmax` and the row kernels of the tape-free TRMMA decode
+//!   (`vecmat_skip_zero`, `add_rows_in_order`) reproduce their scalar
+//!   references bit for bit.
 
 use proptest::prelude::*;
 
 use trmma::baselines::decoder::{LatticeArena, ViterbiState};
 use trmma::geom::Vec2;
-use trmma::nn::kernels::{argmax, gather_rows_into, gaussian_log_emission_into, matvec_skip_zero};
+use trmma::nn::kernels::{
+    add_rows_in_order, argmax, gather_rows_into, gaussian_log_emission_into, matvec_skip_zero,
+    vecmat_skip_zero,
+};
 use trmma::roadnet::shortest::{node_dist, DistCache, SsspPool, Weight};
 use trmma::roadnet::{generate_city, NetworkConfig, NodeId, SegmentId};
 use trmma::traj::types::GpsPoint;
@@ -194,6 +199,61 @@ proptest! {
             }
         }
         prop_assert_eq!(argmax(&xs), best);
+    }
+
+    /// The row kernels of the tape-free TRMMA decode against scalar i-k-j
+    /// loops written out here, at every output width 1–65 (every split into
+    /// eight-wide blocks and a tail) and any number of coefficients /
+    /// stacked rows, none included. Inputs are salted with `0.0` and `-0.0`
+    /// and the accumulators start from salted values too: `-0.0 + 0.0` is
+    /// `+0.0`, so a skip dropped from `vecmat_skip_zero` — or one added to
+    /// `add_rows_in_order`, which has none — flips a sign bit.
+    #[test]
+    fn row_kernels_bitwise_match_scalar_references(
+        k in 0usize..12,
+        rows in 0usize..5,
+        cells in prop::collection::vec(-4.0f64..4.0, 97),
+        salt in prop::collection::vec(0u32..5, 89),
+    ) {
+        let salted = |i: usize| match salt[i % salt.len()] {
+            0 => 0.0,
+            1 => -0.0,
+            _ => cells[i % cells.len()],
+        };
+        for n in 1usize..=65 {
+            let x: Vec<f64> = (0..k).map(|i| salted(i + n)).collect();
+            let w: Vec<f64> = (0..k * n).map(|i| salted(i + 17)).collect();
+            let start: Vec<f64> = (0..n).map(|j| salted(j + 5)).collect();
+
+            let mut got = start.clone();
+            vecmat_skip_zero(&x, &w, &mut got);
+            for j in 0..n {
+                let mut want = start[j];
+                for (kk, &a) in x.iter().enumerate() {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    want += a * w[kk * n + j];
+                }
+                prop_assert_eq!(got[j].to_bits(), want.to_bits(), "vecmat column {} of {}", j, n);
+            }
+
+            let init: Vec<f64> = (0..rows * n).map(|i| salted(i + 29)).collect();
+            let mut got = vec![f64::NAN; rows * n];
+            add_rows_in_order(&init, &w, n, &mut got);
+            for i in 0..rows {
+                for j in 0..n {
+                    let mut want = init[i * n + j];
+                    for r in 0..k {
+                        want += w[r * n + j];
+                    }
+                    prop_assert_eq!(
+                        got[i * n + j].to_bits(), want.to_bits(),
+                        "add_rows cell ({}, {}) of width {}", i, j, n
+                    );
+                }
+            }
+        }
     }
 
     /// Row gathering through the kernel equals per-row slicing for every
