@@ -14,10 +14,11 @@
 //! pulling indices from one atomic counter (work stealing by construction:
 //! a worker stuck on a long trajectory simply claims fewer indices). The
 //! model, R-tree and route planner are shared behind `Arc` and never
-//! written during inference; every mutable buffer — the autograd tape and
-//! the k-NN heaps — lives in a per-worker scratch ([`MmaScratch`],
-//! [`trmma_nn::Graph`]) created once per thread and reused for every
-//! trajectory that thread claims. Shared network-distance lookups go
+//! written during inference; every mutable buffer — the k-NN heaps, the
+//! flat forward-only workspace of MMA and its encoder, the `Graph` that
+//! holds TRMMA's bound decoder weights — lives in a per-worker scratch
+//! ([`MmaScratch`], [`RecoveryScratch`]) created once per thread and
+//! reused for every trajectory that thread claims. Shared network-distance lookups go
 //! through `DistCache`, whose misses reuse warm Dijkstra state.
 //!
 //! **Determinism.** Inference is a pure function of (model, trajectory), so
@@ -202,10 +203,12 @@ where
     (results, BatchTiming { per_item_s, wall_s, allocs_avoided })
 }
 
-/// Per-worker scratch of the full recovery pipeline: the MMA state and the
-/// TRMMA tape. The tape carries each trajectory's encoder pass and
-/// decoder-weight bindings; the per-point decode records nothing on it
-/// (see [`Trmma::recover_from_match_with`]). Network-distance lookups
+/// Per-worker scratch of the full recovery pipeline: the MMA state (search
+/// buffers plus the flat workspace its scorer and encoder run on) and the
+/// TRMMA `Graph`, which only ever holds one trajectory's decoder-weight
+/// bindings — neither model records an operation at inference time (see
+/// [`Mma::match_points_with`], [`Trmma::recover_from_match_with`]).
+/// Network-distance lookups
 /// during post-batch evaluation go through a shared [`DistCache`], whose
 /// misses reuse warm Dijkstra state internally (see [`SsspPool`]).
 ///
@@ -228,8 +231,10 @@ impl RecoveryScratch {
 /// Parallel batched trajectory recovery (MMA → TRMMA) with shared models;
 /// see module docs. Each worker runs [`Mma::match_trajectory_with`] then
 /// [`Trmma::recover_from_match_with`] through its own [`RecoveryScratch`];
-/// the models' weights are read through their shared `Param` locks once
-/// per trajectory (when the tape binds them), never per decoded point.
+/// the models' weights are read through their shared `Param` locks a
+/// constant number of times per trajectory (once per layer application of
+/// a whole-trajectory batch, or when the decoder binds them), never per
+/// point, per candidate or per decoded step.
 #[derive(Clone)]
 pub struct BatchRecovery {
     mma: Arc<Mma>,

@@ -9,6 +9,10 @@ use rand::SeedableRng;
 
 use trmma_baselines::TrainReport;
 use trmma_geom::{cosine_similarity, BBox, Vec2};
+use trmma_nn::kernels::{
+    argmax, matvec_skip_zero, relu_in_place, softmax_in_place, vecmat_skip_zero,
+};
+use trmma_nn::EncoderScratch;
 use trmma_nn::{Adam, Graph, Linear, Matrix, Mlp, NodeId, Param, TransformerEncoder};
 use trmma_roadnet::{RoadNetwork, RoutePlanner};
 use trmma_traj::api::{
@@ -20,18 +24,21 @@ use trmma_traj::snapshot::{self, Reader, SnapshotError};
 use trmma_traj::types::{GpsPoint, MatchedPoint, Trajectory};
 use trmma_traj::Sample;
 
-/// Reusable per-worker inference state for [`Mma`]: the autograd tape, the
-/// candidate-search buffers, per-trajectory candidate-set rows and the
-/// per-point staging buffers of the forward pass. One instance serves any
-/// number of trajectories; the batch engine keeps one per worker thread.
+/// Reusable per-worker inference state for [`Mma`]: the candidate-search
+/// buffers, the per-trajectory candidate rows and the flat workspace of the
+/// forward-only scorer (which includes the encoder's, positional rows and
+/// all). Nothing in it is a tape — inference records nothing. One instance
+/// serves any number of trajectories of any length; the batch engine keeps
+/// one per worker thread.
 #[derive(Default)]
 pub struct MmaScratch {
-    graph: Graph,
     cand: CandidateScratch,
     /// Scratch-owned candidate rows for the offline decode, cleared and
     /// refilled per trajectory with their capacity kept.
     cand_sets: Vec<Vec<Candidate>>,
-    bufs: MmaBufs,
+    /// Candidate rows found already allocated by a refill.
+    reused: u64,
+    ws: MmaWorkspace,
 }
 
 impl MmaScratch {
@@ -41,26 +48,41 @@ impl MmaScratch {
         Self::default()
     }
 
-    /// Heap allocations the scratch's reusable rows and staging buffers
-    /// have absorbed so far.
+    /// Heap allocations the scratch-owned candidate rows have absorbed so
+    /// far (the workspace's buffers are not counted: they replace tape
+    /// nodes that no longer exist).
     #[must_use]
     pub fn allocs_avoided(&self) -> u64 {
-        self.bufs.reused
+        self.reused
     }
 }
 
-/// Per-point staging buffers of [`Mma::forward_cached`]: the candidate-id
-/// row, the flat direction-feature row and the all-zero repeat-gather index
-/// row are rebuilt in place per point instead of allocated. (Tape-node
-/// storage itself is deliberately *not* pooled — a matrix pool here was
-/// measured slower than the allocator, DESIGN.md §3.)
+/// The buffers of [`Mma::score_cached`], each sized by the trajectory in
+/// hand and kept between trajectories. Candidate-major buffers hold the
+/// rows of all points back to back (`n = Σ kc_i` rows).
 #[derive(Default)]
-struct MmaBufs {
-    ids: Vec<usize>,
-    rep0: Vec<usize>,
-    /// Rebuilds that found the capacity already in place — the scratch's
-    /// share of the avoided-allocation counters.
-    reused: u64,
+struct MmaWorkspace {
+    enc: EncoderScratch,
+    /// `z(0)`, `ℓ × 3`.
+    feats: Vec<f64>,
+    /// `z(1)`, `ℓ × d2`.
+    z1: Vec<f64>,
+    /// Eq. 2's input `[W_C[seg] | features]`, `n × (d0 + 5)`, and its
+    /// hidden layer, `n × d1`.
+    zc: Vec<f64>,
+    cand_hidden: Vec<f64>,
+    /// Candidate embeddings, `n × d2`.
+    c_emb: Vec<f64>,
+    /// Eq. 7's point-side prefix `z2 · W_7[0..d2]`, `ℓ × d3`.
+    prefix: Vec<f64>,
+    /// Eq. 7's hidden layer, `n × d3`.
+    attn_hidden: Vec<f64>,
+    /// Eq. 7's scores, then (in place, per point) their softmax `α`.
+    alpha: Vec<f64>,
+    /// `p_i` of Eq. 8.
+    p: Vec<f64>,
+    /// Eq. 9's logits `c_j · p_i`, `n`.
+    logits: Vec<f64>,
 }
 
 /// Hyper-parameters of MMA (§VI-A lists the paper's settings; defaults
@@ -229,24 +251,21 @@ impl Mma {
         &self.finder
     }
 
-    /// Min-max normalised `[x, y, t]` features (Eq. 3's `z(0)`).
-    fn norm_features(&self, traj: &Trajectory) -> Matrix {
+    /// Min-max normalised `[x, y, t]` features (Eq. 3's `z(0)`), `ℓ × 3`
+    /// row-major into `out` (cleared first).
+    fn norm_features_into(&self, traj: &Trajectory, out: &mut Vec<f64>) {
         let w = (self.bbox.max.x - self.bbox.min.x).max(1.0);
         let h = (self.bbox.max.y - self.bbox.min.y).max(1.0);
         let t0 = traj.points.first().map_or(0.0, |p| p.t);
         let dur = traj.duration_s().max(1.0);
-        let rows: Vec<Vec<f64>> = traj
-            .points
-            .iter()
-            .map(|p| {
-                vec![
-                    (p.pos.x - self.bbox.min.x) / w,
-                    (p.pos.y - self.bbox.min.y) / h,
-                    (p.t - t0) / dur,
-                ]
-            })
-            .collect();
-        Matrix::from_rows(&rows)
+        out.clear();
+        for p in &traj.points {
+            out.extend_from_slice(&[
+                (p.pos.x - self.bbox.min.x) / w,
+                (p.pos.y - self.bbox.min.y) / h,
+                (p.t - t0) / dur,
+            ]);
+        }
     }
 
     /// The four directional cosine features of Eq. 2 for candidate `c` of
@@ -289,19 +308,16 @@ impl Mma {
             self.finder.candidates_into(p.pos, cand, &mut cands);
             cand_sets.push(cands);
         }
-        let logits = self.forward_cached(g, &mut MmaBufs::default(), &cand_sets, traj);
+        let logits = self.forward_cached(g, &cand_sets, traj);
         cand_sets.into_iter().zip(logits).collect()
     }
 
-    /// [`Mma::forward`] with the per-point candidate sets already known —
-    /// the shape the online session uses: candidates are ranked once when a
-    /// point is pushed and carried forward, so re-encoding a growing prefix
-    /// never repeats a kNN search. Scores are identical either way
-    /// (candidate search is a pure function of the point).
+    /// [`Mma::forward`] with the per-point candidate sets already known.
+    /// Training's forward pass, and the definition inference's
+    /// [`Mma::score_cached`] replays off the tape.
     fn forward_cached(
         &self,
         g: &mut Graph,
-        bufs: &mut MmaBufs,
         cand_sets: &[Vec<Candidate>],
         traj: &Trajectory,
     ) -> Vec<NodeId> {
@@ -310,22 +326,17 @@ impl Mma {
             return Vec::new();
         }
         // Eq. 3: point sequence encoding.
-        let feats = g.input(self.norm_features(traj));
+        let mut feats = Vec::new();
+        self.norm_features_into(traj, &mut feats);
+        let feats = g.input(Matrix::from_vec(traj.len(), 3, feats));
         let z1 = self.point_fc.forward(g, feats);
         let z2 = self.encoder.forward(g, z1); // ℓ × d2
 
         let mut out = Vec::with_capacity(traj.points.len());
         for (i, cands) in cand_sets.iter().enumerate() {
-            let kc = cands.len();
-            // Eq. 1–2: candidate embeddings. The id row is staged in the
-            // scratch buffer — same slice content as a freshly collected
-            // Vec, no allocation in steady state.
-            if bufs.ids.capacity() >= kc {
-                bufs.reused += 1;
-            }
-            bufs.ids.clear();
-            bufs.ids.extend(cands.iter().map(|c| c.seg.idx()));
-            let e_c = self.w_c.embed(g, &bufs.ids); // kc × d0
+            // Eq. 1–2: candidate embeddings.
+            let ids: Vec<usize> = cands.iter().map(|c| c.seg.idx()).collect();
+            let e_c = self.w_c.embed(g, &ids); // kc × d0
             let mut dir_flat = Vec::with_capacity(cands.len() * 5);
             for c in cands {
                 dir_flat.extend_from_slice(&self.candidate_features(traj, i, c));
@@ -337,15 +348,7 @@ impl Mma {
             // Eq. 7–8: candidate-context attention into the point embedding.
             let z2_i = g.slice_rows(z2, i, 1); // 1 × d2
             let p_i = if self.cfg.use_candidate_context {
-                // The repeat-gather index row is all zeros by definition;
-                // the staged buffer only ever grows and is never written
-                // with anything else.
-                if bufs.rep0.len() < kc {
-                    bufs.rep0.resize(kc, 0);
-                } else {
-                    bufs.reused += 1;
-                }
-                let z2_rep = g.gather_rows(z2_i, &bufs.rep0[..kc]); // kc × d2
+                let z2_rep = g.gather_rows(z2_i, &vec![0; cands.len()]); // kc × d2
                 let cat = g.concat_cols(&[z2_rep, c_emb]);
                 let scores = self.attn_mlp.forward(g, cat); // kc × 1
                 let scores_row = g.transpose(scores); // 1 × kc
@@ -508,20 +511,24 @@ impl Mma {
         self.match_points_with(&mut MmaScratch::new(), traj)
     }
 
-    /// [`Mma::match_points`] through caller-owned scratch state: the tape is
-    /// reset (arena kept) instead of reallocated, and candidate search hits
-    /// warm buffers. The batch engine's per-worker hot path.
+    /// [`Mma::match_points`] through caller-owned scratch state: candidate
+    /// search hits warm buffers and the scorer runs forward-only on the
+    /// scratch's flat workspace — no tape, no allocation in steady state,
+    /// every `Param` read lock taken a constant number of times per
+    /// trajectory. The batch engine's per-worker hot path; the matches are
+    /// bit for bit what the tape forward (`Mma::forward`, which training
+    /// differentiates) scores (DESIGN.md §15).
     #[must_use]
     pub fn match_points_with(
         &self,
         scratch: &mut MmaScratch,
         traj: &Trajectory,
     ) -> Vec<MatchedPoint> {
-        let MmaScratch { graph, cand, cand_sets, bufs } = scratch;
+        let MmaScratch { cand, cand_sets, reused, ws } = scratch;
         // Refill the scratch-owned candidate rows in place: rows (and the
         // outer spine) keep their capacity from the previous trajectory, so
         // in steady state the whole search stage allocates nothing.
-        bufs.reused += cand_sets.len().min(traj.len()) as u64;
+        *reused += cand_sets.len().min(traj.len()) as u64;
         cand_sets.truncate(traj.len());
         while cand_sets.len() < traj.len() {
             cand_sets.push(Vec::with_capacity(self.cfg.kc));
@@ -529,7 +536,7 @@ impl Mma {
         for (p, row) in traj.points.iter().zip(cand_sets.iter_mut()) {
             self.finder.candidates_into(p.pos, cand, row);
         }
-        self.decode_cached(graph, bufs, cand_sets, traj)
+        self.decode_cached(ws, cand_sets, traj)
     }
 
     /// [`MapMatcher::match_trajectory`] through caller-owned scratch state.
@@ -545,37 +552,104 @@ impl Mma {
         self.stitch(matched)
     }
 
-    /// Per-point argmax over a prefix forward pass with cached candidate
-    /// sets — the shared tail of the offline (freshly searched) and online
-    /// (carried forward) decodes.
-    fn match_points_cached(
-        &self,
-        scratch: &mut MmaScratch,
-        cand_sets: &[Vec<Candidate>],
-        traj: &Trajectory,
-    ) -> Vec<MatchedPoint> {
-        let MmaScratch { graph, bufs, .. } = scratch;
-        self.decode_cached(graph, bufs, cand_sets, traj)
+    /// [`Mma::forward_cached`] off the tape: leaves in `ws.logits` every
+    /// point's logit column (Eq. 9), back to back in point order, each bit
+    /// the tape's. The whole trajectory goes through each layer as one
+    /// batch — rows of a `Linear` are independent — so weights are read in
+    /// place under a constant number of read locks, and Eq. 7's first layer
+    /// shares what the tape cannot: its input is `[z2_i repeated | c_emb]`
+    /// and an i-k-j product adds a row's terms left to right, so the `z2_i`
+    /// part of every candidate row's sum is a prefix that depends on the
+    /// point only — computed once per point and copied under each of its
+    /// candidates, which then continue it with their own `c_emb` part.
+    fn score_cached(&self, ws: &mut MmaWorkspace, cand_sets: &[Vec<Candidate>], traj: &Trajectory) {
+        assert_eq!(cand_sets.len(), traj.len(), "one candidate set per GPS point");
+        let MmaConfig { d0, d2, d3, .. } = self.cfg;
+        let n: usize = cand_sets.iter().map(Vec::len).sum();
+        ws.logits.clear();
+        ws.logits.resize(n, 0.0);
+        if n == 0 {
+            return;
+        }
+        // Eq. 3: point sequence encoding.
+        self.norm_features_into(traj, &mut ws.feats);
+        self.point_fc.apply_rows(&ws.feats, &mut ws.z1);
+        let z2 = self.encoder.forward_flat(&ws.z1, &mut ws.enc); // ℓ × d2
+
+        // Eq. 1–2: candidate embeddings.
+        let zc_cols = d0 + 5;
+        ws.zc.clear();
+        ws.zc.resize(n * zc_cols, 0.0);
+        let segs = cand_sets.iter().flatten().map(|c| c.seg.idx());
+        self.w_c.gather_rows_into(segs, zc_cols, &mut ws.zc);
+        let mut rows = ws.zc.chunks_exact_mut(zc_cols);
+        for (i, cands) in cand_sets.iter().enumerate() {
+            for (c, row) in cands.iter().zip(&mut rows) {
+                row[d0..].copy_from_slice(&self.candidate_features(traj, i, c));
+            }
+        }
+        self.cand_mlp.apply_rows(&ws.zc, &mut ws.cand_hidden, &mut ws.c_emb); // n × d2
+
+        // Eq. 7–8: candidate-context attention into the point embedding,
+        // scored for all candidates of all points at once.
+        if self.cfg.use_candidate_context {
+            let [l1, l2] = self.attn_mlp.layers();
+            ws.prefix.clear();
+            ws.prefix.resize(traj.len() * d3, 0.0);
+            l1.accumulate_rows(z2, 0, d2, &mut ws.prefix);
+            ws.attn_hidden.clear();
+            for (cands, prefix) in cand_sets.iter().zip(ws.prefix.chunks_exact(d3)) {
+                for _ in cands {
+                    ws.attn_hidden.extend_from_slice(prefix);
+                }
+            }
+            l1.accumulate_rows(&ws.c_emb, d2, d2, &mut ws.attn_hidden);
+            l1.add_bias_rows(&mut ws.attn_hidden);
+            relu_in_place(&mut ws.attn_hidden);
+            l2.apply_rows(&ws.attn_hidden, &mut ws.alpha); // n × 1
+        }
+
+        // Per point: softmax over its candidates, context, Eq. 9's logits
+        // `c_j · p_i`.
+        ws.p.clear();
+        ws.p.resize(d2, 0.0);
+        let mut at = 0;
+        for (cands, z2_i) in cand_sets.iter().zip(z2.chunks_exact(d2)) {
+            let these = at..at + cands.len();
+            let c_emb = &ws.c_emb[these.start * d2..these.end * d2];
+            if self.cfg.use_candidate_context {
+                let alpha = &mut ws.alpha[these.clone()];
+                softmax_in_place(alpha);
+                ws.p.fill(0.0);
+                vecmat_skip_zero(alpha, c_emb, &mut ws.p);
+                for (ctx, &z) in ws.p.iter_mut().zip(z2_i) {
+                    *ctx += z;
+                }
+            } else {
+                ws.p.copy_from_slice(z2_i);
+            }
+            matvec_skip_zero(c_emb, &ws.p, &mut ws.logits[these]);
+            at += cands.len();
+        }
     }
 
-    /// The decode core under both cached entry points, on disjoint borrows
-    /// of the scratch so callers can pass scratch-owned candidate rows.
-    /// Each logit column is a contiguous `kc × 1` buffer; the kernel argmax
-    /// replays the strict-`>` first-max scan the loop here used to do.
+    /// Per-point argmax over [`Mma::score_cached`]'s logits — the shared
+    /// tail of the offline (freshly searched) and online (carried forward)
+    /// decodes. First maximum wins, by strict `>`.
     fn decode_cached(
         &self,
-        graph: &mut Graph,
-        bufs: &mut MmaBufs,
+        ws: &mut MmaWorkspace,
         cand_sets: &[Vec<Candidate>],
         traj: &Trajectory,
     ) -> Vec<MatchedPoint> {
-        graph.reset();
-        self.forward_cached(graph, bufs, cand_sets, traj)
-            .into_iter()
-            .zip(cand_sets)
+        self.score_cached(ws, cand_sets, traj);
+        let mut at = 0;
+        cand_sets
+            .iter()
             .zip(&traj.points)
-            .map(|((logits, cands), p)| {
-                let best = trmma_nn::kernels::argmax(graph.value(logits).data());
+            .map(|(cands, p)| {
+                let best = argmax(&ws.logits[at..at + cands.len()]);
+                at += cands.len();
                 MatchedPoint::new(cands[best].seg, cands[best].ratio, p.t)
             })
             .collect()
@@ -663,12 +737,12 @@ impl OnlineMatcher for Mma {
         self.finder.candidates_into(point.pos, &mut scratch.cand, &mut cands);
         session.traj.points.push(point);
         session.cand_sets.push(cands);
-        let matched = self.match_points_cached(scratch, &session.cand_sets, &session.traj);
+        let matched = self.decode_cached(&mut scratch.ws, &session.cand_sets, &session.traj);
         OnlineUpdate { provisional: matched.last().copied(), stable_prefix: 0 }
     }
 
     fn finalize(&self, scratch: &mut MmaScratch, session: MmaSession) -> MatchResult {
-        let matched = self.match_points_cached(scratch, &session.cand_sets, &session.traj);
+        let matched = self.decode_cached(&mut scratch.ws, &session.cand_sets, &session.traj);
         self.stitch(matched)
     }
 
@@ -692,6 +766,17 @@ impl OnlineMatcher for Mma {
         let cand_sets = snapshot::read_cand_sets(&mut r)?;
         if cand_sets.len() != traj.len() {
             return Err(SnapshotError::Malformed("candidate layers != points"));
+        }
+        // The decoder indexes `W_C` by segment id and a layer by its argmax:
+        // neither may be trusted from bytes that came from outside.
+        let n_segs = self.net.num_segments();
+        for layer in &cand_sets {
+            if layer.is_empty() {
+                return Err(SnapshotError::Malformed("empty candidate layer"));
+            }
+            if layer.iter().any(|c| c.seg.idx() >= n_segs) {
+                return Err(SnapshotError::Malformed("candidate segment out of range"));
+            }
         }
         r.expect_end()?;
         Ok(MmaSession { traj, cand_sets })
@@ -814,6 +899,265 @@ mod tests {
         let c = no_dir.match_points(&s.sparse);
         assert_eq!(a.len(), b.len());
         assert_eq!(a.len(), c.len());
+    }
+
+    /// The tape's logit columns for known candidate sets, as bits.
+    fn tape_logits(m: &Mma, cand_sets: &[Vec<Candidate>], traj: &Trajectory) -> Vec<Vec<u64>> {
+        let mut g = Graph::new();
+        m.forward_cached(&mut g, cand_sets, traj)
+            .into_iter()
+            .map(|col| g.value(col).data().iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    /// Asserts the flat scorer's logits and matches equal the tape's on
+    /// every bit, through `ws` as the previous call left it. Returns the
+    /// number of points compared.
+    fn assert_scores_match_tape(
+        m: &Mma,
+        ws: &mut MmaWorkspace,
+        cand_sets: &[Vec<Candidate>],
+        traj: &Trajectory,
+        what: &str,
+    ) -> usize {
+        let want = tape_logits(m, cand_sets, traj);
+        let matched = m.decode_cached(ws, cand_sets, traj);
+        let got: Vec<u64> = ws.logits.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(got, want.concat(), "{what}: logits");
+        assert_eq!(matched.len(), traj.len(), "{what}");
+        for ((mp, col), cands) in matched.iter().zip(&want).zip(cand_sets) {
+            // The decode the tape-based path ran: strict-`>` first max.
+            let mut best = 0;
+            for (j, &b) in col.iter().enumerate() {
+                if f64::from_bits(b) > f64::from_bits(col[best]) {
+                    best = j;
+                }
+            }
+            assert_eq!(
+                (mp.seg, mp.ratio.to_bits()),
+                (cands[best].seg, cands[best].ratio.to_bits())
+            );
+        }
+        traj.len()
+    }
+
+    fn searched(m: &Mma, traj: &Trajectory) -> Vec<Vec<Candidate>> {
+        let mut cand = CandidateScratch::new();
+        traj.points
+            .iter()
+            .map(|p| {
+                let mut row = Vec::new();
+                m.finder.candidates_into(p.pos, &mut cand, &mut row);
+                row
+            })
+            .collect()
+    }
+
+    #[test]
+    fn flat_scorer_is_bitwise_the_tape_forward_on_a_seeded_sweep() {
+        let (net, planner, ds) = setup();
+        let train: Vec<_> = ds.samples(Split::Train, 0.2, 3).into_iter().take(3).collect();
+        let odd = MmaConfig {
+            d0: 10,
+            d1: 17,
+            d2: 20,
+            d3: 13,
+            ffn: 19,
+            n_heads: 4,
+            n_layers: 3,
+            ..MmaConfig::small()
+        };
+        let configs = [
+            ("small", MmaConfig::small()),
+            ("odd widths", odd),
+            ("no context", MmaConfig { use_candidate_context: false, ..MmaConfig::small() }),
+            ("no direction", MmaConfig { use_direction: false, ..MmaConfig::small() }),
+            ("no distance", MmaConfig { use_distance: false, ..MmaConfig::small() }),
+        ];
+        // One workspace for the whole sweep: dirty from another width,
+        // another `kc` and another trajectory length at every call.
+        let mut ws = MmaWorkspace::default();
+        let mut points = 0usize;
+        for (name, cfg) in configs {
+            for kc in [1usize, 4, 10] {
+                for trained in [false, true] {
+                    let mut m = Mma::new(
+                        net.clone(),
+                        planner.clone(),
+                        None,
+                        MmaConfig { kc, ..cfg.clone() },
+                    );
+                    if trained {
+                        m.train(&train, 1);
+                    }
+                    for (gi, gamma) in [0.1, 0.2, 0.5, 1.0].into_iter().enumerate() {
+                        let samples = ds.samples(Split::Test, gamma, 40 + gi as u64);
+                        let s = &samples[(kc + gi) % samples.len()];
+                        let what = format!("{name} kc {kc} trained {trained} γ {gamma}");
+                        let sets = searched(&m, &s.sparse);
+                        points += assert_scores_match_tape(&m, &mut ws, &sets, &s.sparse, &what);
+                        // A one-point trajectory: `ℓ = 1` attention.
+                        let one = Trajectory { points: s.sparse.points[..1].to_vec() };
+                        points += assert_scores_match_tape(&m, &mut ws, &sets[..1], &one, &what);
+                        // Candidate layers of unequal length.
+                        let mut ragged = sets.clone();
+                        for (i, row) in ragged.iter_mut().enumerate() {
+                            row.truncate(1 + (i * 3 + gi) % kc);
+                        }
+                        points += assert_scores_match_tape(&m, &mut ws, &ragged, &s.sparse, &what);
+                    }
+                }
+            }
+        }
+        assert!(points > 500, "the sweep scored only {points} points");
+        // No points: nothing scored, nothing matched.
+        let m = Mma::new(net, planner, None, MmaConfig::small());
+        assert!(m.decode_cached(&mut ws, &[], &Trajectory::default()).is_empty());
+    }
+
+    /// With finite weights a dropped `a == 0.0` skip cannot show (a sum
+    /// that starts at `+0.0` never reaches `-0.0`). So: every weight gets
+    /// exact zeros of both signs and whole zero columns (`c % 4 == 1`),
+    /// which make exact zeros of `W_C`'s columns, both MLPs' ReLU outputs,
+    /// `c_emb`'s and (through the last layer norm) `z2`'s columns; the
+    /// weight rows those zeros multiply — and, with `use_direction` off,
+    /// the four rows under the zeroed cosines — are `+inf`. The logits stay
+    /// finite only if every skip the tape takes is taken, the hoisted
+    /// prefix's included.
+    #[test]
+    fn flat_scorer_takes_every_zero_skip_the_tape_takes() {
+        let (net, planner, ds) = setup();
+        let mut ws = MmaWorkspace::default();
+        for use_direction in [true, false] {
+            for steep in [false, true] {
+                let cfg = MmaConfig { use_direction, d3: 20, ..MmaConfig::small() };
+                let (d0, d2) = (cfg.d0, cfg.d2);
+                let m = Mma::new(net.clone(), planner.clone(), None, cfg);
+                for p in &m.params {
+                    let mut v = p.value();
+                    let (rows, cols) = v.shape();
+                    for r in 0..rows {
+                        for c in 0..cols {
+                            match (c % 4 == 1, (r * cols + c) % 7) {
+                                (true, _) | (false, 0) => v.set(r, c, 0.0),
+                                (false, 3) => v.set(r, c, -0.0),
+                                _ => {}
+                            }
+                        }
+                    }
+                    p.set_value(v);
+                }
+                let poison = |lin: &Linear, hit: &dyn Fn(usize) -> bool| {
+                    let mut v = lin.weight().value();
+                    for r in (0..v.rows()).filter(|&r| hit(r)) {
+                        v.row_mut(r).fill(f64::INFINITY);
+                    }
+                    lin.weight().set_value(v);
+                };
+                let [c1, c2] = m.cand_mlp.layers();
+                poison(c1, &|r| if r < d0 { r % 4 == 1 } else { !use_direction && r < d0 + 4 });
+                poison(c2, &|r| r % 4 == 1);
+                let [a1, a2] = m.attn_mlp.layers();
+                poison(a1, &|r| (r % d2) % 4 == 1);
+                poison(a2, &|r| r % 4 == 1);
+                if steep {
+                    // Scores thousands apart: α underflows to exact zeros,
+                    // the coefficients of the context `α · c_emb`.
+                    a2.weight().set_value(a2.weight().value().map(|x| x * 1e6));
+                }
+                let what = format!("salted, direction {use_direction}, steep {steep}");
+                for s in ds.samples(Split::Test, 0.2, 6).iter().take(3) {
+                    let sets = searched(&m, &s.sparse);
+                    let want = tape_logits(&m, &sets, &s.sparse).concat();
+                    assert!(
+                        want.iter().all(|&b| f64::from_bits(b).is_finite()),
+                        "{what}: a poisoned row was not skipped on the tape"
+                    );
+                    assert_scores_match_tape(&m, &mut ws, &sets, &s.sparse, &what);
+                    if steep {
+                        assert!(ws.alpha.contains(&0.0), "{what}: α has no zero");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dirty_scratch_and_online_pushes_decode_as_the_tape_does() {
+        let (net, planner, ds) = setup();
+        let mut m = Mma::new(net, planner, None, MmaConfig::small());
+        let train: Vec<_> = ds.samples(Split::Train, 0.2, 3).into_iter().take(4).collect();
+        m.train(&train, 1);
+        let tape_match = |traj: &Trajectory| -> Vec<(trmma_roadnet::SegmentId, u64)> {
+            let sets = searched(&m, traj);
+            let mut ws = MmaWorkspace::default();
+            assert_scores_match_tape(&m, &mut ws, &sets, traj, "reference");
+            let matched = m.decode_cached(&mut ws, &sets, traj);
+            matched.iter().map(|p| (p.seg, p.ratio.to_bits())).collect()
+        };
+        let mut scratch = MmaScratch::new();
+        let mut lens = std::collections::BTreeSet::new();
+        for gamma in [0.5, 0.1, 1.0, 0.2] {
+            for s in ds.samples(Split::Test, gamma, 9).iter().take(3) {
+                lens.insert(s.sparse.len());
+                // Offline through the reused scratch.
+                let got: Vec<_> = m
+                    .match_points_with(&mut scratch, &s.sparse)
+                    .iter()
+                    .map(|p| (p.seg, p.ratio.to_bits()))
+                    .collect();
+                assert_eq!(got, tape_match(&s.sparse), "γ {gamma}: offline");
+                // Online through the same scratch: every provisional match
+                // is the last match of the prefix decoded offline.
+                let mut session = m.begin_session();
+                for (i, &p) in s.sparse.points.iter().enumerate() {
+                    let up = m.push_point(&mut scratch, &mut session, p);
+                    let prefix = Trajectory { points: s.sparse.points[..=i].to_vec() };
+                    let want = *tape_match(&prefix).last().unwrap();
+                    let prov = up.provisional.unwrap();
+                    assert_eq!((prov.seg, prov.ratio.to_bits()), want, "γ {gamma}: push {i}");
+                }
+                let fin = m.finalize(&mut scratch, session);
+                assert_eq!(fin, m.match_trajectory(&s.sparse), "γ {gamma}: finalize");
+            }
+        }
+        assert!(lens.len() > 2, "the scratch saw only lengths {lens:?}");
+        assert!(scratch.allocs_avoided() > 0);
+    }
+
+    #[test]
+    fn restore_rejects_candidates_the_decoder_cannot_index() {
+        let (net, planner, ds) = setup();
+        let m = Mma::new(net.clone(), planner, None, MmaConfig::small());
+        let s = &ds.samples(Split::Test, 0.2, 1)[0];
+        let mut scratch = MmaScratch::new();
+        let mut session = m.begin_session();
+        for &p in &s.sparse.points {
+            m.push_point(&mut scratch, &mut session, p);
+        }
+        let encode = |sess: &MmaSession| {
+            let mut bytes = Vec::new();
+            m.snapshot_session(sess, &mut bytes);
+            bytes
+        };
+        // A genuine snapshot round-trips to the bit.
+        let genuine = encode(&session);
+        let back = m.restore_session(&genuine).expect("genuine snapshot");
+        assert_eq!(encode(&back), genuine);
+        assert_eq!(m.finalize(&mut scratch, back), m.match_trajectory(&s.sparse));
+
+        let mut bad_seg = session.clone();
+        bad_seg.cand_sets[0][0].seg = trmma_roadnet::SegmentId((net.num_segments() + 7) as u32);
+        assert_eq!(
+            m.restore_session(&encode(&bad_seg)).err(),
+            Some(SnapshotError::Malformed("candidate segment out of range"))
+        );
+        let mut emptied = session.clone();
+        emptied.cand_sets.last_mut().unwrap().clear();
+        assert_eq!(
+            m.restore_session(&encode(&emptied)).err(),
+            Some(SnapshotError::Malformed("empty candidate layer"))
+        );
     }
 
     #[test]

@@ -51,9 +51,9 @@ impl TrmmaPipeline {
     }
 
     /// Recovers a whole batch in parallel, sharing this pipeline read-only
-    /// across workers and reusing one TRMMA tape per worker (it carries
-    /// each trajectory's encoder pass and decoder-weight bindings; the
-    /// per-point decode runs off it, see
+    /// across workers and reusing one TRMMA `Graph` per worker (it carries
+    /// each trajectory's decoder-weight bindings; the encoder and the
+    /// per-point decode run off it, see
     /// [`Trmma::recover_from_match_with`]). Output `i` equals
     /// `self.recover(&batch[i], epsilon_s)`.
     ///

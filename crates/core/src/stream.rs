@@ -10,8 +10,8 @@
 //! keeping per-trajectory search state warm across updates (Fiedler et
 //! al., 2019); here that state is the per-session decoder
 //! ([`OnlineMatcher::Session`]) plus the per-worker scratch
-//! (`SsspPool`/kNN heaps/autograd tape) every session on that worker
-//! shares.
+//! (`SsspPool`/kNN heaps/forward-only workspace) every session on that
+//! worker shares.
 //!
 //! **Architecture.** [`StreamEngine::new`] spawns `threads` workers, each
 //! owning a bounded command queue, one scratch, and a session table.

@@ -9,7 +9,10 @@ use rand::SeedableRng;
 
 use trmma_baselines::TrainReport;
 use trmma_geom::BBox;
-use trmma_nn::kernels::{add_rows_in_order, matvec_skip_zero, vecmat_skip_zero};
+use trmma_nn::kernels::{
+    add_rows_in_order, matvec_skip_zero, relu_in_place, softmax_in_place, vecmat_skip_zero,
+};
+use trmma_nn::EncoderScratch;
 use trmma_nn::{Adam, Graph, GruCell, Linear, Matrix, Mlp, NodeId, Param, TransformerEncoder};
 use trmma_roadnet::{RoadNetwork, SegmentId};
 use trmma_traj::types::{MatchedPoint, MatchedTrajectory, Route, Trajectory};
@@ -226,6 +229,80 @@ impl Trmma {
         let beta = g.softmax_rows(scores);
         let mix = g.matmul(beta, t);
         g.add(r, mix)
+    }
+
+    /// [`Trmma::encode`] off the tape: `H` as a flat `ℓ_R × dh` buffer,
+    /// every bit the tape's. Weights are read in place, one read lock per
+    /// layer application; the buffers (the encoder workspace included, so
+    /// its positional rows too) are made here, per call.
+    fn encode_flat(
+        &self,
+        traj: &Trajectory,
+        matched: &[MatchedPoint],
+        route: &[SegmentId],
+    ) -> Vec<f64> {
+        let TrmmaConfig { dh, d_emb, .. } = self.cfg;
+        let mut ws = EncoderScratch::default();
+        // Route side (Eq. 12).
+        let mut r1 = vec![0.0; route.len() * dh];
+        self.r_table.gather_rows_into(route.iter().map(|s| s.idx()), dh, &mut r1);
+        let r_bias = self.r_bias.value();
+        for row in r1.chunks_exact_mut(dh) {
+            for (x, &b) in row.iter_mut().zip(r_bias.data()) {
+                *x += b;
+            }
+        }
+        let mut r = self.trans_r.forward_flat(&r1, &mut ws).to_vec();
+        if !self.cfg.use_dualformer {
+            return r;
+        }
+
+        // Trajectory side (Eq. 11): [x, y, t, ratio] ++ emb(segment). The
+        // concatenation is never built: `t_fc`'s sums are carried from the
+        // four features into the embedding part.
+        let w = (self.bbox.max.x - self.bbox.min.x).max(1.0);
+        let hgt = (self.bbox.max.y - self.bbox.min.y).max(1.0);
+        let t0 = traj.points.first().map_or(0.0, |p| p.t);
+        let dur = traj.duration_s().max(1.0);
+        let len = matched.len();
+        let mut feats = Vec::with_capacity(len * 4);
+        for (p, a) in traj.points.iter().zip(matched) {
+            feats.extend_from_slice(&[
+                (p.pos.x - self.bbox.min.x) / w,
+                (p.pos.y - self.bbox.min.y) / hgt,
+                (p.t - t0) / dur,
+                a.ratio,
+            ]);
+        }
+        let mut t_emb = vec![0.0; len * d_emb];
+        self.seg_emb.gather_rows_into(matched.iter().map(|a| a.seg.idx()), d_emb, &mut t_emb);
+        let mut t1 = vec![0.0; len * dh];
+        self.t_fc.accumulate_rows(&feats, 0, 4, &mut t1);
+        self.t_fc.accumulate_rows(&t_emb, 4, d_emb, &mut t1);
+        self.t_fc.add_bias_rows(&mut t1);
+        let t = self.trans_t.forward_flat(&t1, &mut ws);
+
+        // Cross-attention fusion (Eq. 13–14): `β = softmax(R · Tᵀ)` with no
+        // scale, `H = R + β · T`.
+        let mut t_t = vec![0.0; t.len()];
+        for (j, t_row) in t.chunks_exact(dh).enumerate() {
+            for (c, &v) in t_row.iter().enumerate() {
+                t_t[c * len + j] = v;
+            }
+        }
+        let mut beta = vec![0.0; len];
+        let mut mix = vec![0.0; dh];
+        for r_row in r.chunks_exact_mut(dh) {
+            beta.fill(0.0);
+            vecmat_skip_zero(r_row, &t_t, &mut beta);
+            softmax_in_place(&mut beta);
+            mix.fill(0.0);
+            vecmat_skip_zero(&beta, t, &mut mix);
+            for (x, &m) in r_row.iter_mut().zip(&mix) {
+                *x += m;
+            }
+        }
+        r
     }
 
     /// One decoder advance (Fig. 4): previous point plus gap position →
@@ -513,11 +590,14 @@ impl Trmma {
     /// batch engine's per-worker hot path; output is bitwise-identical to
     /// the allocating variant.
     ///
-    /// Only the DualFormer encoder (once per trajectory) and the decoder's
-    /// weight bindings go on the tape. The per-point decode is replayed off
-    /// it on flat slices — a workspace sized once per call, nothing
-    /// allocated or recorded per point — bit for bit what the tape step
-    /// functions record when training (DESIGN.md §14).
+    /// Nothing is recorded on the tape: `g` only holds the decoder's weight
+    /// bindings (one copy per trajectory). The DualFormer encoder and the
+    /// per-point decode are replayed off it on flat slices — workspaces
+    /// sized once per call, nothing allocated or recorded per point — bit
+    /// for bit what `Trmma::encode` and the tape step functions record
+    /// when training (DESIGN.md §14–15). The signature keeps `&mut Graph`,
+    /// so the encoder's workspace (its positional rows included) is made per
+    /// call rather than kept per worker.
     ///
     /// # Panics
     /// Panics unless `epsilon_s` is finite and positive (see
@@ -536,10 +616,21 @@ impl Trmma {
         }
         let segs = &route.segs;
         g.reset();
-        let big_h = self.encode(g, traj, matched, segs);
-        let h0 = g.mean_rows(big_h);
+        let dh = self.cfg.dh;
+        let big_h = self.encode_flat(traj, matched, segs);
+        // `Graph::mean_rows`: column sums in row order, times the reciprocal.
+        let mut h0 = vec![0.0; dh];
+        for row in big_h.chunks_exact(dh) {
+            for (o, &x) in h0.iter_mut().zip(row) {
+                *o += x;
+            }
+        }
+        let inv = 1.0 / segs.len() as f64;
+        for o in &mut h0 {
+            *o *= inv;
+        }
         let geom = RouteGeom::new(&self.net, segs);
-        let mut dec = Decoder::bind(self, g, big_h, h0, &geom);
+        let mut dec = Decoder::bind(self, g, &big_h, h0, &geom);
 
         let mut out: Vec<MatchedPoint> = Vec::new();
         let mut cursor = segs.iter().position(|&s| s == matched[0].seg).unwrap_or(0);
@@ -626,13 +717,6 @@ impl<'a> Dense<'a> {
     }
 }
 
-/// `Graph::relu` in place.
-fn relu(xs: &mut [f64]) {
-    for x in xs {
-        *x = x.max(0.0);
-    }
-}
-
 /// `Graph::sigmoid` on one element.
 fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
@@ -683,13 +767,14 @@ struct Decoder<'a> {
 
 impl<'a> Decoder<'a> {
     /// Binds `model`'s decoder weights on `g` (one copy per trajectory;
-    /// nothing is recorded on `g` after this) and computes the route-side
-    /// prefix `p`.
+    /// nothing else is ever recorded on `g`) and computes the route-side
+    /// prefix `p` of the encoded route `big_h`; `h0` is the initial hidden
+    /// state.
     fn bind(
         model: &Trmma,
         g: &'a mut Graph,
-        big_h: NodeId,
-        h0: NodeId,
+        big_h: &'a [f64],
+        h0: Vec<f64>,
         geom: &'a RouteGeom,
     ) -> Self {
         let gru = model.gru.linears().map(|l| l.bind(g));
@@ -697,7 +782,6 @@ impl<'a> Decoder<'a> {
         let ratio = model.ratio_mlp.layers().map(|l| l.bind(g));
         let g = &*g;
         let dh = model.cfg.dh;
-        let big_h = g.value(big_h).data();
         let cls = cls.map(|ids| Dense::new(g, ids));
         let mut p = vec![0.0; big_h.len()];
         for (p_row, h_row) in p.chunks_exact_mut(dh).zip(big_h.chunks_exact(dh)) {
@@ -712,7 +796,7 @@ impl<'a> Decoder<'a> {
             cls,
             ratio: ratio.map(|ids| Dense::new(g, ids)),
             p,
-            h: g.value(h0).data().to_vec(),
+            h: h0,
             x: vec![0.0; dh + 3],
             gates: vec![0.0; 4 * dh],
             t: vec![0.0; dh * dh],
@@ -786,7 +870,7 @@ impl<'a> Decoder<'a> {
             ];
             vecmat_skip_zero(&feats, w_feats, row);
             l1.add_bias(row);
-            relu(row);
+            relu_in_place(row);
         }
         self.w.fill(0.0);
         matvec_skip_zero(&self.hidden, l2.w, &mut self.w);
@@ -806,15 +890,7 @@ impl<'a> Decoder<'a> {
         let [l1, l2] = self.ratio;
         // ψ = softmax(w), as `Graph::softmax_rows`.
         let psi = &mut self.w[..];
-        let max = psi.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut sum = 0.0;
-        for x in psi.iter_mut() {
-            *x = (*x - max).exp();
-            sum += *x;
-        }
-        for x in psi.iter_mut() {
-            *x /= sum;
-        }
+        softmax_in_place(psi);
         let (h, rest) = self.cat.split_at_mut(dh);
         let (ctx, scalars) = rest.split_at_mut(dh);
         h.copy_from_slice(&self.h);
@@ -826,7 +902,7 @@ impl<'a> Decoder<'a> {
             (gap_m / 1000.0).min(5.0),
         ]);
         l1.forward(&self.cat, &mut self.ratio_hidden);
-        relu(&mut self.ratio_hidden);
+        relu_in_place(&mut self.ratio_hidden);
         let mut pre = [0.0];
         matvec_skip_zero(&self.ratio_hidden, l2.w, &mut pre);
         l2.add_bias(&mut pre);
@@ -1288,6 +1364,75 @@ mod tests {
             }
             lin.weight().set_value(m);
         }
+        // The encoders the same way. The zero columns make exact zeros of
+        // `seg_emb`'s columns (under `t_fc`'s rows `4 + c`), of every
+        // head's queries and values (the queries meet the keys' columns,
+        // the values' zeros come out of `attn · V` under `W_O`'s rows), of
+        // both layer norms' outputs (under `ffn` layer 1 — and under the
+        // next layer's projections, which only a first layer without
+        // positional rows would share) and of the ReLU outputs (under
+        // `ffn` layer 2). `R`'s zero columns also take the cross-attention
+        // skip `r == 0.0`, but what they skip is `T`, an activation, which
+        // cannot be poisoned; likewise `β`'s zeros.
+        let poison = |p: &Param, rows: bool, hit: &dyn Fn(usize) -> bool| {
+            let mut m = p.value();
+            for r in 0..m.rows() {
+                for c in 0..m.cols() {
+                    if hit(if rows { r } else { c }) {
+                        m.set(r, c, f64::INFINITY);
+                    }
+                }
+            }
+            p.set_value(m);
+        };
+        let t_fc = model.t_fc.weight();
+        poison(t_fc, true, &|r| r >= 4 && (r - 4) % 4 == 1);
+        let heads = model.cfg.n_heads;
+        let d_head = dh / heads;
+        for enc in [&model.trans_t, &model.trans_r] {
+            // Per layer: W_Q, W_K, W_V per head, W_O, ln1, ffn, ln2.
+            for layer in enc.params().chunks_exact(3 * heads + 9) {
+                for w_k in &layer[heads..2 * heads] {
+                    poison(w_k, false, &|c| c % 4 == 1);
+                }
+                let [w_o, _, _, w1, _, w2, ..] = &layer[3 * heads..] else {
+                    unreachable!("a transformer layer's parameter list")
+                };
+                poison(w_o, true, &|r| (r % d_head) % 4 == 1);
+                poison(w1, true, &|r| r % 4 == 1);
+                poison(w2, true, &|r| r % 4 == 1);
+            }
+        }
+    }
+
+    /// `β` of Eq. 13 on the tape, formed as [`Trmma::encode`] forms it.
+    fn cross_attention_weights(model: &Trmma, g: &mut Graph, s: &Sample) -> NodeId {
+        let r_ids: Vec<usize> = s.route.segs.iter().map(|e| e.idx()).collect();
+        let r_emb = model.r_table.embed(g, &r_ids);
+        let r_bias = g.param(&model.r_bias);
+        let r1 = g.add_row(r_emb, r_bias);
+        let r = model.trans_r.forward(g, r1);
+        let (w, hgt) = (model.bbox.max.x - model.bbox.min.x, model.bbox.max.y - model.bbox.min.y);
+        let (t0, dur) = (s.sparse.points[0].t, s.sparse.duration_s().max(1.0));
+        let rows: Vec<Vec<f64>> = s
+            .sparse
+            .points
+            .iter()
+            .zip(&s.sparse_truth)
+            .map(|(p, a)| {
+                let (x, y) = (p.pos.x - model.bbox.min.x, p.pos.y - model.bbox.min.y);
+                vec![x / w.max(1.0), y / hgt.max(1.0), (p.t - t0) / dur, a.ratio]
+            })
+            .collect();
+        let feats = g.input(Matrix::from_rows(&rows));
+        let t_ids: Vec<usize> = s.sparse_truth.iter().map(|a| a.seg.idx()).collect();
+        let t_emb = model.seg_emb.embed(g, &t_ids);
+        let t0_mat = g.concat_cols(&[feats, t_emb]);
+        let t1 = model.t_fc.forward(g, t0_mat);
+        let t = model.trans_t.forward(g, t1);
+        let t_t = g.transpose(t);
+        let scores = g.matmul(r, t_t);
+        g.softmax_rows(scores)
     }
 
     #[test]
@@ -1306,6 +1451,12 @@ mod tests {
                     // the coefficients of `ψ · H`.
                     let w9 = model.cls_mlp.layers()[1].weight();
                     w9.set_value(w9.value().map(|x| x * 1e5));
+                    // `T` a thousand times larger: so are the differences
+                    // between `r_i · t_j`, and β underflows the same way.
+                    let trans_t = model.trans_t.params();
+                    for p in &trans_t[trans_t.len() - 2..] {
+                        p.set_value(p.value().map(|x| x * 1e3));
+                    }
                 }
 
                 // The salting reaches the operands it is meant to reach.
@@ -1322,6 +1473,10 @@ mod tests {
                     let w_row = g.transpose(w);
                     let psi = g.softmax_rows(w_row);
                     assert!(g.value(psi).data().contains(&0.0), "ψ has no zero");
+                    if use_dualformer {
+                        let beta = cross_attention_weights(&model, &mut g, s);
+                        assert!(g.value(beta).data().contains(&0.0), "β has no zero");
+                    }
                 }
                 let (traj, matched, route) = truth_inputs(s);
                 let on_tape = model.recover_on_tape(&mut g, traj, matched, &route, ds.epsilon_s);

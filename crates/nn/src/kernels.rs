@@ -84,21 +84,86 @@ pub fn matvec_skip_zero(lhs: &[f64], x: &[f64], out: &mut [f64]) {
 /// concatenated part, in order, against the matching rows of `w` — and
 /// stays bitwise what the single product would have been.
 ///
+/// Columns are independent and only the order *within* a column is fixed,
+/// so the running sums of 16 / 8 / 4 / 1 columns at a time are held in
+/// registers across all `k` instead of re-loaded and re-stored per term.
+/// The skip is decided before the block loops, never inside them (on ReLU
+/// outputs it is a coin-flip branch): a run of coefficients with no zero
+/// goes through a branch-free loop, one with zeros has its non-zero
+/// indices compacted first, in ascending order.
+///
 /// # Panics
 /// Panics if `w.len() != x.len() * out.len()`.
 pub fn vecmat_skip_zero(x: &[f64], w: &[f64], out: &mut [f64]) {
     assert_eq!(w.len(), x.len() * out.len(), "vecmat shape mismatch");
-    if out.is_empty() {
+    let n = out.len();
+    if n == 0 {
         return;
     }
-    for (&a, w_row) in x.iter().zip(w.chunks_exact(out.len())) {
-        if a == 0.0 {
-            continue;
+    // `!=` keeps NaN coefficients, as the `== 0.0` skip does.
+    if x.iter().all(|&a| a != 0.0) {
+        column_blocks(x.iter().copied().zip(w.chunks_exact(n)), out);
+        return;
+    }
+    for (x, w) in x.chunks(COEF_CHUNK).zip(w.chunks(COEF_CHUNK * n)) {
+        let mut live = [0u8; COEF_CHUNK];
+        let mut used = 0;
+        for (k, &a) in x.iter().enumerate() {
+            live[used] = k as u8;
+            used += usize::from(a != 0.0);
         }
-        for (o, &b) in out.iter_mut().zip(w_row) {
-            *o += a * b;
+        let terms = live[..used].iter().map(|&k| {
+            let k = usize::from(k);
+            (x[k], &w[k * n..(k + 1) * n])
+        });
+        column_blocks(terms, out);
+    }
+}
+
+/// Coefficients [`vecmat_skip_zero`] compacts at a time: the index list
+/// lives on the stack, as bytes.
+const COEF_CHUNK: usize = 64;
+
+/// `out[j] += Σ a · row[j]` over `terms` in order, all of them taken, in
+/// column blocks of 16, 8, 4 and 1.
+#[inline(always)]
+fn column_blocks<'a>(terms: impl Iterator<Item = (f64, &'a [f64])> + Clone, out: &mut [f64]) {
+    let n = out.len();
+    let mut j = 0;
+    while j + 16 <= n {
+        column_block::<16>(terms.clone(), j, out);
+        j += 16;
+    }
+    if j + 8 <= n {
+        column_block::<8>(terms.clone(), j, out);
+        j += 8;
+    }
+    if j + 4 <= n {
+        column_block::<4>(terms.clone(), j, out);
+        j += 4;
+    }
+    while j < n {
+        column_block::<1>(terms.clone(), j, out);
+        j += 1;
+    }
+}
+
+/// Columns `j .. j + B` of [`column_blocks`]: the running sums start from
+/// `out` and stay in registers across every term.
+#[inline(always)]
+fn column_block<'a, const B: usize>(
+    terms: impl Iterator<Item = (f64, &'a [f64])>,
+    j: usize,
+    out: &mut [f64],
+) {
+    let mut acc = [0.0; B];
+    acc.copy_from_slice(&out[j..j + B]);
+    for (a, row) in terms {
+        for (s, &b) in acc.iter_mut().zip(&row[j..j + B]) {
+            *s += a * b;
         }
     }
+    out[j..j + B].copy_from_slice(&acc);
 }
 
 /// Column-block width of [`add_rows_in_order`]: eight `f64` accumulators
@@ -142,6 +207,27 @@ pub fn add_rows_in_order(init: &[f64], rows: &[f64], n: usize, out: &mut [f64]) 
                 *a += t;
             }
         }
+    }
+}
+
+/// `Graph::relu` in place.
+pub fn relu_in_place(xs: &mut [f64]) {
+    for x in xs {
+        *x = x.max(0.0);
+    }
+}
+
+/// `Graph::softmax_rows` on one row, in place: max-fold, `(x − max).exp()`
+/// with the running sum in index order, then the division.
+pub fn softmax_in_place(row: &mut [f64]) {
+    let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let mut sum = 0.0;
+    for x in row.iter_mut() {
+        *x = (*x - max).exp();
+        sum += *x;
+    }
+    for x in row.iter_mut() {
+        *x /= sum;
     }
 }
 

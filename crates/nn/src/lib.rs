@@ -13,13 +13,18 @@
 //!   replays the tape in reverse with a hand-written adjoint per op. No
 //!   closures, no reference cycles, trivially testable against finite
 //!   differences (see the `grad_check` tests).
-//! * [`Param`] — persistent learnable state shared across graphs via
-//!   `Rc<RefCell<…>>`; gradients accumulate into the param when the graph
-//!   is back-propagated, and [`Adam`] consumes them.
+//! * [`Param`] — persistent learnable state shared across graphs (and
+//!   across inference threads) via `Arc<RwLock<…>>`; gradients accumulate
+//!   into the param when the graph is back-propagated, and [`Adam`]
+//!   consumes them.
 //! * [`layers`] — the modules the paper uses: [`Linear`], [`Mlp`],
 //!   [`LayerNorm`], [`MultiHeadAttention`], [`TransformerEncoder`] (Eq. 4–6)
 //!   and [`GruCell`] (the decoder of TRMMA), plus sinusoidal positional
-//!   encodings.
+//!   encodings. Each has a tape `forward`; the ones inference runs also
+//!   have a forward-only twin on flat slices ([`Linear::apply_rows`],
+//!   [`TransformerEncoder::forward_flat`] through an [`EncoderScratch`])
+//!   pinned to the tape bit for bit.
+//! * [`kernels`] — the flat-slice loops those twins are built from.
 //!
 //! Everything is deterministic given a seed.
 //!
@@ -52,7 +57,8 @@ pub mod serialize;
 
 pub use graph::{Graph, NodeId};
 pub use layers::{
-    positional_encoding, GruCell, LayerNorm, Linear, Mlp, MultiHeadAttention, TransformerEncoder,
+    positional_encoding, EncoderScratch, GruCell, LayerNorm, Linear, Mlp, MultiHeadAttention,
+    TransformerEncoder,
 };
 pub use matrix::Matrix;
 pub use optim::{Adam, LrSchedule, Sgd};

@@ -13,8 +13,8 @@
 //! decoder state (the Viterbi beam and backpointers for the HMM family, the
 //! accumulated point/candidate history for MMA); the per-worker *scratch*
 //! ([`ScratchMatcher::Scratch`]) holds the reusable search buffers shared by
-//! every session a worker serves (warm Dijkstra pools, kNN heaps, autograd
-//! tapes). Each [`OnlineMatcher::push_point`] returns an [`OnlineUpdate`]:
+//! every session a worker serves (warm Dijkstra pools, kNN heaps, forward
+//! workspaces). Each [`OnlineMatcher::push_point`] returns an [`OnlineUpdate`]:
 //! the *provisional* match of the newest point (what the decoder would
 //! answer if the stream ended now) plus the *stabilized prefix watermark* —
 //! the number of leading points whose final match can no longer change, no
@@ -69,8 +69,8 @@ pub struct OnlineUpdate {
 /// * **Scratch** — per-*worker* search buffers (inherited from
 ///   [`ScratchMatcher`]): one scratch serves every session on that worker,
 ///   exactly as it serves every trajectory in the batch engine. Scratch
-///   contents are pure caches (warm Dijkstra pools, kNN heaps, autograd
-///   tapes) and never influence decoder output.
+///   contents are pure caches (warm Dijkstra pools, kNN heaps, forward
+///   workspaces) and never influence decoder output.
 ///
 /// The contract, property-tested in `tests/props_streaming.rs`:
 ///

@@ -7,7 +7,9 @@
 //!   to the uninterrupted original (and to the offline decode);
 //! * **Envelope integrity** — the versioned/checksummed envelope
 //!   round-trips exactly, and any single corrupted byte or truncation is
-//!   rejected with an error, never a panic or a silent wrong decode;
+//!   rejected with an error, never a panic or a silent wrong decode — and
+//!   so is a payload a sender encoded *correctly* around a candidate the
+//!   decoder could not index, which no checksum catches;
 //! * **Engine handoff** — draining a live engine to snapshots at an
 //!   arbitrary cut point (including sessions snapshotted mid-migration)
 //!   and restoring onto a successor engine finalizes every session
@@ -32,8 +34,9 @@ use trmma::core::{
 };
 use trmma::roadnet::{generate_city, NetworkConfig, RoadNetwork, RoutePlanner};
 use trmma::traj::gen::{generate_trajectory, sparsify, TrajConfig};
+use trmma::traj::snapshot::{put_cand_sets, put_trajectory};
 use trmma::traj::types::Trajectory;
-use trmma::traj::{MapMatcher, OnlineMatcher, Sample};
+use trmma::traj::{Candidate, MapMatcher, OnlineMatcher, Sample, SnapshotError};
 
 /// Generates a city plus a handful of sparse samples from a seed pair.
 fn arbitrary_world(net_seed: u64, traj_seed: u64) -> (Arc<RoadNetwork>, Vec<Sample>) {
@@ -183,6 +186,62 @@ fn assert_handoff_identical<M: OnlineMatcher + 'static>(
             cuts[sid]
         );
     }
+}
+
+/// A well-formed envelope (magic, version, CRC all valid) around an MMA
+/// payload whose candidates the decoder cannot index: a segment id past the
+/// network, or a layer with no candidate to pick. `restore_session` is the
+/// boundary — it must refuse both with a typed error, where the next
+/// `push_point` / `finalize` used to panic.
+#[test]
+fn hostile_mma_payload_in_a_valid_envelope_is_refused() {
+    let (net, samples) = arbitrary_world(3, 11);
+    let planner = Arc::new(RoutePlanner::untrained(&net));
+    let mma = Mma::new(net.clone(), planner, None, MmaConfig::small());
+    let traj = &samples[0].sparse;
+    let mut cand = trmma::traj::CandidateScratch::new();
+    let genuine: Vec<Vec<Candidate>> = traj
+        .points
+        .iter()
+        .map(|p| {
+            let mut row = Vec::new();
+            mma.finder().candidates_into(p.pos, &mut cand, &mut row);
+            row
+        })
+        .collect();
+    let through_envelope = |sets: &[Vec<Candidate>]| {
+        let mut payload = Vec::new();
+        put_trajectory(&mut payload, traj);
+        put_cand_sets(&mut payload, sets);
+        let envelope = SessionSnapshot {
+            session: 7,
+            matcher: mma.name().to_string(),
+            seq: traj.len() as u64,
+            last_t: traj.points.last().unwrap().t,
+            payload,
+        };
+        let decoded = SessionSnapshot::decode(&envelope.encode().expect("envelope encodes"))
+            .expect("the envelope itself is well-formed");
+        decoded.expect_matcher(mma.name()).expect("matcher name preserved");
+        mma.restore_session(&decoded.payload)
+    };
+
+    let restored = through_envelope(&genuine).expect("a genuine payload restores");
+    let mut scratch = trmma::core::MmaScratch::new();
+    assert_eq!(mma.finalize(&mut scratch, restored), mma.match_trajectory(traj));
+
+    let mut bad_seg = genuine.clone();
+    bad_seg[0][0].seg = trmma::roadnet::SegmentId((net.num_segments() + 7) as u32);
+    assert_eq!(
+        through_envelope(&bad_seg).err(),
+        Some(SnapshotError::Malformed("candidate segment out of range"))
+    );
+    let mut emptied = genuine;
+    emptied[traj.len() / 2].clear();
+    assert_eq!(
+        through_envelope(&emptied).err(),
+        Some(SnapshotError::Malformed("empty candidate layer"))
+    );
 }
 
 proptest! {

@@ -14,7 +14,9 @@
 //! * vectorized kernels: the chunked emission kernel, the zero-skipping
 //!   matvec, `argmax` and the row kernels of the tape-free TRMMA decode
 //!   (`vecmat_skip_zero`, `add_rows_in_order`) reproduce their scalar
-//!   references bit for bit.
+//!   references bit for bit — `vecmat_skip_zero`, whose register blocks and
+//!   compacted skip list every learned-model forward now runs through, also
+//!   over every block split × coefficient count × zero pattern.
 
 use proptest::prelude::*;
 
@@ -276,6 +278,74 @@ proptest! {
         let got_bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
         let want_bits: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(got_bits, want_bits);
+    }
+}
+
+/// `vecmat_skip_zero` against the scalar i-k-j loop written out here, over
+/// every output width 1–65 (each split into 16 / 8 / 4-wide blocks and a
+/// tail) × 0–70 coefficients (across the compaction chunk) × no / some / all
+/// coefficients zero. Zeros come in both signs and NaN coefficients are not
+/// zeros; every weight row under a zero coefficient is `+inf`, so taking the
+/// branch-free loop on a row that has a zero turns the sum into NaN; the
+/// cells span six decades, so a compaction that reorders the terms changes
+/// low bits; and the sums start from a non-zero `out` with `-0.0` cells, so
+/// a block that starts from `0.0` is caught (and `-0.0 + 0.0 · b` would flip
+/// a sign). The 70-coefficient case is also carried as a prefix split at
+/// every `k`.
+#[test]
+fn vecmat_blocks_and_skip_list_match_the_scalar_loop() {
+    fn reference(x: &[f64], w: &[f64], out: &mut [f64]) {
+        let n = out.len();
+        for (k, &a) in x.iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                out[j] += a * w[k * n + j];
+            }
+        }
+    }
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let cell = |i: usize| {
+        let mantissa = ((i * 2_654_435_761) % 2_003) as f64 / 1_001.0 - 1.0;
+        mantissa * [1e-3, 1.0, 37.0, 1e3][i % 4]
+    };
+    for n in 1usize..=65 {
+        for count in 0usize..=70 {
+            for zeros in ["none", "some", "all"] {
+                let x: Vec<f64> = (0..count)
+                    .map(|k| match (zeros, (k * 7 + n) % 9) {
+                        ("all", m) if m % 2 == 0 => 0.0,
+                        ("all", _) | ("some", 0 | 4) => -0.0,
+                        ("some", 2 | 5 | 8) => 0.0,
+                        (_, 6) if n % 13 == 0 => f64::NAN,
+                        _ => cell(k + 3 * n),
+                    })
+                    .collect();
+                let w: Vec<f64> = (0..count * n)
+                    .map(|i| if x[i / n] == 0.0 { f64::INFINITY } else { cell(i + count) })
+                    .collect();
+                let start: Vec<f64> = (0..n)
+                    .map(|j| if (j + count) % 5 == 0 { -0.0 } else { cell(j + 11) })
+                    .collect();
+
+                let mut want = start.clone();
+                reference(&x, &w, &mut want);
+                let mut got = start.clone();
+                vecmat_skip_zero(&x, &w, &mut got);
+                assert_eq!(bits(&got), bits(&want), "n {n}, {count} coefficients, {zeros} zero");
+                assert!(zeros == "all" || n % 13 == 0 || got.iter().all(|v| v.is_finite()));
+
+                if count == 70 {
+                    for split in 0..=count {
+                        let mut carried = start.clone();
+                        vecmat_skip_zero(&x[..split], &w[..split * n], &mut carried);
+                        vecmat_skip_zero(&x[split..], &w[split * n..], &mut carried);
+                        assert_eq!(bits(&carried), bits(&want), "n {n}, split at {split}");
+                    }
+                }
+            }
+        }
     }
 }
 
