@@ -60,6 +60,11 @@ pub struct LatticeArena {
     cand_rows: Vec<Vec<Candidate>>,
     f64_rows: Vec<Vec<f64>>,
     usize_rows: Vec<Vec<usize>>,
+    /// The step's transition matrix ([`ViterbiState::advance_matrix_in`]),
+    /// kept apart from the row pools: a pooled row ends up as a lattice
+    /// row that lives as long as its session, and a matrix-sized one
+    /// would hold `|C_{t−1}|` times the memory a score row needs.
+    transitions: Vec<f64>,
     reused: u64,
 }
 
@@ -236,12 +241,16 @@ impl ViterbiState {
     }
 
     /// The per-step update with emissions already computed: `emissions[j]`
-    /// scores `cands[j]` against `p`. This is the innermost form — the
-    /// HMM matchers batch their emission scoring through a vectorized
-    /// kernel and feed the row in here; [`ViterbiState::advance`] /
-    /// [`ViterbiState::advance_in`] evaluate a closure per candidate and
-    /// delegate. Emissions are a pure per-candidate function either way, so
-    /// all three entry points produce bitwise-identical lattices.
+    /// scores `cands[j]` against `p`, and `transition` scores a candidate
+    /// pair given the straight-line displacement from the previous point.
+    /// [`ViterbiState::advance`] / [`ViterbiState::advance_in`] evaluate an
+    /// emission closure per candidate and delegate here. The closure fills
+    /// the transition matrix of [`ViterbiState::advance_matrix_in`] — the
+    /// one update all entry points share — candidate `j` outer, previous
+    /// candidate `k` inner, skipping dead `k`, so it sees exactly the calls
+    /// a pair-by-pair update would make. Emissions are a pure
+    /// per-candidate function either way, so every entry point produces a
+    /// bitwise-identical lattice.
     ///
     /// # Panics
     /// Panics if `emissions.len() != cands.len()`.
@@ -252,6 +261,45 @@ impl ViterbiState {
         cands: Vec<Candidate>,
         emissions: &[f64],
         mut transition: impl FnMut(&Candidate, &Candidate, f64) -> f64,
+    ) {
+        self.advance_matrix_in(
+            arena,
+            p,
+            cands,
+            emissions,
+            |prev, prev_score, cands, straight, tr| {
+                for (j, cj) in cands.iter().enumerate() {
+                    for (k, ck) in prev.iter().enumerate() {
+                        if prev_score[k] != f64::NEG_INFINITY {
+                            tr[k * cands.len() + j] = transition(ck, cj, straight);
+                        }
+                    }
+                }
+            },
+        );
+    }
+
+    /// The per-step update fed a transition matrix. `emissions[j]` scores
+    /// `cands[j]` against `p`. From the second point on, `fill(prev,
+    /// prev_score, cands, straight_m, tr)` is handed the previous layer's
+    /// candidates and scores, this layer's candidates, the straight-line
+    /// distance between the two GPS points and the `prev.len() ×
+    /// cands.len()` matrix `tr`, row-major and all `−∞`. It writes
+    /// `tr[k * cands.len() + j]`, the log transition score `prev[k] →
+    /// cands[j]`, for every row it wants considered. Rows whose previous
+    /// score is `−∞` are never read, so `fill` may skip them; a cell left
+    /// at `−∞` is an impossible transition. When no transition is
+    /// feasible the chain restarts at `p` on its emissions.
+    ///
+    /// # Panics
+    /// Panics if `emissions.len() != cands.len()`.
+    pub fn advance_matrix_in(
+        &mut self,
+        arena: &mut LatticeArena,
+        p: GpsPoint,
+        cands: Vec<Candidate>,
+        emissions: &[f64],
+        fill: impl FnOnce(&[Candidate], &[f64], &[Candidate], f64, &mut [f64]),
     ) {
         assert_eq!(emissions.len(), cands.len(), "one emission per candidate");
         if self.points.is_empty() {
@@ -264,29 +312,33 @@ impl ViterbiState {
         } else {
             let i = self.points.len();
             let straight = p.pos.dist(self.points[i - 1].pos);
-            let prev_cands = &self.cand_sets[i - 1];
             let prev_score = &self.score[i - 1];
+            let m = cands.len();
+            let mut tr = std::mem::take(&mut arena.transitions);
+            tr.clear();
+            tr.resize(prev_score.len() * m, f64::NEG_INFINITY);
+            fill(&self.cand_sets[i - 1], prev_score, &cands, straight, &mut tr);
             let mut s_i = arena.take_f64_row();
-            s_i.resize(cands.len(), f64::NEG_INFINITY);
+            s_i.resize(m, f64::NEG_INFINITY);
             let mut b_i = arena.take_usize_row();
-            b_i.resize(cands.len(), usize::MAX);
-            for (j, cj) in cands.iter().enumerate() {
-                let em = emissions[j];
-                for (k, ck) in prev_cands.iter().enumerate() {
-                    if prev_score[k] == f64::NEG_INFINITY {
+            b_i.resize(m, usize::MAX);
+            for (j, &em) in emissions.iter().enumerate() {
+                for (k, &prev) in prev_score.iter().enumerate() {
+                    if prev == f64::NEG_INFINITY {
                         continue;
                     }
-                    let tr = transition(ck, cj, straight);
-                    if tr == f64::NEG_INFINITY {
+                    let t = tr[k * m + j];
+                    if t == f64::NEG_INFINITY {
                         continue;
                     }
-                    let cand_score = prev_score[k] + tr + em;
+                    let cand_score = prev + t + em;
                     if cand_score > s_i[j] {
                         s_i[j] = cand_score;
                         b_i[j] = k;
                     }
                 }
             }
+            arena.transitions = tr;
             // HMM break: no feasible transition — restart the chain here.
             if s_i.iter().all(|&s| s == f64::NEG_INFINITY) {
                 s_i.clear();
@@ -383,16 +435,32 @@ impl ViterbiState {
         snapshot::put_usize(out, self.watermark);
     }
 
-    /// Rebuilds a lattice serialized by [`ViterbiState::encode_snapshot`].
-    /// The score/backpointer rows reuse the candidate-set lengths as their
-    /// dimensions, so structural inconsistency surfaces as
+    /// Rebuilds a lattice serialized by [`ViterbiState::encode_snapshot`]
+    /// for a network of `num_segments` segments. The score/backpointer rows
+    /// reuse the candidate-set lengths as their dimensions, and every index
+    /// a later [`ViterbiState::decode`], [`ViterbiState::refresh_watermark`]
+    /// or route stitch reads is checked here: a layer has a candidate, a
+    /// candidate names a segment of the network, layer 0's backpointers are
+    /// all restarts, a later layer's restart or name a live (score not
+    /// `−∞`) candidate of the layer below, and its own live entries restart
+    /// all together or not at all — the invariants
+    /// [`ViterbiState::advance_matrix_in`] keeps. Structural inconsistency
+    /// surfaces as
     /// [`SnapshotError::Truncated`]/[`SnapshotError::Malformed`], never as
     /// a panic or an out-of-bounds lattice.
-    pub fn decode_snapshot(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+    pub fn decode_snapshot(r: &mut Reader<'_>, num_segments: usize) -> Result<Self, SnapshotError> {
         let points = snapshot::read_trajectory(r)?.points;
         let cand_sets = snapshot::read_cand_sets(r)?;
         if cand_sets.len() != points.len() {
             return Err(SnapshotError::Malformed("candidate layers != points"));
+        }
+        for layer in &cand_sets {
+            if layer.is_empty() {
+                return Err(SnapshotError::Malformed("empty candidate layer"));
+            }
+            if layer.iter().any(|c| c.seg.idx() >= num_segments) {
+                return Err(SnapshotError::Malformed("candidate segment out of range"));
+            }
         }
         let mut score = Vec::with_capacity(cand_sets.len());
         for set in &cand_sets {
@@ -409,6 +477,26 @@ impl ViterbiState {
                 row.push(r.usize()?);
             }
             back.push(row);
+        }
+        if back.first().is_some_and(|row| row.iter().any(|&b| b != usize::MAX)) {
+            return Err(SnapshotError::Malformed("first-layer back-pointer is not a restart"));
+        }
+        for (below, (row, scores)) in score.iter().zip(back.iter().zip(&score).skip(1)) {
+            let steps = || row.iter().copied().filter(|&b| b != usize::MAX);
+            if steps().any(|b| b >= below.len()) {
+                return Err(SnapshotError::Malformed("back-pointer out of range"));
+            }
+            if steps().any(|b| below[b] == f64::NEG_INFINITY) {
+                return Err(SnapshotError::Malformed("back-pointer to a dead candidate"));
+            }
+            let mut live = row.iter().zip(scores).filter(|&(_, &s)| s != f64::NEG_INFINITY);
+            if let Some((&first, _)) = live.next() {
+                if live.any(|(&b, _)| (b == usize::MAX) != (first == usize::MAX)) {
+                    return Err(SnapshotError::Malformed(
+                        "live back-pointers mix restart and step",
+                    ));
+                }
+            }
         }
         let watermark = r.usize()?;
         if watermark > points.len() {
@@ -515,6 +603,73 @@ mod tests {
             assert!(w <= st.len());
             prev = w;
         }
+    }
+
+    /// The state through its snapshot bytes, for a network of 8 segments.
+    fn restored(st: &ViterbiState) -> Result<ViterbiState, SnapshotError> {
+        let mut bytes = Vec::new();
+        st.encode_snapshot(&mut bytes);
+        let mut r = Reader::new(&bytes);
+        let back = ViterbiState::decode_snapshot(&mut r, 8)?;
+        r.expect_end()?;
+        Ok(back)
+    }
+
+    #[test]
+    fn restore_rejects_lattices_the_decoder_cannot_index() {
+        // Three layers of two; nothing reaches segment 3, so layer 1's
+        // candidate 1 is dead and both of layer 2's point at candidate 0.
+        let mut st = ViterbiState::new();
+        let em = |c: &Candidate| -c.dist_m;
+        let to_3 = |_: &Candidate, to: &Candidate, _| {
+            if to.seg == SegmentId(3) {
+                f64::NEG_INFINITY
+            } else {
+                0.0
+            }
+        };
+        for (i, segs) in [[0, 1], [2, 3], [4, 5]].into_iter().enumerate() {
+            let cands = segs.iter().map(|&s| cand(s, 0.5, f64::from(s))).collect();
+            st.advance(gp(10.0 * i as f64, i as f64), cands, em, to_3);
+        }
+        assert_eq!((st.score[1][1], st.back[2].as_slice()), (f64::NEG_INFINITY, &[0, 0][..]));
+        // Layer 1's dead entry restarts beside a live step: only live
+        // entries must agree.
+        assert_eq!(st.back[1], [0, usize::MAX]);
+
+        // A genuine lattice round-trips to the bit.
+        let back = restored(&st).expect("a genuine lattice restores");
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        st.encode_snapshot(&mut a);
+        back.encode_snapshot(&mut b);
+        assert_eq!(a, b);
+        assert_eq!(back.decode(), st.decode());
+
+        let refused = |edit: &dyn Fn(&mut ViterbiState)| {
+            let mut bad = st.clone();
+            edit(&mut bad);
+            match restored(&bad) {
+                Err(SnapshotError::Malformed(what)) => what,
+                other => panic!("hostile lattice not refused: {other:?}"),
+            }
+        };
+        let empty = |s: &mut ViterbiState| {
+            s.cand_sets[1].clear();
+            s.score[1].clear();
+            s.back[1].clear();
+        };
+        assert_eq!(refused(&empty), "empty candidate layer");
+        assert_eq!(
+            refused(&|s| s.cand_sets[2][1].seg = SegmentId(8 + 7)),
+            "candidate segment out of range"
+        );
+        assert_eq!(refused(&|s| s.back[0][1] = 0), "first-layer back-pointer is not a restart");
+        assert_eq!(refused(&|s| s.back[2][0] = 5), "back-pointer out of range");
+        assert_eq!(refused(&|s| s.back[2][1] = 1), "back-pointer to a dead candidate");
+        assert_eq!(
+            refused(&|s| s.back[2][1] = usize::MAX),
+            "live back-pointers mix restart and step"
+        );
     }
 
     #[test]

@@ -11,18 +11,22 @@
 //!   the chain restarts at that point, the standard HMM-break handling.
 //!
 //! Route distances come from a shared [`TransitionProvider`]
-//! (`trmma-roadnet`): [`HmmMatcher`] reads through a `DistCache` whose
-//! misses run on the caller's pooled Dijkstra state; [`FmmMatcher`] differs
-//! only in attaching a precomputed [`Ubodt`] table, which turns every
-//! lookup into a hash probe. All mutable search state lives in
-//! [`HmmScratch`] — one per batch worker — so the matchers are `Send +
-//! Sync` and parallelise through `trmma_core::batch` with output identical
-//! to the sequential path.
+//! (`trmma-roadnet`), one matrix per lattice step
+//! ([`TransitionProvider::route_dist_matrix`]): [`HmmMatcher`] fills it
+//! with one dense Dijkstra sweep per distinct exit node of the previous
+//! layer, on the caller's pooled state; [`FmmMatcher`] differs only in
+//! attaching a precomputed [`Ubodt`] table, which turns every node pair
+//! into a hash probe. All mutable search state lives in [`HmmScratch`] —
+//! one per batch worker — so the matchers are `Send + Sync` and
+//! parallelise through `trmma_core::batch` with output identical to the
+//! sequential path.
 
 use std::sync::Arc;
 
 use trmma_roadnet::shortest::{NetPos, SsspPool};
-use trmma_roadnet::{DistTable, RoadNetwork, RoutePlanner, ShardedNetwork, TransitionProvider};
+use trmma_roadnet::{
+    DistTable, RoadNetwork, RouteMatrix, RoutePlanner, ShardedNetwork, TransitionProvider,
+};
 use trmma_traj::api::{
     stitch_route, Candidate, CandidateFinder, CandidateScratch, MapMatcher, MatchResult,
 };
@@ -54,19 +58,24 @@ impl Default for HmmConfig {
     }
 }
 
-/// Per-worker mutable state of the HMM matchers: warm Dijkstra buffers for
-/// transition lookups, the candidate-search heaps, the lattice-row arena
-/// and the emission-kernel staging buffers. One scratch serves every
-/// trajectory a batch worker claims; past the first trajectory the
-/// per-point advance path allocates nothing.
+/// Per-worker mutable state of the HMM matchers: the dense Dijkstra sweep
+/// state and the route-matrix buffers of the lattice step, the
+/// candidate-search heaps, the lattice-row arena and the emission-kernel
+/// staging buffers. One scratch serves every trajectory a batch worker
+/// claims; past the first trajectory the per-point advance path allocates
+/// nothing.
 #[derive(Debug, Default)]
 pub struct HmmScratch {
     pool: SsspPool,
+    /// The previous and the current layer as network positions.
+    rows: Vec<NetPos>,
+    cols: Vec<NetPos>,
+    routes: RouteMatrix,
     cand: CandidateScratch,
     arena: LatticeArena,
     /// Gathered `dist_m` column, input of the vectorized emission kernel.
     dists: Vec<f64>,
-    /// The kernel's output row, borrowed by the scored advance.
+    /// The kernel's output row, borrowed by the lattice update.
     em: Vec<f64>,
     /// Points whose staging rows (`dists`/`em`) fit in retained capacity —
     /// two allocations avoided each versus the fresh-per-call path.
@@ -167,34 +176,26 @@ impl HmmMatcher {
         &self.provider
     }
 
-    fn transition_log(
-        &self,
-        pool: &mut SsspPool,
-        from: &Candidate,
-        to: &Candidate,
-        straight_m: f64,
-    ) -> f64 {
-        let a = NetPos::new(from.seg, from.ratio);
-        let b = NetPos::new(to.seg, to.ratio);
-        // Unreachable pairs and malformed segment ids (a typed error from
-        // the provider, never a panic) both score as impossible transitions.
-        match self.provider.route_dist(&self.net, pool, a, b) {
-            Ok(Some(route)) => -(route - straight_m).abs() / self.cfg.beta_m,
-            Ok(None) | Err(_) => f64::NEG_INFINITY,
-        }
+    /// Log transition probability of a candidate pair from its route
+    /// distance and the straight-line displacement between the two GPS
+    /// points. Unreachable pairs and malformed segment ids (`None` from the
+    /// provider, never a panic) both score as impossible transitions.
+    fn transition_score(&self, route: Option<f64>, straight_m: f64) -> f64 {
+        route.map_or(f64::NEG_INFINITY, |route| -(route - straight_m).abs() / self.cfg.beta_m)
     }
 
     /// Advances a resumable decoder by one GPS point: candidate search on
     /// the scratch's kNN buffers, emissions through the chunked Gaussian
-    /// kernel, then the transition update of
-    /// [`ViterbiState::advance_scored_in`] with route distances on the
-    /// scratch's Dijkstra pool and lattice rows from the scratch's arena.
-    /// The one step function shared by the offline decode (which replays a
-    /// whole trajectory through it) and the online path. Every piece is
-    /// bitwise-identical to the naive closure-per-candidate,
-    /// fresh-`Vec`-per-row formulation (`tests/props_tail.rs`).
+    /// kernel, then [`ViterbiState::advance_matrix_in`] fed the step's
+    /// route-distance matrix ([`TransitionProvider::route_dist_matrix`],
+    /// live rows only, on the scratch's pool), with lattice rows from the
+    /// scratch's arena. The one step function shared by the offline decode
+    /// (which replays a whole trajectory through it) and the online path.
+    /// Every piece is bitwise-identical to the naive pair-by-pair,
+    /// closure-per-candidate, fresh-`Vec`-per-row formulation
+    /// (`tests/props_baselines.rs`, `tests/props_tail.rs`).
     fn advance(&self, scratch: &mut HmmScratch, state: &mut ViterbiState, p: GpsPoint) {
-        let HmmScratch { pool, cand, arena, dists, em, staged } = scratch;
+        let HmmScratch { pool, rows, cols, routes, cand, arena, dists, em, staged } = scratch;
         let mut cands = arena.take_cand_row();
         self.finder.candidates_into(p.pos, cand, &mut cands);
         if dists.capacity() >= cands.len() && em.capacity() >= cands.len() {
@@ -203,8 +204,20 @@ impl HmmMatcher {
         dists.clear();
         dists.extend(cands.iter().map(|c| c.dist_m));
         trmma_nn::kernels::gaussian_log_emission_into(dists, self.cfg.sigma_z_m, em);
-        state.advance_scored_in(arena, p, cands, em, |from, to, straight| {
-            self.transition_log(pool, from, to, straight)
+        state.advance_matrix_in(arena, p, cands, em, |prev, prev_score, cands, straight, tr| {
+            let pos = |c: &Candidate| NetPos::new(c.seg, c.ratio);
+            rows.clear();
+            rows.extend(prev.iter().map(pos));
+            cols.clear();
+            cols.extend(cands.iter().map(pos));
+            let live = |k: usize| prev_score[k] != f64::NEG_INFINITY;
+            self.provider.route_dist_matrix(&self.net, pool, rows, cols, live, routes);
+            let m = cands.len();
+            for k in (0..prev.len()).filter(|&k| live(k)) {
+                for j in 0..m {
+                    tr[k * m + j] = self.transition_score(routes.get(k, j), straight);
+                }
+            }
         });
     }
 
@@ -318,7 +331,7 @@ impl OnlineMatcher for HmmMatcher {
 
     fn restore_session(&self, bytes: &[u8]) -> Result<HmmSession, SnapshotError> {
         let mut r = Reader::new(bytes);
-        let state = ViterbiState::decode_snapshot(&mut r)?;
+        let state = ViterbiState::decode_snapshot(&mut r, self.net.num_segments())?;
         r.expect_end()?;
         Ok(HmmSession { state })
     }
@@ -509,17 +522,20 @@ mod tests {
         let (net, planner, _) = setup();
         let hmm = HmmMatcher::new(net.clone(), planner, HmmConfig::default());
         let mut pool = SsspPool::new();
+        let mut routes = RouteMatrix::new();
         // Candidate on a segment, straight-line equal to route distance →
         // detour 0 → transition log 0. A contrived far candidate scores less.
         let e = trmma_roadnet::SegmentId(0);
-        let c_near = Candidate { seg: e, dist_m: 3.0, ratio: 0.2 };
-        let c_next = Candidate { seg: e, dist_m: 4.0, ratio: 0.8 };
+        let near = NetPos::new(e, 0.2);
+        let next = NetPos::new(e, 0.8);
+        hmm.provider.route_dist_matrix(&net, &mut pool, &[near], &[next], |_| true, &mut routes);
         let seg_len = net.segment(e).length;
         let straight = (0.6 * seg_len).abs();
-        let t_direct = hmm.transition_log(&mut pool, &c_near, &c_next, straight);
+        let t_direct = hmm.transition_score(routes.get(0, 0), straight);
         assert!(t_direct > -1e-6, "zero detour should give ~0 log prob");
-        let t_detour = hmm.transition_log(&mut pool, &c_near, &c_next, straight + 500.0);
+        let t_detour = hmm.transition_score(routes.get(0, 0), straight + 500.0);
         assert!(t_detour < t_direct);
+        assert_eq!(hmm.transition_score(None, straight), f64::NEG_INFINITY);
     }
 
     #[test]

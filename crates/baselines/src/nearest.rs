@@ -123,6 +123,10 @@ impl OnlineMatcher for NearestMatcher {
             matched.push(r.matched()?);
         }
         r.expect_end()?;
+        // `finalize` stitches the route through these ids.
+        if matched.iter().any(|m| m.seg.idx() >= self.net.num_segments()) {
+            return Err(SnapshotError::Malformed("matched segment out of range"));
+        }
         Ok(NearestSession { matched })
     }
 }
@@ -147,6 +151,33 @@ mod tests {
     use rand::SeedableRng;
     use trmma_roadnet::{generate_city, NetworkConfig};
     use trmma_traj::gen::{generate_trajectory, sparsify, TrajConfig};
+
+    #[test]
+    fn restore_rejects_a_segment_the_route_stitch_cannot_index() {
+        let net = Arc::new(generate_city(&NetworkConfig::with_size(5, 5, 3)));
+        let matcher = NearestMatcher::new(net.clone(), Arc::new(RoutePlanner::untrained(&net)));
+        let mut session = matcher.begin_session();
+        for (i, seg) in [0u32, 4, 9].into_iter().enumerate() {
+            let p = net.segment(trmma_roadnet::SegmentId(seg)).line.point_at(0.5);
+            matcher.push_point(&mut (), &mut session, GpsPoint { pos: p, t: i as f64 });
+        }
+        let encode = |s: &NearestSession| {
+            let mut bytes = Vec::new();
+            matcher.snapshot_session(s, &mut bytes);
+            bytes
+        };
+        let genuine = encode(&session);
+        let back = matcher.restore_session(&genuine).expect("a genuine session restores");
+        assert_eq!(encode(&back), genuine);
+
+        let mut bad = session.clone();
+        bad.matched[1].seg = trmma_roadnet::SegmentId(net.num_segments() as u32);
+        assert_eq!(
+            matcher.restore_session(&encode(&bad)).err(),
+            Some(SnapshotError::Malformed("matched segment out of range"))
+        );
+        assert_eq!(matcher.finalize(&mut (), back), matcher.finalize(&mut (), session));
+    }
 
     #[test]
     fn nearest_matches_points_and_stitches_route() {

@@ -5,8 +5,8 @@
 //! shortest-path search; FMM beats HMM thanks to the UBODT.
 //!
 //! The baseline rows (Nearest/HMM/FMM) run through the pooled batch engine
-//! (`par_match_pooled`: scoped worker threads, one warm `SsspPool` per
-//! worker, shared `DistCache`/UBODT) — the timing is the parallel
+//! (`par_match_pooled`: scoped worker threads, one reused `SsspPool` per
+//! worker, shared UBODT for FMM) — the timing is the parallel
 //! wall-clock, the output is identical to the sequential per-call API. The
 //! plain `MMA` row stays on the sequential per-call API so the adjacent
 //! `MMA (batch)` row still shows the engine's win over it.

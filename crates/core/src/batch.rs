@@ -19,7 +19,7 @@
 //! holds TRMMA's bound decoder weights — lives in a per-worker scratch
 //! ([`MmaScratch`], [`RecoveryScratch`]) created once per thread and
 //! reused for every trajectory that thread claims. Shared network-distance lookups go
-//! through `DistCache`, whose misses reuse warm Dijkstra state.
+//! through `DistCache`, whose misses run on a reused Dijkstra pool.
 //!
 //! **Determinism.** Inference is a pure function of (model, trajectory), so
 //! results are written back by input index and are bitwise-identical for
@@ -210,7 +210,7 @@ where
 /// [`Mma::match_points_with`], [`Trmma::recover_from_match_with`]).
 /// Network-distance lookups
 /// during post-batch evaluation go through a shared [`DistCache`], whose
-/// misses reuse warm Dijkstra state internally (see [`SsspPool`]).
+/// misses run on a reused Dijkstra pool internally (see [`SsspPool`]).
 ///
 /// [`DistCache`]: trmma_roadnet::shortest::DistCache
 /// [`SsspPool`]: trmma_roadnet::shortest::SsspPool

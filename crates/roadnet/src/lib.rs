@@ -16,10 +16,10 @@
 //!   maximum-likelihood path search over historical segment-transition
 //!   counts with a travel-time fallback;
 //! * [`transition`] — the pooled transition-cost oracle shared by the
-//!   HMM-family matchers: [`TransitionProvider`] answers route distances
-//!   from a precomputed [`DistTable`] (FMM's UBODT) or a shared
-//!   [`shortest::DistCache`] read-through, with all mutable Dijkstra state
-//!   in per-worker [`shortest::SsspPool`]s;
+//!   HMM-family matchers: [`TransitionProvider`] answers a lattice step's
+//!   whole route-distance matrix (or one pair) from a precomputed
+//!   [`DistTable`] (FMM's UBODT), a [`ShardedNetwork`], or Dijkstra sweeps,
+//!   with all mutable Dijkstra state in per-worker [`shortest::SsspPool`]s;
 //! * [`shard`] — grid-tiled partitions of a network ([`ShardedNetwork`])
 //!   with per-shard R-trees, pools and distance tables, stitching
 //!   cross-shard transitions through a boundary-node overlay so decoders
@@ -60,4 +60,4 @@ pub use gen::{generate_city, NetworkConfig};
 pub use graph::{NodeId, RoadClass, RoadNetwork, Segment, SegmentId};
 pub use planner::RoutePlanner;
 pub use shard::{CutStrategy, GridCut, HashCut, Shard, ShardPlan, ShardStats, ShardedNetwork};
-pub use transition::{DistImageError, DistTable, TransitionError, TransitionProvider};
+pub use transition::{DistImageError, DistTable, RouteMatrix, TransitionError, TransitionProvider};

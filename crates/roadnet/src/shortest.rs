@@ -3,21 +3,24 @@
 //! Provides the primitives used throughout the pipeline:
 //!
 //! * early-exit Dijkstra between nodes ([`node_dist`], [`node_path`]),
-//! * bounded single-source sweeps ([`SsspPool::bounded_sssp_into`]) — the
-//!   building block of FMM's upper-bounded origin-destination table,
+//! * one reusable, dense Dijkstra sweep ([`SsspPool`]) that answers many
+//!   targets from one source at once ([`SsspPool::node_dists_into`] — the
+//!   HMM lattice step) or everything within a bound
+//!   ([`SsspPool::bounded_sssp_into`] — FMM's upper-bounded
+//!   origin-destination table),
 //! * network distance between map-matched points ([`matched_dist`]) — the
 //!   `d(a_i, â_i)` of the MAE/RMSE metric (Eq. 22),
-//! * a concurrency-safe memo ([`DistCache`]) so metric evaluation and HMM
-//!   transition probabilities do not recompute identical node pairs.
+//! * a concurrency-safe memo ([`DistCache`]) so metric evaluation does not
+//!   recompute identical node pairs.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, OnceLock, RwLock};
 
-use crate::graph::{NodeId, RoadNetwork, SegmentId};
+use crate::graph::{NodeId, RoadNetwork, Segment, SegmentId};
 
 /// Which edge weight a search should minimise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +33,10 @@ pub enum Weight {
 
 impl Weight {
     fn of(self, net: &RoadNetwork, seg: SegmentId) -> f64 {
-        let s = net.segment(seg);
+        self.of_segment(net.segment(seg))
+    }
+
+    fn of_segment(self, s: &Segment) -> f64 {
         match self {
             Weight::Length => s.length,
             Weight::Time => s.travel_time_s(),
@@ -196,14 +202,11 @@ pub fn node_path_by(
 /// [`CacheStats`] when searches run under a [`DistCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolWork {
-    /// Dijkstra pops that were processed (non-stale heap entries).
+    /// Dijkstra pops that were expanded (settled nodes whose out-edges
+    /// were relaxed).
     pub nodes_expanded: u64,
-    /// Relaxations pushed onto a priority queue.
+    /// Entries pushed onto the priority queue, the source's included.
     pub heap_pushes: u64,
-    /// Queries answered from a retained warm frontier without restarting.
-    pub warm_hits: u64,
-    /// Warm-state and buffer acquisitions served from recycled storage.
-    pub allocs_avoided: u64,
 }
 
 impl PoolWork {
@@ -213,103 +216,45 @@ impl PoolWork {
         PoolWork {
             nodes_expanded: self.nodes_expanded.saturating_sub(earlier.nodes_expanded),
             heap_pushes: self.heap_pushes.saturating_sub(earlier.heap_pushes),
-            warm_hits: self.warm_hits.saturating_sub(earlier.warm_hits),
-            allocs_avoided: self.allocs_avoided.saturating_sub(earlier.allocs_avoided),
         }
     }
 }
 
-/// One retained bounded-Dijkstra execution: the tentative-distance map, the
-/// live frontier, and how far the sweep has provably settled.
-#[derive(Debug, Default)]
-struct WarmState {
-    dist: HashMap<u32, f64>,
-    heap: BinaryHeap<QueueItem>,
-    /// Largest key popped so far. With strictly positive edge weights every
-    /// `dist` entry `<= settled` is final (see [`SsspPool::node_dist_warm`]).
-    settled: f64,
-    /// The heap drained: `dist` holds *all* nodes reachable within the
-    /// pool's `max_cost`; absence now proves unreachability.
-    exhausted: bool,
-    /// LRU clock value of the last query through this state.
-    stamp: u64,
+/// One node's entry in an [`SsspPool`]: its tentative distance, valid for
+/// the sweep whose generation equals `stamp`, and `target == stamp` while
+/// that sweep still has to settle the node for a caller.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    dist: f64,
+    stamp: u32,
+    target: u32,
 }
 
-impl WarmState {
-    fn reset(&mut self, src: u32) {
-        self.dist.clear();
-        self.heap.clear();
-        self.dist.insert(src, 0.0);
-        self.heap.push(QueueItem { dist: 0.0, node: src });
-        self.settled = f64::NEG_INFINITY;
-        self.exhausted = false;
-    }
-}
-
-/// The query context warm frontiers are valid for. Any change of network,
-/// weight, or search radius invalidates every retained frontier: a resumed
-/// sweep must be a bit-exact continuation of the sweep a cold query would
-/// have run, and all three parameters shape that execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WarmKey {
-    net_uid: u64,
-    weight: Weight,
-    max_cost_bits: u64,
-}
-
-/// Retained warm frontiers per pool. Small on purpose: one HMM transition
-/// layer touches `k_candidates` distinct sources (8 by default), so a
-/// few dozen states cover consecutive GPS points with room for overlap
-/// between layers, while keeping worst-case pool memory bounded.
-const WARM_STATES_MAX: usize = 32;
-
-/// Default per-query budget (nodes expanded) for a warm resume before the
-/// query falls back to the plain cold search. A resume never expands more
-/// nodes than the cold search would, so this is a stall guard, not a tuning
-/// knob — see [`SsspPool::set_warm_budget`].
-const WARM_BUDGET_DEFAULT: u64 = 50_000;
-
-/// Reusable single-source shortest-path state: the tentative-distance map
-/// and the priority queue of Dijkstra, kept allocated between searches —
-/// plus a bounded number of *warm frontiers*, each a paused bounded
-/// sweep keyed by its source node that later queries resume instead of
-/// recomputing from scratch.
+/// Reusable single-source shortest-path state: one dense slot per node and
+/// the priority queue of Dijkstra, kept allocated between sweeps.
 ///
-/// Transition lookups in a batch of trajectories run thousands of small
-/// bounded sweeps over the same network; clearing a warm `HashMap` and
-/// `BinaryHeap` is far cheaper than reallocating them per query, and
-/// resuming a paused sweep is cheaper still — an HMM transition layer
-/// queries every previous-layer candidate (the same handful of sources)
-/// against every current-layer candidate, so all but the first lookup per
-/// source land inside an already-settled frontier. [`DistCache`] runs
-/// its searches through a pool, so only cache *misses* pay for a sweep at
-/// all — and even those usually just grow a retained frontier by a few
-/// pops.
-#[derive(Debug)]
+/// A sweep claims a fresh *generation* instead of clearing its slots: a
+/// slot stamped by an earlier sweep reads as unvisited, so a sweep costs
+/// what it touches, not what the network holds. Slots are sized from
+/// `net.num_nodes()` on first use and only ever grow, and a stamp from
+/// another network's sweep is just as stale, so one pool may alternate
+/// between networks and bounds freely. When the generation counter wraps,
+/// every slot is reset once.
+///
+/// Every query is one sweep: [`SsspPool::node_dists_into`] settles a set
+/// of targets from one source and stops once the last one is settled
+/// ([`SsspPool::node_dist`] is its one-target case), and
+/// [`SsspPool::bounded_sssp_into`] settles everything within a bound.
+/// None of them depends on what the pool answered before: with edge
+/// weights `>= 0` a Dijkstra distance is the least fixpoint of
+/// `D(v) = min over (u, v) of fl(D(u) + w)` under the bound, whatever the
+/// pop order, tie order, early exit or target set (DESIGN.md §16).
+#[derive(Debug, Default)]
 pub struct SsspPool {
-    dist: HashMap<u32, f64>,
+    slots: Vec<Slot>,
+    gen: u32,
     heap: BinaryHeap<QueueItem>,
-    warm: HashMap<u32, WarmState>,
-    spare: Vec<WarmState>,
-    key: Option<WarmKey>,
-    clock: u64,
-    budget: u64,
     work: PoolWork,
-}
-
-impl Default for SsspPool {
-    fn default() -> Self {
-        Self {
-            dist: HashMap::new(),
-            heap: BinaryHeap::new(),
-            warm: HashMap::new(),
-            spare: Vec::new(),
-            key: None,
-            clock: 0,
-            budget: WARM_BUDGET_DEFAULT,
-            work: PoolWork::default(),
-        }
-    }
 }
 
 impl SsspPool {
@@ -319,220 +264,129 @@ impl SsspPool {
         Self::default()
     }
 
-    fn clear(&mut self) {
-        self.dist.clear();
-        self.heap.clear();
-    }
-
     /// Cumulative work counters over the pool's lifetime.
     #[must_use]
     pub fn work(&self) -> PoolWork {
         self.work
     }
 
-    /// Caps the nodes a single warm resume or prefetch may expand before
-    /// the query falls back to the plain cold search. Any value (including
-    /// 0, which disables warm resumes entirely) returns bitwise-identical
-    /// answers; the budget only bounds per-query latency.
-    pub fn set_warm_budget(&mut self, budget: u64) {
-        self.budget = budget;
-    }
-
-    /// Drops every retained warm frontier (their buffers are recycled).
-    fn invalidate_warm(&mut self) {
-        let states: Vec<u32> = self.warm.keys().copied().collect();
-        for src in states {
-            if let Some(st) = self.warm.remove(&src) {
-                self.spare.push(st);
-            }
+    /// Claims a fresh generation over `n` nodes and seeds `src` at
+    /// distance 0: no other slot carries the generation, and the heap holds
+    /// `src` alone.
+    fn begin(&mut self, n: usize, src: NodeId) -> u32 {
+        if self.slots.len() < n {
+            self.slots.resize(n, Slot::default());
         }
-        self.key = None;
-    }
-
-    /// Invalidates warm state if `(net, weight, max_cost)` differs from the
-    /// context the current frontiers were built under.
-    fn ensure_key(&mut self, net: &RoadNetwork, weight: Weight, max_cost: f64) {
-        let key = WarmKey { net_uid: net.uid(), weight, max_cost_bits: max_cost.to_bits() };
-        if self.key != Some(key) {
-            self.invalidate_warm();
-            self.key = Some(key);
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            // Wrapped: stamps written 2^32 sweeps ago would read as live.
+            self.slots.fill(Slot::default());
+            self.gen = 1;
         }
+        self.heap.clear();
+        self.slots[src.idx()] = Slot { dist: 0.0, stamp: self.gen, target: 0 };
+        self.heap.push(QueueItem { dist: 0.0, node: src.0 });
+        self.work.heap_pushes += 1;
+        self.gen
     }
 
-    /// Ensures a warm state for `src` exists (creating and LRU-evicting as
-    /// needed) and bumps its LRU stamp. Must be called with the key already
-    /// ensured; the state is then reachable via `self.warm[&src]`.
-    fn touch_warm(&mut self, src: u32) {
-        self.clock += 1;
-        let clock = self.clock;
-        if !self.warm.contains_key(&src) {
-            if self.warm.len() >= WARM_STATES_MAX {
-                // Evict the least-recently-used frontier into the spare list.
-                if let Some(&lru) =
-                    self.warm.iter().min_by_key(|(_, st)| st.stamp).map(|(node, _)| node)
-                {
-                    if let Some(st) = self.warm.remove(&lru) {
-                        self.spare.push(st);
-                    }
-                }
-            }
-            let mut st = if let Some(st) = self.spare.pop() {
-                self.work.allocs_avoided += 1;
-                st
-            } else {
-                WarmState::default()
-            };
-            st.reset(src);
-            self.work.heap_pushes += 1;
-            self.warm.insert(src, st);
-        }
-        let st = self.warm.get_mut(&src).expect("state was just ensured");
-        st.stamp = clock;
-    }
-
-    /// Pops and expands frontier entries of `st` until `stop` says to halt
-    /// or the heap drains. Bit-exact continuation of the cold Dijkstra loop:
-    /// same stale-entry skip, same relaxation order, same `max_cost` gate.
-    /// Returns the popped node that satisfied `stop`, if any.
-    fn advance_frontier(
-        st: &mut WarmState,
-        work: &mut PoolWork,
+    /// The Dijkstra loop of the sweep [`SsspPool::begin`] seeded: pops in
+    /// key order, skips stale entries, and relaxes out-edges into nodes
+    /// `allow` admits while the new distance stays within `max_cost`.
+    /// `settle` sees every settled node once, in pop order, before it is
+    /// expanded, and returns `true` to end the sweep there.
+    fn run(
+        &mut self,
         net: &RoadNetwork,
         weight: Weight,
         max_cost: f64,
-        mut stop: impl FnMut(u32, f64, u64) -> bool,
-    ) -> Option<(u32, f64)> {
-        let mut spent = 0u64;
-        while let Some(QueueItem { dist: d, node }) = st.heap.pop() {
-            if d > *st.dist.get(&node).unwrap_or(&f64::INFINITY) {
+        allow: impl Fn(NodeId) -> bool,
+        mut settle: impl FnMut(u32, &mut Slot) -> bool,
+    ) {
+        let Self { slots, gen, heap, work } = self;
+        let gen = *gen;
+        while let Some(QueueItem { dist: d, node }) = heap.pop() {
+            // Everything popped was pushed, hence stamped, by this sweep.
+            let slot = &mut slots[node as usize];
+            if d > slot.dist {
                 continue; // stale entry superseded by a later relaxation
             }
+            if settle(node, slot) {
+                return;
+            }
             work.nodes_expanded += 1;
-            spent += 1;
             for &seg in net.out_segments(NodeId(node)) {
-                let nd = d + weight.of(net, seg);
-                if nd > max_cost {
+                let s = net.segment(seg);
+                let nd = d + weight.of_segment(s);
+                if nd > max_cost || !allow(s.to) {
                     continue;
                 }
-                let to = net.segment(seg).to.0;
-                if nd < *st.dist.get(&to).unwrap_or(&f64::INFINITY) {
-                    st.dist.insert(to, nd);
-                    st.heap.push(QueueItem { dist: nd, node: to });
+                let slot = &mut slots[s.to.idx()];
+                let known = if slot.stamp == gen { slot.dist } else { f64::INFINITY };
+                if nd < known {
+                    slot.dist = nd;
+                    slot.stamp = gen;
+                    heap.push(QueueItem { dist: nd, node: s.to.0 });
                     work.heap_pushes += 1;
                 }
             }
-            st.settled = d;
-            if stop(node, d, spent) {
-                return Some((node, d));
-            }
-        }
-        st.exhausted = true;
-        st.settled = f64::INFINITY;
-        None
-    }
-
-    /// Early-exit Dijkstra from `src` to `dst` that resumes a retained warm
-    /// frontier for `src` when one exists, growing its settled radius just
-    /// far enough to answer — and starts (then retains) one otherwise.
-    ///
-    /// Answers are bitwise-identical to [`SsspPool::node_dist`] for every
-    /// `(net, src, dst, weight, max_cost, budget)`:
-    ///
-    /// * A retained frontier is a paused execution of the *same* loop the
-    ///   cold search runs (same stale-entry skip, same relaxation order,
-    ///   same bound), so resuming it pops nodes in exactly the order one
-    ///   uninterrupted sweep would. The only divergence from the cold
-    ///   early-exit is that the target's out-edges are relaxed before
-    ///   returning — which is precisely what the uninterrupted sweep does,
-    ///   and relaxations never change already-popped keys.
-    /// * Edge weights are strictly positive, so every tentative distance
-    ///   `<= settled` (the largest popped key) is final: any shorter path
-    ///   would leave through a node with a strictly smaller final distance,
-    ///   which has already been popped and relaxed. Settled map entries are
-    ///   therefore served without any expansion at all.
-    /// * If the resume exceeds the pool's work budget, the query abandons
-    ///   the warm path and runs the ordinary cold search — status-quo cost,
-    ///   same answer; the paused frontier stays valid for later queries.
-    #[must_use]
-    pub fn node_dist_warm(
-        &mut self,
-        net: &RoadNetwork,
-        src: NodeId,
-        dst: NodeId,
-        weight: Weight,
-        max_cost: f64,
-    ) -> Option<f64> {
-        if src == dst {
-            return Some(0.0);
-        }
-        self.ensure_key(net, weight, max_cost);
-        self.touch_warm(src.0);
-        let budget = self.budget;
-        let Self { warm, work, .. } = self;
-        let st = warm.get_mut(&src.0).expect("touch_warm ensured the state");
-        // Already inside the settled radius: the value is final.
-        if let Some(&d) = st.dist.get(&dst.0) {
-            if d <= st.settled {
-                work.warm_hits += 1;
-                return Some(d);
-            }
-        }
-        if st.exhausted {
-            // The sweep ran to its bound; absence proves unreachability.
-            work.warm_hits += 1;
-            return st.dist.get(&dst.0).copied();
-        }
-        if budget == 0 {
-            return self.node_dist(net, src, dst, weight, max_cost);
-        }
-        let found = Self::advance_frontier(st, work, net, weight, max_cost, |node, _, spent| {
-            node == dst.0 || spent >= budget
-        });
-        let exhausted = st.exhausted;
-        match found {
-            Some((node, d)) if node == dst.0 => Some(d),
-            Some(_) => {
-                // Budget exhausted before reaching `dst`: leave the paused
-                // frontier as-is and answer through the cold path.
-                self.node_dist(net, src, dst, weight, max_cost)
-            }
-            None => {
-                debug_assert!(exhausted);
-                None
-            }
         }
     }
 
-    /// Speculatively grows the warm frontier of `src` by up to `extra`
-    /// expansions, so that near-future lookups from `src` land inside the
-    /// settled radius. Purely additive — it only advances the paused sweep
-    /// further along the exact execution it would take anyway, so answers
-    /// of later queries are unchanged. Called by [`DistCache`] when the
-    /// observed miss rate says the frontier keeps coming up short.
-    pub fn prefetch(
+    /// Shortest distances from `src` to every node of `targets` in one
+    /// sweep: `out[i]` becomes [`node_dist`]`(net, src, targets[i], weight,
+    /// max_cost)`, bit for bit. Duplicate targets and `src` itself are
+    /// allowed; the sweep stops as soon as every distinct target is
+    /// settled, and runs to the bound only when one of them is out of
+    /// reach. No targets, no sweep. Node ids must name nodes of `net`.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != targets.len()`.
+    pub fn node_dists_into(
         &mut self,
         net: &RoadNetwork,
         src: NodeId,
+        targets: &[NodeId],
         weight: Weight,
         max_cost: f64,
-        extra: u64,
+        out: &mut [Option<f64>],
     ) {
-        if extra == 0 {
-            return;
+        assert_eq!(out.len(), targets.len(), "one answer per target");
+        let gen = self.begin(net.num_nodes(), src);
+        let mut pending = 0usize;
+        for &t in targets {
+            let slot = &mut self.slots[t.idx()];
+            if slot.target != gen {
+                slot.target = gen;
+                pending += 1;
+            }
         }
-        self.ensure_key(net, weight, max_cost);
-        self.touch_warm(src.0);
-        let Self { warm, work, .. } = self;
-        let st = warm.get_mut(&src.0).expect("touch_warm ensured the state");
-        if !st.exhausted {
-            let _ = Self::advance_frontier(st, work, net, weight, max_cost, |_, _, spent| {
-                spent >= extra
-            });
+        if pending > 0 {
+            self.run(
+                net,
+                weight,
+                max_cost,
+                |_| true,
+                |_, slot| {
+                    if slot.target == gen {
+                        slot.target = 0;
+                        pending -= 1;
+                    }
+                    pending == 0
+                },
+            );
+        }
+        // Every target is settled, or the heap drained and every stamped
+        // node with it: a stamp of this sweep is a final distance.
+        for (o, &t) in out.iter_mut().zip(targets) {
+            let slot = self.slots[t.idx()];
+            *o = (slot.stamp == gen).then_some(slot.dist);
         }
     }
 
-    /// Early-exit Dijkstra from `src` to `dst` reusing the pool's buffers.
-    /// Same contract as [`node_dist`].
+    /// Early-exit Dijkstra from `src` to `dst` on the pool's slots: the
+    /// one-target case of [`SsspPool::node_dists_into`]. Same contract and
+    /// bits as [`node_dist`].
     #[must_use]
     pub fn node_dist(
         &mut self,
@@ -542,35 +396,9 @@ impl SsspPool {
         weight: Weight,
         max_cost: f64,
     ) -> Option<f64> {
-        if src == dst {
-            return Some(0.0);
-        }
-        self.clear();
-        self.dist.insert(src.0, 0.0);
-        self.heap.push(QueueItem { dist: 0.0, node: src.0 });
-        self.work.heap_pushes += 1;
-        while let Some(QueueItem { dist: d, node }) = self.heap.pop() {
-            if node == dst.0 {
-                return Some(d);
-            }
-            if d > *self.dist.get(&node).unwrap_or(&f64::INFINITY) {
-                continue;
-            }
-            self.work.nodes_expanded += 1;
-            for &seg in net.out_segments(NodeId(node)) {
-                let nd = d + weight.of(net, seg);
-                if nd > max_cost {
-                    continue;
-                }
-                let to = net.segment(seg).to.0;
-                if nd < *self.dist.get(&to).unwrap_or(&f64::INFINITY) {
-                    self.dist.insert(to, nd);
-                    self.heap.push(QueueItem { dist: nd, node: to });
-                    self.work.heap_pushes += 1;
-                }
-            }
-        }
-        None
+        let mut out = [None];
+        self.node_dists_into(net, src, &[dst], weight, max_cost, &mut out);
+        out[0]
     }
 
     /// Bounded sweep from `src`: every node reachable within `delta`
@@ -585,31 +413,7 @@ impl SsspPool {
         delta: f64,
         out: &mut Vec<(NodeId, f64)>,
     ) {
-        self.clear();
-        self.dist.insert(src.0, 0.0);
-        self.heap.push(QueueItem { dist: 0.0, node: src.0 });
-        self.work.heap_pushes += 1;
-        while let Some(QueueItem { dist: d, node }) = self.heap.pop() {
-            if d > *self.dist.get(&node).unwrap_or(&f64::INFINITY) {
-                continue;
-            }
-            self.work.nodes_expanded += 1;
-            for &seg in net.out_segments(NodeId(node)) {
-                let nd = d + weight.of(net, seg);
-                if nd > delta {
-                    continue;
-                }
-                let to = net.segment(seg).to.0;
-                if nd < *self.dist.get(&to).unwrap_or(&f64::INFINITY) {
-                    self.dist.insert(to, nd);
-                    self.heap.push(QueueItem { dist: nd, node: to });
-                    self.work.heap_pushes += 1;
-                }
-            }
-        }
-        out.clear();
-        out.extend(self.dist.iter().map(|(&n, &d)| (NodeId(n), d)));
-        out.sort_by_key(|e| e.0);
+        self.bounded_sssp_filtered_into(net, src, weight, delta, |_| true, out);
     }
 
     /// Bounded sweep from `src` restricted to the subgraph induced by the
@@ -628,41 +432,13 @@ impl SsspPool {
         allow: impl Fn(NodeId) -> bool,
         out: &mut Vec<(NodeId, f64)>,
     ) {
-        self.clear();
-        self.dist.insert(src.0, 0.0);
-        self.heap.push(QueueItem { dist: 0.0, node: src.0 });
-        self.work.heap_pushes += 1;
-        while let Some(QueueItem { dist: d, node }) = self.heap.pop() {
-            if d > *self.dist.get(&node).unwrap_or(&f64::INFINITY) {
-                continue;
-            }
-            self.work.nodes_expanded += 1;
-            for &seg in net.out_segments(NodeId(node)) {
-                let nd = d + weight.of(net, seg);
-                if nd > delta {
-                    continue;
-                }
-                let to = net.segment(seg).to.0;
-                if !allow(NodeId(to)) {
-                    continue;
-                }
-                if nd < *self.dist.get(&to).unwrap_or(&f64::INFINITY) {
-                    self.dist.insert(to, nd);
-                    self.heap.push(QueueItem { dist: nd, node: to });
-                    self.work.heap_pushes += 1;
-                }
-            }
-        }
         out.clear();
-        out.extend(self.dist.iter().map(|(&n, &d)| (NodeId(n), d)));
+        self.begin(net.num_nodes(), src);
+        self.run(net, weight, delta, allow, |node, slot| {
+            out.push((NodeId(node), slot.dist));
+            false
+        });
         out.sort_by_key(|e| e.0);
-    }
-
-    /// Whether the pool currently retains a warm frontier for `src`.
-    /// [`DistCache`] eviction consults this to avoid discarding pairs whose
-    /// source still has live settled state.
-    fn has_warm_frontier(&self, src: NodeId) -> bool {
-        self.warm.contains_key(&src.0)
     }
 }
 
@@ -740,28 +516,27 @@ pub fn matched_dist(
 /// adversarial streams — exactly the case it exists for.
 pub const DIST_CACHE_DEFAULT_CAP: usize = 1 << 20;
 
-/// Frontier expansions a stats-driven prefetch may add after a miss; see
-/// [`DistCache::node_dist_pooled`].
-const PREFETCH_EXPANSIONS: u64 = 64;
-
 /// A thread-safe memo of node-to-node shortest distances.
 ///
-/// Both metric evaluation (Eq. 22 is computed for every recovered point) and
-/// HMM transition probabilities hammer the same node pairs; the cache turns
-/// repeated Dijkstra runs into hash lookups. Misses within `max_cost` are
-/// cached as `+∞` so unreachable pairs are not retried.
+/// Metric evaluation (Eq. 22 is computed for every recovered point) and the
+/// per-pair [`crate::TransitionProvider::route_dist`] hammer the same node
+/// pairs; the cache turns repeated Dijkstra runs into hash lookups. Misses
+/// within `max_cost` are cached as `+∞` so unreachable pairs are not
+/// retried. The HMM lattice step does not come here: it asks
+/// [`crate::TransitionProvider::route_dist_matrix`] for a whole step at
+/// once.
+///
+/// A memo keyed by node pair answers for one network and one bound: the
+/// first lookup fixes both, and a lookup under another network or another
+/// `max_cost` panics naming the two.
 ///
 /// Misses run through a caller-supplied [`SsspPool`]
 /// ([`DistCache::node_dist_pooled`] — one pool per batch worker), or through
 /// an internal pool behind a mutex for callers without their own
-/// ([`DistCache::node_dist`]). Either way the miss resumes the pool's warm
-/// frontier for the source node ([`SsspPool::node_dist_warm`]) instead of
-/// sweeping from scratch, and hits touch nothing but the read lock.
+/// ([`DistCache::node_dist`]); hits touch nothing but the read lock.
 ///
 /// The memo is bounded: once [`DistCache::capacity`] pairs are resident,
-/// recording a miss evicts a resident pair first — preferring one whose
-/// source has no live warm frontier in the miss's [`SsspPool`], so the
-/// settled state the prefetcher paid for keeps earning hits. Distances are
+/// recording a miss evicts an arbitrary resident pair first. Distances are
 /// a pure function of the network, so an evicted pair simply recomputes to
 /// the identical value on its next miss — eviction affects cost, never
 /// answers.
@@ -769,14 +544,14 @@ const PREFETCH_EXPANSIONS: u64 = 64;
 pub struct DistCache {
     map: RwLock<HashMap<(u32, u32), f64>>,
     pool: Mutex<SsspPool>,
+    /// `(net.uid(), max_cost.to_bits())` of the first lookup.
+    key: OnceLock<(u64, u64)>,
     cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    warm_hits: AtomicU64,
     nodes_expanded: AtomicU64,
     heap_pushes: AtomicU64,
-    allocs_avoided: AtomicU64,
 }
 
 impl Default for DistCache {
@@ -787,26 +562,22 @@ impl Default for DistCache {
 
 /// Work and hit/miss counters of a [`DistCache`]; see [`DistCache::stats`].
 ///
-/// Beyond the original hit/miss pair, the counters attribute where miss
-/// work actually went, so a tail regression is diagnosable from a committed
-/// bench artifact alone: `warm_hits` says how many misses never ran a
-/// sweep, `nodes_expanded`/`heap_pushes` say how big the sweeps that did
-/// run were, and `evictions` says whether the memo is thrashing its bound.
+/// Beyond the hit/miss pair, the counters attribute where miss work went:
+/// `nodes_expanded`/`heap_pushes` say how big the sweeps were, and
+/// `evictions` says whether the memo is thrashing its bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the memo.
     pub hits: u64,
     /// Lookups that went to a Dijkstra pool.
     pub misses: u64,
-    /// Misses answered from an already-settled warm frontier.
+    /// Always 0: misses answered from a retained warm frontier, a mechanism
+    /// since removed (DESIGN.md §10). Kept for readers of the counter.
     pub warm_hits: u64,
-    /// Dijkstra nodes expanded by misses (cold sweeps + warm resumes +
-    /// prefetch).
+    /// Dijkstra nodes expanded by misses.
     pub nodes_expanded: u64,
     /// Priority-queue pushes performed by misses.
     pub heap_pushes: u64,
-    /// Warm-state acquisitions served from recycled buffers.
-    pub allocs_avoided: u64,
     /// Pairs evicted to keep the memo within its capacity.
     pub evictions: u64,
 }
@@ -832,14 +603,13 @@ impl DistCache {
         Self {
             map: RwLock::new(HashMap::new()),
             pool: Mutex::new(SsspPool::new()),
+            key: OnceLock::new(),
             cap: cap.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
             nodes_expanded: AtomicU64::new(0),
             heap_pushes: AtomicU64::new(0),
-            allocs_avoided: AtomicU64::new(0),
         }
     }
 
@@ -849,7 +619,26 @@ impl DistCache {
         self.cap
     }
 
+    /// Fixes the cache's network and bound on the first lookup and holds
+    /// every later one to them: a pair memoised under one cannot answer
+    /// for another.
+    fn check_key(&self, net: &RoadNetwork, max_cost: f64) {
+        let asked = (net.uid(), max_cost.to_bits());
+        let held = *self.key.get_or_init(|| asked);
+        assert!(
+            held == asked,
+            "DistCache holds network {} under bound {} but was asked about network {} under \
+             bound {max_cost}",
+            held.0,
+            f64::from_bits(held.1),
+            asked.0,
+        );
+    }
+
     /// Cached shortest length-weighted distance between nodes.
+    ///
+    /// # Panics
+    /// Panics if an earlier lookup used another network or `max_cost`.
     #[must_use]
     pub fn node_dist(
         &self,
@@ -858,14 +647,12 @@ impl DistCache {
         dst: NodeId,
         max_cost: f64,
     ) -> Option<f64> {
-        if let Some(&d) = self.map.read().expect("dist cache poisoned").get(&(src.0, dst.0)) {
-            self.hits.fetch_add(1, AtomicOrdering::Relaxed);
-            return if d.is_finite() { Some(d) } else { None };
+        self.check_key(net, max_cost);
+        if let Some(d) = self.hit(src, dst) {
+            return d;
         }
         let mut pool = self.pool.lock().expect("sssp pool poisoned");
-        let d = self.miss_via(net, src, dst, max_cost, &mut pool);
-        self.record_miss(src, dst, d, &pool);
-        d
+        self.miss_via(net, src, dst, max_cost, &mut pool)
     }
 
     /// Cached shortest length-weighted distance between nodes, running any
@@ -878,12 +665,8 @@ impl DistCache {
     /// function of the network, so racing misses on the same pair insert
     /// the same value — answers never depend on interleaving.
     ///
-    /// When the cache's lifetime miss rate is high (a cold stream, or a
-    /// session moving into unmapped territory), a miss additionally
-    /// prefetches: it grows the warm frontier of `src` by a bounded number
-    /// of expansions so the next lookups from the same source settle
-    /// without any sweep. Prefetching only advances the exact execution a
-    /// later query would run anyway, so answers never change.
+    /// # Panics
+    /// Panics if an earlier lookup used another network or `max_cost`.
     #[must_use]
     pub fn node_dist_pooled(
         &self,
@@ -893,17 +676,22 @@ impl DistCache {
         max_cost: f64,
         pool: &mut SsspPool,
     ) -> Option<f64> {
-        if let Some(&d) = self.map.read().expect("dist cache poisoned").get(&(src.0, dst.0)) {
-            self.hits.fetch_add(1, AtomicOrdering::Relaxed);
-            return if d.is_finite() { Some(d) } else { None };
+        self.check_key(net, max_cost);
+        if let Some(d) = self.hit(src, dst) {
+            return d;
         }
-        let d = self.miss_via(net, src, dst, max_cost, pool);
-        self.record_miss(src, dst, d, pool);
-        d
+        self.miss_via(net, src, dst, max_cost, pool)
     }
 
-    /// Runs a miss through `pool`'s warm path, folding the pool's work
-    /// delta into the cache counters and prefetching when miss-heavy.
+    /// The memoised answer for `src → dst`, counted as a hit, if resident.
+    fn hit(&self, src: NodeId, dst: NodeId) -> Option<Option<f64>> {
+        let d = *self.map.read().expect("dist cache poisoned").get(&(src.0, dst.0))?;
+        self.hits.fetch_add(1, AtomicOrdering::Relaxed);
+        Some(d.is_finite().then_some(d))
+    }
+
+    /// Runs a miss through `pool`, folds the pool's work delta into the
+    /// cache counters and memoises the answer.
     fn miss_via(
         &self,
         net: &RoadNetwork,
@@ -913,52 +701,21 @@ impl DistCache {
         pool: &mut SsspPool,
     ) -> Option<f64> {
         let before = pool.work();
-        let d = pool.node_dist_warm(net, src, dst, Weight::Length, max_cost);
-        // Stats-driven prefetch: while misses dominate lookups the settled
-        // radius keeps coming up short, so buy the *next* lookup from this
-        // source with a few more expansions now. As hits take over, the
-        // ratio flips and the speculation stops.
-        let hits = self.hits.load(AtomicOrdering::Relaxed);
-        let misses = self.misses.load(AtomicOrdering::Relaxed);
-        if misses >= hits {
-            pool.prefetch(net, src, Weight::Length, max_cost, PREFETCH_EXPANSIONS);
-        }
+        let d = pool.node_dist(net, src, dst, Weight::Length, max_cost);
         let delta = pool.work().since(&before);
-        self.warm_hits.fetch_add(delta.warm_hits, AtomicOrdering::Relaxed);
         self.nodes_expanded.fetch_add(delta.nodes_expanded, AtomicOrdering::Relaxed);
         self.heap_pushes.fetch_add(delta.heap_pushes, AtomicOrdering::Relaxed);
-        self.allocs_avoided.fetch_add(delta.allocs_avoided, AtomicOrdering::Relaxed);
-        d
-    }
-
-    /// Probes per eviction when searching for a victim whose source has no
-    /// live warm frontier. Bounded so a cache full of warm-source pairs
-    /// degrades to arbitrary eviction instead of an O(cap) scan per miss.
-    const EVICTION_PROBES: usize = 64;
-
-    fn record_miss(&self, src: NodeId, dst: NodeId, d: Option<f64>, pool: &SsspPool) {
         self.misses.fetch_add(1, AtomicOrdering::Relaxed);
         let mut map = self.map.write().expect("dist cache poisoned");
         if !map.contains_key(&(src.0, dst.0)) && map.len() >= self.cap {
-            // Any victim is sound: a re-miss recomputes the identical value
-            // (distances are a pure function of the network), so the policy
-            // only shapes cost. Prefer a victim whose source has no live
-            // warm frontier in the missing pool — evicting a warm-source
-            // pair discards exactly the lookup its retained frontier (which
-            // the prefetcher may just have paid to grow) would answer for
-            // free on the re-miss.
-            let victim = map
-                .keys()
-                .take(Self::EVICTION_PROBES)
-                .find(|&&(s, _)| !pool.has_warm_frontier(NodeId(s)))
-                .or_else(|| map.keys().next())
-                .copied();
-            if let Some(victim) = victim {
+            // Any victim is sound: a re-miss recomputes the identical value.
+            if let Some(victim) = map.keys().next().copied() {
                 map.remove(&victim);
                 self.evictions.fetch_add(1, AtomicOrdering::Relaxed);
             }
         }
         map.insert((src.0, dst.0), d.unwrap_or(f64::INFINITY));
+        d
     }
 
     /// Counters so far. `hits + misses` equals the number of lookups;
@@ -969,10 +726,9 @@ impl DistCache {
         CacheStats {
             hits: self.hits.load(AtomicOrdering::Relaxed),
             misses: self.misses.load(AtomicOrdering::Relaxed),
-            warm_hits: self.warm_hits.load(AtomicOrdering::Relaxed),
+            warm_hits: 0,
             nodes_expanded: self.nodes_expanded.load(AtomicOrdering::Relaxed),
             heap_pushes: self.heap_pushes.load(AtomicOrdering::Relaxed),
-            allocs_avoided: self.allocs_avoided.load(AtomicOrdering::Relaxed),
             evictions: self.evictions.load(AtomicOrdering::Relaxed),
         }
     }
@@ -1131,17 +887,47 @@ mod tests {
     fn dist_cache_hits() {
         let net = line3();
         let cache = DistCache::new();
-        let d1 = cache.node_dist(&net, NodeId(0), NodeId(2), 1e9).unwrap();
-        let d2 = cache.node_dist(&net, NodeId(0), NodeId(2), 1e9).unwrap();
+        let d1 = cache.node_dist(&net, NodeId(0), NodeId(1), 150.0).unwrap();
+        let d2 = cache.node_dist(&net, NodeId(0), NodeId(1), 150.0).unwrap();
         assert_eq!(d1, d2);
         assert_eq!(cache.len(), 1);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert!(stats.nodes_expanded > 0, "a miss must account its sweep");
         // Unreachable-within-bound is cached as a miss, not retried forever.
-        assert!(cache.node_dist(&net, NodeId(2), NodeId(0), 0.0).is_none());
+        assert!(cache.node_dist(&net, NodeId(0), NodeId(2), 150.0).is_none());
+        assert!(cache.node_dist(&net, NodeId(0), NodeId(2), 150.0).is_none());
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().total(), 3);
+        assert_eq!((cache.stats().hits, cache.stats().total()), (2, 4));
+    }
+
+    /// A 6×6 city. Node 0 → 20 is `None` within 10 m and ≈ 842 m
+    /// unbounded on seed 3, ≈ 1 057 m on seed 4.
+    fn city(seed: u64) -> RoadNetwork {
+        crate::gen::generate_city(&crate::gen::NetworkConfig::with_size(6, 6, seed))
+    }
+
+    #[test]
+    #[should_panic(expected = "under bound 10 but was asked about network")]
+    fn dist_cache_refuses_a_second_bound() {
+        let net = city(3);
+        let cache = DistCache::new();
+        assert_eq!(cache.node_dist(&net, NodeId(0), NodeId(20), 10.0), None);
+        assert!(node_dist(&net, NodeId(0), NodeId(20), Weight::Length, 1e9).is_some());
+        // The memoised `None` must not answer for the wider bound.
+        let _ = cache.node_dist(&net, NodeId(0), NodeId(20), 1e9);
+    }
+
+    #[test]
+    #[should_panic(expected = "DistCache holds network")]
+    fn dist_cache_refuses_a_second_network() {
+        let (a, b) = (city(3), city(4));
+        let cache = DistCache::new();
+        let mut pool = SsspPool::new();
+        let on_a = cache.node_dist_pooled(&a, NodeId(0), NodeId(20), 1e9, &mut pool);
+        assert_ne!(on_a, node_dist(&b, NodeId(0), NodeId(20), Weight::Length, 1e9));
+        // Network `a`'s pair must not answer for network `b`.
+        let _ = cache.node_dist_pooled(&b, NodeId(0), NodeId(20), 1e9, &mut pool);
     }
 
     #[test]
@@ -1160,129 +946,33 @@ mod tests {
     }
 
     #[test]
-    fn warm_node_dist_bitwise_identical_to_cold() {
-        // Resumed frontiers, settled-map hits, exhausted sweeps, repeated and
-        // interleaved sources: every answer must be bit-for-bit the cold one.
-        let net = crate::gen::generate_city(&crate::gen::NetworkConfig::with_size(9, 9, 21));
-        let m = net.num_nodes() as u32;
-        let mut pool = SsspPool::new();
-        for max_cost in [250.0, 900.0, f64::INFINITY] {
-            for q in 0..120u32 {
-                // A few sources, many targets — the transition-layer shape.
-                let src = NodeId((q / 10) * 7 % m);
-                let dst = NodeId((q * 13 + 5) % m);
-                let warm = pool.node_dist_warm(&net, src, dst, Weight::Length, max_cost);
-                let cold = node_dist(&net, src, dst, Weight::Length, max_cost);
-                assert_eq!(
-                    warm.map(f64::to_bits),
-                    cold.map(f64::to_bits),
-                    "{src:?}->{dst:?} bound {max_cost}"
-                );
-            }
-        }
-        let w = pool.work();
-        assert!(w.warm_hits > 0, "repeated sources must hit the warm frontier");
-    }
-
-    #[test]
-    fn warm_budget_zero_and_tiny_still_identical() {
-        let net = crate::gen::generate_city(&crate::gen::NetworkConfig::with_size(8, 8, 5));
-        let m = net.num_nodes() as u32;
-        for budget in [0u64, 1, 3, 1_000_000] {
-            let mut pool = SsspPool::new();
-            pool.set_warm_budget(budget);
-            for q in 0..60u32 {
-                let src = NodeId((q / 6) % m);
-                let dst = NodeId((q * 11 + 2) % m);
-                let warm = pool.node_dist_warm(&net, src, dst, Weight::Length, f64::INFINITY);
-                let cold = node_dist(&net, src, dst, Weight::Length, f64::INFINITY);
-                assert_eq!(warm.map(f64::to_bits), cold.map(f64::to_bits), "budget {budget}");
-            }
-        }
-    }
-
-    #[test]
-    fn prefetch_never_changes_answers() {
-        let net = crate::gen::generate_city(&crate::gen::NetworkConfig::with_size(7, 7, 9));
-        let m = net.num_nodes() as u32;
-        let mut pool = SsspPool::new();
-        for q in 0..40u32 {
-            let src = NodeId((q % 5) * 3 % m);
-            pool.prefetch(&net, src, Weight::Length, f64::INFINITY, (q % 7 + 1) as u64 * 4);
-            let dst = NodeId((q * 17 + 1) % m);
-            let warm = pool.node_dist_warm(&net, src, dst, Weight::Length, f64::INFINITY);
-            let cold = node_dist(&net, src, dst, Weight::Length, f64::INFINITY);
-            assert_eq!(warm.map(f64::to_bits), cold.map(f64::to_bits));
-        }
-    }
-
-    #[test]
-    fn warm_state_is_invalidated_across_networks_and_bounds() {
-        // Same node ids, different graphs/bounds: retained frontiers must
-        // never leak across. Network A is the 3-node line, network B a city.
-        let a = line3();
-        let b = crate::gen::generate_city(&crate::gen::NetworkConfig::with_size(6, 6, 3));
-        let mut pool = SsspPool::new();
-        for _ in 0..3 {
-            let wa = pool.node_dist_warm(&a, NodeId(0), NodeId(2), Weight::Length, 1e9);
-            assert_eq!(wa, node_dist(&a, NodeId(0), NodeId(2), Weight::Length, 1e9));
-            let wb = pool.node_dist_warm(&b, NodeId(0), NodeId(2), Weight::Length, 1e9);
-            assert_eq!(wb, node_dist(&b, NodeId(0), NodeId(2), Weight::Length, 1e9));
-            // Changing only the bound also invalidates (bounds shape sweeps).
-            let tight = pool.node_dist_warm(&a, NodeId(0), NodeId(2), Weight::Length, 150.0);
-            assert_eq!(tight, None);
-        }
-    }
-
-    #[test]
-    fn eviction_skips_entries_with_live_warm_frontiers() {
-        // Regression for the arbitrary-victim eviction: a cap-triggered
-        // eviction storm must not discard pairs whose source still has a
-        // retained (possibly prefetch-grown) frontier in the pool.
-        let net = crate::gen::generate_city(&crate::gen::NetworkConfig::with_size(8, 8, 77));
-        let m = net.num_nodes() as u32;
-        assert!(m > 40, "test network too small for the warm-LRU aging loop");
-        let cache = DistCache::with_capacity(2);
-        let mut pool = SsspPool::new();
-        let (s, x) = (NodeId(0), NodeId(1));
-        let (a, b) = (NodeId(2), NodeId(3));
+    fn generation_wrap_leaks_no_stale_stamp() {
+        // The first sweep (generation 1) settles node 0 at distance 0; the
+        // next two touch nothing but their own source (bound 0). The fourth
+        // runs as generation 1 again and asks for node 0 from the far
+        // corner: were the first sweep's stamps still readable, node 0
+        // would already hold 0, nothing could relax into it, and the answer
+        // would be `Some(0.0)`.
+        let net = city(3);
+        let far = NodeId(net.num_nodes() as u32 - 1);
         let inf = f64::INFINITY;
-        // Resident pair 1: source S, whose miss leaves a warm frontier;
-        // exhaust it so every later S lookup is a pure warm hit.
-        let _ = cache.node_dist_pooled(&net, s, a, inf, &mut pool);
-        pool.prefetch(&net, s, Weight::Length, inf, 1_000_000);
-        // Resident pair 2: source X. The cache is now at capacity.
-        let _ = cache.node_dist_pooled(&net, x, b, inf, &mut pool);
-        // Age X out of the bounded warm LRU with filler sources, then
-        // re-touch S so it is the one resident source with a live frontier.
-        let (mut filler, mut aged) = (3u32, 0);
-        while aged < 33 {
-            filler += 1;
-            let f = NodeId(filler % m);
-            let _ = pool.node_dist_warm(&net, f, s, Weight::Length, inf);
-            aged += 1;
-        }
-        pool.prefetch(&net, s, Weight::Length, inf, 1_000_000);
-        assert!(pool.has_warm_frontier(s));
-        assert!(!pool.has_warm_frontier(x), "X should have aged out of the warm LRU");
-        // The storm: a miss on the full cache must evict — and must pick
-        // X's pair, never S's, because S's frontier is live.
-        let before = cache.stats();
-        let _ = cache.node_dist_pooled(&net, NodeId(4), NodeId(5), inf, &mut pool);
-        let evicted = cache.stats();
-        assert_eq!(evicted.evictions, before.evictions + 1);
-        // S's pair survived: the re-query is a map hit, not a new miss.
-        let _ = cache.node_dist_pooled(&net, s, a, inf, &mut pool);
-        let after = cache.stats();
-        assert_eq!(after.hits, evicted.hits + 1, "warm-source pair was evicted");
-        assert_eq!(after.misses, evicted.misses);
-        // And S's frontier still answers fresh S lookups without a sweep:
-        // warm_hits must not regress across the eviction storm.
-        let _ = cache.node_dist_pooled(&net, s, NodeId(6), inf, &mut pool);
-        assert!(
-            cache.stats().warm_hits > after.warm_hits,
-            "warm_hits regressed after the eviction storm"
-        );
+        let queries =
+            [(NodeId(0), far, inf), (NodeId(1), NodeId(2), 0.0), (NodeId(2), NodeId(1), 0.0)];
+        let last = (far, NodeId(0), inf);
+        let mut pool = SsspPool::new();
+        let check = |pool: &mut SsspPool, (s, d, bound): (NodeId, NodeId, f64)| {
+            let got = pool.node_dist(&net, s, d, Weight::Length, bound);
+            let want = node_dist(&net, s, d, Weight::Length, bound);
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{s:?}->{d:?} ≤ {bound}");
+        };
+        check(&mut pool, queries[0]);
+        check(&mut pool, queries[1]);
+        // Jump to the brink: the last two sweeps run as u32::MAX and 1.
+        pool.gen = u32::MAX - 1;
+        check(&mut pool, queries[2]);
+        check(&mut pool, last);
+        assert_eq!(pool.gen, 1);
+        assert!(node_dist(&net, far, NodeId(0), Weight::Length, inf).is_some_and(|d| d > 0.0));
     }
 
     #[test]

@@ -3,29 +3,40 @@
 //! Every probabilistic matcher in the repository evaluates the same hot
 //! expression for each candidate transition: the network route distance
 //! between two on-segment positions. This module centralises that lookup
-//! behind [`TransitionProvider`], which answers from (in order):
+//! behind [`TransitionProvider`], which asks for node-to-node distances
+//! from (in order):
 //!
 //! 1. a **precomputed bounded all-pairs table** ([`DistTable`] — FMM's
 //!    UBODT), when one is attached: a hash lookup, no search at all;
 //! 2. a **sharded network** ([`crate::shard::ShardedNetwork`]), when one
 //!    is attached: the distance decomposes into intra-shard table hops
 //!    plus a boundary-overlay lookup — still pure lookups, no search;
-//! 3. otherwise a **shared [`DistCache`] read-through**: hits are hash
-//!    lookups, misses run an early-exit Dijkstra on the *caller's*
-//!    [`SsspPool`], so batch workers search concurrently on warm buffers
-//!    while publishing results to every other worker.
+//! 3. otherwise **Dijkstra on the caller's [`SsspPool`]**.
+//!
+//! The HMM lattice step asks one question per step,
+//! [`TransitionProvider::route_dist_matrix`]: the whole previous-layer ×
+//! current-layer matrix. It deduplicates the rows' exit nodes and the
+//! columns' entry nodes — candidates of one GPS point share them — fills
+//! that small node × node block in one pass of the backend (one dense
+//! multi-target sweep per distinct exit node on the Dijkstra backend), and
+//! assembles every cell with [`TransitionProvider::route_dist`]'s
+//! expressions. Other callers ask per pair through
+//! [`TransitionProvider::route_dist`], whose Dijkstra backend reads through
+//! a shared [`DistCache`].
 //!
 //! The provider itself is immutable and `Send + Sync`; all mutable search
 //! state lives in the per-worker pool the caller passes in. Answers are a
 //! pure function of the network, so output is bitwise-identical no matter
-//! how many workers share one provider or how queries interleave
-//! (property-tested in `tests/props_baselines.rs`).
+//! how many workers share one provider, how queries interleave, or whether
+//! a pair was asked alone or inside a matrix (property-tested in
+//! `tests/props_baselines.rs`).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::graph::{NodeId, RoadNetwork, SegmentId};
+use crate::shard::ShardedNetwork;
 use crate::shortest::{CacheStats, DistCache, NetPos, SsspPool, Weight};
 
 /// Why a byte image could not be adopted as a [`DistTable`].
@@ -102,7 +113,7 @@ enum Repr {
 /// length `delta`, the exact network distance. This is the construction
 /// routine shared by FMM's UBODT (`trmma-baselines::ubodt`) and anything
 /// else that wants precomputed transitions; building runs one bounded
-/// Dijkstra sweep per node through a single warm [`SsspPool`].
+/// Dijkstra sweep per node through a single reused [`SsspPool`].
 ///
 /// A table can also be **adopted zero-copy** from a precomputed byte image
 /// ([`DistTable::from_image`]): queries then binary-search the packed
@@ -280,36 +291,39 @@ pub struct TransitionProvider {
     cache: Arc<DistCache>,
     table: Option<Arc<DistTable>>,
     /// Sharded backend: node distances decompose into intra-shard tables
-    /// plus the boundary overlay (see [`crate::shard::ShardedNetwork`]).
-    /// Pure table lookups, like `table`, and counted by the same probes.
-    sharded: Option<Arc<crate::shard::ShardedNetwork>>,
+    /// plus the boundary overlay (see [`ShardedNetwork`]). Pure table
+    /// lookups, like `table`, and counted by the same probes.
+    sharded: Option<Arc<ShardedNetwork>>,
     /// Table-probe counters (hits = pair in table, misses = beyond delta),
     /// shared across clones like the cache's own counters. Unused without a
-    /// table — Dijkstra-backed providers count inside [`DistCache`].
+    /// table — the Dijkstra backend's per-pair lookups count inside
+    /// [`DistCache`].
     table_hits: Arc<AtomicU64>,
     table_misses: Arc<AtomicU64>,
     max_route_m: f64,
 }
 
 impl TransitionProvider {
-    /// A Dijkstra-backed provider with its own fresh cache; searches are
-    /// bounded by `max_route_m`.
-    #[must_use]
-    pub fn dijkstra(max_route_m: f64) -> Self {
-        Self::with_cache(Arc::new(DistCache::new()), max_route_m)
-    }
-
-    /// A Dijkstra-backed provider reading through an existing shared cache.
-    #[must_use]
-    pub fn with_cache(cache: Arc<DistCache>, max_route_m: f64) -> Self {
+    fn with_backend(
+        table: Option<Arc<DistTable>>,
+        sharded: Option<Arc<ShardedNetwork>>,
+        max_route_m: f64,
+    ) -> Self {
         Self {
-            cache,
-            table: None,
-            sharded: None,
+            cache: Arc::new(DistCache::new()),
+            table,
+            sharded,
             table_hits: Arc::new(AtomicU64::new(0)),
             table_misses: Arc::new(AtomicU64::new(0)),
             max_route_m,
         }
+    }
+
+    /// A Dijkstra-backed provider with its own fresh cache; searches are
+    /// bounded by `max_route_m`.
+    #[must_use]
+    pub fn dijkstra(max_route_m: f64) -> Self {
+        Self::with_backend(None, None, max_route_m)
     }
 
     /// A table-backed provider: every mid-route distance comes from the
@@ -318,32 +332,18 @@ impl TransitionProvider {
     #[must_use]
     pub fn with_table(table: Arc<DistTable>) -> Self {
         let max_route_m = table.delta();
-        Self {
-            cache: Arc::new(DistCache::new()),
-            table: Some(table),
-            sharded: None,
-            table_hits: Arc::new(AtomicU64::new(0)),
-            table_misses: Arc::new(AtomicU64::new(0)),
-            max_route_m,
-        }
+        Self::with_backend(Some(table), None, max_route_m)
     }
 
     /// A shard-backed provider: mid-route distances decompose into
     /// intra-shard table hops plus the boundary overlay
-    /// ([`crate::shard::ShardedNetwork::node_dist`]) — pure lookups over
-    /// the per-shard tables, no search at query time, same `Some`-iff-
-    /// within-delta contract as a whole-graph [`DistTable`].
+    /// ([`ShardedNetwork::node_dist`]) — pure lookups over the per-shard
+    /// tables, no search at query time, same `Some`-iff-within-delta
+    /// contract as a whole-graph [`DistTable`].
     #[must_use]
-    pub fn with_sharded(sharded: Arc<crate::shard::ShardedNetwork>) -> Self {
+    pub fn with_sharded(sharded: Arc<ShardedNetwork>) -> Self {
         let max_route_m = sharded.delta();
-        Self {
-            cache: Arc::new(DistCache::new()),
-            table: None,
-            sharded: Some(sharded),
-            table_hits: Arc::new(AtomicU64::new(0)),
-            table_misses: Arc::new(AtomicU64::new(0)),
-            max_route_m,
-        }
+        Self::with_backend(None, Some(sharded), max_route_m)
     }
 
     /// The attached precomputed table, if any.
@@ -354,11 +354,13 @@ impl TransitionProvider {
 
     /// The attached sharded network, if any.
     #[must_use]
-    pub fn sharded(&self) -> Option<&Arc<crate::shard::ShardedNetwork>> {
+    pub fn sharded(&self) -> Option<&Arc<ShardedNetwork>> {
         self.sharded.as_ref()
     }
 
-    /// The shared read-through cache (unused while a table is attached).
+    /// The shared read-through cache of the per-pair
+    /// [`TransitionProvider::route_dist`] (unused while a table is
+    /// attached, and never read by [`TransitionProvider::route_dist_matrix`]).
     #[must_use]
     pub fn cache(&self) -> &Arc<DistCache> {
         &self.cache
@@ -372,11 +374,13 @@ impl TransitionProvider {
 
     /// Lookup counters of the oracle's mid-route stage, for tracking cache
     /// efficacy across runs (the benchmark's `roadnet.shortest.*` and
-    /// `roadnet.transition.*`). Table-backed providers count hash probes
-    /// (hit = pair within delta); Dijkstra-backed providers report the shared
-    /// [`DistCache`]'s counters (hit = memoised, miss = a sweep ran) —
-    /// which include every other user of that cache when it is shared.
-    /// Same-segment forward moves are answered directly and never counted.
+    /// `roadnet.transition.*`). Table-backed providers count node-pair
+    /// probes, per pair or per matrix block (hit = pair within delta);
+    /// Dijkstra-backed providers report the shared [`DistCache`]'s counters
+    /// (hit = memoised, miss = a sweep ran), which only the per-pair
+    /// [`TransitionProvider::route_dist`] feeds — and which include every
+    /// other user of that cache when it is shared. Same-segment forward
+    /// moves are answered directly and never counted.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         if self.table.is_some() || self.sharded.is_some() {
@@ -388,6 +392,13 @@ impl TransitionProvider {
         } else {
             self.cache.stats()
         }
+    }
+
+    /// Counts one table or overlay probe and passes its answer through.
+    fn counted(&self, got: Option<f64>) -> Option<f64> {
+        let counter = if got.is_some() { &self.table_hits } else { &self.table_misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        got
     }
 
     /// Directed route distance from `a` to `b` in metres: remaining length
@@ -418,23 +429,148 @@ impl TransitionProvider {
             return Ok(Some((b.ratio - a.ratio) * sa.length));
         }
         let mid = match (&self.table, &self.sharded) {
-            (Some(t), _) => {
-                let got = t.query(sa.to, sb.from);
-                let counter = if got.is_some() { &self.table_hits } else { &self.table_misses };
-                counter.fetch_add(1, Ordering::Relaxed);
-                got
-            }
-            (None, Some(sh)) => {
-                let got = sh.node_dist(sa.to, sb.from);
-                let counter = if got.is_some() { &self.table_hits } else { &self.table_misses };
-                counter.fetch_add(1, Ordering::Relaxed);
-                got
-            }
+            (Some(t), _) => self.counted(t.query(sa.to, sb.from)),
+            (None, Some(sh)) => self.counted(sh.node_dist(sa.to, sb.from)),
             (None, None) => {
                 self.cache.node_dist_pooled(net, sa.to, sb.from, self.max_route_m, pool)
             }
         };
         Ok(mid.map(|mid| (1.0 - a.ratio) * sa.length + mid + b.ratio * sb.length))
+    }
+
+    /// Fills `out` with the directed route distance from every row
+    /// position to every column position: `out.get(k, j)` is
+    /// [`TransitionProvider::route_dist`]`(net, pool, rows[k], cols[j])`
+    /// bit for bit, with `Err` and `Ok(None)` both read as `None`. Rows
+    /// `live` rejects are not computed and read `None`.
+    ///
+    /// The rows' exit nodes and the columns' entry nodes are deduplicated
+    /// first, the node × node block between them is filled in one pass of
+    /// the backend — table or overlay probes, or one
+    /// [`SsspPool::node_dists_into`] sweep per distinct exit node, which
+    /// never reads or fills the [`DistCache`] — and every cell is then
+    /// assembled with `route_dist`'s expressions. A node distance does not
+    /// depend on which sweep settled it (DESIGN.md §16), so neither does a
+    /// cell.
+    pub fn route_dist_matrix(
+        &self,
+        net: &RoadNetwork,
+        pool: &mut SsspPool,
+        rows: &[NetPos],
+        cols: &[NetPos],
+        live: impl Fn(usize) -> bool,
+        out: &mut RouteMatrix,
+    ) {
+        let RouteMatrix { cells, width, srcs, row_src, dsts, col_dst, block } = out;
+        srcs.clear();
+        dsts.clear();
+        row_src.clear();
+        row_src.extend(rows.iter().enumerate().map(|(k, a)| match net.try_segment(a.seg) {
+            Some(sa) if live(k) => index_of(srcs, sa.to),
+            _ => NO_NODE,
+        }));
+        col_dst.clear();
+        col_dst.extend(
+            cols.iter()
+                .map(|b| net.try_segment(b.seg).map_or(NO_NODE, |sb| index_of(dsts, sb.from))),
+        );
+
+        block.clear();
+        block.resize(srcs.len() * dsts.len(), None);
+        if !dsts.is_empty() {
+            for (&src, row) in srcs.iter().zip(block.chunks_mut(dsts.len())) {
+                match (&self.table, &self.sharded) {
+                    (Some(t), _) => {
+                        for (cell, &dst) in row.iter_mut().zip(dsts.iter()) {
+                            *cell = self.counted(t.query(src, dst));
+                        }
+                    }
+                    (None, Some(sh)) => {
+                        for (cell, &dst) in row.iter_mut().zip(dsts.iter()) {
+                            *cell = self.counted(sh.node_dist(src, dst));
+                        }
+                    }
+                    (None, None) => {
+                        pool.node_dists_into(net, src, dsts, Weight::Length, self.max_route_m, row);
+                    }
+                }
+            }
+        }
+
+        *width = cols.len();
+        cells.clear();
+        cells.resize(rows.len() * cols.len(), None);
+        for (k, a) in rows.iter().enumerate() {
+            if row_src[k] == NO_NODE {
+                continue;
+            }
+            let sa = net.segment(a.seg);
+            let mids = &block[row_src[k] * dsts.len()..];
+            for (j, b) in cols.iter().enumerate() {
+                if col_dst[j] == NO_NODE {
+                    continue;
+                }
+                cells[k * cols.len() + j] = if a.seg == b.seg && b.ratio >= a.ratio {
+                    Some((b.ratio - a.ratio) * sa.length)
+                } else {
+                    let sb = net.segment(b.seg);
+                    mids[col_dst[j]]
+                        .map(|mid| (1.0 - a.ratio) * sa.length + mid + b.ratio * sb.length)
+                };
+            }
+        }
+    }
+}
+
+/// A row or column without a node in a [`RouteMatrix`] block: a dead row or
+/// a segment outside the network.
+const NO_NODE: usize = usize::MAX;
+
+/// Index of `node` in `nodes`, appending it if absent. A lattice step has a
+/// handful of distinct nodes per side, so a linear scan beats hashing.
+fn index_of(nodes: &mut Vec<NodeId>, node: NodeId) -> usize {
+    nodes.iter().position(|&n| n == node).unwrap_or_else(|| {
+        nodes.push(node);
+        nodes.len() - 1
+    })
+}
+
+/// The route-distance matrix of one lattice step, filled by
+/// [`TransitionProvider::route_dist_matrix`], together with the buffers
+/// that fill it — one per worker, reused every step.
+#[derive(Debug, Default)]
+pub struct RouteMatrix {
+    /// `cells[k * width + j]`: route distance row `k` → column `j`.
+    cells: Vec<Option<f64>>,
+    width: usize,
+    /// Distinct exit nodes of the live rows, and each row's index into
+    /// them ([`NO_NODE`]: none).
+    srcs: Vec<NodeId>,
+    row_src: Vec<usize>,
+    /// Distinct entry nodes of the columns, and each column's index.
+    dsts: Vec<NodeId>,
+    col_dst: Vec<usize>,
+    /// `block[s * dsts.len() + d]`: node distance `srcs[s] → dsts[d]`.
+    block: Vec<Option<f64>>,
+}
+
+impl RouteMatrix {
+    /// An empty matrix.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Route distance from row `k` to column `j` of the last fill: `None`
+    /// when unreachable within the bound, when either position names a
+    /// segment outside the network, or when row `k` was not live.
+    ///
+    /// # Panics
+    /// Panics if `(k, j)` lies outside the last fill's rows × columns.
+    #[must_use]
+    pub fn get(&self, k: usize, j: usize) -> Option<f64> {
+        assert!(j < self.width, "column {j} of {}", self.width);
+        self.cells[k * self.width + j]
     }
 }
 
@@ -552,6 +688,38 @@ mod tests {
         assert_eq!(dij.stats(), dij.cache().stats());
         let stats = dij.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn route_matrix_probes_each_distinct_node_pair_once() {
+        // Rows on segments 0 and 1 (exit nodes 1, 2), twice each; columns
+        // on segments 1, 2 and 3 (entry nodes 1, 2, 3) plus segment 1
+        // again: 4 × 4 cells, a 2 × 3 node block.
+        let net = chain5();
+        let tab = TransitionProvider::with_table(Arc::new(DistTable::build(&net, 150.0)));
+        let mut pool = SsspPool::new();
+        let p = |s: u32, r: f64| NetPos::new(SegmentId(s), r);
+        let rows = [p(0, 0.5), p(1, 0.5), p(0, 0.25), p(1, 0.75)];
+        let cols = [p(1, 0.5), p(2, 0.5), p(3, 0.5), p(1, 0.9)];
+        let mut m = RouteMatrix::new();
+        tab.route_dist_matrix(&net, &mut pool, &rows, &cols, |_| true, &mut m);
+        assert_eq!(tab.stats().total(), 6, "one probe per distinct node pair");
+        let mut pair_pool = SsspPool::new();
+        for (k, &a) in rows.iter().enumerate() {
+            for (j, &b) in cols.iter().enumerate() {
+                let want = tab.route_dist(&net, &mut pair_pool, a, b).unwrap();
+                assert_eq!(m.get(k, j).map(f64::to_bits), want.map(f64::to_bits), "{k},{j}");
+            }
+        }
+        // Hand-computed: 50 m to node 1, then 50 m into segment 1; the
+        // same-segment forward move 1@0.5 → 1@0.9 is 40 m; 1@0.75 →
+        // 1@0.5 goes backward, round the one-way chain: unreachable.
+        assert_eq!((m.get(0, 0), m.get(1, 3), m.get(3, 0)), (Some(100.0), Some(40.0), None));
+        // Dead rows cost nothing and read `None`.
+        let before = tab.stats().total();
+        tab.route_dist_matrix(&net, &mut pool, &rows, &cols, |k| k == 1, &mut m);
+        assert_eq!(tab.stats().total() - before, 3, "one exit node left");
+        assert_eq!((m.get(0, 0), m.get(1, 3)), (None, Some(40.0)));
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! * `SsspPool` reuse across interleaved sources never leaks state — a
 //!   pooled query after N arbitrary prior queries equals a fresh-pool
 //!   query;
+//! * the lattice step's `TransitionProvider::route_dist_matrix` equals
+//!   per-pair `route_dist` bit for bit on the Dijkstra, table and sharded
+//!   backends, over real and salted candidate rows;
 //! * `DistCache` read-through stays consistent under concurrent hammering
 //!   from scoped threads (hit/miss counters add up, every answer is the
 //!   true distance).
@@ -21,11 +24,14 @@ use rand::SeedableRng;
 
 use trmma::baselines::{FmmMatcher, HmmConfig, HmmMatcher, LhmmMatcher};
 use trmma::core::{par_match_pooled, BatchOptions};
-use trmma::roadnet::shortest::{node_dist, DistCache, SsspPool, Weight};
-use trmma::roadnet::{generate_city, NetworkConfig, NodeId, RoadNetwork, RoutePlanner};
+use trmma::roadnet::shortest::{node_dist, DistCache, NetPos, SsspPool, Weight};
+use trmma::roadnet::{
+    generate_city, DistTable, GridCut, NetworkConfig, NodeId, RoadNetwork, RouteMatrix,
+    RoutePlanner, SegmentId, ShardPlan, ShardedNetwork, TransitionProvider,
+};
 use trmma::traj::gen::{generate_trajectory, sparsify, TrajConfig};
 use trmma::traj::types::Trajectory;
-use trmma::traj::{MatchResult, Sample, ScratchMatcher};
+use trmma::traj::{CandidateFinder, CandidateScratch, MatchResult, Sample, ScratchMatcher};
 
 /// Generates a city plus a handful of sparse samples from a seed pair.
 fn arbitrary_world(net_seed: u64, traj_seed: u64) -> (Arc<RoadNetwork>, Vec<Sample>) {
@@ -124,6 +130,94 @@ proptest! {
         let plain = node_dist(&net, src, dst, Weight::Length, bound);
         prop_assert_eq!(warm, fresh, "warm pool diverged from fresh pool after {} priors", priors.len());
         prop_assert_eq!(warm, plain, "pooled query diverged from allocating Dijkstra");
+    }
+}
+
+/// Rows and columns for the matrix seam: real candidate rows of
+/// consecutive GPS points, each pair also salted with what real rows rarely
+/// hold — a duplicated position, the same segment at a forward and a
+/// backward ratio, ratios 0 and 1, a segment id past the network — plus a
+/// pair with an empty side.
+fn seam_rows(net: &RoadNetwork, traj: &Trajectory) -> Vec<(Vec<NetPos>, Vec<NetPos>)> {
+    let finder = CandidateFinder::new(net, 6);
+    let mut scratch = CandidateScratch::new();
+    let mut row = Vec::new();
+    let layers: Vec<Vec<NetPos>> = traj
+        .points
+        .iter()
+        .map(|p| {
+            finder.candidates_into(p.pos, &mut scratch, &mut row);
+            row.iter().map(|c| NetPos::new(c.seg, c.ratio)).collect()
+        })
+        .collect();
+    let bogus = SegmentId(net.num_segments() as u32 + 3);
+    let mut pairs = Vec::new();
+    for w in layers.windows(2) {
+        let (mut rows, mut cols) = (w[0].clone(), w[1].clone());
+        pairs.push((rows.clone(), cols.clone()));
+        let s = rows[0].seg;
+        rows.extend([rows[0], NetPos::new(s, 0.3), NetPos::new(s, 1.0), NetPos::new(bogus, 0.5)]);
+        cols.extend([cols[0], NetPos::new(s, 0.7), NetPos::new(s, 0.1), NetPos::new(s, 0.0)]);
+        cols.extend([NetPos::new(s, 1.0), NetPos::new(bogus, 0.2)]);
+        pairs.push((rows, cols));
+    }
+    if let Some(first) = layers.first() {
+        pairs.push((first.clone(), Vec::new()));
+        pairs.push((Vec::new(), first.clone()));
+    }
+    pairs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The lattice step's matrix is per-pair `route_dist` cell by cell, to
+    /// the bit, on every backend: Dijkstra under four bounds, the
+    /// whole-graph table and a four-tile sharded network. Rows the caller
+    /// marks dead are not computed and read `None`; one pool serves every
+    /// fill, so each also runs after an arbitrary history of sweeps.
+    #[test]
+    fn route_matrix_is_per_pair_route_dist_on_every_backend(
+        net_seed in 0u64..1_000,
+        traj_seed in 0u64..1_000,
+        cut_seed in 0u64..1_000,
+        dead_every in 2usize..5,
+    ) {
+        let (net, samples) = arbitrary_world(net_seed, traj_seed);
+        let delta = 900.0;
+        let mut providers: Vec<TransitionProvider> = [0.0, 250.0, delta, f64::INFINITY]
+            .into_iter()
+            .map(TransitionProvider::dijkstra)
+            .collect();
+        providers.push(TransitionProvider::with_table(Arc::new(DistTable::build(&net, delta))));
+        let plan = ShardPlan::new(&net, &GridCut::square(4, cut_seed));
+        let sharded = ShardedNetwork::build(net.clone(), plan, delta);
+        providers.push(TransitionProvider::with_sharded(Arc::new(sharded)));
+        let (mut pool, mut pair_pool) = (SsspPool::new(), SsspPool::new());
+        let mut matrix = RouteMatrix::new();
+        for sample in &samples {
+            for (rows, cols) in seam_rows(&net, &sample.sparse) {
+                for provider in &providers {
+                    let live = |k: usize| k % dead_every != 1;
+                    provider.route_dist_matrix(&net, &mut pool, &rows, &cols, live, &mut matrix);
+                    for (k, &a) in rows.iter().enumerate() {
+                        for (j, &b) in cols.iter().enumerate() {
+                            let want = if live(k) {
+                                provider.route_dist(&net, &mut pair_pool, a, b).ok().flatten()
+                            } else {
+                                None
+                            };
+                            let got = matrix.get(k, j);
+                            prop_assert_eq!(
+                                got.map(f64::to_bits), want.map(f64::to_bits),
+                                "bound {}: {:?} -> {:?}: {:?} vs {:?}",
+                                provider.max_route_m(), a, b, got, want
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -34,9 +34,12 @@ use trmma::core::{
 };
 use trmma::roadnet::{generate_city, NetworkConfig, RoadNetwork, RoutePlanner};
 use trmma::traj::gen::{generate_trajectory, sparsify, TrajConfig};
-use trmma::traj::snapshot::{put_cand_sets, put_trajectory};
-use trmma::traj::types::Trajectory;
-use trmma::traj::{Candidate, MapMatcher, OnlineMatcher, Sample, SnapshotError};
+use trmma::traj::snapshot::{
+    put_cand_sets, put_f64, put_matched, put_trajectory, put_usize, read_cand_sets,
+    read_trajectory, Reader,
+};
+use trmma::traj::types::{MatchedPoint, Trajectory};
+use trmma::traj::{Candidate, MapMatcher, OnlineMatcher, Sample, ScratchMatcher, SnapshotError};
 
 /// Generates a city plus a handful of sparse samples from a seed pair.
 fn arbitrary_world(net_seed: u64, traj_seed: u64) -> (Arc<RoadNetwork>, Vec<Sample>) {
@@ -241,6 +244,109 @@ fn hostile_mma_payload_in_a_valid_envelope_is_refused() {
     assert_eq!(
         through_envelope(&emptied).err(),
         Some(SnapshotError::Malformed("empty candidate layer"))
+    );
+}
+
+/// The HMM-family and Nearest counterparts: well-formed envelopes around
+/// payloads whose lattice or matches the decoder cannot index — an empty
+/// candidate layer, a back-pointer past the layer below, a candidate or a
+/// matched segment past the network. Each restored `Ok` once and panicked
+/// the `finalize` after it; each must now be a typed refusal.
+#[test]
+fn hostile_hmm_and_nearest_payloads_in_a_valid_envelope_are_refused() {
+    let (net, samples) = arbitrary_world(3, 11);
+    let planner = Arc::new(RoutePlanner::untrained(&net));
+    let hmm = HmmMatcher::new(net.clone(), planner.clone(), HmmConfig::default());
+    let nearest = NearestMatcher::new(net.clone(), planner);
+    let traj = &samples[0].sparse;
+    let through_envelope = |name: &str, payload: Vec<u8>| {
+        let envelope = SessionSnapshot {
+            session: 7,
+            matcher: name.to_string(),
+            seq: traj.len() as u64,
+            last_t: traj.points.last().unwrap().t,
+            payload,
+        };
+        let decoded = SessionSnapshot::decode(&envelope.encode().expect("envelope encodes"))
+            .expect("the envelope itself is well-formed");
+        decoded.expect_matcher(name).expect("matcher name preserved");
+        decoded.payload
+    };
+
+    // The genuine HMM lattice, taken apart through its own snapshot.
+    let mut scratch = hmm.make_scratch();
+    let mut session = hmm.begin_session();
+    for &p in &traj.points {
+        hmm.push_point(&mut scratch, &mut session, p);
+    }
+    let mut genuine = Vec::new();
+    hmm.snapshot_session(&session, &mut genuine);
+    /// An HMM payload taken apart: candidate layers, scores, back-pointers.
+    #[derive(Clone)]
+    struct Lattice {
+        cands: Vec<Vec<Candidate>>,
+        score: Vec<Vec<f64>>,
+        back: Vec<Vec<usize>>,
+    }
+    let mut r = Reader::new(&genuine);
+    let points = read_trajectory(&mut r).unwrap();
+    let cands = read_cand_sets(&mut r).unwrap();
+    let score = cands.iter().map(|set| set.iter().map(|_| r.f64().unwrap()).collect()).collect();
+    let back = cands.iter().map(|set| set.iter().map(|_| r.usize().unwrap()).collect()).collect();
+    let watermark = r.usize().unwrap();
+    r.expect_end().unwrap();
+    let genuine_lattice = Lattice { cands, score, back };
+    let restore = |edit: &dyn Fn(&mut Lattice)| {
+        let mut l = genuine_lattice.clone();
+        edit(&mut l);
+        let mut payload = Vec::new();
+        put_trajectory(&mut payload, &points);
+        put_cand_sets(&mut payload, &l.cands);
+        l.score.iter().flatten().for_each(|&x| put_f64(&mut payload, x));
+        l.back.iter().flatten().for_each(|&x| put_usize(&mut payload, x));
+        put_usize(&mut payload, watermark);
+        hmm.restore_session(&through_envelope(hmm.name(), payload)).err()
+    };
+    assert_eq!(restore(&|_| {}), None, "the reassembled genuine payload restores");
+    let restored = hmm.restore_session(&through_envelope(hmm.name(), genuine)).unwrap();
+    assert_eq!(hmm.finalize(&mut scratch, restored), hmm.match_trajectory(traj));
+
+    let mid = traj.len() / 2;
+    let empty = |l: &mut Lattice| {
+        l.cands[mid].clear();
+        l.score[mid].clear();
+        l.back[mid].clear();
+    };
+    assert_eq!(restore(&empty), Some(SnapshotError::Malformed("empty candidate layer")));
+    let far = genuine_lattice.cands[0].len() + 3;
+    assert_eq!(
+        restore(&|l| l.back[1][0] = far),
+        Some(SnapshotError::Malformed("back-pointer out of range"))
+    );
+    let past_net = trmma::roadnet::SegmentId((net.num_segments() + 7) as u32);
+    assert_eq!(
+        restore(&|l| l.cands[mid][0].seg = past_net),
+        Some(SnapshotError::Malformed("candidate segment out of range"))
+    );
+
+    // Nearest: a matched segment past the network.
+    let mut session = nearest.begin_session();
+    for &p in &traj.points {
+        nearest.push_point(&mut (), &mut session, p);
+    }
+    let mut payload = Vec::new();
+    nearest.snapshot_session(&session, &mut payload);
+    let restored = nearest.restore_session(&through_envelope(nearest.name(), payload)).unwrap();
+    assert_eq!(nearest.finalize(&mut (), restored), nearest.match_trajectory(traj));
+    let mut payload = Vec::new();
+    put_usize(&mut payload, traj.len());
+    for (i, p) in traj.points.iter().enumerate() {
+        let seg = if i == mid { past_net } else { trmma::roadnet::SegmentId(0) };
+        put_matched(&mut payload, &MatchedPoint::new(seg, 0.5, p.t));
+    }
+    assert_eq!(
+        nearest.restore_session(&through_envelope(nearest.name(), payload)).err(),
+        Some(SnapshotError::Malformed("matched segment out of range"))
     );
 }
 

@@ -2,9 +2,9 @@
 //! hot inference loop must be *bitwise-identical* to the slow path it
 //! replaces.
 //!
-//! * warm-start / budgeted SSSP: `node_dist_warm` after an arbitrary query
-//!   history, under an arbitrary work budget, with prefetches interleaved,
-//!   equals the cold allocating Dijkstra on every query;
+//! * the dense multi-target sweep: `SsspPool::node_dists_into` after an
+//!   arbitrary history of sweeps of every kind, under other bounds and on
+//!   another network, equals the cold allocating Dijkstra on every target;
 //! * bounded `DistCache`: a capacity-capped cache answers every lookup
 //!   identically to the uncapped cache and the cold search, while never
 //!   holding more than `cap` pairs;
@@ -34,35 +34,53 @@ use trmma::traj::Candidate;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A pool with retained warm frontiers, an arbitrary per-query budget
-    /// and interleaved speculative prefetches answers every query exactly
-    /// like the cold allocating Dijkstra — the core warm-start identity.
+    /// A pool's multi-target sweep after an arbitrary history — sweeps of
+    /// every kind, under other bounds, alternating between two networks of
+    /// different sizes — answers every target exactly like the cold
+    /// allocating Dijkstra: duplicate targets, the source among them, no
+    /// targets at all, targets beyond the bound. No stamp may leak.
     #[test]
-    fn warm_budgeted_sssp_identical_to_cold(
-        net_seed in 0u64..1_000,
-        queries in prop::collection::vec((0u32..10_000, 0u32..10_000), 1usize..25),
-        budget_pick in 0usize..5,
-        bound in 150.0f64..4_000.0,
-        prefetch_extra in 0u64..96,
+    fn multi_target_sweep_identical_to_cold_after_any_history(
+        net_seeds in (0u64..1_000, 0u64..1_000),
+        sweeps in prop::collection::vec(
+            (0u8..6, 0u32..10_000, prop::collection::vec(0u32..10_000, 0usize..7), 0usize..4),
+            1usize..16,
+        ),
     ) {
-        // Pin the interesting budget regimes: disabled, single-step, tiny,
-        // moderate, and effectively unbounded.
-        let budget = [0u64, 1, 7, 63, 50_000][budget_pick];
-        let net = generate_city(&NetworkConfig::with_size(6, 6, net_seed));
-        let m = net.num_nodes() as u32;
+        let nets = [
+            generate_city(&NetworkConfig::with_size(6, 6, net_seeds.0)),
+            generate_city(&NetworkConfig::with_size(8, 8, net_seeds.1)),
+        ];
+        let bounds = [0.0, 250.0, 900.0, f64::INFINITY];
         let mut pool = SsspPool::new();
-        pool.set_warm_budget(budget);
-        for (i, &(s, d)) in queries.iter().enumerate() {
-            let (src, dst) = (NodeId(s % m), NodeId(d % m));
-            let warm = pool.node_dist_warm(&net, src, dst, Weight::Length, bound);
-            let cold = node_dist(&net, src, dst, Weight::Length, bound);
-            prop_assert_eq!(
-                warm.map(f64::to_bits), cold.map(f64::to_bits),
-                "warm query {} diverged (budget {}): {:?} vs {:?}", i, budget, warm, cold
-            );
-            // Speculative growth between queries must never change answers.
-            if i % 3 == 0 {
-                pool.prefetch(&net, src, Weight::Length, bound, prefetch_extra);
+        let mut reach = Vec::new();
+        for (i, (mode, s, ts, b)) in sweeps.iter().enumerate() {
+            let (net, kind) = (&nets[usize::from(mode % 2)], mode / 2);
+            let m = net.num_nodes() as u32;
+            let (src, bound) = (NodeId(s % m), bounds[*b]);
+            let mut targets: Vec<NodeId> = ts.iter().map(|t| NodeId(t % m)).collect();
+            match kind {
+                // Salted: a duplicate target and the source itself.
+                1 => {
+                    targets.extend(targets.first().copied());
+                    targets.push(src);
+                }
+                // History of the other kind: a whole bounded sweep.
+                2 => pool.bounded_sssp_into(net, src, Weight::Length, bound, &mut reach),
+                _ => {}
+            }
+            let mut got = vec![Some(f64::NAN); targets.len()];
+            pool.node_dists_into(net, src, &targets, Weight::Length, bound, &mut got);
+            for (&t, g) in targets.iter().zip(&got) {
+                let cold = node_dist(net, src, t, Weight::Length, bound);
+                prop_assert_eq!(
+                    g.map(f64::to_bits), cold.map(f64::to_bits),
+                    "sweep {} {:?}->{:?} within {}: {:?} vs {:?}", i, src, t, bound, g, cold
+                );
+            }
+            if let Some(&t) = targets.last() {
+                let one = pool.node_dist(net, src, t, Weight::Length, bound);
+                prop_assert_eq!(one, *got.last().unwrap(), "one-target case of sweep {}", i);
             }
         }
     }
@@ -346,29 +364,5 @@ fn vecmat_blocks_and_skip_list_match_the_scalar_loop() {
                 }
             }
         }
-    }
-}
-
-/// Budget exhaustion mid-resume must leave the paused frontier valid: the
-/// fallback cold answer and every later warm answer still match the cold
-/// reference. (Deterministic companion to the proptests above, pinning the
-/// tiny-budget edge across a far → near → far query pattern.)
-#[test]
-fn budget_exhaustion_falls_back_without_corruption() {
-    let net = generate_city(&NetworkConfig::with_size(8, 8, 7));
-    let m = net.num_nodes() as u32;
-    let mut pool = SsspPool::new();
-    pool.set_warm_budget(2);
-    let src = NodeId(0);
-    let bound = 5_000.0;
-    for dst in [m - 1, 1, m / 2, m - 2, 2, m / 3] {
-        let dst = NodeId(dst);
-        let warm = pool.node_dist_warm(&net, src, dst, Weight::Length, bound);
-        let cold = node_dist(&net, src, dst, Weight::Length, bound);
-        assert_eq!(
-            warm.map(f64::to_bits),
-            cold.map(f64::to_bits),
-            "budget-2 warm query to {dst:?} diverged"
-        );
     }
 }
