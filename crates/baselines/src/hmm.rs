@@ -15,11 +15,11 @@
 //! ([`TransitionProvider::route_dist_matrix`]): [`HmmMatcher`] fills it
 //! with one dense Dijkstra sweep per distinct exit node of the previous
 //! layer, on the caller's pooled state; [`FmmMatcher`] differs only in
-//! attaching a precomputed [`Ubodt`] table, which turns every node pair
-//! into a hash probe. All mutable search state lives in [`HmmScratch`] —
-//! one per batch worker — so the matchers are `Send + Sync` and
-//! parallelise through `trmma_core::batch` with output identical to the
-//! sequential path.
+//! attaching a precomputed UBODT ([`DistTable`]), which turns every node
+//! pair into a binary search over sorted records. All mutable search state
+//! lives in [`HmmScratch`] — one per batch worker — so the matchers are
+//! `Send + Sync` and parallelise through `trmma_core::batch` with output
+//! identical to the sequential path.
 
 use std::sync::Arc;
 
@@ -36,7 +36,6 @@ use trmma_traj::types::{GpsPoint, MatchedPoint, Trajectory};
 use trmma_traj::ScratchMatcher;
 
 use crate::decoder::{LatticeArena, ViterbiState};
-use crate::ubodt::Ubodt;
 
 /// Tunables of the HMM matchers.
 #[derive(Debug, Clone)]
@@ -337,8 +336,8 @@ impl OnlineMatcher for HmmMatcher {
     }
 }
 
-/// FMM: the HMM above with a precomputed [`Ubodt`] route-distance table
-/// attached to its [`TransitionProvider`].
+/// FMM: the HMM above with a precomputed UBODT route-distance table
+/// ([`DistTable`]) attached to its [`TransitionProvider`].
 pub struct FmmMatcher {
     inner: HmmMatcher,
     /// Wall-clock seconds spent building the UBODT (reported by the
@@ -352,9 +351,9 @@ impl FmmMatcher {
     #[must_use]
     pub fn new(net: Arc<RoadNetwork>, planner: Arc<RoutePlanner>, cfg: HmmConfig) -> Self {
         let start = std::time::Instant::now();
-        let ubodt = Ubodt::build(&net, cfg.max_route_m);
+        let table = Arc::new(DistTable::build(&net, cfg.max_route_m));
         let precompute_s = start.elapsed().as_secs_f64();
-        let provider = TransitionProvider::with_table(ubodt.shared());
+        let provider = TransitionProvider::with_table(table);
         Self { inner: HmmMatcher::with_provider(net, planner, cfg, provider, "FMM"), precompute_s }
     }
 
@@ -543,8 +542,11 @@ mod tests {
         let (net, planner, samples) = setup();
         let cfg = HmmConfig::default();
         let hmm = HmmMatcher::new(net.clone(), planner.clone(), cfg.clone());
-        let fmm = FmmMatcher::new(net.clone(), planner, cfg);
+        let fmm = FmmMatcher::new(net.clone(), planner, cfg.clone());
+        // FMM queries the one table construction, at its search bound.
         assert!(fmm.table_len() > 0);
+        assert_eq!(fmm.table_len(), DistTable::build(&net, cfg.max_route_m).len());
+        assert_eq!(fmm.provider().table().map(|t| t.delta()), Some(cfg.max_route_m));
         for s in &samples {
             let a = hmm.match_trajectory(&s.sparse);
             let b = fmm.match_trajectory(&s.sparse);
@@ -556,18 +558,6 @@ mod tests {
                 a.matched.len()
             );
         }
-    }
-
-    #[test]
-    fn fmm_table_shares_ubodt_construction() {
-        // One construction routine (DistTable::build) serves both the
-        // stand-alone Ubodt and the table FmmMatcher actually queries.
-        let (net, planner, _) = setup();
-        let cfg = HmmConfig::default();
-        let fmm = FmmMatcher::new(net.clone(), planner, cfg.clone());
-        let ubodt = Ubodt::build(&net, cfg.max_route_m);
-        assert_eq!(fmm.table_len(), ubodt.len());
-        assert_eq!(fmm.provider().table().map(|t| t.delta()), Some(ubodt.delta()));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   perpendicular distance, exponential transition on
 //!   `|route − great-circle|` detour, Viterbi decoding;
 //! * [`FmmMatcher`] — FMM (Yang & Gidófalvi 2018): the same HMM accelerated
-//!   by a precomputed upper-bounded origin–destination table ([`Ubodt`]);
+//!   by a precomputed upper-bounded origin–destination table (UBODT, a
+//!   `trmma_roadnet::DistTable`);
 //! * [`LhmmMatcher`] — learned-HMM surrogate (LHMM, Shi et al. 2023):
 //!   emission/transition parameters fitted by maximum likelihood on the
 //!   training corpus.
@@ -69,7 +70,6 @@ pub mod lhmm;
 pub mod linear;
 pub mod nearest;
 pub mod seq2seq;
-pub mod ubodt;
 
 pub use decoder::ViterbiState;
 pub use hmm::{FmmMatcher, HmmConfig, HmmMatcher, HmmScratch, HmmSession};
@@ -77,7 +77,6 @@ pub use lhmm::{fit_params, FittedParams, LhmmMatcher};
 pub use linear::LinearRecovery;
 pub use nearest::{NearestMatcher, NearestSession};
 pub use seq2seq::{Seq2SeqConfig, Seq2SeqFull};
-pub use ubodt::Ubodt;
 
 /// Summary of one training run (epoch wall-times feed Figs. 6 and 10).
 #[derive(Debug, Clone, Default)]

@@ -32,7 +32,12 @@
 //!   served by binary search directly over the shared slab
 //!   ([`DistTable::from_image`]) — a fleet of processes mapping the same
 //!   artifact shares one page-cached copy instead of each re-running the
-//!   Dijkstra sweeps.
+//!   Dijkstra sweeps;
+//! * CRCs catch corruption, not a crafted image (its maker recomputes
+//!   them), so every served table is also checked for what its queries
+//!   rely on: sorted keys, a bound that is neither NaN nor negative, and
+//!   every distance within `[0, delta]` ([`ArtifactError::Malformed`]
+//!   otherwise).
 //!
 //! Section payloads (kinds in [`SectionKind`]):
 //!
@@ -42,7 +47,8 @@
 //!   does), so they reconstruct bit-identically without being stored.
 //! * **DistTable** — `delta f64-bits | count u64 |` then `count` packed
 //!   16-byte records (`src u32 | dst u32 | dist f64-bits`) strictly
-//!   sorted by `(src, dst)`.
+//!   sorted by `(src, dst)`: the table's own [`DistTable::records`],
+//!   copied verbatim.
 //! * **Params** — `blob_count u32 |` then per blob a length-prefixed
 //!   name and a length-prefixed [`trmma_nn::serialize`] weight blob
 //!   (which carries its own magic/version/shape validation).
@@ -67,7 +73,7 @@ use std::sync::Arc;
 use trmma_nn::Matrix;
 use trmma_roadnet::transition::DIST_RECORD_BYTES;
 use trmma_roadnet::{
-    DistImageError, DistTable, NodeId, RoadClass, RoadNetwork, ShardPlan, ShardedNetwork,
+    DistImageError, DistTable, NodeId, RoadClass, RoadNetwork, Shard, ShardPlan, ShardedNetwork,
 };
 use trmma_traj::snapshot::{self, Reader, SnapshotError};
 
@@ -227,6 +233,10 @@ impl From<DistImageError> for ArtifactError {
         match e {
             DistImageError::OutOfBounds => Self::Malformed("dist-table records out of bounds"),
             DistImageError::Unsorted => Self::Malformed("dist-table records not sorted"),
+            DistImageError::BadDelta => Self::Malformed("dist-table bound NaN or negative"),
+            DistImageError::BadDistance => {
+                Self::Malformed("dist-table distance outside [0, delta]")
+            }
         }
     }
 }
@@ -279,20 +289,13 @@ impl ArtifactBuilder {
         self
     }
 
-    /// Packs a distance table (records sorted by `(src, dst)`, the order
-    /// [`DistTable::from_image`] demands).
+    /// Packs a distance table: its bound, its record count and a copy of
+    /// its records ([`DistTable::records`]).
     pub fn dist_table(&mut self, table: &DistTable) -> &mut Self {
-        let mut pairs = Vec::with_capacity(table.len());
-        table.for_each_pair(|s, d, dist| pairs.push((s, d, dist)));
-        pairs.sort_unstable_by_key(|&(s, d, _)| (u64::from(s)) << 32 | u64::from(d));
-        let mut out = Vec::with_capacity(16 + pairs.len() * DIST_RECORD_BYTES);
+        let mut out = Vec::with_capacity(16 + table.records().len());
         snapshot::put_f64(&mut out, table.delta());
-        snapshot::put_usize(&mut out, pairs.len());
-        for (s, d, dist) in pairs {
-            snapshot::put_u32(&mut out, s);
-            snapshot::put_u32(&mut out, d);
-            snapshot::put_f64(&mut out, dist);
-        }
+        snapshot::put_usize(&mut out, table.len());
+        out.extend_from_slice(table.records());
         self.sections.push((SectionKind::DistTable, out));
         self
     }
@@ -302,22 +305,12 @@ impl ArtifactBuilder {
     /// range so loaders can verify shards independently
     /// ([`Artifact::shard_intra_table`]).
     pub fn shards(&mut self, sharded: &ShardedNetwork) -> &mut Self {
-        fn pack_records(table: &DistTable, out: &mut Vec<u8>) -> (usize, u32) {
-            let mut pairs = Vec::with_capacity(table.len());
-            table.for_each_pair(|s, d, dist| pairs.push((s, d, dist)));
-            pairs.sort_unstable_by_key(|&(s, d, _)| (u64::from(s)) << 32 | u64::from(d));
-            let start = out.len();
-            for (s, d, dist) in &pairs {
-                snapshot::put_u32(out, *s);
-                snapshot::put_u32(out, *d);
-                snapshot::put_f64(out, *dist);
-            }
-            (pairs.len(), crc32(&out[start..]))
-        }
-        let mut records = Vec::new();
-        let directory: Vec<(usize, u32)> =
-            sharded.shards().iter().map(|s| pack_records(s.intra(), &mut records)).collect();
-        let overlay = pack_records(sharded.overlay(), &mut records);
+        let tables: Vec<&DistTable> = sharded
+            .shards()
+            .iter()
+            .map(Shard::intra)
+            .chain(std::iter::once(sharded.overlay()))
+            .collect();
         let mut out = Vec::new();
         snapshot::put_f64(&mut out, sharded.delta());
         snapshot::put_usize(&mut out, sharded.plan().assignment().len());
@@ -325,13 +318,15 @@ impl ArtifactBuilder {
             snapshot::put_u32(&mut out, s);
         }
         snapshot::put_usize(&mut out, sharded.num_shards());
-        for (count, crc) in directory.iter().chain(std::iter::once(&overlay)) {
-            snapshot::put_usize(&mut out, *count);
-            snapshot::put_u32(&mut out, *crc);
+        for table in &tables {
+            snapshot::put_usize(&mut out, table.len());
+            snapshot::put_u32(&mut out, crc32(table.records()));
         }
         let meta_crc = crc32(&out);
         snapshot::put_u32(&mut out, meta_crc);
-        out.extend_from_slice(&records);
+        for table in &tables {
+            out.extend_from_slice(table.records());
+        }
         self.sections.push((SectionKind::Shards, out));
         self
     }
@@ -1107,6 +1102,22 @@ mod tests {
             art.shards_meta().unwrap_err(),
             ArtifactError::SectionChecksum { kind: SectionKind::Shards as u16 }
         );
+    }
+
+    #[test]
+    fn golden_section_bytes_are_pinned() {
+        // A fixed small image: any change to the bytes the table builders
+        // or the section writers produce shows as a new length or CRC.
+        let net = generate_city(&NetworkConfig::with_size(6, 6, 29));
+        let plan = ShardPlan::new(&net, &GridCut { tiles_x: 2, tiles_y: 2, seed: 9 });
+        let mut b = ArtifactBuilder::new();
+        b.graph(&net);
+        b.dist_table(&DistTable::build(&net, 600.0));
+        b.shards(&ShardedNetwork::build(Arc::new(net.clone()), plan, 600.0));
+        let art = Artifact::decode(b.finish()).unwrap();
+        let got: Vec<(u16, usize, u32)> =
+            art.sections().iter().map(|s| (s.kind, s.len, s.crc)).collect();
+        assert_eq!(got, [(1, 1537, 0x2daf_2f75), (2, 7456, 0x5037_bf06), (5, 6936, 0xb6fd_ada8)]);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   [`DistTable`] (FMM's UBODT), a [`ShardedNetwork`], or Dijkstra sweeps,
 //!   with all mutable Dijkstra state in per-worker [`shortest::SsspPool`]s;
 //! * [`shard`] — grid-tiled partitions of a network ([`ShardedNetwork`])
-//!   with per-shard R-trees, pools and distance tables, stitching
+//!   with per-shard R-trees and distance tables, stitching
 //!   cross-shard transitions through a boundary-node overlay so decoders
 //!   scale past one-process-owns-the-whole-graph;
 //! * [`gen`] — a synthetic city generator standing in for the paper's
@@ -59,5 +59,5 @@ pub mod transition;
 pub use gen::{generate_city, NetworkConfig};
 pub use graph::{NodeId, RoadClass, RoadNetwork, Segment, SegmentId};
 pub use planner::RoutePlanner;
-pub use shard::{CutStrategy, GridCut, HashCut, Shard, ShardPlan, ShardStats, ShardedNetwork};
+pub use shard::{CutStrategy, GridCut, HashCut, Shard, ShardPlan, ShardedNetwork};
 pub use transition::{DistImageError, DistTable, RouteMatrix, TransitionError, TransitionProvider};

@@ -4,10 +4,9 @@
 //! [`RoadNetwork`] small enough to own per process. For continent-scale
 //! maps the graph must be **partitioned**: a [`ShardPlan`] (produced by a
 //! pluggable [`CutStrategy`]) assigns every node to a tile, and
-//! [`ShardedNetwork`] gives each tile its own R-tree, its own
-//! [`SsspPool`], its own bounded intra-shard [`DistTable`], and its own
-//! [`TransitionProvider`] — while cross-shard route distances are stitched
-//! through a **boundary-node overlay**:
+//! [`ShardedNetwork`] gives each tile its own R-tree and its own bounded
+//! intra-shard [`DistTable`] — while cross-shard route distances are
+//! stitched through a **boundary-node overlay**:
 //!
 //! * a *cross edge* is a segment whose endpoints live in different shards;
 //! * the **exit borders** of shard `s` are its nodes with an outgoing
@@ -51,14 +50,13 @@
 //! top-k results into the same canonical candidate set a whole-network
 //! tree produces.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use trmma_rtree::{IndexedSegment, RTree};
 
 use crate::graph::{NodeId, RoadNetwork, SegmentId};
 use crate::shortest::{SsspPool, Weight};
-use crate::transition::{DistTable, TransitionProvider};
+use crate::transition::DistTable;
 
 /// Produces a node-to-shard assignment for a network. Implementations
 /// must be deterministic: the same strategy on the same network yields
@@ -221,8 +219,8 @@ impl ShardPlan {
 }
 
 /// One tile of a [`ShardedNetwork`]: the segments and nodes it owns, its
-/// R-tree over those segments, its border nodes, its bounded intra-shard
-/// distance table, and its own search pool / transition provider.
+/// R-tree over those segments, its border nodes and its bounded
+/// intra-shard distance table.
 #[derive(Debug)]
 pub struct Shard {
     /// Global ids of the nodes assigned to this shard, ascending.
@@ -239,12 +237,7 @@ pub struct Shard {
     entry_borders: Vec<NodeId>,
     /// Bounded all-pairs distances on the subgraph induced by `nodes`
     /// (keys are global node ids).
-    intra: Arc<DistTable>,
-    /// Intra-shard transition oracle over `intra`.
-    provider: TransitionProvider,
-    /// The shard's own search pool — used to build `intra` and this
-    /// shard's overlay rows, retained for shard-local searches.
-    pool: Mutex<SsspPool>,
+    intra: DistTable,
 }
 
 impl Shard {
@@ -280,38 +273,60 @@ impl Shard {
 
     /// The bounded intra-shard distance table (global node ids).
     #[must_use]
-    pub fn intra(&self) -> &Arc<DistTable> {
+    pub fn intra(&self) -> &DistTable {
         &self.intra
-    }
-
-    /// The shard's intra-shard transition provider.
-    #[must_use]
-    pub fn provider(&self) -> &TransitionProvider {
-        &self.provider
-    }
-
-    /// Runs `f` with exclusive access to the shard's own [`SsspPool`].
-    pub fn with_pool<R>(&self, f: impl FnOnce(&mut SsspPool) -> R) -> R {
-        f(&mut self.pool.lock().expect("shard pool poisoned"))
     }
 }
 
-/// Per-shard size accounting for the bench rows: how much graph, border
-/// and table state one tile keeps resident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStats {
-    /// Nodes assigned to the shard.
-    pub nodes: usize,
-    /// Segments owned by the shard.
-    pub segments: usize,
-    /// Exit-border nodes.
-    pub border_exits: usize,
-    /// Entry-border nodes.
-    pub border_entries: usize,
-    /// Pairs in the intra-shard distance table.
-    pub intra_pairs: usize,
-    /// Approximate resident bytes of the shard's table + tree + id lists.
-    pub resident_bytes: usize,
+/// Derives every shard of `plan` over `net` — owned nodes and segments,
+/// exit and entry borders (all ascending) and the R-tree — and asks
+/// `intra(s, nodes)` for shard `s`'s table. The one partition pass behind
+/// both [`ShardedNetwork::build`] and [`ShardedNetwork::from_parts`].
+fn derive_shards(
+    net: &RoadNetwork,
+    plan: &ShardPlan,
+    mut intra: impl FnMut(usize, &[NodeId]) -> DistTable,
+) -> Vec<Shard> {
+    assert_eq!(plan.assignment().len(), net.num_nodes(), "plan is for another network");
+    let num = plan.num_shards();
+    let mut nodes: Vec<Vec<NodeId>> = vec![Vec::new(); num];
+    let mut segments: Vec<Vec<SegmentId>> = vec![Vec::new(); num];
+    let mut is_exit = vec![false; net.num_nodes()];
+    let mut is_entry = vec![false; net.num_nodes()];
+    for i in 0..net.num_nodes() as u32 {
+        nodes[plan.shard_of(NodeId(i)) as usize].push(NodeId(i));
+    }
+    for seg_id in net.segment_ids() {
+        let seg = net.segment(seg_id);
+        let sf = plan.shard_of(seg.from);
+        segments[sf as usize].push(seg_id);
+        if sf != plan.shard_of(seg.to) {
+            is_exit[seg.from.idx()] = true;
+            is_entry[seg.to.idx()] = true;
+        }
+    }
+    nodes
+        .into_iter()
+        .zip(segments)
+        .enumerate()
+        .map(|(s, (nodes, segments))| {
+            let tree = RTree::bulk_load(
+                segments
+                    .iter()
+                    .map(|&id| IndexedSegment { id: id.0, line: net.segment(id).line })
+                    .collect(),
+            );
+            let borders = |mark: &[bool]| nodes.iter().copied().filter(|n| mark[n.idx()]).collect();
+            Shard {
+                exit_borders: borders(&is_exit),
+                entry_borders: borders(&is_entry),
+                intra: intra(s, &nodes),
+                tree,
+                nodes,
+                segments,
+            }
+        })
+        .collect()
 }
 
 /// A road network partitioned into shards with a boundary-node overlay;
@@ -324,7 +339,7 @@ pub struct ShardedNetwork {
     shards: Vec<Shard>,
     /// Full-graph bounded distances from every exit border to every entry
     /// border (global node ids).
-    overlay: Arc<DistTable>,
+    overlay: DistTable,
 }
 
 impl ShardedNetwork {
@@ -333,94 +348,37 @@ impl ShardedNetwork {
     /// bound a monolithic [`DistTable::build`] would use.
     #[must_use]
     pub fn build(net: Arc<RoadNetwork>, plan: ShardPlan, delta: f64) -> Self {
-        assert_eq!(plan.assignment().len(), net.num_nodes(), "plan is for another network");
-        let num = plan.num_shards();
-        let shard_of = |n: NodeId| plan.shard_of(n);
-
-        // Owned nodes and segments per shard; borders from cross edges.
-        let mut nodes: Vec<Vec<NodeId>> = vec![Vec::new(); num];
-        let mut segments: Vec<Vec<SegmentId>> = vec![Vec::new(); num];
-        let mut exits: Vec<HashSet<u32>> = vec![HashSet::new(); num];
-        let mut entries: Vec<HashSet<u32>> = vec![HashSet::new(); num];
-        for i in 0..net.num_nodes() as u32 {
-            nodes[shard_of(NodeId(i)) as usize].push(NodeId(i));
+        let mut pool = SsspPool::new();
+        // Intra tables: bounded Dijkstra restricted to the shard's own node
+        // set, one sweep per owned node.
+        let shards = derive_shards(&net, &plan, |s, nodes| {
+            DistTable::from_sweeps(nodes.iter().copied(), delta, |src, reach| {
+                let own = |n| plan.shard_of(n) as usize == s;
+                pool.bounded_sssp_filtered_into(&net, src, Weight::Length, delta, own, reach);
+            })
+        });
+        // Overlay: a *full-graph* bounded sweep per exit border, kept to the
+        // entry borders of every shard (a same-shard path may leave and
+        // re-enter). Each exit border belongs to one shard, so the sorted
+        // union is a strictly ascending source list.
+        let mut is_entry = vec![false; net.num_nodes()];
+        for y in shards.iter().flat_map(Shard::entry_borders) {
+            is_entry[y.idx()] = true;
         }
-        for seg_id in net.segment_ids() {
-            let seg = net.segment(seg_id);
-            let (sf, st) = (shard_of(seg.from), shard_of(seg.to));
-            segments[sf as usize].push(seg_id);
-            if sf != st {
-                exits[sf as usize].insert(seg.from.0);
-                entries[st as usize].insert(seg.to.0);
-            }
-        }
-
-        // The overlay needs distances to *every* entry border, whichever
-        // shard it belongs to (a same-shard path may leave and re-enter).
-        let all_entries: HashSet<u32> = entries.iter().flatten().copied().collect();
-
-        let mut shards = Vec::with_capacity(num);
-        let mut overlay_pairs: HashMap<(u32, u32), f64> = HashMap::new();
-        let mut reach = Vec::new();
-        for s in 0..num {
-            let mut pool = SsspPool::new();
-            // Intra table: bounded Dijkstra restricted to the shard's own
-            // node set, one sweep per owned node through the shard's pool.
-            let mut intra = HashMap::new();
-            for &src in &nodes[s] {
-                pool.bounded_sssp_filtered_into(
-                    &net,
-                    src,
-                    Weight::Length,
-                    delta,
-                    |n| shard_of(n) as usize == s,
-                    &mut reach,
-                );
-                for &(dst, d) in &reach {
-                    intra.insert((src.0, dst.0), d);
-                }
-            }
-            // Overlay rows: a *full-graph* bounded sweep per exit border,
-            // filtered to entry borders.
-            let mut exit_sorted: Vec<u32> = exits[s].iter().copied().collect();
-            exit_sorted.sort_unstable();
-            for &x in &exit_sorted {
-                pool.bounded_sssp_into(&net, NodeId(x), Weight::Length, delta, &mut reach);
-                for &(y, d) in &reach {
-                    if all_entries.contains(&y.0) {
-                        overlay_pairs.insert((x, y.0), d);
-                    }
-                }
-            }
-            let mut entry_sorted: Vec<u32> = entries[s].iter().copied().collect();
-            entry_sorted.sort_unstable();
-            let tree = RTree::bulk_load(
-                segments[s]
-                    .iter()
-                    .map(|&id| IndexedSegment { id: id.0, line: net.segment(id).line })
-                    .collect(),
-            );
-            let intra = Arc::new(DistTable::from_pairs(intra, delta));
-            shards.push(Shard {
-                nodes: std::mem::take(&mut nodes[s]),
-                segments: std::mem::take(&mut segments[s]),
-                tree,
-                exit_borders: exit_sorted.into_iter().map(NodeId).collect(),
-                entry_borders: entry_sorted.into_iter().map(NodeId).collect(),
-                provider: TransitionProvider::with_table(Arc::clone(&intra)),
-                intra,
-                pool: Mutex::new(pool),
-            });
-        }
-        let overlay = Arc::new(DistTable::from_pairs(overlay_pairs, delta));
+        let mut exits: Vec<NodeId> = shards.iter().flat_map(Shard::exit_borders).copied().collect();
+        exits.sort_unstable();
+        let overlay = DistTable::from_sweeps(exits, delta, |x, reach| {
+            pool.bounded_sssp_into(&net, x, Weight::Length, delta, reach);
+            reach.retain(|&(y, _)| is_entry[y.idx()]);
+        });
         Self { net, plan, delta, shards, overlay }
     }
 
     /// Reassembles a sharded network from precomputed tables (the artifact
     /// load path): borders, segment lists and R-trees are derived from
-    /// `net` + `plan` exactly as [`ShardedNetwork::build`] derives them,
+    /// `net` + `plan` by the same pass [`ShardedNetwork::build`] runs,
     /// while the intra tables and overlay are adopted as-is (typically
-    /// zero-copy image-backed). Answers are bitwise-identical to a fresh
+    /// zero-copy from an image). Answers are bitwise-identical to a fresh
     /// build when the tables came from one.
     ///
     /// # Panics
@@ -439,52 +397,9 @@ impl ShardedNetwork {
             intra.iter().chain(std::iter::once(&overlay)).all(|t| t.delta() == delta),
             "table delta mismatch"
         );
-        let num = plan.num_shards();
-        let shard_of = |n: NodeId| plan.shard_of(n);
-        let mut nodes: Vec<Vec<NodeId>> = vec![Vec::new(); num];
-        let mut segments: Vec<Vec<SegmentId>> = vec![Vec::new(); num];
-        let mut exits: Vec<HashSet<u32>> = vec![HashSet::new(); num];
-        let mut entries: Vec<HashSet<u32>> = vec![HashSet::new(); num];
-        for i in 0..net.num_nodes() as u32 {
-            nodes[shard_of(NodeId(i)) as usize].push(NodeId(i));
-        }
-        for seg_id in net.segment_ids() {
-            let seg = net.segment(seg_id);
-            let (sf, st) = (shard_of(seg.from), shard_of(seg.to));
-            segments[sf as usize].push(seg_id);
-            if sf != st {
-                exits[sf as usize].insert(seg.from.0);
-                entries[st as usize].insert(seg.to.0);
-            }
-        }
-        let shards = intra
-            .into_iter()
-            .enumerate()
-            .map(|(s, table)| {
-                let tree = RTree::bulk_load(
-                    segments[s]
-                        .iter()
-                        .map(|&id| IndexedSegment { id: id.0, line: net.segment(id).line })
-                        .collect(),
-                );
-                let mut exit_sorted: Vec<u32> = exits[s].iter().copied().collect();
-                exit_sorted.sort_unstable();
-                let mut entry_sorted: Vec<u32> = entries[s].iter().copied().collect();
-                entry_sorted.sort_unstable();
-                let intra = Arc::new(table);
-                Shard {
-                    nodes: std::mem::take(&mut nodes[s]),
-                    segments: std::mem::take(&mut segments[s]),
-                    tree,
-                    exit_borders: exit_sorted.into_iter().map(NodeId).collect(),
-                    entry_borders: entry_sorted.into_iter().map(NodeId).collect(),
-                    provider: TransitionProvider::with_table(Arc::clone(&intra)),
-                    intra,
-                    pool: Mutex::new(SsspPool::new()),
-                }
-            })
-            .collect();
-        Self { net, plan, delta, shards, overlay: Arc::new(overlay) }
+        let mut intra = intra.into_iter();
+        let shards = derive_shards(&net, &plan, |_, _| intra.next().expect("counted above"));
+        Self { net, plan, delta, shards, overlay }
     }
 
     /// The underlying whole network (geometry and adjacency are shared,
@@ -520,7 +435,7 @@ impl ShardedNetwork {
 
     /// The border-to-border overlay table (global node ids).
     #[must_use]
-    pub fn overlay(&self) -> &Arc<DistTable> {
+    pub fn overlay(&self) -> &DistTable {
         &self.overlay
     }
 
@@ -558,28 +473,18 @@ impl ShardedNetwork {
         }
     }
 
-    /// Per-shard size accounting, in shard-id order.
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|sh| ShardStats {
-                nodes: sh.nodes.len(),
-                segments: sh.segments.len(),
-                border_exits: sh.exit_borders.len(),
-                border_entries: sh.entry_borders.len(),
-                intra_pairs: sh.intra.len(),
-                resident_bytes: sh.intra.resident_bytes()
-                    + sh.segments.len() * std::mem::size_of::<IndexedSegment>()
-                    + (sh.nodes.len() + sh.exit_borders.len() + sh.entry_borders.len()) * 4,
-            })
-            .collect()
-    }
-
-    /// Total resident bytes across all shards plus the overlay.
+    /// Total resident bytes: every shard's table records, R-tree items and
+    /// node-id lists, plus the overlay's records.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        self.shard_stats().iter().map(|s| s.resident_bytes).sum::<usize>()
+        self.shards
+            .iter()
+            .map(|sh| {
+                sh.intra.resident_bytes()
+                    + sh.segments.len() * std::mem::size_of::<IndexedSegment>()
+                    + (sh.nodes.len() + sh.exit_borders.len() + sh.entry_borders.len()) * 4
+            })
+            .sum::<usize>()
             + self.overlay.resident_bytes()
     }
 }
@@ -686,11 +591,19 @@ mod tests {
         }
         assert!(node_owned.iter().all(|&c| c == 1));
         assert!(seg_owned.iter().all(|&c| c == 1));
-        let stats = sh.shard_stats();
-        assert_eq!(stats.len(), sh.num_shards());
-        assert_eq!(stats.iter().map(|s| s.nodes).sum::<usize>(), net.num_nodes());
-        assert_eq!(stats.iter().map(|s| s.segments).sum::<usize>(), net.num_segments());
-        assert!(sh.resident_bytes() > 0);
+        assert_eq!(sh.shards().len(), sh.num_shards());
+        // Tables count 16 bytes a record, trees one `IndexedSegment` per
+        // segment, id lists 4 bytes an id.
+        let borders: usize =
+            sh.shards().iter().map(|s| s.exit_borders().len() + s.entry_borders().len()).sum();
+        let records: usize =
+            sh.overlay().len() + sh.shards().iter().map(|s| s.intra().len()).sum::<usize>();
+        assert_eq!(
+            sh.resident_bytes(),
+            records * 16
+                + net.num_segments() * std::mem::size_of::<IndexedSegment>()
+                + (net.num_nodes() + borders) * 4
+        );
     }
 
     #[test]
@@ -699,30 +612,14 @@ mod tests {
         let delta = 550.0;
         let plan = ShardPlan::new(&net, &GridCut { tiles_x: 2, tiles_y: 2, seed: 1 });
         let built = ShardedNetwork::build(Arc::clone(&net), plan.clone(), delta);
-        // Round-trip the tables through plain pair maps (the artifact path
-        // additionally round-trips through packed images).
-        let intra: Vec<DistTable> = built
-            .shards()
-            .iter()
-            .map(|s| {
-                let mut pairs = HashMap::new();
-                s.intra().for_each_pair(|a, b, d| {
-                    pairs.insert((a, b), d);
-                });
-                DistTable::from_pairs(pairs, delta)
-            })
-            .collect();
-        let mut over = HashMap::new();
-        built.overlay().for_each_pair(|a, b, d| {
-            over.insert((a, b), d);
-        });
-        let re = ShardedNetwork::from_parts(
-            Arc::clone(&net),
-            plan,
-            delta,
-            intra,
-            DistTable::from_pairs(over, delta),
-        );
+        // Round-trip the tables through copies of their record bytes, as
+        // the artifact path does.
+        let copy = |t: &DistTable| {
+            DistTable::from_image(Arc::new(t.records().to_vec()), 0, t.len(), delta).unwrap()
+        };
+        let intra = built.shards().iter().map(|s| copy(s.intra())).collect();
+        let re =
+            ShardedNetwork::from_parts(Arc::clone(&net), plan, delta, intra, copy(built.overlay()));
         for s in (0..net.num_nodes() as u32).step_by(3) {
             for d in (0..net.num_nodes() as u32).step_by(2) {
                 assert_eq!(

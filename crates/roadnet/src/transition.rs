@@ -7,7 +7,8 @@
 //! from (in order):
 //!
 //! 1. a **precomputed bounded all-pairs table** ([`DistTable`] — FMM's
-//!    UBODT), when one is attached: a hash lookup, no search at all;
+//!    UBODT), when one is attached: a binary search over its sorted
+//!    records, no graph search at all;
 //! 2. a **sharded network** ([`crate::shard::ShardedNetwork`]), when one
 //!    is attached: the distance decomposes into intra-shard table hops
 //!    plus a boundary-overlay lookup — still pure lookups, no search;
@@ -31,7 +32,6 @@
 //! a pair was asked alone or inside a matrix (property-tested in
 //! `tests/props_baselines.rs`).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -47,6 +47,12 @@ pub enum DistImageError {
     /// Record keys are not strictly increasing — binary search over the
     /// image would silently answer wrong, so the image is rejected.
     Unsorted,
+    /// The distance bound is NaN or negative: no distance could be within
+    /// it, and every `≤ δ` test downstream would answer `false`.
+    BadDelta,
+    /// A record's distance is NaN, negative or above the bound, breaking
+    /// the `Some`-iff-within-δ contract table users rely on.
+    BadDistance,
 }
 
 impl std::fmt::Display for DistImageError {
@@ -54,6 +60,8 @@ impl std::fmt::Display for DistImageError {
         match self {
             Self::OutOfBounds => write!(f, "dist-table image exceeds its byte slab"),
             Self::Unsorted => write!(f, "dist-table image records are not sorted"),
+            Self::BadDelta => write!(f, "dist-table bound is NaN or negative"),
+            Self::BadDistance => write!(f, "dist-table record distance outside [0, delta]"),
         }
     }
 }
@@ -89,41 +97,27 @@ impl std::fmt::Display for TransitionError {
 impl std::error::Error for TransitionError {}
 
 /// Bytes per packed `(src u32, dst u32, dist f64-bits)` record of a
-/// [`DistTable`] byte image (all little-endian).
+/// [`DistTable`] (all little-endian).
 pub const DIST_RECORD_BYTES: usize = 16;
 
-/// How a [`DistTable`] stores its pairs.
-#[derive(Debug)]
-enum Repr {
-    /// Built in-process: a hash map, O(1) probes.
-    Map(HashMap<(u32, u32), f64>),
-    /// Adopted zero-copy from a byte image (`trmma-artifacts`): packed
-    /// 16-byte records sorted by `(src, dst)`, answered by binary search
-    /// directly over the shared slab — no per-pair parse or allocation.
-    Image {
-        slab: Arc<Vec<u8>>,
-        /// Byte offset of the first record within `slab`.
-        off: usize,
-        /// Number of records.
-        count: usize,
-    },
-}
-
 /// Bounded all-pairs shortest-distance table: for every node pair within
-/// length `delta`, the exact network distance. This is the construction
-/// routine shared by FMM's UBODT (`trmma-baselines::ubodt`) and anything
-/// else that wants precomputed transitions; building runs one bounded
-/// Dijkstra sweep per node through a single reused [`SsspPool`].
+/// length `delta`, the exact network distance — FMM's UBODT, and the
+/// intra-shard and overlay tables of a [`ShardedNetwork`].
 ///
-/// A table can also be **adopted zero-copy** from a precomputed byte image
-/// ([`DistTable::from_image`]): queries then binary-search the packed
-/// records in place, so a process fleet serving the same artifact shares
-/// one page-cached copy instead of each re-running the Dijkstra sweeps.
-/// Both representations answer queries bitwise-identically.
+/// A table *is* its byte image: `DIST_RECORD_BYTES`-wide records (`src u32
+/// | dst u32 | dist f64-bits`, little-endian) strictly sorted by
+/// `(src, dst)` and binary-searched in place. A built table owns its slab;
+/// one adopted from an artifact ([`DistTable::from_image`]) shares the
+/// artifact's, so a process fleet serving the same image shares one
+/// page-cached copy instead of each re-running the Dijkstra sweeps.
 #[derive(Debug)]
 pub struct DistTable {
     delta: f64,
-    repr: Repr,
+    slab: Arc<Vec<u8>>,
+    /// Byte offset of the first record within `slab`.
+    off: usize,
+    /// Number of records.
+    count: usize,
 }
 
 impl DistTable {
@@ -132,53 +126,57 @@ impl DistTable {
     #[must_use]
     pub fn build(net: &RoadNetwork, delta: f64) -> Self {
         let mut pool = SsspPool::new();
+        Self::from_sweeps((0..net.num_nodes() as u32).map(NodeId), delta, |src, reach| {
+            pool.bounded_sssp_into(net, src, Weight::Length, delta, reach);
+        })
+    }
+
+    /// Packs one bounded sweep per source into a table with bound `delta`:
+    /// `sweep(src, reach)` fills `reach` with the `(dst, dist)` pairs kept
+    /// for `src`, sorted by `dst` as [`SsspPool::bounded_sssp_into`] returns
+    /// them. Sources must come strictly ascending, so records are written
+    /// in key order and never sorted. [`DistTable::build`] and the shard
+    /// builder fill every table this way.
+    pub(crate) fn from_sweeps(
+        sources: impl IntoIterator<Item = NodeId>,
+        delta: f64,
+        mut sweep: impl FnMut(NodeId, &mut Vec<(NodeId, f64)>),
+    ) -> Self {
+        let mut records = Vec::new();
         let mut reach = Vec::new();
-        let mut table = HashMap::new();
-        for src in 0..net.num_nodes() as u32 {
-            pool.bounded_sssp_into(net, NodeId(src), Weight::Length, delta, &mut reach);
-            for &(dst, d) in &reach {
-                table.insert((src, dst.0), d);
+        for src in sources {
+            sweep(src, &mut reach);
+            for &(dst, dist) in &reach {
+                records.extend_from_slice(&src.0.to_le_bytes());
+                records.extend_from_slice(&dst.0.to_le_bytes());
+                records.extend_from_slice(&dist.to_bits().to_le_bytes());
             }
         }
-        Self { delta, repr: Repr::Map(table) }
+        let count = records.len() / DIST_RECORD_BYTES;
+        let table = Self { delta, slab: Arc::new(records), off: 0, count };
+        debug_assert_eq!(table.validate(), Ok(()));
+        table
     }
 
-    /// Wraps an already-computed pair map as a table with bound `delta`.
-    /// The shard builder uses this for per-shard intra tables and the
-    /// border overlay, whose sweeps run through shard-owned pools rather
-    /// than the all-nodes loop of [`DistTable::build`].
-    #[must_use]
-    pub fn from_pairs(pairs: HashMap<(u32, u32), f64>, delta: f64) -> Self {
-        Self { delta, repr: Repr::Map(pairs) }
-    }
-
-    /// Approximate resident bytes of the table's pair storage. Map-backed
-    /// tables estimate the hash table's footprint (key + value + control
-    /// overhead per bucket at observed load factors); image-backed tables
-    /// count exactly their packed record range — the slab is shared, so
-    /// that range is the table's marginal cost. Feeds the per-shard
-    /// resident-bytes accounting in the bench rows.
+    /// Resident bytes of the table's records: exactly `len() ×
+    /// DIST_RECORD_BYTES`. A table adopted from an artifact counts only
+    /// its own record range of the shared slab — its marginal cost.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        match &self.repr {
-            // (u32, u32) key + f64 value = 16 bytes, plus ~75% overhead for
-            // hashbrown's control bytes and empty buckets.
-            Repr::Map(t) => t.len() * 28,
-            Repr::Image { count, .. } => count * DIST_RECORD_BYTES,
-        }
+        self.count * DIST_RECORD_BYTES
     }
 
     /// Adopts `count` packed records starting at byte `off` of `slab` as a
-    /// table with bound `delta`, without copying or parsing them. Records
-    /// are `DIST_RECORD_BYTES` wide (`src u32 | dst u32 | dist f64-bits`,
-    /// little-endian) and must be strictly sorted by `(src, dst)` — the
-    /// order [`DistTable::for_each_pair`] emits for an image and the
-    /// artifact writer produces.
+    /// table with bound `delta`, without copying them — the bytes
+    /// [`DistTable::records`] returns and the artifact writer stores.
     ///
     /// # Errors
-    /// [`DistImageError::OutOfBounds`] when the range escapes the slab,
-    /// [`DistImageError::Unsorted`] when keys are not strictly increasing
-    /// (a corrupt or hand-built image must not silently mis-answer).
+    /// [`DistImageError::OutOfBounds`] when the range escapes the slab;
+    /// [`DistImageError::BadDelta`] when `delta` is NaN or negative;
+    /// [`DistImageError::Unsorted`] when keys are not strictly increasing;
+    /// [`DistImageError::BadDistance`] when a distance is NaN, negative or
+    /// above `delta`. CRCs cannot stop a crafted image, so a hand-built
+    /// table must not be able to mis-answer either.
     pub fn from_image(
         slab: Arc<Vec<u8>>,
         off: usize,
@@ -190,34 +188,53 @@ impl DistTable {
         if end > slab.len() {
             return Err(DistImageError::OutOfBounds);
         }
-        let table = Self { delta, repr: Repr::Image { slab, off, count } };
-        for i in 1..count {
-            if table.image_key(i - 1) >= table.image_key(i) {
-                return Err(DistImageError::Unsorted);
-            }
-        }
+        let table = Self { delta, slab, off, count };
+        table.validate()?;
         Ok(table)
     }
 
-    /// The `(src, dst)` key of image record `i`, packed high/low for
+    /// The invariants queries rely on, checked in one pass: a bound that is
+    /// neither NaN nor negative, strictly increasing keys, and every
+    /// distance within `[0, delta]`.
+    fn validate(&self) -> Result<(), DistImageError> {
+        if self.delta.is_nan() || self.delta < 0.0 {
+            return Err(DistImageError::BadDelta);
+        }
+        let mut prev = None;
+        for i in 0..self.count {
+            let key = self.key(i);
+            if prev.is_some_and(|p| p >= key) {
+                return Err(DistImageError::Unsorted);
+            }
+            prev = Some(key);
+            if !(0.0..=self.delta).contains(&self.dist(i)) {
+                return Err(DistImageError::BadDistance);
+            }
+        }
+        Ok(())
+    }
+
+    /// The `(src, dst)` key of record `i`, packed high/low for
     /// lexicographic comparison.
-    fn image_key(&self, i: usize) -> u64 {
-        let Repr::Image { slab, off, .. } = &self.repr else {
-            unreachable!("image_key on a map-backed table")
-        };
-        let p = off + i * DIST_RECORD_BYTES;
-        let src = u32::from_le_bytes(slab[p..p + 4].try_into().expect("4 bytes"));
-        let dst = u32::from_le_bytes(slab[p + 4..p + 8].try_into().expect("4 bytes"));
+    fn key(&self, i: usize) -> u64 {
+        let p = self.off + i * DIST_RECORD_BYTES;
+        let src = u32::from_le_bytes(self.slab[p..p + 4].try_into().expect("4 bytes"));
+        let dst = u32::from_le_bytes(self.slab[p + 4..p + 8].try_into().expect("4 bytes"));
         (u64::from(src)) << 32 | u64::from(dst)
     }
 
-    /// The distance bits of image record `i`.
-    fn image_dist(&self, i: usize) -> f64 {
-        let Repr::Image { slab, off, .. } = &self.repr else {
-            unreachable!("image_dist on a map-backed table")
-        };
-        let p = off + i * DIST_RECORD_BYTES + 8;
-        f64::from_bits(u64::from_le_bytes(slab[p..p + 8].try_into().expect("8 bytes")))
+    /// The distance bits of record `i`.
+    fn dist(&self, i: usize) -> f64 {
+        let p = self.off + i * DIST_RECORD_BYTES + 8;
+        f64::from_bits(u64::from_le_bytes(self.slab[p..p + 8].try_into().expect("8 bytes")))
+    }
+
+    /// The packed records in key order — exactly the bytes
+    /// [`DistTable::from_image`] adopts, which the artifact writer copies
+    /// verbatim.
+    #[must_use]
+    pub fn records(&self) -> &[u8] {
+        &self.slab[self.off..self.off + self.count * DIST_RECORD_BYTES]
     }
 
     /// The distance bound the table was built with.
@@ -229,58 +246,29 @@ impl DistTable {
     /// Number of stored pairs.
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Map(t) => t.len(),
-            Repr::Image { count, .. } => *count,
-        }
+        self.count
     }
 
     /// Whether the table is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.count == 0
     }
 
     /// Shortest distance `src → dst` if within `delta`.
     #[must_use]
     pub fn query(&self, src: NodeId, dst: NodeId) -> Option<f64> {
-        match &self.repr {
-            Repr::Map(t) => t.get(&(src.0, dst.0)).copied(),
-            Repr::Image { count, .. } => {
-                let key = (u64::from(src.0)) << 32 | u64::from(dst.0);
-                let (mut lo, mut hi) = (0usize, *count);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    match self.image_key(mid).cmp(&key) {
-                        std::cmp::Ordering::Less => lo = mid + 1,
-                        std::cmp::Ordering::Greater => hi = mid,
-                        std::cmp::Ordering::Equal => return Some(self.image_dist(mid)),
-                    }
-                }
-                None
+        let key = (u64::from(src.0)) << 32 | u64::from(dst.0);
+        let (mut lo, mut hi) = (0usize, self.count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.key(mid).cmp(&key) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(self.dist(mid)),
             }
         }
-    }
-
-    /// Visits every stored pair as `(src, dst, dist)`. Map-backed tables
-    /// visit in arbitrary (hash) order; image-backed tables visit in key
-    /// order. Used by the artifact writer and the loaded-vs-built identity
-    /// checks.
-    pub fn for_each_pair(&self, mut f: impl FnMut(u32, u32, f64)) {
-        match &self.repr {
-            Repr::Map(t) => {
-                for (&(s, d), &dist) in t {
-                    f(s, d, dist);
-                }
-            }
-            Repr::Image { count, .. } => {
-                for i in 0..*count {
-                    let key = self.image_key(i);
-                    #[allow(clippy::cast_possible_truncation)]
-                    f((key >> 32) as u32, key as u32, self.image_dist(i));
-                }
-            }
-        }
+        None
     }
 }
 
@@ -608,19 +596,31 @@ mod tests {
 
     #[test]
     fn dist_table_matches_bounded_dijkstra_on_city() {
+        // Every pair, bit for bit: a node distance does not depend on which
+        // sweep settled it (DESIGN.md §16).
         let net = generate_city(&NetworkConfig::with_size(6, 6, 29));
         let delta = 600.0;
         let table = DistTable::build(&net, delta);
-        for src in (0..net.num_nodes() as u32).step_by(5) {
-            for dst in (0..net.num_nodes() as u32).step_by(7) {
+        let n = net.num_nodes() as u32;
+        for src in 0..n {
+            for dst in 0..n {
                 let exact = node_dist(&net, NodeId(src), NodeId(dst), Weight::Length, delta);
-                match (exact, table.query(NodeId(src), NodeId(dst))) {
-                    (Some(e), Some(l)) => assert!((e - l).abs() < 1e-9, "{src}->{dst}"),
-                    (None, None) => {}
-                    other => panic!("mismatch {src}->{dst}: {other:?}"),
-                }
+                assert_eq!(
+                    table.query(NodeId(src), NodeId(dst)).map(f64::to_bits),
+                    exact.map(f64::to_bits),
+                    "{src}->{dst}"
+                );
             }
+            assert_eq!(table.query(NodeId(src), NodeId(src)), Some(0.0));
         }
+        assert_eq!(table.resident_bytes(), table.len() * DIST_RECORD_BYTES);
+        // The table grows with its bound.
+        assert!(DistTable::build(&net, 200.0).len() < table.len());
+        assert!(DistTable::build(&net, 1_200.0).len() > table.len());
+        // A built table is a valid image of itself.
+        let image = Arc::new(table.records().to_vec());
+        let adopted = DistTable::from_image(image, 0, table.len(), delta).unwrap();
+        assert_eq!(adopted.records(), table.records());
     }
 
     #[test]
@@ -761,28 +761,20 @@ mod tests {
         assert!(msg.to_string().contains("out of range"));
     }
 
-    /// Packs a table's pairs into the image record layout, sorted.
-    fn pack_image(table: &DistTable) -> Vec<u8> {
-        let mut pairs = Vec::new();
-        table.for_each_pair(|s, d, dist| pairs.push((s, d, dist)));
-        pairs.sort_by_key(|&(s, d, _)| (u64::from(s)) << 32 | u64::from(d));
-        let mut out = Vec::with_capacity(pairs.len() * DIST_RECORD_BYTES);
-        for (s, d, dist) in pairs {
-            out.extend_from_slice(&s.to_le_bytes());
-            out.extend_from_slice(&d.to_le_bytes());
-            out.extend_from_slice(&dist.to_bits().to_le_bytes());
-        }
-        out
-    }
-
     #[test]
     fn image_backed_table_answers_identically_to_built() {
         let net = generate_city(&NetworkConfig::with_size(6, 6, 33));
         let built = DistTable::build(&net, 700.0);
-        let image = pack_image(&built);
-        let loaded = DistTable::from_image(Arc::new(image), 0, built.len(), built.delta()).unwrap();
+        // Adopted from a record range inside a larger slab, as an artifact
+        // section is.
+        let mut slab = vec![0xAB; 24];
+        slab.extend_from_slice(built.records());
+        slab.extend_from_slice(&[0xCD; 8]);
+        let loaded = DistTable::from_image(Arc::new(slab), 24, built.len(), built.delta()).unwrap();
         assert_eq!(loaded.len(), built.len());
         assert_eq!(loaded.delta(), built.delta());
+        assert_eq!(loaded.records(), built.records());
+        assert_eq!(loaded.resident_bytes(), built.resident_bytes());
         for src in 0..net.num_nodes() as u32 {
             for dst in 0..net.num_nodes() as u32 {
                 let (b, l) =
@@ -790,24 +782,13 @@ mod tests {
                 assert_eq!(b.map(f64::to_bits), l.map(f64::to_bits), "{src}->{dst}");
             }
         }
-        // for_each_pair over the image visits key order and round-trips.
-        let mut last = None;
-        let mut n = 0usize;
-        loaded.for_each_pair(|s, d, dist| {
-            let key = (u64::from(s)) << 32 | u64::from(d);
-            assert!(last.is_none_or(|l| l < key), "key order");
-            last = Some(key);
-            assert_eq!(built.query(NodeId(s), NodeId(d)).map(f64::to_bits), Some(dist.to_bits()));
-            n += 1;
-        });
-        assert_eq!(n, built.len());
     }
 
     #[test]
     fn image_rejects_unsorted_and_out_of_bounds() {
         let net = chain5();
         let built = DistTable::build(&net, 250.0);
-        let image = pack_image(&built);
+        let image = built.records().to_vec();
         let n = built.len();
         // Swapping two records breaks strict ordering.
         let mut bad = image.clone();
@@ -838,7 +819,30 @@ mod tests {
             DistTable::from_image(Arc::clone(&slab), usize::MAX, 1, 250.0).unwrap_err(),
             DistImageError::OutOfBounds
         );
-        // The pristine image still loads.
+        // A NaN or negative bound is rejected, and so is any distance a
+        // bound check downstream would mis-answer.
+        for delta in [f64::NAN, -1.0] {
+            assert_eq!(
+                DistTable::from_image(Arc::clone(&slab), 0, n, delta).unwrap_err(),
+                DistImageError::BadDelta
+            );
+        }
+        assert_eq!(
+            DistTable::from_image(Arc::clone(&slab), 0, n, 150.0).unwrap_err(),
+            DistImageError::BadDistance,
+            "a 200 m record exceeds a 150 m bound"
+        );
+        for dist in [f64::NAN, -1.0, 250.5] {
+            let mut bad = (*slab).clone();
+            bad[n * DIST_RECORD_BYTES - 8..].copy_from_slice(&dist.to_bits().to_le_bytes());
+            assert_eq!(
+                DistTable::from_image(Arc::new(bad), 0, n, 250.0).unwrap_err(),
+                DistImageError::BadDistance,
+                "{dist}"
+            );
+        }
+        // The pristine image still loads, also at an infinite bound.
+        assert!(DistTable::from_image(Arc::clone(&slab), 0, n, f64::INFINITY).is_ok());
         assert!(DistTable::from_image(slab, 0, n, 250.0).is_ok());
     }
 }

@@ -10,7 +10,10 @@
 //!   the image is caught: either `Artifact::decode` fails (header bytes)
 //!   or materializing the owning section fails (payload bytes, lazy CRC);
 //! * **Truncation rejection** — every strict prefix of an image, and any
-//!   extension of it, is rejected at decode; never a panic.
+//!   extension of it, is rejected at decode; never a panic;
+//! * **Crafted values** — a table section or shard range whose bound or
+//!   distances break the `Some`-iff-within-δ contract is refused even when
+//!   every CRC has been recomputed to match.
 
 use std::sync::Arc;
 
@@ -18,9 +21,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use trmma::core::{Artifact, ArtifactBuilder, ArtifactError};
+use trmma::core::snapshot::crc32;
+use trmma::core::{Artifact, ArtifactBuilder, ArtifactError, SectionKind};
 use trmma::nn::Matrix;
-use trmma::roadnet::{generate_city, DistTable, NetworkConfig, NodeId, RoadNetwork};
+use trmma::roadnet::{
+    generate_city, DistTable, GridCut, NetworkConfig, NodeId, RoadNetwork, ShardPlan,
+    ShardedNetwork,
+};
 
 /// Generates a small city from a seed, like `props_snapshot.rs`.
 fn arbitrary_net(net_seed: u64) -> Arc<RoadNetwork> {
@@ -111,13 +118,7 @@ proptest! {
         let loaded = art.dist_table().expect("dist table section serves");
         prop_assert_eq!(loaded.len(), w.table.len());
         prop_assert_eq!(loaded.delta().to_bits(), w.table.delta().to_bits());
-        let mut built_pairs = Vec::new();
-        w.table.for_each_pair(|s, d, m| built_pairs.push((s, d, m.to_bits())));
-        built_pairs.sort_unstable();
-        let mut loaded_pairs = Vec::new();
-        loaded.for_each_pair(|s, d, m| loaded_pairs.push((s, d, m.to_bits())));
-        loaded_pairs.sort_unstable();
-        prop_assert_eq!(built_pairs, loaded_pairs);
+        prop_assert_eq!(loaded.records(), w.table.records());
 
         let emb = art.embeddings().expect("embeddings section serves");
         prop_assert_eq!(emb.shape(), w.embeddings.shape());
@@ -210,5 +211,119 @@ proptest! {
         let mut padded = w.image.clone();
         padded.push(0);
         prop_assert!(Artifact::decode(padded).is_err(), "trailing byte accepted");
+    }
+}
+
+fn u64_at(image: &[u8], at: usize) -> usize {
+    usize::try_from(u64::from_le_bytes(image[at..at + 8].try_into().unwrap())).unwrap()
+}
+
+fn put_u32_at(image: &mut [u8], at: usize, v: u32) {
+    image[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Recomputes every section CRC and then the header CRC, as the maker of a
+/// crafted image would.
+fn reseal(image: &mut [u8]) {
+    let n = usize::from(u16::from_le_bytes([image[6], image[7]]));
+    for i in 0..n {
+        let entry = 16 + i * 24;
+        let (off, len) = (u64_at(image, entry + 4), u64_at(image, entry + 12));
+        let crc = crc32(&image[off..off + len]);
+        put_u32_at(image, entry + 20, crc);
+    }
+    let header = 16 + n * 24;
+    let crc = crc32(&image[..header]);
+    put_u32_at(image, header, crc);
+}
+
+/// Where a shards section starting at `off` keeps its records: the byte
+/// offset of each range (every shard's, then the overlay's) with its
+/// record count, and the offset of the metadata CRC.
+fn shard_ranges(image: &[u8], off: usize) -> (Vec<(usize, usize)>, usize) {
+    let num_shards = u64_at(image, off + 16 + 4 * u64_at(image, off + 8));
+    let dir = off + 24 + 4 * u64_at(image, off + 8);
+    let meta_end = dir + 12 * (num_shards + 1);
+    let mut at = meta_end + 4;
+    let ranges = (0..=num_shards)
+        .map(|i| {
+            let count = u64_at(image, dir + 12 * i);
+            at += count * 16;
+            (at - count * 16, count)
+        })
+        .collect();
+    (ranges, meta_end)
+}
+
+/// [`reseal`] after recomputing a shards section's per-range CRCs and its
+/// metadata CRC.
+fn reseal_shards(image: &mut [u8], off: usize) {
+    let (ranges, meta_end) = shard_ranges(image, off);
+    let dir = meta_end - 12 * ranges.len();
+    for (i, (at, count)) in ranges.into_iter().enumerate() {
+        let crc = crc32(&image[at..at + count * 16]);
+        put_u32_at(image, dir + 12 * i + 8, crc);
+    }
+    let crc = crc32(&image[off..meta_end]);
+    put_u32_at(image, meta_end, crc);
+    reseal(image);
+}
+
+/// A NaN or negative bound, and any distance that is NaN, negative or
+/// above the bound, is refused on a table section and on a shard range,
+/// although every CRC matches — and the genuine image still loads.
+#[test]
+fn crafted_bounds_and_distances_are_rejected_despite_valid_crcs() {
+    let net = Arc::new(generate_city(&NetworkConfig::with_size(6, 6, 29)));
+    let delta = 600.0;
+    let plan = ShardPlan::new(&net, &GridCut { tiles_x: 2, tiles_y: 2, seed: 9 });
+    let mut b = ArtifactBuilder::new();
+    b.dist_table(&DistTable::build(&net, delta));
+    b.shards(&ShardedNetwork::build(Arc::clone(&net), plan, delta));
+    let image = b.finish();
+    let art = Artifact::decode(image.clone()).unwrap();
+    let offset = |kind| art.sections().iter().find(|s| s.kind == kind as u16).unwrap().offset;
+    let (table, shards) = (offset(SectionKind::DistTable), offset(SectionKind::Shards));
+
+    // The resealers reproduce a genuine image byte for byte, and it loads.
+    let mut same = image.clone();
+    reseal_shards(&mut same, shards);
+    assert_eq!(same, image);
+    assert!(art.dist_table().is_ok());
+    assert!(art.sharded_network(Arc::clone(&net)).is_ok());
+
+    let bad_delta = ArtifactError::Malformed("dist-table bound NaN or negative");
+    let bad_dist = ArtifactError::Malformed("dist-table distance outside [0, delta]");
+    let victim = 1u32;
+    let (ranges, _) = shard_ranges(&image, shards);
+    let (first, count) = ranges[victim as usize];
+    assert!(count > 0, "the victim shard must own records");
+    // Where to write, as (in the table section, in the shards section):
+    // the bound is the first field of both; a distance is the last 8
+    // bytes of a record — the section's first, or the victim shard's.
+    let bound = (table, shards);
+    let dist = (table + 16 + 8, first + 8);
+    for (at, value, want) in [
+        (bound, f64::NAN, &bad_delta),
+        (bound, -1.0, &bad_delta),
+        (dist, f64::NAN, &bad_dist),
+        (dist, -0.5, &bad_dist),
+        (dist, delta + 0.5, &bad_dist),
+    ] {
+        let bits = value.to_bits().to_le_bytes();
+
+        let mut bad = image.clone();
+        bad[at.0..at.0 + 8].copy_from_slice(&bits);
+        reseal(&mut bad);
+        let art = Artifact::decode(bad).unwrap();
+        assert_eq!(art.dist_table().unwrap_err(), *want, "table section, {value}");
+
+        let mut bad = image.clone();
+        bad[at.1..at.1 + 8].copy_from_slice(&bits);
+        reseal_shards(&mut bad, shards);
+        let art = Artifact::decode(bad).unwrap();
+        assert_eq!(art.shard_intra_table(victim).unwrap_err(), *want, "shard range, {value}");
+        assert_eq!(art.sharded_network(Arc::clone(&net)).unwrap_err(), *want);
+        assert!(art.dist_table().is_ok(), "the table section is untouched");
     }
 }
