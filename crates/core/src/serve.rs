@@ -42,6 +42,13 @@
 //! * **Sessions outlive connections.** A client may disconnect and
 //!   reconnect; session state lives in the engine until finalized,
 //!   drained, or idle-evicted.
+//! * **Hand-offs block; nothing polls.** The accept thread blocks in
+//!   `accept`, each reader in `read`, each writer on its reply channel,
+//!   and the pump — when a cycle found nothing to do — on the engine's
+//!   doorbell. Every producer of pump work rings that bell: readers after
+//!   a tenant-queue or control enqueue, workers after every event, reply
+//!   and exit, and [`Server::stop`]. A point therefore costs no sleep on
+//!   its way to the engine or on its ack's way back.
 //!
 //! # Trust model
 //!
@@ -62,7 +69,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -77,7 +84,7 @@ use trmma_traj::types::GpsPoint;
 use trmma_traj::OnlineMatcher;
 
 use crate::snapshot::{crc32, SessionSnapshot};
-use crate::stream::{FaultPlan, SessionId, StreamEngine, StreamEvent, StreamOptions};
+use crate::stream::{Bell, FaultPlan, SessionId, StreamEngine, StreamEvent, StreamOptions};
 
 /// The four magic bytes every ingest frame starts with.
 pub const MAGIC: [u8; 4] = *b"TRMP";
@@ -858,7 +865,8 @@ impl Registry {
 /// Everything the reader threads and the pump share. The engine itself is
 /// deliberately *not* here: its event receiver is single-consumer, so the
 /// pump thread owns it exclusively and readers talk to it only through the
-/// tenant queues and the control queue.
+/// tenant queues and the control queue — ringing `bell`, the engine's
+/// doorbell, after each enqueue.
 struct Shared<M: OnlineMatcher + 'static> {
     cfg: ServeConfig,
     matcher: Arc<M>,
@@ -866,6 +874,7 @@ struct Shared<M: OnlineMatcher + 'static> {
     control: Mutex<VecDeque<Control>>,
     counters: Arc<Counters>,
     shutdown: AtomicBool,
+    bell: Bell,
 }
 
 fn send_reply(tx: &ReplyTx, frame: Frame) {
@@ -911,7 +920,6 @@ impl<M: OnlineMatcher + 'static> Server<M> {
     pub fn start(matcher: Arc<M>, cfg: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let engine = match cfg.faults {
             Some(plan) => StreamEngine::with_faults(matcher.clone(), cfg.stream, plan),
             None => StreamEngine::new(matcher.clone(), cfg.stream),
@@ -923,6 +931,7 @@ impl<M: OnlineMatcher + 'static> Server<M> {
             control: Mutex::new(VecDeque::new()),
             counters: Arc::new(Counters::default()),
             shutdown: AtomicBool::new(false),
+            bell: engine.waker(),
         });
         let accept = {
             let shared = shared.clone();
@@ -956,8 +965,24 @@ impl<M: OnlineMatcher + 'static> Server<M> {
 
     fn halt(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.bell.ring();
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
+            // The accept thread blocks in `accept`: a connection of our own
+            // wakes it to see the flag (loopback when bound to an
+            // unspecified address). If even that fails, leave the thread
+            // blocked rather than hang here.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                let ip = if wake.is_ipv4() {
+                    Ipv4Addr::LOCALHOST.into()
+                } else {
+                    Ipv6Addr::LOCALHOST.into()
+                };
+                wake.set_ip(ip);
+            }
+            if TcpStream::connect(wake).is_ok() {
+                let _ = h.join();
+            }
         }
         if let Some(h) = self.pump.take() {
             let _ = h.join();
@@ -1011,14 +1036,19 @@ fn collect_stats<M: OnlineMatcher + 'static>(shared: &Shared<M>) -> ServeStats {
 }
 
 fn accept_loop<M: OnlineMatcher + 'static>(listener: &TcpListener, shared: &Arc<Shared<M>>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for stream in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match stream {
+            Ok(stream) => {
                 bump(&shared.counters.connections);
                 let shared = shared.clone();
                 std::thread::spawn(move || connection_loop(stream, &shared));
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            // Only a failed accept pauses, so descriptor exhaustion cannot
+            // spin this thread; otherwise it waits in `accept` alone.
+            Err(_) => std::thread::park_timeout(Duration::from_millis(2)),
         }
     }
 }
@@ -1205,13 +1235,12 @@ fn dispatch<M: OnlineMatcher + 'static>(
             // Quiesce admissions immediately; the pump performs the drain
             // so it serializes with in-flight pushes and restores.
             shared.reg.lock().expect("registry poisoned").draining = true;
-            let ctl = Control::Snapshot { tenant, session, reply: tx.clone() };
-            shared.control.lock().expect("control poisoned").push_back(ctl);
+            enqueue_control(shared, Control::Snapshot { tenant, session, reply: tx.clone() });
         }
         FrameKind::Restore => match SessionSnapshot::decode(&frame.payload) {
             Ok(snap) => {
                 let ctl = Control::Restore { snap, tenant, client_sid: session, reply: tx.clone() };
-                shared.control.lock().expect("control poisoned").push_back(ctl);
+                enqueue_control(shared, ctl);
             }
             Err(_) => refuse(shared, tx, tenant, session, RefuseCode::BadPayload, 0),
         },
@@ -1224,6 +1253,11 @@ fn dispatch<M: OnlineMatcher + 'static>(
     true
 }
 
+fn enqueue_control<M: OnlineMatcher + 'static>(shared: &Shared<M>, ctl: Control) {
+    shared.control.lock().expect("control poisoned").push_back(ctl);
+    shared.bell.ring();
+}
+
 fn handle_open<M: OnlineMatcher + 'static>(
     shared: &Shared<M>,
     tx: &ReplyTx,
@@ -1231,37 +1265,50 @@ fn handle_open<M: OnlineMatcher + 'static>(
     session: u64,
 ) {
     let mut reg = shared.reg.lock().expect("registry poisoned");
-    if reg.draining {
-        drop(reg);
-        refuse(shared, tx, tenant, session, RefuseCode::Draining, 0);
-        return;
-    }
-    if reg.sessions.contains_key(&session) {
-        drop(reg);
-        refuse(shared, tx, tenant, session, RefuseCode::AlreadyOpen, 0);
-        return;
-    }
-    let burst = shared.cfg.burst;
-    let cap = shared.cfg.max_sessions_per_tenant;
-    let t = reg.tenants.entry(tenant).or_insert_with(|| TenantState::new(burst));
-    if t.live_sessions as usize >= cap {
-        t.refused += 1;
-        drop(reg);
-        refuse(shared, tx, tenant, session, RefuseCode::SessionLimit, 0);
-        return;
-    }
-    t.live_sessions += 1;
-    let engine_sid = reg.next_sid;
-    reg.next_sid += 1;
-    reg.sessions.insert(
-        session,
-        SessionEntry { tenant, engine_sid, last_t: f64::NEG_INFINITY, closing: false },
-    );
+    let reserved = if reg.draining {
+        Err(RefuseCode::Draining)
+    } else {
+        reserve_session(shared, &mut reg, tenant, session, f64::NEG_INFINITY, false)
+    };
+    let engine_sid = match reserved {
+        Ok(sid) => sid,
+        Err(code) => {
+            drop(reg);
+            refuse(shared, tx, tenant, session, code, 0);
+            return;
+        }
+    };
     reg.by_engine.insert(engine_sid, session);
     reg.acks.insert(engine_sid, VecDeque::new());
     drop(reg);
     bump(&shared.counters.sessions_opened);
     send_reply(tx, Frame::new(FrameKind::Opened, tenant, session, Vec::new()));
+}
+
+/// Registers client id `session` for `tenant` under a fresh engine id, if
+/// the id is free and the tenant is below its live-session cap.
+fn reserve_session<M: OnlineMatcher + 'static>(
+    shared: &Shared<M>,
+    reg: &mut Registry,
+    tenant: u64,
+    session: u64,
+    last_t: f64,
+    closing: bool,
+) -> Result<SessionId, RefuseCode> {
+    if reg.sessions.contains_key(&session) {
+        return Err(RefuseCode::AlreadyOpen);
+    }
+    let burst = shared.cfg.burst;
+    let t = reg.tenants.entry(tenant).or_insert_with(|| TenantState::new(burst));
+    if t.live_sessions as usize >= shared.cfg.max_sessions_per_tenant {
+        t.refused += 1;
+        return Err(RefuseCode::SessionLimit);
+    }
+    t.live_sessions += 1;
+    let engine_sid = reg.next_sid;
+    reg.next_sid += 1;
+    reg.sessions.insert(session, SessionEntry { tenant, engine_sid, last_t, closing });
+    Ok(engine_sid)
 }
 
 fn handle_push<M: OnlineMatcher + 'static>(
@@ -1283,42 +1330,28 @@ fn handle_push<M: OnlineMatcher + 'static>(
         }
     };
     let mut reg = shared.reg.lock().expect("registry poisoned");
-    let Some(entry) = reg.sessions.get(&session) else {
+    if let Some(code) = session_refusal(shared, &mut reg, tenant, session) {
         drop(reg);
-        refuse(shared, tx, tenant, session, RefuseCode::UnknownSession, 0);
-        return;
-    };
-    if entry.tenant != tenant {
-        bump(&shared.counters.wrong_tenant);
-        // Account the refusal against the probing tenant's fairness row
-        // only if that tenant already exists: tenant ids are
-        // client-asserted, so minting registry state for arbitrary probed
-        // ids would let one connection grow the tenant map (and the
-        // ServeStats payload) without bound.
-        if let Some(t) = reg.tenants.get_mut(&tenant) {
-            t.refused += 1;
-        }
-        drop(reg);
-        refuse(shared, tx, tenant, session, RefuseCode::WrongTenant, 0);
+        refuse(shared, tx, tenant, session, code, 0);
         return;
     }
-    if entry.closing {
-        drop(reg);
-        refuse(shared, tx, tenant, session, RefuseCode::UnknownSession, 0);
-        return;
-    }
-    if reg.draining {
-        drop(reg);
-        refuse(shared, tx, tenant, session, RefuseCode::Draining, 0);
-        return;
-    }
-    if point.t <= entry.last_t {
+    let entry = &reg.sessions[&session];
+    // A non-finite coordinate would reach the decoder, and a NaN `t` would
+    // disable the late-point check below for the rest of the session.
+    let bad = if !trmma_traj::is_finite_point(&point) {
+        Some(RefuseCode::BadPayload)
+    } else if point.t <= entry.last_t {
         bump(&shared.counters.late_refused);
+        Some(RefuseCode::LatePoint)
+    } else {
+        None
+    };
+    if let Some(code) = bad {
         if let Some(t) = reg.tenants.get_mut(&tenant) {
             t.refused += 1;
         }
         drop(reg);
-        refuse(shared, tx, tenant, session, RefuseCode::LatePoint, 0);
+        refuse(shared, tx, tenant, session, code, 0);
         return;
     }
     if window.load(Ordering::Acquire) >= shared.cfg.inflight_window {
@@ -1361,19 +1394,21 @@ fn handle_push<M: OnlineMatcher + 'static>(
     });
     window.fetch_add(1, Ordering::AcqRel);
     reg.sessions.get_mut(&session).expect("checked above").last_t = point.t;
+    drop(reg);
+    shared.bell.ring();
 }
 
-fn handle_finalize<M: OnlineMatcher + 'static>(
+/// Why `tenant` may not push to or finalize `session` right now, if it
+/// may not: the session is not open (or already finalizing), belongs to
+/// another tenant, or the server is draining.
+fn session_refusal<M: OnlineMatcher + 'static>(
     shared: &Shared<M>,
-    tx: &ReplyTx,
+    reg: &mut Registry,
     tenant: u64,
     session: u64,
-) {
-    let mut reg = shared.reg.lock().expect("registry poisoned");
+) -> Option<RefuseCode> {
     let Some(entry) = reg.sessions.get(&session) else {
-        drop(reg);
-        refuse(shared, tx, tenant, session, RefuseCode::UnknownSession, 0);
-        return;
+        return Some(RefuseCode::UnknownSession);
     };
     if entry.tenant != tenant {
         bump(&shared.counters.wrong_tenant);
@@ -1385,20 +1420,27 @@ fn handle_finalize<M: OnlineMatcher + 'static>(
         if let Some(t) = reg.tenants.get_mut(&tenant) {
             t.refused += 1;
         }
-        drop(reg);
-        refuse(shared, tx, tenant, session, RefuseCode::WrongTenant, 0);
-        return;
+        return Some(RefuseCode::WrongTenant);
     }
     if entry.closing {
+        return Some(RefuseCode::UnknownSession);
+    }
+    reg.draining.then_some(RefuseCode::Draining)
+}
+
+fn handle_finalize<M: OnlineMatcher + 'static>(
+    shared: &Shared<M>,
+    tx: &ReplyTx,
+    tenant: u64,
+    session: u64,
+) {
+    let mut reg = shared.reg.lock().expect("registry poisoned");
+    if let Some(code) = session_refusal(shared, &mut reg, tenant, session) {
         drop(reg);
-        refuse(shared, tx, tenant, session, RefuseCode::UnknownSession, 0);
+        refuse(shared, tx, tenant, session, code, 0);
         return;
     }
-    if reg.draining {
-        drop(reg);
-        refuse(shared, tx, tenant, session, RefuseCode::Draining, 0);
-        return;
-    }
+    let entry = &reg.sessions[&session];
     let engine_sid = entry.engine_sid;
     if entry.last_t == f64::NEG_INFINITY {
         // No point was ever admitted, so the engine has no session to
@@ -1428,6 +1470,8 @@ fn handle_finalize<M: OnlineMatcher + 'static>(
         reply: tx.clone(),
         window: Arc::new(AtomicUsize::new(0)),
     });
+    drop(reg);
+    shared.bell.ring();
 }
 
 fn final_frame(tenant: u64, session: u64, points: u64, result: &trmma_traj::MatchResult) -> Frame {
@@ -1451,10 +1495,21 @@ fn ack_frame(tenant: u64, session: u64, seq: u64, update: &trmma_traj::OnlineUpd
     Frame::new(FrameKind::Ack, tenant, session, payload)
 }
 
+/// How long the idle pump blocks on the doorbell before it re-checks its
+/// queues anyway. Every producer rings, so nothing waits this out in
+/// correct operation; it only bounds the cost of a missed ring.
+const PUMP_BACKSTOP: Duration = Duration::from_millis(100);
+
 /// The tenant-fair pump: the only thread that feeds the engine. Each cycle
 /// takes at most one pending command per tenant (round-robin fairness — a
 /// hot tenant's backlog cannot starve a quiet tenant's single point),
 /// delivers them, then converts engine events into Ack/Final replies.
+///
+/// A cycle that found no command blocks in [`StreamEngine::wait_events`]
+/// (at most [`PUMP_BACKSTOP`]) until the engine's doorbell rings. Workers
+/// ring after every event, reply and exit; readers ring after each tenant
+/// or control enqueue; [`Server::stop`] rings to end the loop. The pump
+/// checks every queue before it blocks, so a ring is never lost.
 fn pump_loop<M: OnlineMatcher + 'static>(shared: &Arc<Shared<M>>, engine: &StreamEngine<M>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         let mut worked = false;
@@ -1474,12 +1529,9 @@ fn pump_loop<M: OnlineMatcher + 'static>(shared: &Arc<Shared<M>>, engine: &Strea
             worked = true;
             deliver(shared, engine, item);
         }
-        for ev in engine.poll_events() {
-            worked = true;
+        let wait = if worked { Duration::ZERO } else { PUMP_BACKSTOP };
+        for ev in engine.wait_events(wait) {
             handle_event(shared, &ev);
-        }
-        if !worked {
-            std::thread::sleep(Duration::from_millis(1));
         }
     }
 }
@@ -1630,11 +1682,9 @@ fn handle_snapshot<M: OnlineMatcher + 'static>(
             deliver(shared, engine, item);
         }
     }
-    // Settle: every accepted push acked, every finalize answered.
+    // Settle: every accepted push acked, every finalize answered. Each
+    // such event rings the doorbell, which ends the wait.
     loop {
-        for ev in engine.poll_events() {
-            handle_event(shared, &ev);
-        }
         let settled = {
             let reg = shared.reg.lock().expect("registry poisoned");
             reg.fins.is_empty() && reg.acks.values().all(VecDeque::is_empty)
@@ -1642,13 +1692,25 @@ fn handle_snapshot<M: OnlineMatcher + 'static>(
         if settled || Instant::now() > deadline {
             break;
         }
-        std::thread::sleep(Duration::from_millis(1));
+        for ev in engine.wait_events(deadline.saturating_duration_since(Instant::now())) {
+            handle_event(shared, &ev);
+        }
     }
     let remaining = deadline.saturating_duration_since(Instant::now());
-    let snaps = engine.drain_snapshots(remaining.max(Duration::from_millis(100)));
+    let mut snaps = engine.drain_snapshots(remaining.max(Duration::from_millis(100)));
     let mut count: u64 = 0;
     {
         let mut reg = shared.reg.lock().expect("registry poisoned");
+        // Sessions the engine never saw (opened, zero points admitted)
+        // still count: synthesize a fresh-session snapshot so the
+        // successor reopens them and no session is lost.
+        for e in reg.sessions.values().filter(|e| e.last_t == f64::NEG_INFINITY) {
+            let mut payload = Vec::new();
+            shared.matcher.snapshot_session(&shared.matcher.begin_session(), &mut payload);
+            let matcher = shared.matcher.name().to_string();
+            let last_t = f64::NEG_INFINITY;
+            snaps.push(SessionSnapshot { session: e.engine_sid, matcher, seq: 0, last_t, payload });
+        }
         for mut snap in snaps {
             let Some(client) = reg.by_engine.remove(&snap.session) else { continue };
             let Some(entry) = reg.sessions.remove(&client) else { continue };
@@ -1659,39 +1721,6 @@ fn handle_snapshot<M: OnlineMatcher + 'static>(
                 t.live_sessions = t.live_sessions.saturating_sub(1);
             }
             snap.session = client;
-            if let Ok(bytes) = snap.encode() {
-                count += 1;
-                bump(&shared.counters.snapshots_out);
-                send_reply(reply, Frame::new(FrameKind::SnapshotData, entry.tenant, client, bytes));
-            }
-        }
-        // Sessions the engine never saw (opened, zero points admitted)
-        // still count: synthesize a fresh-session snapshot so the
-        // successor reopens them and no session is lost.
-        let zero: Vec<u64> = reg
-            .sessions
-            .iter()
-            .filter(|(_, e)| e.last_t == f64::NEG_INFINITY)
-            .map(|(&c, _)| c)
-            .collect();
-        for client in zero {
-            let entry = reg.sessions.remove(&client).expect("just listed");
-            reg.by_engine.remove(&entry.engine_sid);
-            if let Some(waiters) = reg.acks.remove(&entry.engine_sid) {
-                flush_ack_waiters(shared, waiters);
-            }
-            if let Some(t) = reg.tenants.get_mut(&entry.tenant) {
-                t.live_sessions = t.live_sessions.saturating_sub(1);
-            }
-            let mut payload = Vec::new();
-            shared.matcher.snapshot_session(&shared.matcher.begin_session(), &mut payload);
-            let snap = SessionSnapshot {
-                session: client,
-                matcher: shared.matcher.name().to_string(),
-                seq: 0,
-                last_t: f64::NEG_INFINITY,
-                payload,
-            };
             if let Ok(bytes) = snap.encode() {
                 count += 1;
                 bump(&shared.counters.snapshots_out);
@@ -1726,34 +1755,16 @@ fn handle_restore<M: OnlineMatcher + 'static>(
     client_sid: u64,
     reply: &ReplyTx,
 ) {
-    let engine_sid = {
-        let mut reg = shared.reg.lock().expect("registry poisoned");
-        if reg.sessions.contains_key(&client_sid) {
-            drop(reg);
-            refuse(shared, reply, tenant, client_sid, RefuseCode::AlreadyOpen, 0);
-            return;
-        }
-        let burst = shared.cfg.burst;
-        let cap = shared.cfg.max_sessions_per_tenant;
-        let t = reg.tenants.entry(tenant).or_insert_with(|| TenantState::new(burst));
-        if t.live_sessions as usize >= cap {
-            t.refused += 1;
-            drop(reg);
-            refuse(shared, reply, tenant, client_sid, RefuseCode::SessionLimit, 0);
-            return;
-        }
-        t.live_sessions += 1;
-        let sid = reg.next_sid;
-        reg.next_sid += 1;
-        // Reserve the client id before releasing the lock: a concurrent
-        // Open for the same id must see AlreadyOpen, not race the engine
-        // restore below and clobber this entry. `closing: true` makes the
-        // placeholder refuse pushes until the restore lands.
-        reg.sessions.insert(
-            client_sid,
-            SessionEntry { tenant, engine_sid: sid, last_t: snap.last_t, closing: true },
-        );
-        sid
+    // Reserve the client id before releasing the lock: a concurrent Open
+    // for the same id must see AlreadyOpen, not race the engine restore
+    // below and clobber this entry. `closing: true` makes the placeholder
+    // refuse pushes until the restore lands.
+    let mut reg = shared.reg.lock().expect("registry poisoned");
+    let reserved = reserve_session(shared, &mut reg, tenant, client_sid, snap.last_t, true);
+    drop(reg);
+    let engine_sid = match reserved {
+        Ok(sid) => sid,
+        Err(code) => return refuse(shared, reply, tenant, client_sid, code, 0),
     };
     let had_points = snap.seq > 0;
     let mut snap = snap;
@@ -1943,14 +1954,19 @@ impl ServeClient {
         }
     }
 
-    /// Turns a terminal reply for `session` into the call's result.
-    fn expect_ok(reply: &Reply, session: u64) -> Result<(), ClientError> {
+    /// Receives `session`'s answer to the request just sent: the first
+    /// reply `ok` accepts, or the session's typed refusal or busy reply as
+    /// the error.
+    fn answer<F: Fn(&Reply) -> bool>(&mut self, session: u64, ok: F) -> Result<Reply, ClientError> {
+        let reply = self.recv_until(|r| {
+            ok(r)
+                || matches!(r, Reply::Refused { session: s, .. }
+                                | Reply::Busy { session: s, .. } if *s == session)
+        })?;
         match reply {
-            Reply::Refused { session: s, code, detail } if *s == session => {
-                Err(ClientError::Refused { code: *code, detail: *detail })
-            }
-            Reply::Busy { session: s, code } if *s == session => Err(ClientError::Busy(*code)),
-            _ => Ok(()),
+            Reply::Refused { code, detail, .. } => Err(ClientError::Refused { code, detail }),
+            Reply::Busy { code, .. } => Err(ClientError::Busy(code)),
+            reply => Ok(reply),
         }
     }
 
@@ -1960,11 +1976,8 @@ impl ServeClient {
     /// [`ClientError::Refused`] with the server's typed code, or I/O.
     pub fn open(&mut self, session: u64) -> Result<(), ClientError> {
         self.send(FrameKind::Open, session, Vec::new())?;
-        let reply = self.recv_until(|r| {
-            matches!(r, Reply::Opened { session: s } | Reply::Refused { session: s, .. }
-                     | Reply::Busy { session: s, .. } if *s == session)
-        })?;
-        Self::expect_ok(&reply, session)
+        self.answer(session, |r| matches!(r, Reply::Opened { session: s } if *s == session))
+            .map(drop)
     }
 
     /// Sends one point without waiting for its ack (windowed streaming).
@@ -1982,12 +1995,7 @@ impl ServeClient {
     /// on a typed refusal, or I/O.
     pub fn push_wait(&mut self, session: u64, p: GpsPoint) -> Result<Reply, ClientError> {
         self.push(session, p)?;
-        let reply = self.recv_until(|r| {
-            matches!(r, Reply::Ack { session: s, .. } | Reply::Refused { session: s, .. }
-                     | Reply::Busy { session: s, .. } if *s == session)
-        })?;
-        Self::expect_ok(&reply, session)?;
-        Ok(reply)
+        self.wait_ack(session)
     }
 
     /// Streams `points` into `session` with at most `window` unacked
@@ -2022,12 +2030,8 @@ impl ServeClient {
         Ok(acked)
     }
 
-    fn wait_ack(&mut self, session: u64) -> Result<(), ClientError> {
-        let reply = self.recv_until(|r| {
-            matches!(r, Reply::Ack { session: s, .. } | Reply::Refused { session: s, .. }
-                     | Reply::Busy { session: s, .. } if *s == session)
-        })?;
-        Self::expect_ok(&reply, session)
+    fn wait_ack(&mut self, session: u64) -> Result<Reply, ClientError> {
+        self.answer(session, |r| matches!(r, Reply::Ack { session: s, .. } if *s == session))
     }
 
     /// Finalizes `session` and returns its point count and final result —
@@ -2040,12 +2044,8 @@ impl ServeClient {
         session: u64,
     ) -> Result<(u64, trmma_traj::MatchResult), ClientError> {
         self.send(FrameKind::Finalize, session, Vec::new())?;
-        let reply = self.recv_until(|r| {
-            matches!(r, Reply::Final { session: s, .. } | Reply::Refused { session: s, .. }
-                     | Reply::Busy { session: s, .. } if *s == session)
-        })?;
-        Self::expect_ok(&reply, session)?;
-        match reply {
+        let is_final = |r: &Reply| matches!(r, Reply::Final { session: s, .. } if *s == session);
+        match self.answer(session, is_final)? {
             Reply::Final { points, result, .. } => Ok((points, result)),
             _ => Err(ClientError::Protocol("expected Final")),
         }
@@ -2091,11 +2091,8 @@ impl ServeClient {
         let session = snap.session;
         let frame = Frame::new(FrameKind::Restore, tenant, session, snap.encode()?);
         self.send_frame(&frame)?;
-        let reply = self.recv_until(|r| {
-            matches!(r, Reply::Restored { session: s } | Reply::Refused { session: s, .. }
-                     | Reply::Busy { session: s, .. } if *s == session)
-        })?;
-        Self::expect_ok(&reply, session)
+        self.answer(session, |r| matches!(r, Reply::Restored { session: s } if *s == session))
+            .map(drop)
     }
 
     /// Fetches the server's [`ServeStats`].

@@ -106,8 +106,10 @@
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
+};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -471,6 +473,9 @@ struct WorkerLoad {
     late_dropped: AtomicU64,
     idle_finalized: AtomicU64,
     allocs_avoided: AtomicU64,
+    /// Set by the exiting worker thread (clean exit or panic) before it
+    /// rings, since the woken supervisor may look before the thread ends.
+    exited: AtomicBool,
 }
 
 impl WorkerLoad {
@@ -835,24 +840,56 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The engine's doorbell: a one-slot channel, so ringing a bell that is
+/// already ringing makes no syscall. Its single waiter is the engine's
+/// consumer ([`StreamEngine::wait_events`], `recv_event_timeout`), which
+/// always looks for work before it blocks, so a ring is never lost.
+#[derive(Clone)]
+pub(crate) struct Bell(SyncSender<()>);
+
+impl Bell {
+    pub(crate) fn ring(&self) {
+        let _ = self.0.try_send(());
+    }
+}
+
+/// The workers' way back to the engine: the event and reply channels, and
+/// the doorbell they ring after every send on either.
+struct Outbox<S> {
+    events: Sender<StreamEvent>,
+    replies: Sender<Reply<S>>,
+    bell: Bell,
+}
+
+impl<S> Outbox<S> {
+    fn event(&self, event: StreamEvent) {
+        let _ = self.events.send(event);
+        self.bell.ring();
+    }
+
+    fn reply(&self, reply: Reply<S>) {
+        let _ = self.replies.send(reply);
+        self.bell.ring();
+    }
+}
+
 fn finalize_one<M: OnlineMatcher>(
     matcher: &M,
     scratch: &mut M::Scratch,
     id: SessionId,
     live: Live<M::Session>,
     reason: FinalizeReason,
-    events: &Sender<StreamEvent>,
+    out: &Outbox<M::Session>,
 ) {
     let result = matcher.finalize(scratch, live.session);
-    let _ = events.send(StreamEvent::Finalized { session: id, reason, points: live.seq, result });
+    out.event(StreamEvent::Finalized { session: id, reason, points: live.seq, result });
 }
 
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn worker_loop<M: OnlineMatcher>(
     matcher: &M,
     rx: &Receiver<Cmd<M::Session>>,
-    events: &Sender<StreamEvent>,
-    replies: &Sender<Reply<M::Session>>,
+    out: &Outbox<M::Session>,
     load: &WorkerLoad,
     idle: Option<Duration>,
     checkpoint_every: usize,
@@ -898,8 +935,7 @@ fn worker_loop<M: OnlineMatcher>(
                             entry.seq += 1;
                             stats.points += 1;
                             load.points.fetch_add(1, Ordering::Relaxed);
-                            let _ =
-                                events.send(StreamEvent::Update { session, seq, update, proc_s });
+                            out.event(StreamEvent::Update { session, seq, update, proc_s });
                             entry.since_ckpt += 1;
                             if entry.since_ckpt >= checkpoint_every {
                                 entry.since_ckpt = 0;
@@ -908,7 +944,7 @@ fn worker_loop<M: OnlineMatcher>(
                                 if let Some(f) = faults {
                                     f.on_reply();
                                 }
-                                let _ = replies.send(Reply::Checkpoint {
+                                out.reply(Reply::Checkpoint {
                                     session,
                                     idx,
                                     seq: entry.seq,
@@ -921,14 +957,8 @@ fn worker_loop<M: OnlineMatcher>(
                     Cmd::Finish { session, idx } => {
                         if let Some(l) = live.remove(&session) {
                             load.live.fetch_sub(1, Ordering::Relaxed);
-                            finalize_one(
-                                matcher,
-                                &mut scratch,
-                                session,
-                                l,
-                                FinalizeReason::Explicit,
-                                events,
-                            );
+                            let reason = FinalizeReason::Explicit;
+                            finalize_one(matcher, &mut scratch, session, l, reason, out);
                             stats.finalized_explicit += 1;
                         }
                         // Acknowledge even a no-op finish (trip already
@@ -936,25 +966,22 @@ fn worker_loop<M: OnlineMatcher>(
                         if let Some(f) = faults {
                             f.on_reply();
                         }
-                        let _ = replies.send(Reply::Ended { session, idx });
+                        out.reply(Reply::Ended { session, idx });
                     }
                     Cmd::Detach { session, stable_only } => {
                         if let Some(f) = faults {
                             f.on_reply();
                         }
                         match live.remove(&session) {
-                            None => {
-                                let _ = replies.send(Reply::DetachMiss { session });
-                            }
+                            None => out.reply(Reply::DetachMiss { session }),
                             Some(l) if stable_only && !matcher.session_stable(&l.session) => {
                                 live.insert(session, l);
-                                let _ = replies.send(Reply::DetachRefused { session });
+                                out.reply(Reply::DetachRefused { session });
                             }
                             Some(l) => {
                                 load.live.fetch_sub(1, Ordering::Relaxed);
                                 load.migrated_out.fetch_add(1, Ordering::Relaxed);
-                                let _ =
-                                    replies.send(Reply::Detached { session, live: Box::new(l) });
+                                out.reply(Reply::Detached { session, live: Box::new(l) });
                             }
                         }
                     }
@@ -995,9 +1022,9 @@ fn worker_loop<M: OnlineMatcher>(
                     load.live.fetch_sub(1, Ordering::Relaxed);
                     load.idle_finalized.fetch_add(1, Ordering::Relaxed);
                     let last_idx = l.last_idx;
-                    finalize_one(matcher, &mut scratch, id, l, FinalizeReason::IdleTimeout, events);
+                    finalize_one(matcher, &mut scratch, id, l, FinalizeReason::IdleTimeout, out);
                     stats.finalized_idle += 1;
-                    let _ = replies.send(Reply::Ended { session: id, idx: last_idx });
+                    out.reply(Reply::Ended { session: id, idx: last_idx });
                     // The router is NOT told to re-place: its sticky
                     // placement keeps routing this id here, so a later
                     // point (a new trip) reopens on this worker instead
@@ -1009,7 +1036,7 @@ fn worker_loop<M: OnlineMatcher>(
     // Engine dropped its senders: flush every remaining session.
     for (id, l) in live.drain() {
         load.live.fetch_sub(1, Ordering::Relaxed);
-        finalize_one(matcher, &mut scratch, id, l, FinalizeReason::Shutdown, events);
+        finalize_one(matcher, &mut scratch, id, l, FinalizeReason::Shutdown, out);
         stats.finalized_shutdown += 1;
     }
 }
@@ -1038,11 +1065,11 @@ fn clamped_backoff(deadline: Option<Instant>, now: Instant, backoff: Duration) -
 pub struct StreamEngine<M: OnlineMatcher + 'static> {
     matcher: Arc<M>,
     events: Receiver<StreamEvent>,
-    /// Kept so respawned workers can clone the event sender (and so the
-    /// event channel outlives a full worker wipe-out).
-    etx: Sender<StreamEvent>,
-    /// Same, for the reply channel.
-    rtx: Sender<Reply<M::Session>>,
+    /// The waiting end of the outbox's doorbell.
+    doorbell: Receiver<()>,
+    /// Shared with every worker incarnation (and keeps the event channel
+    /// alive through a full worker wipe-out).
+    outbox: Arc<Outbox<M::Session>>,
     loads: Arc<Vec<WorkerLoad>>,
     router: Mutex<Router<M::Session>>,
     rebalance_gap: usize,
@@ -1079,6 +1106,8 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
             .then(|| Duration::from_secs_f64(opts.push_timeout_s));
         let (etx, events) = channel();
         let (rtx, replies) = channel();
+        let (bell, doorbell) = sync_channel(1);
+        let outbox = Arc::new(Outbox { events: etx, replies: rtx, bell: Bell(bell) });
         let loads: Arc<Vec<WorkerLoad>> =
             Arc::new((0..threads).map(|_| WorkerLoad::default()).collect());
         let mut txs = Vec::with_capacity(threads);
@@ -1088,8 +1117,7 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
                 &matcher,
                 w,
                 queue_cap,
-                &etx,
-                &rtx,
+                &outbox,
                 &loads,
                 idle,
                 checkpoint_every,
@@ -1121,8 +1149,8 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
         Self {
             matcher,
             events,
-            etx,
-            rtx,
+            doorbell,
+            outbox,
             loads,
             router,
             rebalance_gap: opts.rebalance_threshold,
@@ -1137,14 +1165,14 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
 
     /// Spawns one worker thread at slot `w`: a fresh bounded command
     /// channel plus a panic-trapping wrapper that returns the worker's
-    /// stats and whether it died by panic.
+    /// stats and whether it died by panic, and that announces the exit on
+    /// the doorbell so supervision starts at once.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn spawn_worker(
         matcher: &Arc<M>,
         w: usize,
         queue_cap: usize,
-        etx: &Sender<StreamEvent>,
-        rtx: &Sender<Reply<M::Session>>,
+        outbox: &Arc<Outbox<M::Session>>,
         loads: &Arc<Vec<WorkerLoad>>,
         idle: Option<Duration>,
         checkpoint_every: usize,
@@ -1152,25 +1180,17 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
     ) -> (SyncSender<Cmd<M::Session>>, JoinHandle<(StreamStats, bool)>) {
         let (tx, rx) = sync_channel(queue_cap);
         let m = matcher.clone();
-        let e = etx.clone();
-        let r = rtx.clone();
+        let out = outbox.clone();
         let ld = loads.clone();
         let handle = std::thread::spawn(move || {
             let mut stats = StreamStats::default();
             let panicked = catch_unwind(AssertUnwindSafe(|| {
-                worker_loop(
-                    &*m,
-                    &rx,
-                    &e,
-                    &r,
-                    &ld[w],
-                    idle,
-                    checkpoint_every,
-                    faults.as_deref(),
-                    &mut stats,
-                );
+                let faults = faults.as_deref();
+                worker_loop(&*m, &rx, &out, &ld[w], idle, checkpoint_every, faults, &mut stats);
             }))
             .is_err();
+            ld[w].exited.store(true, Ordering::Release);
+            out.bell.ring();
             (stats, panicked)
         });
         (tx, handle)
@@ -1383,8 +1403,12 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
     /// state — and therefore every final match — is bitwise-identical to a
     /// fault-free run.
     fn supervise(&self, router: &mut Router<M::Session>) {
+        // Joining a worker that set `exited` waits at most for its last
+        // few instructions.
         let dead: Vec<usize> = (0..router.handles.len())
-            .filter(|&w| router.handles[w].as_ref().is_some_and(JoinHandle::is_finished))
+            .filter(|&w| {
+                router.handles[w].is_some() && self.loads[w].exited.load(Ordering::Acquire)
+            })
             .collect();
         if dead.is_empty() {
             return;
@@ -1406,14 +1430,14 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
             // The dead incarnation's queue and live set died with it.
             self.loads[w].depth.store(0, Ordering::Relaxed);
             self.loads[w].live.store(0, Ordering::Relaxed);
+            self.loads[w].exited.store(false, Ordering::Relaxed);
             if router.worker_restarts < u64::from(self.max_restarts) {
                 router.worker_restarts += 1;
                 let (tx, handle) = Self::spawn_worker(
                     &self.matcher,
                     w,
                     self.queue_cap,
-                    &self.etx,
-                    &self.rtx,
+                    &self.outbox,
                     &self.loads,
                     self.idle,
                     self.checkpoint_every,
@@ -1471,25 +1495,16 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
 
     /// Rebuilds one session onto `target`: restore its latest checkpoint
     /// (or begin fresh if none), attach, then replay the journal tail with
-    /// the original indices. Returns `false` only if the checkpoint fails
-    /// to restore (the caller counts the session lost).
+    /// the original indices. `supervise` calls this only for a session
+    /// with something journaled. Returns `false` only if the checkpoint
+    /// fails to restore (the caller counts the session lost).
     fn recover_session(
         &self,
         router: &mut Router<M::Session>,
         sid: SessionId,
         target: usize,
     ) -> bool {
-        let Some(log) = router.logs.get(&sid) else {
-            // Nothing journaled: the trip had fully ended — the placement
-            // was only sticky routing state.
-            router.place.remove(&sid);
-            return true;
-        };
-        if log.ckpt.is_none() && log.tail.is_empty() {
-            router.place.remove(&sid);
-            router.logs.remove(&sid);
-            return true;
-        }
+        let log = router.logs.get(&sid).expect("supervise reclaims sessions with no journal");
         let live = match &log.ckpt {
             Some(c) => match self.matcher.restore_session(&c.payload) {
                 Ok(s) => Live {
@@ -1797,14 +1812,37 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
     /// in-flight migration (like every engine entry point), so a consumer
     /// that only polls still makes the router progress.
     pub fn poll_events(&self) -> Vec<StreamEvent> {
-        let mut router = self.router.lock().expect("router poisoned");
-        self.drain_replies(&mut router);
-        drop(router);
-        self.events.try_iter().collect()
+        self.wait_events(Duration::ZERO)
     }
 
-    /// Blocks up to `timeout` for one event. Periodically advances
-    /// in-flight migrations (and worker supervision) while waiting, so a
+    /// The doorbell [`StreamEngine::wait_events`] blocks on, for producers
+    /// of work the engine does not see (the server's tenant queues).
+    pub(crate) fn waker(&self) -> Bell {
+        self.outbox.bell.clone()
+    }
+
+    /// Drains every buffered event; if there is none, first blocks up to
+    /// `timeout` for the doorbell (`Duration::ZERO` never blocks). Workers
+    /// ring after every event, reply and exit, so an event, a reply to
+    /// route or a death to supervise ends the wait at once — as does any
+    /// [`StreamEngine::waker`] ring, which may return no events at all.
+    pub(crate) fn wait_events(&self, timeout: Duration) -> Vec<StreamEvent> {
+        let mut wait = timeout;
+        loop {
+            let mut router = self.router.lock().expect("router poisoned");
+            self.drain_replies(&mut router);
+            drop(router);
+            let events: Vec<StreamEvent> = self.events.try_iter().collect();
+            if !events.is_empty() || wait.is_zero() {
+                return events;
+            }
+            let _ = self.doorbell.recv_timeout(wait);
+            wait = Duration::ZERO;
+        }
+    }
+
+    /// Blocks up to `timeout` for one event, advancing in-flight
+    /// migrations (and worker supervision) on every doorbell ring, so a
     /// consumer blocked here cannot deadlock against a session whose
     /// commands are buffered in transit (e.g. a `finish` issued right
     /// after a `migrate`). The two empty outcomes are distinguishable:
@@ -1819,23 +1857,18 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
                 self.drain_replies(&mut router);
                 router.failed.iter().all(|&f| f)
             };
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let slice = remaining.min(Duration::from_millis(10));
-            match self.events.recv_timeout(slice) {
+            match self.events.try_recv() {
                 Ok(e) => return Ok(e),
                 // The engine holds a sender clone, so a true disconnect
                 // cannot happen while it is alive; map it for completeness.
-                Err(RecvTimeoutError::Disconnected) => return Err(RecvEventError::Disconnected),
-                Err(RecvTimeoutError::Timeout) => {
-                    if all_failed {
-                        // Buffer empty (the recv just timed out) and no
-                        // producer can ever exist again.
-                        return Err(RecvEventError::Disconnected);
-                    }
-                    if remaining <= slice {
-                        return Err(RecvEventError::Timeout);
-                    }
-                }
+                // With every worker failed, the buffer just read empty and
+                // no producer can ever exist again.
+                Err(TryRecvError::Empty) if !all_failed => {}
+                Err(_) => return Err(RecvEventError::Disconnected),
+            }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() || self.doorbell.recv_timeout(remaining).is_err() {
+                return Err(RecvEventError::Timeout);
             }
         }
     }

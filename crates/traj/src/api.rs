@@ -14,7 +14,7 @@ use trmma_geom::Vec2;
 use trmma_roadnet::{RoadNetwork, RoutePlanner, SegmentId, ShardedNetwork};
 use trmma_rtree::{IndexedSegment, KnnScratch, Neighbor, RTree};
 
-use crate::types::{MatchedPoint, MatchedTrajectory, Route, Trajectory};
+use crate::types::{GpsPoint, MatchedPoint, MatchedTrajectory, Route, Trajectory};
 
 /// Output of map matching one trajectory: the per-point matches and the
 /// stitched route (Definition 4).
@@ -125,6 +125,16 @@ pub fn epsilon_ticks(interval_s: f64, epsilon_s: f64) -> usize {
         "epsilon_s must be finite and > 0.0, got {epsilon_s}"
     );
     (interval_s / epsilon_s).round() as usize
+}
+
+/// Whether x, y and t of `p` are all finite — the check every input
+/// boundary applies before a point reaches a decoder. A NaN or infinite
+/// coordinate poisons distances and scores, and a NaN `t` fails every
+/// `t <= last_t` ordering test, so no later point would ever count as
+/// late.
+#[must_use]
+pub fn is_finite_point(p: &GpsPoint) -> bool {
+    p.pos.x.is_finite() && p.pos.y.is_finite() && p.t.is_finite()
 }
 
 /// One candidate segment of a GPS point, with its perpendicular distance and
@@ -301,6 +311,17 @@ mod tests {
     #[should_panic(expected = "epsilon_s must be finite and > 0.0, got 0")]
     fn epsilon_ticks_rejects_zero() {
         let _ = epsilon_ticks(60.0, 0.0);
+    }
+
+    #[test]
+    fn is_finite_point_rejects_each_non_finite_coordinate() {
+        let ok = GpsPoint { pos: Vec2::new(1.0, -2.0), t: 3.0 };
+        assert!(is_finite_point(&ok));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!is_finite_point(&GpsPoint { pos: Vec2::new(bad, -2.0), ..ok }));
+            assert!(!is_finite_point(&GpsPoint { pos: Vec2::new(1.0, bad), ..ok }));
+            assert!(!is_finite_point(&GpsPoint { t: bad, ..ok }));
+        }
     }
 
     #[test]

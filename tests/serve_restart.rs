@@ -7,34 +7,52 @@
 //!   offline decode, with `FaultPlan` stalls injected on both sides of the
 //!   handover (the PR 6 chaos machinery);
 //! * **Adversarial input** — oversized length prefixes, unknown frame
-//!   kinds, wrong versions, wrong-tenant session touches and a slow-loris
-//!   client each get a *typed* refusal and never stall other tenants,
-//!   asserted via the `ServeStats` fairness counters.
+//!   kinds, wrong versions, wrong-tenant session touches, non-finite
+//!   points and a slow-loris client each get a *typed* refusal and never
+//!   stall other tenants, asserted via the `ServeStats` fairness counters;
+//! * **Hand-offs** — every producer rings the pump's doorbell: idle round
+//!   trips, `Server::stop` and recovery from injected worker panics never
+//!   wait out the pump's backstop.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use trmma::baselines::{HmmConfig, HmmMatcher};
+use trmma::baselines::{HmmConfig, HmmMatcher, NearestMatcher};
 use trmma::core::serve::{HEADER_LEN, MAGIC, VERSION};
 use trmma::core::{
     BusyCode, ClientError, FaultPlan, Frame, FrameKind, RefuseCode, Reply, ServeClient,
     ServeConfig, Server, StreamOptions,
 };
-use trmma::roadnet::RoutePlanner;
+use trmma::geom::Vec2;
+use trmma::roadnet::{RoadNetwork, RoutePlanner};
 use trmma::traj::dataset::{build_dataset, DatasetConfig, Split};
-use trmma::traj::types::Trajectory;
+use trmma::traj::types::{GpsPoint, Trajectory};
 use trmma::traj::MapMatcher;
 
-fn world() -> (Arc<HmmMatcher>, Vec<Trajectory>) {
+/// The idle pump's doorbell wait in `serve.rs` (`PUMP_BACKSTOP`): what a
+/// producer that forgot to ring would cost each hand-off.
+const PUMP_BACKSTOP: Duration = Duration::from_millis(100);
+
+fn corpus() -> (Arc<RoadNetwork>, Arc<RoutePlanner>, Vec<Trajectory>) {
     let ds = build_dataset(&DatasetConfig::tiny());
     let net = Arc::new(ds.net.clone());
     let planner = Arc::new(RoutePlanner::untrained(&net));
-    let hmm = Arc::new(HmmMatcher::new(net, planner, HmmConfig::default()));
     let trips: Vec<Trajectory> =
         ds.samples(Split::Test, 0.2, 40).into_iter().take(4).map(|s| s.sparse).collect();
-    (hmm, trips)
+    (net, planner, trips)
+}
+
+fn world() -> (Arc<HmmMatcher>, Vec<Trajectory>) {
+    let (net, planner, trips) = corpus();
+    (Arc::new(HmmMatcher::new(net, planner, HmmConfig::default())), trips)
+}
+
+/// A decode that costs next to nothing, so timings measure the hand-offs.
+fn nearest_world() -> (Arc<NearestMatcher>, Vec<Trajectory>) {
+    let (net, planner, trips) = corpus();
+    (Arc::new(NearestMatcher::new(net, planner)), trips)
 }
 
 fn base_cfg() -> ServeConfig {
@@ -392,5 +410,134 @@ fn busy_window_is_typed_backpressure_not_silent_drop() {
     if saw_busy {
         assert!(server.stats().busy >= 1, "busy counter must record the refusal");
     }
+    server.stop();
+}
+
+#[test]
+fn non_finite_points_are_refused_and_the_session_continues() {
+    let (hmm, trips) = world();
+    let server = Server::start(hmm.clone(), base_cfg()).expect("server");
+    let tenant = 12;
+    let mut client = ServeClient::connect(server.local_addr(), tenant).expect("connect");
+    client.open(1).expect("open");
+    let t = &trips[0];
+    let half = t.len() / 2;
+    client.stream_points(1, &t.points[..half], 4).expect("stream first half");
+
+    // NaN, +inf and -inf in each of x, y and t are refused before
+    // admission. An admitted NaN `t` would pass every later `t <= last_t`
+    // check, so the session would take any timestamp, earlier ones too.
+    let next = t.points[half];
+    let bad_points: Vec<GpsPoint> = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+        .into_iter()
+        .flat_map(|bad| {
+            [
+                GpsPoint { pos: Vec2::new(bad, next.pos.y), ..next },
+                GpsPoint { pos: Vec2::new(next.pos.x, bad), ..next },
+                GpsPoint { t: bad, ..next },
+            ]
+        })
+        .collect();
+    for &p in &bad_points {
+        assert_eq!(
+            client.push_wait(1, p),
+            Err(ClientError::Refused { code: RefuseCode::BadPayload, detail: 0 }),
+            "{p:?} must be refused"
+        );
+    }
+    // The late-point guard still holds, and the next valid point is acked.
+    assert_eq!(
+        client.push_wait(1, t.points[0]),
+        Err(ClientError::Refused { code: RefuseCode::LatePoint, detail: 0 })
+    );
+    assert!(matches!(client.push_wait(1, next), Ok(Reply::Ack { .. })));
+    client.stream_points(1, &t.points[half + 1..], 4).expect("stream second half");
+    let (points, result) = client.finalize(1).expect("finalize");
+    assert_eq!(points as usize, t.len());
+    assert_eq!(
+        result,
+        hmm.match_trajectory(t),
+        "the final is the offline decode of the valid points"
+    );
+
+    let stats = server.stats();
+    let row = stats.tenant(tenant).expect("tenant row");
+    assert_eq!(row.refused, bad_points.len() as u64 + 1, "nine non-finite points and one late one");
+    assert_eq!(row.points, t.len() as u64, "no refused point was admitted");
+    server.stop();
+}
+
+#[test]
+fn idle_round_trips_never_wait_out_the_pump_backstop() {
+    let (nearest, trips) = nearest_world();
+    let server = Server::start(nearest, base_cfg()).expect("server");
+    let mut client = ServeClient::connect(server.local_addr(), 1).expect("connect");
+    client.open(1).expect("open");
+    // One long session over the corpus's positions, re-timed to increase.
+    let pool: Vec<GpsPoint> = trips.iter().flat_map(|t| t.points.iter().copied()).collect();
+    let mut rtts: Vec<Duration> = (0..200)
+        .map(|i| {
+            let p = GpsPoint { t: f64::from(i), ..pool[i as usize % pool.len()] };
+            let t0 = Instant::now();
+            assert!(matches!(client.push_wait(1, p), Ok(Reply::Ack { .. })));
+            t0.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    // A producer that does not ring leaves its hand-off to the backstop,
+    // and every round trip then takes about that long.
+    assert!(median < PUMP_BACKSTOP / 4, "median round trip {median:?}: a ring was missed");
+    server.stop();
+}
+
+#[test]
+fn stop_with_an_idle_connection_returns_promptly() {
+    let (nearest, trips) = nearest_world();
+    let server = Server::start(nearest, base_cfg()).expect("server");
+    let mut client = ServeClient::connect(server.local_addr(), 1).expect("connect");
+    client.open(1).expect("open");
+    // Delivering this ack leaves the pump freshly blocked on its doorbell,
+    // so a stop that did not ring it would wait out most of the backstop.
+    client.push_wait(1, trips[0].points[0]).expect("acked");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        let t0 = Instant::now();
+        server.stop();
+        done_tx.send(t0.elapsed()).expect("the test is waiting");
+    });
+    // A blocked accept thread that is never woken would hang `stop`.
+    let took = done_rx.recv_timeout(Duration::from_secs(10)).expect("stop returned");
+    stopper.join().expect("stop did not panic");
+    assert!(took < PUMP_BACKSTOP / 2, "stop took {took:?}");
+    drop(client);
+}
+
+#[test]
+fn injected_worker_panics_behind_the_socket_recover_at_once() {
+    FaultPlan::silence_injected_panics();
+    let (hmm, trips) = world();
+    let trips = &trips[..3];
+    let offline: Vec<_> = trips.iter().map(|t| hmm.match_trajectory(t)).collect();
+    // Seed 17 251 draws its first three panics on the 2nd, 3rd and 4th
+    // worker commands, so all three fire early in the run.
+    let cfg = base_cfg().faults(FaultPlan::panics(17_251, 20, 3));
+    let server = Server::start(hmm.clone(), cfg).expect("server");
+    let mut client = ServeClient::connect(server.local_addr(), 9).expect("connect");
+    let t0 = Instant::now();
+    for (i, (t, want)) in trips.iter().zip(&offline).enumerate() {
+        let session = i as u64;
+        client.open(session).expect("open");
+        for &p in &t.points {
+            assert!(matches!(client.push_wait(session, p), Ok(Reply::Ack { .. })), "point acked");
+        }
+        let (points, result) = client.finalize(session).expect("finalize");
+        assert_eq!(points as usize, t.len());
+        assert_eq!(&result, want, "trip {i} diverged from the offline decode");
+    }
+    // Each dead worker rings on exit, so recovery starts at once; waiting
+    // for the backstop instead would cost one backstop per panic.
+    let took = t0.elapsed();
+    assert!(took < 2 * PUMP_BACKSTOP, "three recoveries took {took:?}");
     server.stop();
 }
