@@ -27,13 +27,10 @@ use trmma_roadnet::shortest::{NetPos, SsspPool};
 use trmma_roadnet::{
     DistTable, RoadNetwork, RouteMatrix, RoutePlanner, ShardedNetwork, TransitionProvider,
 };
-use trmma_traj::api::{
-    stitch_route, Candidate, CandidateFinder, CandidateScratch, MapMatcher, MatchResult,
-};
+use trmma_traj::api::{stitch_route, Candidate, CandidateFinder, CandidateScratch, MatchResult};
 use trmma_traj::online::{OnlineMatcher, OnlineUpdate};
 use trmma_traj::snapshot::{Reader, SnapshotError};
-use trmma_traj::types::{GpsPoint, MatchedPoint, Trajectory};
-use trmma_traj::ScratchMatcher;
+use trmma_traj::types::GpsPoint;
 
 use crate::decoder::{LatticeArena, ViterbiState};
 
@@ -87,14 +84,6 @@ impl HmmScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Heap allocations this scratch has absorbed so far: lattice-arena
-    /// rows served from recycled storage, plus staging rows reused from
-    /// retained capacity (two per staged point).
-    #[must_use]
-    pub fn allocs_avoided(&self) -> u64 {
-        self.arena.allocs_avoided() + 2 * self.staged
-    }
 }
 
 /// Newson–Krumm HMM matcher (pooled, cached Dijkstra route distances).
@@ -104,7 +93,6 @@ pub struct HmmMatcher {
     finder: CandidateFinder,
     cfg: HmmConfig,
     provider: TransitionProvider,
-    name: &'static str,
 }
 
 impl HmmMatcher {
@@ -113,20 +101,7 @@ impl HmmMatcher {
     #[must_use]
     pub fn new(net: Arc<RoadNetwork>, planner: Arc<RoutePlanner>, cfg: HmmConfig) -> Self {
         let provider = TransitionProvider::dijkstra(cfg.max_route_m);
-        Self::with_provider(net, planner, cfg, provider, "HMM")
-    }
-
-    /// Like [`HmmMatcher::new`] with a custom display name (used by the
-    /// learned-HMM wrapper).
-    #[must_use]
-    pub(crate) fn with_name(
-        net: Arc<RoadNetwork>,
-        planner: Arc<RoutePlanner>,
-        cfg: HmmConfig,
-        name: &'static str,
-    ) -> Self {
-        let provider = TransitionProvider::dijkstra(cfg.max_route_m);
-        Self::with_provider(net, planner, cfg, provider, name)
+        Self::with_provider(net, planner, cfg, provider)
     }
 
     fn with_provider(
@@ -134,10 +109,9 @@ impl HmmMatcher {
         planner: Arc<RoutePlanner>,
         cfg: HmmConfig,
         provider: TransitionProvider,
-        name: &'static str,
     ) -> Self {
         let finder = CandidateFinder::new(&net, cfg.k_candidates);
-        Self { net, planner, finder, cfg, provider, name }
+        Self { net, planner, finder, cfg, provider }
     }
 
     /// Builds the matcher on a sharded network: candidate search merges the
@@ -152,21 +126,10 @@ impl HmmMatcher {
         planner: Arc<RoutePlanner>,
         cfg: HmmConfig,
     ) -> Self {
-        Self::sharded_named(sharded, planner, cfg, "HMM")
-    }
-
-    /// [`HmmMatcher::sharded`] with a custom display name (used by the
-    /// learned-HMM wrapper and FMM).
-    pub(crate) fn sharded_named(
-        sharded: Arc<ShardedNetwork>,
-        planner: Arc<RoutePlanner>,
-        cfg: HmmConfig,
-        name: &'static str,
-    ) -> Self {
         let net = Arc::clone(sharded.net());
         let finder = CandidateFinder::sharded(Arc::clone(&sharded), cfg.k_candidates);
         let provider = TransitionProvider::with_sharded(sharded);
-        Self { net, planner, finder, cfg, provider, name }
+        Self { net, planner, finder, cfg, provider }
     }
 
     /// The route-distance oracle (shared, read-only).
@@ -182,18 +145,44 @@ impl HmmMatcher {
     fn transition_score(&self, route: Option<f64>, straight_m: f64) -> f64 {
         route.map_or(f64::NEG_INFINITY, |route| -(route - straight_m).abs() / self.cfg.beta_m)
     }
+}
 
-    /// Advances a resumable decoder by one GPS point: candidate search on
-    /// the scratch's kNN buffers, emissions through the chunked Gaussian
-    /// kernel, then [`ViterbiState::advance_matrix_in`] fed the step's
-    /// route-distance matrix ([`TransitionProvider::route_dist_matrix`],
-    /// live rows only, on the scratch's pool), with lattice rows from the
-    /// scratch's arena. The one step function shared by the offline decode
-    /// (which replays a whole trajectory through it) and the online path.
+/// Per-session decoder state of the HMM-family matchers: the resumable
+/// Viterbi lattice. One per live trajectory; the heavyweight search buffers
+/// stay in the per-worker [`HmmScratch`].
+#[derive(Debug, Clone, Default)]
+pub struct HmmSession {
+    state: ViterbiState,
+}
+
+impl OnlineMatcher for HmmMatcher {
+    const NAME: &'static str = "HMM";
+    type Scratch = HmmScratch;
+    type Session = HmmSession;
+
+    fn make_scratch(&self) -> HmmScratch {
+        HmmScratch::new()
+    }
+
+    /// Lattice-arena rows served from recycled storage, plus staging rows
+    /// reused from retained capacity (two per staged point).
+    fn allocs_avoided(scratch: &HmmScratch) -> u64 {
+        scratch.arena.allocs_avoided() + 2 * scratch.staged
+    }
+
+    fn begin_session(&self) -> HmmSession {
+        HmmSession::default()
+    }
+
+    /// One lattice step: candidate search on the scratch's kNN buffers,
+    /// emissions through the chunked Gaussian kernel, then
+    /// [`ViterbiState::advance_matrix_in`] fed the step's route-distance
+    /// matrix ([`TransitionProvider::route_dist_matrix`], live rows only,
+    /// on the scratch's pool), with lattice rows from the scratch's arena.
     /// Every piece is bitwise-identical to the naive pair-by-pair,
     /// closure-per-candidate, fresh-`Vec`-per-row formulation
     /// (`tests/props_baselines.rs`, `tests/props_tail.rs`).
-    fn advance(&self, scratch: &mut HmmScratch, state: &mut ViterbiState, p: GpsPoint) {
+    fn advance(&self, scratch: &mut HmmScratch, session: &mut HmmSession, p: GpsPoint) {
         let HmmScratch { pool, rows, cols, routes, cand, arena, dists, em, staged } = scratch;
         let mut cands = arena.take_cand_row();
         self.finder.candidates_into(p.pos, cand, &mut cands);
@@ -203,6 +192,7 @@ impl HmmMatcher {
         dists.clear();
         dists.extend(cands.iter().map(|c| c.dist_m));
         trmma_nn::kernels::gaussian_log_emission_into(dists, self.cfg.sigma_z_m, em);
+        let state = &mut session.state;
         state.advance_matrix_in(arena, p, cands, em, |prev, prev_score, cands, straight, tr| {
             let pos = |c: &Candidate| NetPos::new(c.seg, c.ratio);
             rows.clear();
@@ -220,86 +210,7 @@ impl HmmMatcher {
         });
     }
 
-    fn stitch(&self, matched: Vec<MatchedPoint>) -> MatchResult {
-        stitch_route(&self.net, &self.planner, matched)
-    }
-}
-
-/// Per-session decoder state of the HMM-family matchers: the resumable
-/// Viterbi lattice. One per live trajectory; the heavyweight search buffers
-/// stay in the per-worker [`HmmScratch`].
-#[derive(Debug, Clone, Default)]
-pub struct HmmSession {
-    state: ViterbiState,
-}
-
-impl HmmSession {
-    /// Points pushed so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    /// Whether any point has been pushed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.state.is_empty()
-    }
-
-    /// The current stabilized-prefix watermark of the lattice.
-    #[must_use]
-    pub fn watermark(&self) -> usize {
-        self.state.watermark()
-    }
-}
-
-impl MapMatcher for HmmMatcher {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn match_trajectory(&self, traj: &Trajectory) -> MatchResult {
-        self.match_trajectory_with(&mut HmmScratch::new(), traj)
-    }
-}
-
-impl ScratchMatcher for HmmMatcher {
-    type Scratch = HmmScratch;
-
-    fn make_scratch(&self) -> HmmScratch {
-        HmmScratch::new()
-    }
-
-    fn scratch_stats(scratch: &HmmScratch) -> trmma_traj::ScratchStats {
-        trmma_traj::ScratchStats { allocs_avoided: scratch.allocs_avoided() }
-    }
-
-    fn match_trajectory_with(&self, scratch: &mut HmmScratch, traj: &Trajectory) -> MatchResult {
-        // Offline is online replayed: push every point, then decode.
-        let mut state = ViterbiState::new();
-        for &p in &traj.points {
-            self.advance(scratch, &mut state, p);
-        }
-        let matched = state.decode();
-        scratch.arena.recycle(state);
-        self.stitch(matched)
-    }
-}
-
-impl OnlineMatcher for HmmMatcher {
-    type Session = HmmSession;
-
-    fn begin_session(&self) -> HmmSession {
-        HmmSession::default()
-    }
-
-    fn push_point(
-        &self,
-        scratch: &mut HmmScratch,
-        session: &mut HmmSession,
-        point: GpsPoint,
-    ) -> OnlineUpdate {
-        self.advance(scratch, &mut session.state, point);
+    fn update(&self, _: &mut HmmScratch, session: &mut HmmSession) -> OnlineUpdate {
         OnlineUpdate {
             provisional: session.state.provisional(),
             stable_prefix: session.state.refresh_watermark(),
@@ -309,7 +220,7 @@ impl OnlineMatcher for HmmMatcher {
     fn finalize(&self, scratch: &mut HmmScratch, session: HmmSession) -> MatchResult {
         let matched = session.state.decode();
         scratch.arena.recycle(session.state);
-        self.stitch(matched)
+        stitch_route(&self.net, &self.planner, matched)
     }
 
     fn session_len(&self, session: &HmmSession) -> usize {
@@ -354,7 +265,7 @@ impl FmmMatcher {
         let table = Arc::new(DistTable::build(&net, cfg.max_route_m));
         let precompute_s = start.elapsed().as_secs_f64();
         let provider = TransitionProvider::with_table(table);
-        Self { inner: HmmMatcher::with_provider(net, planner, cfg, provider, "FMM"), precompute_s }
+        Self { inner: HmmMatcher::with_provider(net, planner, cfg, provider), precompute_s }
     }
 
     /// Builds the matcher around an existing precomputed table — e.g. one
@@ -370,10 +281,7 @@ impl FmmMatcher {
         table: Arc<DistTable>,
     ) -> Self {
         let provider = TransitionProvider::with_table(table);
-        Self {
-            inner: HmmMatcher::with_provider(net, planner, cfg, provider, "FMM"),
-            precompute_s: 0.0,
-        }
+        Self { inner: HmmMatcher::with_provider(net, planner, cfg, provider), precompute_s: 0.0 }
     }
 
     /// Builds the matcher on a sharded network: the per-shard intra tables
@@ -386,7 +294,7 @@ impl FmmMatcher {
         planner: Arc<RoutePlanner>,
         cfg: HmmConfig,
     ) -> Self {
-        Self { inner: HmmMatcher::sharded_named(sharded, planner, cfg, "FMM"), precompute_s: 0.0 }
+        Self { inner: HmmMatcher::sharded(sharded, planner, cfg), precompute_s: 0.0 }
     }
 
     /// Size of the precomputed distance store: the UBODT's pair count, or
@@ -409,46 +317,30 @@ impl FmmMatcher {
     }
 }
 
-impl MapMatcher for FmmMatcher {
-    fn name(&self) -> &'static str {
-        self.inner.name
-    }
-
-    fn match_trajectory(&self, traj: &Trajectory) -> MatchResult {
-        self.inner.match_trajectory(traj)
-    }
-}
-
-impl ScratchMatcher for FmmMatcher {
+/// FMM decodes exactly as the HMM it wraps; only the name differs.
+impl OnlineMatcher for FmmMatcher {
+    const NAME: &'static str = "FMM";
     type Scratch = HmmScratch;
+    type Session = HmmSession;
 
     fn make_scratch(&self) -> HmmScratch {
-        HmmScratch::new()
+        self.inner.make_scratch()
     }
 
-    fn scratch_stats(scratch: &HmmScratch) -> trmma_traj::ScratchStats {
-        trmma_traj::ScratchStats { allocs_avoided: scratch.allocs_avoided() }
+    fn allocs_avoided(scratch: &HmmScratch) -> u64 {
+        HmmMatcher::allocs_avoided(scratch)
     }
-
-    fn match_trajectory_with(&self, scratch: &mut HmmScratch, traj: &Trajectory) -> MatchResult {
-        self.inner.match_trajectory_with(scratch, traj)
-    }
-}
-
-impl OnlineMatcher for FmmMatcher {
-    type Session = HmmSession;
 
     fn begin_session(&self) -> HmmSession {
         self.inner.begin_session()
     }
 
-    fn push_point(
-        &self,
-        scratch: &mut HmmScratch,
-        session: &mut HmmSession,
-        point: GpsPoint,
-    ) -> OnlineUpdate {
-        self.inner.push_point(scratch, session, point)
+    fn advance(&self, scratch: &mut HmmScratch, session: &mut HmmSession, point: GpsPoint) {
+        self.inner.advance(scratch, session, point);
+    }
+
+    fn update(&self, scratch: &mut HmmScratch, session: &mut HmmSession) -> OnlineUpdate {
+        self.inner.update(scratch, session)
     }
 
     fn finalize(&self, scratch: &mut HmmScratch, session: HmmSession) -> MatchResult {
@@ -484,7 +376,7 @@ mod tests {
     use trmma_roadnet::{generate_city, NetworkConfig};
     use trmma_traj::gen::{generate_trajectory, sparsify, TrajConfig};
     use trmma_traj::metrics::matching_metrics;
-    use trmma_traj::Sample;
+    use trmma_traj::{MapMatcher, Sample, Trajectory};
 
     fn setup() -> (Arc<RoadNetwork>, Arc<RoutePlanner>, Vec<Sample>) {
         let net = Arc::new(generate_city(&NetworkConfig::with_size(8, 8, 51)));

@@ -14,13 +14,11 @@ use std::sync::Arc;
 use trmma_geom::Vec2;
 use trmma_roadnet::shortest::{matched_dist_directed, DistCache, NetPos};
 use trmma_roadnet::{RoadNetwork, RoutePlanner};
-use trmma_traj::api::{MapMatcher, MatchResult, ScratchMatcher};
-use trmma_traj::types::Trajectory;
-use trmma_traj::Sample;
-
+use trmma_traj::api::MatchResult;
 use trmma_traj::online::{OnlineMatcher, OnlineUpdate};
 use trmma_traj::snapshot::SnapshotError;
 use trmma_traj::types::GpsPoint;
+use trmma_traj::Sample;
 
 use crate::hmm::{HmmConfig, HmmMatcher, HmmScratch, HmmSession};
 use crate::TrainReport;
@@ -98,7 +96,7 @@ impl LhmmMatcher {
         let mut report = TrainReport::default();
         report.epoch_times_s.push(started.elapsed().as_secs_f64());
         report.epoch_losses.push(0.0);
-        Self { inner: HmmMatcher::with_name(net, planner, cfg, "LHMM"), params, report }
+        Self { inner: HmmMatcher::new(net, planner, cfg), params, report }
     }
 
     /// Like [`LhmmMatcher::fit`], but decoding on a sharded network. The
@@ -119,7 +117,7 @@ impl LhmmMatcher {
         let mut report = TrainReport::default();
         report.epoch_times_s.push(started.elapsed().as_secs_f64());
         report.epoch_losses.push(0.0);
-        Self { inner: HmmMatcher::sharded_named(sharded, planner, cfg, "LHMM"), params, report }
+        Self { inner: HmmMatcher::sharded(sharded, planner, cfg), params, report }
     }
 
     /// The fitted parameters.
@@ -141,42 +139,31 @@ impl LhmmMatcher {
     }
 }
 
-impl MapMatcher for LhmmMatcher {
-    fn name(&self) -> &'static str {
-        "LHMM"
-    }
-
-    fn match_trajectory(&self, traj: &Trajectory) -> MatchResult {
-        self.inner.match_trajectory(traj)
-    }
-}
-
-impl ScratchMatcher for LhmmMatcher {
+/// LHMM decodes exactly as the HMM it wraps, with the fitted σ̂/β̂; only
+/// the name differs.
+impl OnlineMatcher for LhmmMatcher {
+    const NAME: &'static str = "LHMM";
     type Scratch = HmmScratch;
+    type Session = HmmSession;
 
     fn make_scratch(&self) -> HmmScratch {
-        HmmScratch::new()
+        self.inner.make_scratch()
     }
 
-    fn match_trajectory_with(&self, scratch: &mut HmmScratch, traj: &Trajectory) -> MatchResult {
-        self.inner.match_trajectory_with(scratch, traj)
+    fn allocs_avoided(scratch: &HmmScratch) -> u64 {
+        HmmMatcher::allocs_avoided(scratch)
     }
-}
-
-impl OnlineMatcher for LhmmMatcher {
-    type Session = HmmSession;
 
     fn begin_session(&self) -> HmmSession {
         self.inner.begin_session()
     }
 
-    fn push_point(
-        &self,
-        scratch: &mut HmmScratch,
-        session: &mut HmmSession,
-        point: GpsPoint,
-    ) -> OnlineUpdate {
-        self.inner.push_point(scratch, session, point)
+    fn advance(&self, scratch: &mut HmmScratch, session: &mut HmmSession, point: GpsPoint) {
+        self.inner.advance(scratch, session, point);
+    }
+
+    fn update(&self, scratch: &mut HmmScratch, session: &mut HmmSession) -> OnlineUpdate {
+        self.inner.update(scratch, session)
     }
 
     fn finalize(&self, scratch: &mut HmmScratch, session: HmmSession) -> MatchResult {
@@ -212,6 +199,7 @@ mod tests {
     use trmma_roadnet::{generate_city, NetworkConfig};
     use trmma_traj::gen::{generate_trajectory, sparsify, TrajConfig};
     use trmma_traj::metrics::matching_metrics;
+    use trmma_traj::MapMatcher;
 
     fn fixture() -> (Arc<RoadNetwork>, Arc<RoutePlanner>, Vec<Sample>, Vec<Sample>, TrajConfig) {
         let net = Arc::new(generate_city(&NetworkConfig::with_size(8, 8, 91)));

@@ -19,10 +19,11 @@
 //!
 //! The HMM family shares one route-distance oracle
 //! (`trmma_roadnet::TransitionProvider`) and keeps all mutable search state
-//! in a per-worker [`HmmScratch`]; every matcher implements
-//! `trmma_traj::ScratchMatcher`, so `trmma_core::batch::par_match_pooled`
-//! fans baseline batches across threads with one warm Dijkstra pool per
-//! worker and output identical to the sequential API.
+//! in a per-worker [`HmmScratch`]. Every matcher implements the one matcher
+//! trait, [`trmma_traj::OnlineMatcher`] (FMM and LHMM by delegating to the
+//! [`HmmMatcher`] they wrap), so `trmma_core::batch::par_match_pooled` fans
+//! baseline batches across threads with one warm Dijkstra pool per worker
+//! and output identical to the sequential API.
 //!
 //! **Trajectory recovery**
 //! * [`LinearRecovery`] — map-match with any [`trmma_traj::MapMatcher`], then linearly
@@ -36,15 +37,15 @@
 //! # Example
 //!
 //! Match a sparse trajectory with the classic HMM — offline and as a
-//! point-at-a-time online session, which are bitwise-identical by
-//! contract:
+//! point-at-a-time online session. The offline decode is that session
+//! replayed, so the two are bitwise-identical by construction:
 //!
 //! ```
 //! use std::sync::Arc;
 //! use trmma_baselines::{HmmConfig, HmmMatcher};
 //! use trmma_roadnet::RoutePlanner;
 //! use trmma_traj::dataset::{build_dataset, DatasetConfig, Split};
-//! use trmma_traj::{MapMatcher, OnlineMatcher, ScratchMatcher};
+//! use trmma_traj::{MapMatcher, OnlineMatcher};
 //!
 //! let ds = build_dataset(&DatasetConfig::tiny());
 //! let net = Arc::new(ds.net.clone());
@@ -55,7 +56,8 @@
 //! let offline = hmm.match_trajectory(traj);
 //! assert_eq!(offline.matched.len(), traj.len());
 //!
-//! // Offline is online replayed: push every point, then finalize.
+//! // The session `match_trajectory` runs, with each point's update read:
+//! // open, push every point, finalize.
 //! let mut scratch = hmm.make_scratch();
 //! let mut session = hmm.begin_session();
 //! for &p in &traj.points {

@@ -7,10 +7,10 @@
 use std::sync::Arc;
 
 use trmma_roadnet::{RoadNetwork, RoutePlanner};
-use trmma_traj::api::{stitch_route, CandidateFinder, MapMatcher, MatchResult, ScratchMatcher};
+use trmma_traj::api::{stitch_route, CandidateFinder, MatchResult};
 use trmma_traj::online::{OnlineMatcher, OnlineUpdate};
 use trmma_traj::snapshot::{self, Reader, SnapshotError};
-use trmma_traj::types::{GpsPoint, MatchedPoint, Trajectory};
+use trmma_traj::types::{GpsPoint, MatchedPoint};
 
 /// Nearest-segment map matcher.
 pub struct NearestMatcher {
@@ -42,30 +42,6 @@ impl NearestMatcher {
     }
 }
 
-impl NearestMatcher {
-    fn stitch(&self, matched: Vec<MatchedPoint>) -> MatchResult {
-        stitch_route(&self.net, &self.planner, matched)
-    }
-}
-
-impl MapMatcher for NearestMatcher {
-    fn name(&self) -> &'static str {
-        "Nearest"
-    }
-
-    fn match_trajectory(&self, traj: &Trajectory) -> MatchResult {
-        let matched: Vec<MatchedPoint> = traj
-            .points
-            .iter()
-            .map(|p| {
-                let c = self.finder.nearest(p.pos).expect("non-empty road network");
-                MatchedPoint::new(c.seg, c.ratio, p.t)
-            })
-            .collect();
-        self.stitch(matched)
-    }
-}
-
 /// Per-session state of the nearest matcher: each point's match is final the
 /// moment it is pushed, so the session is just the matched prefix.
 #[derive(Debug, Clone, Default)]
@@ -75,28 +51,34 @@ pub struct NearestSession {
 
 /// Nearest is the degenerate online decoder: no global decoding means every
 /// provisional match is already final and the watermark always equals the
-/// number of pushed points.
+/// number of pushed points. It keeps no per-query search state
+/// (single-nearest R-tree probes allocate nothing worth pooling), so its
+/// scratch is empty.
 impl OnlineMatcher for NearestMatcher {
+    const NAME: &'static str = "Nearest";
+    type Scratch = ();
     type Session = NearestSession;
+
+    fn make_scratch(&self) {}
 
     fn begin_session(&self) -> NearestSession {
         NearestSession::default()
     }
 
-    fn push_point(
-        &self,
-        (): &mut (),
-        session: &mut NearestSession,
-        point: GpsPoint,
-    ) -> OnlineUpdate {
+    fn advance(&self, (): &mut (), session: &mut NearestSession, point: GpsPoint) {
         let c = self.finder.nearest(point.pos).expect("non-empty road network");
-        let mp = MatchedPoint::new(c.seg, c.ratio, point.t);
-        session.matched.push(mp);
-        OnlineUpdate { provisional: Some(mp), stable_prefix: session.matched.len() }
+        session.matched.push(MatchedPoint::new(c.seg, c.ratio, point.t));
+    }
+
+    fn update(&self, (): &mut (), session: &mut NearestSession) -> OnlineUpdate {
+        OnlineUpdate {
+            provisional: session.matched.last().copied(),
+            stable_prefix: session.matched.len(),
+        }
     }
 
     fn finalize(&self, (): &mut (), session: NearestSession) -> MatchResult {
-        self.stitch(session.matched)
+        stitch_route(&self.net, &self.planner, session.matched)
     }
 
     fn session_len(&self, session: &NearestSession) -> usize {
@@ -131,19 +113,6 @@ impl OnlineMatcher for NearestMatcher {
     }
 }
 
-/// Nearest keeps no per-query search state (single-nearest R-tree probes
-/// allocate nothing worth pooling), so its scratch is empty — the impl just
-/// registers the matcher with the pooled batch fan-out.
-impl ScratchMatcher for NearestMatcher {
-    type Scratch = ();
-
-    fn make_scratch(&self) {}
-
-    fn match_trajectory_with(&self, (): &mut (), traj: &Trajectory) -> MatchResult {
-        self.match_trajectory(traj)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,6 +120,7 @@ mod tests {
     use rand::SeedableRng;
     use trmma_roadnet::{generate_city, NetworkConfig};
     use trmma_traj::gen::{generate_trajectory, sparsify, TrajConfig};
+    use trmma_traj::MapMatcher;
 
     #[test]
     fn restore_rejects_a_segment_the_route_stitch_cannot_index() {

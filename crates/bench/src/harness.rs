@@ -268,7 +268,7 @@ pub fn eval_matching(
 /// identical to the sequential loop (property-tested in
 /// `tests/props_baselines.rs`), only the wall-clock parallelises.
 #[must_use]
-pub fn eval_matching_pooled<M: trmma_traj::ScratchMatcher + Sync>(
+pub fn eval_matching_pooled<M: trmma_traj::OnlineMatcher>(
     matcher: &M,
     test: &[Sample],
     opts: trmma_core::BatchOptions,

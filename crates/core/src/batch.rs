@@ -6,7 +6,7 @@
 //! table, so this module adds the production-shaped entry points:
 //!
 //! * [`par_match_pooled`] — map-matches a `&[Trajectory]` across a worker
-//!   pool sharing one immutable [`ScratchMatcher`] ([`Mma`] or a baseline),
+//!   pool sharing one immutable [`OnlineMatcher`] ([`Mma`] or a baseline),
 //!   one scratch per worker;
 //! * [`BatchRecovery`] — the full MMA → TRMMA pipeline over a batch.
 //!
@@ -30,7 +30,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use trmma_nn::Graph;
-use trmma_traj::api::{MatchResult, ScratchMatcher};
+use trmma_traj::api::MatchResult;
+use trmma_traj::online::OnlineMatcher;
 use trmma_traj::types::{MatchedTrajectory, Trajectory};
 
 use crate::mma::{Mma, MmaScratch};
@@ -72,8 +73,7 @@ pub struct BatchTiming {
     /// Wall-clock seconds for the whole batch (fan-out to join).
     pub wall_s: f64,
     /// Heap allocations absorbed by the per-worker scratch arenas over the
-    /// batch (summed across workers; see
-    /// [`trmma_traj::api::ScratchStats`]).
+    /// batch (summed across workers; see [`OnlineMatcher::allocs_avoided`]).
     pub allocs_avoided: u64,
 }
 
@@ -229,7 +229,7 @@ impl RecoveryScratch {
 }
 
 /// Parallel batched trajectory recovery (MMA → TRMMA) with shared models;
-/// see module docs. Each worker runs [`Mma::match_trajectory_with`] then
+/// see module docs. Each worker runs [`OnlineMatcher::match_trajectory_with`] then
 /// [`Trmma::recover_from_match_with`] through its own [`RecoveryScratch`];
 /// the models' weights are read through their shared `Param` locks a
 /// constant number of times per trajectory (once per layer application of
@@ -306,17 +306,18 @@ impl BatchRecovery {
     }
 }
 
-/// Fans a [`ScratchMatcher`] out over a batch with one scratch per worker —
+/// Fans an [`OnlineMatcher`] out over a batch with one scratch per worker —
 /// for the HMM-family baselines that means one warm [`SsspPool`] and one
 /// set of kNN heaps per thread, shared nothing, while the matcher's
 /// `TransitionProvider` (distance cache / UBODT) is shared read-only.
-/// Output order matches input order and every result is identical to the
-/// sequential `matcher.match_trajectory(&batch[i])` call
-/// (`tests/props_baselines.rs`).
+/// Each worker decodes through the provided
+/// [`OnlineMatcher::match_trajectory_with`]. Output order matches input
+/// order and every result is identical to the sequential
+/// `matcher.match_trajectory(&batch[i])` call (`tests/props_baselines.rs`).
 ///
 /// [`SsspPool`]: trmma_roadnet::shortest::SsspPool
 #[must_use]
-pub fn par_match_pooled<M: ScratchMatcher + Sync>(
+pub fn par_match_pooled<M: OnlineMatcher>(
     matcher: &M,
     batch: &[Trajectory],
     opts: BatchOptions,
@@ -327,7 +328,7 @@ pub fn par_match_pooled<M: ScratchMatcher + Sync>(
         threads,
         || matcher.make_scratch(),
         |scratch, traj| matcher.match_trajectory_with(scratch, traj),
-        |scratch| M::scratch_stats(scratch).allocs_avoided,
+        |scratch| M::allocs_avoided(scratch),
     )
 }
 
@@ -437,7 +438,7 @@ mod tests {
             let (got, timing) = par_match_pooled(&hmm, &batch, opts);
             assert_eq!(got, hmm_ref, "HMM diverged at {threads} threads");
             assert_eq!(timing.per_item_s.len(), batch.len());
-            assert!(timing.allocs_avoided > 0, "scratch_stats must reach BatchTiming");
+            assert!(timing.allocs_avoided > 0, "allocs_avoided must reach BatchTiming");
             let (got, _) = par_match_pooled(&fmm, &batch, opts);
             assert_eq!(got, fmm_ref, "FMM diverged at {threads} threads");
         }
@@ -446,6 +447,26 @@ mod tests {
         let seq: Vec<_> = batch.iter().map(|t| mma.match_trajectory(t)).collect();
         let (got, _) = par_match_pooled(mma.as_ref(), &batch, BatchOptions::with_threads(3));
         assert_eq!(got, seq);
+    }
+
+    /// MMA's scratch lends a session one candidate row a point and takes
+    /// them back at finalize: a second trajectory of the same length needs
+    /// no new row, and the counter says so.
+    #[test]
+    fn mma_scratch_lends_every_row_of_a_repeated_length() {
+        let (net, planner, ds) = setup();
+        let mma = Mma::new(net, planner, None, MmaConfig::small());
+        let traj = ds.samples(Split::Test, 0.2, 9).swap_remove(0).sparse;
+        let mut scratch = mma.make_scratch();
+        let first = mma.match_trajectory_with(&mut scratch, &traj);
+        let before = Mma::allocs_avoided(&scratch);
+        assert_eq!(mma.match_trajectory_with(&mut scratch, &traj), first);
+        let lent = Mma::allocs_avoided(&scratch) - before;
+        assert!(lent >= traj.len() as u64, "{lent} rows reused for {} points", traj.len());
+        // The batch engine reads the same counter off its workers.
+        let pair = [traj.clone(), traj.clone()];
+        let (_, timing) = par_match_pooled(&mma, &pair, BatchOptions::with_threads(1));
+        assert!(timing.allocs_avoided >= traj.len() as u64);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use trmma_nn::{Adam, Graph, Linear, Matrix, Mlp, NodeId, Param, TransformerEncod
 use trmma_roadnet::{RoadNetwork, RoutePlanner};
 use trmma_traj::api::{
     stitch_route, Candidate, CandidateFinder, CandidateScratch, MapMatcher, MatchResult,
-    ScratchMatcher,
 };
 use trmma_traj::online::{OnlineMatcher, OnlineUpdate};
 use trmma_traj::snapshot::{self, Reader, SnapshotError};
@@ -25,18 +24,22 @@ use trmma_traj::types::{GpsPoint, MatchedPoint, Trajectory};
 use trmma_traj::Sample;
 
 /// Reusable per-worker inference state for [`Mma`]: the candidate-search
-/// buffers, the per-trajectory candidate rows and the flat workspace of the
-/// forward-only scorer (which includes the encoder's, positional rows and
-/// all). Nothing in it is a tape — inference records nothing. One instance
-/// serves any number of trajectories of any length; the batch engine keeps
-/// one per worker thread.
+/// buffers, the candidate rows and spines it lends sessions, and the flat
+/// workspace of the forward-only scorer (which includes the encoder's,
+/// positional rows and all). Nothing in it is a tape — inference records
+/// nothing. One instance serves any number of trajectories of any length;
+/// the batch and streaming engines keep one per worker thread.
 #[derive(Default)]
 pub struct MmaScratch {
     cand: CandidateScratch,
-    /// Scratch-owned candidate rows for the offline decode, cleared and
-    /// refilled per trajectory with their capacity kept.
-    cand_sets: Vec<Vec<Candidate>>,
-    /// Candidate rows found already allocated by a refill.
+    /// Candidate rows lent to sessions, one per pushed point, and taken
+    /// back at finalize with their capacity kept — at most one
+    /// trajectory's worth, however sessions spread over workers.
+    rows: Vec<Vec<Candidate>>,
+    /// The last finalized session, emptied: its point and row spines go to
+    /// the next session's first point.
+    spare: MmaSession,
+    /// Candidate rows served from `rows` instead of the allocator.
     reused: u64,
     ws: MmaWorkspace,
 }
@@ -48,9 +51,9 @@ impl MmaScratch {
         Self::default()
     }
 
-    /// Heap allocations the scratch-owned candidate rows have absorbed so
-    /// far (the workspace's buffers are not counted: they replace tape
-    /// nodes that no longer exist).
+    /// Heap allocations the lent candidate rows have absorbed so far (the
+    /// workspace's buffers are not counted: they replace tape nodes that no
+    /// longer exist).
     #[must_use]
     pub fn allocs_avoided(&self) -> u64 {
         self.reused
@@ -511,45 +514,42 @@ impl Mma {
         self.match_points_with(&mut MmaScratch::new(), traj)
     }
 
-    /// [`Mma::match_points`] through caller-owned scratch state: candidate
-    /// search hits warm buffers and the scorer runs forward-only on the
+    /// [`Mma::match_points`] through caller-owned scratch state:
+    /// `begin_session` → `advance`* → one decode, the offline decode
+    /// without its route stitch. Candidate search hits warm buffers, rows
+    /// come from the scratch, and the scorer runs forward-only on the
     /// scratch's flat workspace — no tape, no allocation in steady state,
     /// every `Param` read lock taken a constant number of times per
-    /// trajectory. The batch engine's per-worker hot path; the matches are
-    /// bit for bit what the tape forward (`Mma::forward`, which training
-    /// differentiates) scores (DESIGN.md §15).
+    /// trajectory. The matches are bit for bit what the tape forward
+    /// (`Mma::forward`, which training differentiates) scores (DESIGN.md
+    /// §15).
+    ///
+    /// # Panics
+    /// Panics naming the first point whose x, y or t is not finite.
     #[must_use]
     pub fn match_points_with(
         &self,
         scratch: &mut MmaScratch,
         traj: &Trajectory,
     ) -> Vec<MatchedPoint> {
-        let MmaScratch { cand, cand_sets, reused, ws } = scratch;
-        // Refill the scratch-owned candidate rows in place: rows (and the
-        // outer spine) keep their capacity from the previous trajectory, so
-        // in steady state the whole search stage allocates nothing.
-        *reused += cand_sets.len().min(traj.len()) as u64;
-        cand_sets.truncate(traj.len());
-        while cand_sets.len() < traj.len() {
-            cand_sets.push(Vec::with_capacity(self.cfg.kc));
-        }
-        for (p, row) in traj.points.iter().zip(cand_sets.iter_mut()) {
-            self.finder.candidates_into(p.pos, cand, row);
-        }
-        self.decode_cached(ws, cand_sets, traj)
+        let session = self.replay(scratch, traj);
+        self.decode_session(scratch, session)
     }
 
-    /// [`MapMatcher::match_trajectory`] through caller-owned scratch state.
-    /// Bitwise-identical output to the trait method — the engine's
-    /// determinism property test pins this down.
-    #[must_use]
-    pub fn match_trajectory_with(
+    /// Decodes every point of `session`, then takes its rows and spines
+    /// back into `scratch`.
+    fn decode_session(
         &self,
         scratch: &mut MmaScratch,
-        traj: &Trajectory,
-    ) -> MatchResult {
-        let matched = self.match_points_with(scratch, traj);
-        self.stitch(matched)
+        mut session: MmaSession,
+    ) -> Vec<MatchedPoint> {
+        let matched = self.decode_cached(&mut scratch.ws, &session.cand_sets, &session.traj);
+        let room = session.cand_sets.len().saturating_sub(scratch.rows.len());
+        scratch.rows.extend(session.cand_sets.drain(..room));
+        session.cand_sets.clear();
+        session.traj.points.clear();
+        scratch.spare = session;
+        matched
     }
 
     /// [`Mma::forward_cached`] off the tape: leaves in `ws.logits` every
@@ -633,9 +633,9 @@ impl Mma {
         }
     }
 
-    /// Per-point argmax over [`Mma::score_cached`]'s logits — the shared
-    /// tail of the offline (freshly searched) and online (carried forward)
-    /// decodes. First maximum wins, by strict `>`.
+    /// Per-point argmax over [`Mma::score_cached`]'s logits — the tail of
+    /// every decode, provisional or final. First maximum wins, by strict
+    /// `>`.
     fn decode_cached(
         &self,
         ws: &mut MmaWorkspace,
@@ -654,39 +654,6 @@ impl Mma {
             })
             .collect()
     }
-
-    fn stitch(&self, matched: Vec<MatchedPoint>) -> MatchResult {
-        stitch_route(&self.net, &self.planner, matched)
-    }
-}
-
-impl MapMatcher for Mma {
-    fn name(&self) -> &'static str {
-        "MMA"
-    }
-
-    fn match_trajectory(&self, traj: &Trajectory) -> MatchResult {
-        self.match_trajectory_with(&mut MmaScratch::new(), traj)
-    }
-}
-
-/// Registers MMA with the pooled batch fan-out
-/// (`trmma_core::batch::par_match_pooled`), the same per-worker-scratch
-/// surface the baseline matchers expose.
-impl ScratchMatcher for Mma {
-    type Scratch = MmaScratch;
-
-    fn make_scratch(&self) -> MmaScratch {
-        MmaScratch::new()
-    }
-
-    fn scratch_stats(scratch: &MmaScratch) -> trmma_traj::ScratchStats {
-        trmma_traj::ScratchStats { allocs_avoided: scratch.allocs_avoided() }
-    }
-
-    fn match_trajectory_with(&self, scratch: &mut MmaScratch, traj: &Trajectory) -> MatchResult {
-        Mma::match_trajectory_with(self, scratch, traj)
-    }
 }
 
 /// Per-session streaming state of MMA: the accumulated GPS prefix plus each
@@ -699,51 +666,56 @@ pub struct MmaSession {
     cand_sets: Vec<Vec<Candidate>>,
 }
 
-impl MmaSession {
-    /// Points pushed so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.traj.len()
-    }
-
-    /// Whether any point has been pushed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.traj.is_empty()
-    }
-}
-
-/// MMA as an online decoder. Unlike the HMM family, MMA's transformer
+/// MMA as a resumable decoder. Unlike the HMM family, MMA's transformer
 /// attends over the *whole* point sequence (Eq. 3) and its features are
 /// normalised by the trajectory's full extent, so every new point can in
-/// principle revise every earlier match: each push re-encodes the prefix
-/// (with cached candidate sets) to produce the provisional match, and the
-/// stabilized-prefix watermark honestly stays at 0 until `finalize` — the
-/// watermark is a per-decoder *guarantee*, not a fixed schedule.
+/// principle revise every earlier match: each `update` re-encodes the
+/// prefix (with cached candidate sets) to produce the provisional match,
+/// and the stabilized-prefix watermark honestly stays at 0 until
+/// `finalize` — the watermark is a per-decoder *guarantee*, not a fixed
+/// schedule. The offline decode advances without updating, so it scores
+/// the trajectory once.
 impl OnlineMatcher for Mma {
+    const NAME: &'static str = "MMA";
+    type Scratch = MmaScratch;
     type Session = MmaSession;
+
+    fn make_scratch(&self) -> MmaScratch {
+        MmaScratch::new()
+    }
+
+    fn allocs_avoided(scratch: &MmaScratch) -> u64 {
+        scratch.allocs_avoided()
+    }
 
     fn begin_session(&self) -> MmaSession {
         MmaSession::default()
     }
 
-    fn push_point(
-        &self,
-        scratch: &mut MmaScratch,
-        session: &mut MmaSession,
-        point: GpsPoint,
-    ) -> OnlineUpdate {
-        let mut cands = Vec::with_capacity(self.cfg.kc);
-        self.finder.candidates_into(point.pos, &mut scratch.cand, &mut cands);
+    fn advance(&self, scratch: &mut MmaScratch, session: &mut MmaSession, point: GpsPoint) {
+        if session.traj.is_empty() {
+            std::mem::swap(session, &mut scratch.spare);
+        }
+        let mut row = match scratch.rows.pop() {
+            Some(row) => {
+                scratch.reused += 1;
+                row
+            }
+            None => Vec::with_capacity(self.cfg.kc),
+        };
+        self.finder.candidates_into(point.pos, &mut scratch.cand, &mut row);
         session.traj.points.push(point);
-        session.cand_sets.push(cands);
+        session.cand_sets.push(row);
+    }
+
+    fn update(&self, scratch: &mut MmaScratch, session: &mut MmaSession) -> OnlineUpdate {
         let matched = self.decode_cached(&mut scratch.ws, &session.cand_sets, &session.traj);
         OnlineUpdate { provisional: matched.last().copied(), stable_prefix: 0 }
     }
 
     fn finalize(&self, scratch: &mut MmaScratch, session: MmaSession) -> MatchResult {
-        let matched = self.decode_cached(&mut scratch.ws, &session.cand_sets, &session.traj);
-        self.stitch(matched)
+        let matched = self.decode_session(scratch, session);
+        stitch_route(&self.net, &self.planner, matched)
     }
 
     fn session_len(&self, session: &MmaSession) -> usize {
@@ -792,7 +764,7 @@ pub struct SharedMma(pub Arc<Mma>);
 
 impl MapMatcher for SharedMma {
     fn name(&self) -> &'static str {
-        "MMA"
+        Mma::NAME
     }
 
     fn match_trajectory(&self, traj: &Trajectory) -> MatchResult {

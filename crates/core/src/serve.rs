@@ -1707,7 +1707,7 @@ fn handle_snapshot<M: OnlineMatcher + 'static>(
         for e in reg.sessions.values().filter(|e| e.last_t == f64::NEG_INFINITY) {
             let mut payload = Vec::new();
             shared.matcher.snapshot_session(&shared.matcher.begin_session(), &mut payload);
-            let matcher = shared.matcher.name().to_string();
+            let matcher = M::NAME.to_string();
             let last_t = f64::NEG_INFINITY;
             snaps.push(SessionSnapshot { session: e.engine_sid, matcher, seq: 0, last_t, payload });
         }
@@ -2117,7 +2117,6 @@ mod tests {
     use trmma_roadnet::RoutePlanner;
     use trmma_traj::dataset::{build_dataset, DatasetConfig, Split};
     use trmma_traj::types::Trajectory;
-    use trmma_traj::ScratchMatcher;
 
     fn world() -> (Arc<HmmMatcher>, Vec<Trajectory>) {
         let ds = build_dataset(&DatasetConfig::tiny());

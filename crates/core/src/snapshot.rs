@@ -13,7 +13,7 @@
 //! ```
 //!
 //! * the **magic + version** reject foreign or future formats up front;
-//! * the **matcher name** (from [`MapMatcher::name`]) rejects restoring a
+//! * the **matcher name** ([`OnlineMatcher::NAME`]) rejects restoring a
 //!   snapshot into a different decoder, where the payload might even parse
 //!   but the continued decode would be silently wrong;
 //! * **seq / last_t** carry the engine-side per-session counters (events
@@ -28,7 +28,7 @@
 //!
 //! [`OnlineMatcher`]: trmma_traj::online::OnlineMatcher
 //! [`OnlineMatcher::snapshot_session`]: trmma_traj::online::OnlineMatcher::snapshot_session
-//! [`MapMatcher::name`]: trmma_traj::api::MapMatcher::name
+//! [`OnlineMatcher::NAME`]: trmma_traj::online::OnlineMatcher::NAME
 
 use trmma_traj::snapshot::{self, Reader, SnapshotError};
 
@@ -114,9 +114,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub struct SessionSnapshot {
     /// The session id the checkpoint belongs to.
     pub session: SessionId,
-    /// [`MapMatcher::name`] of the matcher that wrote the payload.
+    /// [`OnlineMatcher::NAME`] of the matcher that wrote the payload.
     ///
-    /// [`MapMatcher::name`]: trmma_traj::api::MapMatcher::name
+    /// [`OnlineMatcher::NAME`]: trmma_traj::online::OnlineMatcher::NAME
     pub matcher: String,
     /// Events emitted so far (the next `StreamEvent::Update` seq).
     pub seq: u64,

@@ -77,7 +77,8 @@
 //! * Within a session, points must advance in time: a point whose
 //!   timestamp is not strictly newer than the session's last accepted
 //!   point is counted in [`StreamStats::late_dropped`] and skipped (the
-//!   incremental decoders cannot un-push evidence).
+//!   incremental decoders cannot un-push evidence). So is a point with a
+//!   NaN or infinite x, y or t, which no decoder may see.
 //! * Decoding is a pure function of (model, point sequence), so for any
 //!   thread count, any cross-session interleaving and any migration
 //!   schedule, a session's finalized result is identical to
@@ -137,7 +138,7 @@ pub type SessionId = u64;
 /// * **Late-point drop** — within a session, points must advance in time;
 ///   a point whose timestamp is not strictly newer than the session's last
 ///   accepted point is counted in [`StreamStats::late_dropped`] and
-///   skipped, never decoded.
+///   skipped, never decoded. A non-finite point is dropped the same way.
 /// * **Idle eviction** — `idle_timeout_s` finalizes sessions that go
 ///   quiet (the trip is assumed over); `0` disables eviction.
 /// * **Routing** — new sessions are placed by power-of-two-choices on
@@ -339,7 +340,10 @@ pub struct StreamStats {
     pub finalized_idle: u64,
     /// Sessions finalized live at shutdown.
     pub finalized_shutdown: u64,
-    /// Points rejected for running backwards in time within their session.
+    /// Points rejected for running backwards in time within their session,
+    /// or for a non-finite x, y or t ([`trmma_traj::is_finite_point`]): a
+    /// NaN `t` would otherwise become the session's last timestamp and no
+    /// later point could ever count as late.
     pub late_dropped: u64,
 }
 
@@ -379,15 +383,14 @@ pub struct WorkerTelemetry {
     pub migrated_in: u64,
     /// Sessions migrated off the worker.
     pub migrated_out: u64,
-    /// Points the worker rejected for running backwards in time within
-    /// their session (previously visible only in the shutdown-time
-    /// [`StreamStats`]).
+    /// Points the worker rejected as late or non-finite (see
+    /// [`StreamStats::late_dropped`]; this is its live counterpart).
     pub late_dropped: u64,
     /// Sessions the worker finalized by idle eviction.
     pub idle_finalized: u64,
     /// Heap allocations the worker's scratch arenas absorbed on the
     /// per-point hot path (served from recycled buffers instead of the
-    /// allocator) — see `trmma_traj::ScratchStats`.
+    /// allocator) — see [`OnlineMatcher::allocs_avoided`].
     pub allocs_avoided: u64,
 }
 
@@ -922,7 +925,9 @@ fn worker_loop<M: OnlineMatcher>(
                         });
                         entry.last_seen = Instant::now();
                         entry.last_idx = idx;
-                        if point.t <= entry.last_t {
+                        // Non-finite first: a NaN `t` fails every ordering
+                        // test, so it must never reach `last_t`.
+                        if !trmma_traj::is_finite_point(&point) || point.t <= entry.last_t {
                             stats.late_dropped += 1;
                             load.late_dropped.fetch_add(1, Ordering::Relaxed);
                         } else {
@@ -1002,8 +1007,7 @@ fn worker_loop<M: OnlineMatcher>(
                 // Publish the scratch's monotone counter as a plain store:
                 // a respawned worker starts a fresh scratch, and the
                 // telemetry should report the live scratch's view.
-                load.allocs_avoided
-                    .store(M::scratch_stats(&scratch).allocs_avoided, Ordering::Relaxed);
+                load.allocs_avoided.store(M::allocs_avoided(&scratch), Ordering::Relaxed);
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
@@ -1947,7 +1951,7 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
                     self.matcher.snapshot_session(&live.session, &mut payload);
                     out.push(SessionSnapshot {
                         session,
-                        matcher: self.matcher.name().to_string(),
+                        matcher: M::NAME.to_string(),
                         seq: live.seq as u64,
                         last_t: live.last_t,
                         payload,
@@ -2003,7 +2007,7 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
         self.drain_replies(&mut router);
         let mut n = 0;
         for snap in snaps {
-            snap.expect_matcher(self.matcher.name())?;
+            snap.expect_matcher(M::NAME)?;
             if router.place.contains_key(&snap.session) || router.logs.contains_key(&snap.session) {
                 return Err(SnapshotError::Malformed("session id already live on this engine"));
             }
@@ -2319,6 +2323,27 @@ mod tests {
         assert_eq!(stats.points, t.len() as u64);
         let finals = collect_finalized(&events);
         assert_eq!(finals[&1].1, hmm.match_trajectory(t), "late points must not perturb decode");
+    }
+
+    /// A NaN `t` fails `t <= last_t`: were it decoded, it would become
+    /// `last_t` and switch late detection off for the rest of the session,
+    /// so the next point, older than the first, would be decoded too.
+    #[test]
+    fn non_finite_points_are_dropped_before_the_late_test() {
+        let (hmm, batch) = world();
+        let engine =
+            StreamEngine::new(hmm.clone(), StreamOptions::with_threads(1).idle_timeout_s(0.0));
+        let p = batch[0].points[0];
+        for t in [1.0, f64::NAN, 0.5] {
+            assert!(engine.push(3, GpsPoint { t, ..p }));
+        }
+        engine.finish(3);
+        assert!(engine.quiesce(Duration::from_secs(10)));
+        assert_eq!(engine.router_stats().late_dropped(), 2);
+        let (events, stats) = engine.shutdown();
+        assert_eq!((stats.points, stats.late_dropped), (1, 2));
+        let first = Trajectory { points: vec![GpsPoint { t: 1.0, ..p }] };
+        assert_eq!(collect_finalized(&events)[&3].1, hmm.match_trajectory(&first));
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Shared interfaces of the pipeline: map matchers, recovery methods and
-//! the candidate-segment finder (Definition 8).
+//! Shared interfaces of the pipeline: the object-safe matcher view,
+//! recovery methods, input validation and the candidate-segment finder
+//! (Definition 8).
 //!
-//! Every matcher in the repository — `Nearest`, `HMM`, `FMM` (baselines
-//! crate) and `MMA` (core crate) — implements [`MapMatcher`]; every recovery
-//! method — `Linear`, `Seq2SeqFull`, `TRMMA` — implements
-//! [`TrajectoryRecovery`]. The benchmark harness drives everything through
-//! these traits, which is what makes the paper's method-by-method tables
-//! mechanical to regenerate.
+//! Every matcher in the repository — `Nearest`, `HMM`, `FMM`, `LHMM`
+//! (baselines crate) and `MMA` (core crate) — implements the one trait
+//! [`OnlineMatcher`]; [`MapMatcher`] is its object-safe view, a blanket impl
+//! for `dyn` callers. Every recovery method — `Linear`, `Seq2SeqFull`,
+//! `TRMMA` — implements [`TrajectoryRecovery`]. The benchmark harness drives
+//! everything through these traits, which is what makes the paper's
+//! method-by-method tables mechanical to regenerate.
 
 use std::sync::Arc;
 
@@ -14,6 +16,7 @@ use trmma_geom::Vec2;
 use trmma_roadnet::{RoadNetwork, RoutePlanner, SegmentId, ShardedNetwork};
 use trmma_rtree::{IndexedSegment, KnnScratch, Neighbor, RTree};
 
+use crate::online::OnlineMatcher;
 use crate::types::{GpsPoint, MatchedPoint, MatchedTrajectory, Route, Trajectory};
 
 /// Output of map matching one trajectory: the per-point matches and the
@@ -29,7 +32,7 @@ pub struct MatchResult {
 /// Stitches per-point matches into a [`MatchResult`]: the matched segment
 /// sequence is connected into a route by the shared planner, falling back
 /// to the raw sequence when no connection exists. The common tail of every
-/// matcher's offline and online decode.
+/// matcher's `finalize`.
 #[must_use]
 pub fn stitch_route(
     net: &RoadNetwork,
@@ -41,54 +44,36 @@ pub fn stitch_route(
     MatchResult { matched, route }
 }
 
-/// A map-matching method.
+/// The object-safe view of a matcher — what `dyn` callers hold
+/// (`TrmmaPipeline`, `LinearRecovery`, the experiment tables). Every
+/// [`OnlineMatcher`] is one through the blanket impl below, so no matcher
+/// implements it by hand.
 ///
 /// `Send + Sync` is part of the contract: matchers are immutable at
 /// inference time and are shared by reference across the worker threads of
 /// the batched inference engine (`trmma_core::batch`).
 pub trait MapMatcher: Send + Sync {
-    /// Short display name used in experiment tables.
+    /// Short display name used in experiment tables
+    /// ([`OnlineMatcher::NAME`]).
     fn name(&self) -> &'static str;
 
     /// Maps the GPS points of `traj` onto road segments and deduces the
-    /// underlying route.
+    /// underlying route: [`OnlineMatcher::match_trajectory_with`] on a
+    /// fresh scratch.
+    ///
+    /// # Panics
+    /// Panics naming the first point whose x, y or t is not finite.
     fn match_trajectory(&self, traj: &Trajectory) -> MatchResult;
 }
 
-/// Map matching through caller-owned, per-worker scratch state.
-///
-/// The batched inference engine (`trmma_core::batch::par_match_pooled`)
-/// creates one `Scratch` per worker thread and reuses it for every
-/// trajectory that worker claims — pooled Dijkstra buffers, kNN heaps,
-/// autograd tapes. The contract: [`ScratchMatcher::match_trajectory_with`]
-/// must return output identical to [`MapMatcher::match_trajectory`]
-/// regardless of what the scratch previously served; `tests/
-/// props_baselines.rs` property-tests this for every baseline matcher.
-pub trait ScratchMatcher: MapMatcher {
-    /// Per-worker mutable state.
-    type Scratch: Send;
-
-    /// Creates one worker's scratch.
-    fn make_scratch(&self) -> Self::Scratch;
-
-    /// Like [`MapMatcher::match_trajectory`], reusing `scratch`'s buffers.
-    fn match_trajectory_with(&self, scratch: &mut Self::Scratch, traj: &Trajectory) -> MatchResult;
-
-    /// Work-attribution counters accumulated in `scratch` — what the
-    /// engines fold into their timing / router reports. The default is
-    /// all-zero for matchers whose scratch tracks nothing.
-    fn scratch_stats(_scratch: &Self::Scratch) -> ScratchStats {
-        ScratchStats::default()
+impl<M: OnlineMatcher> MapMatcher for M {
+    fn name(&self) -> &'static str {
+        M::NAME
     }
-}
 
-/// Allocation-attribution counters of a per-worker scratch (see
-/// [`ScratchMatcher::scratch_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScratchStats {
-    /// Heap allocations the scratch's arenas absorbed: buffers served from
-    /// recycled storage on the per-point hot path instead of the allocator.
-    pub allocs_avoided: u64,
+    fn match_trajectory(&self, traj: &Trajectory) -> MatchResult {
+        self.match_trajectory_with(&mut self.make_scratch(), traj)
+    }
 }
 
 /// A trajectory-recovery method (Definition 7).
@@ -135,6 +120,23 @@ pub fn epsilon_ticks(interval_s: f64, epsilon_s: f64) -> usize {
 #[must_use]
 pub fn is_finite_point(p: &GpsPoint) -> bool {
     p.pos.x.is_finite() && p.pos.y.is_finite() && p.t.is_finite()
+}
+
+/// The matchers' one input check: the provided
+/// [`OnlineMatcher::push_point`] and [`OnlineMatcher::replay`] run every
+/// point through it before a decoder sees it.
+///
+/// # Panics
+/// Panics naming `index` and the point's value unless
+/// [`is_finite_point`] holds.
+pub(crate) fn assert_finite_point(index: usize, p: &GpsPoint) {
+    assert!(
+        is_finite_point(p),
+        "GPS point {index} must have finite x, y and t, got x = {}, y = {}, t = {}",
+        p.pos.x,
+        p.pos.y,
+        p.t
+    );
 }
 
 /// One candidate segment of a GPS point, with its perpendicular distance and

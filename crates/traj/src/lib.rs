@@ -16,9 +16,9 @@
 //! * [`metrics`] — MAE/RMSE over road-network distance (Eq. 22), Precision /
 //!   Recall / F1 / Accuracy for recovery, and Precision / Recall / F1 /
 //!   Jaccard for map matching;
-//! * [`online`] — the streaming interface: [`OnlineMatcher`] sessions fed
-//!   one GPS point at a time, with provisional matches and a
-//!   stabilized-prefix watermark.
+//! * [`online`] — the matcher trait: [`OnlineMatcher`] sessions fed one GPS
+//!   point at a time, with provisional matches and a stabilized-prefix
+//!   watermark; the offline decode is the same session replayed.
 //!
 //! # Example
 //!
@@ -49,11 +49,15 @@ pub mod types;
 
 pub use api::{
     epsilon_ticks, is_finite_point, stitch_route, Candidate, CandidateFinder, CandidateScratch,
-    MapMatcher, MatchResult, ScratchMatcher, ScratchStats, TrajectoryRecovery,
+    MapMatcher, MatchResult, TrajectoryRecovery,
 };
 pub use dataset::{build_dataset, Dataset, DatasetConfig, Split};
 pub use gen::{sparsify, RawTrajectory, Sample, TrajConfig};
 pub use metrics::{matching_metrics, recovery_metrics, MatchingMetrics, RecoveryMetrics};
+/// The former per-worker scratch trait, folded into [`OnlineMatcher`]. The
+/// name survives only because `benchmark/` still spells it; it goes with
+/// ROADMAP item 4's benchmark change.
+pub use online::OnlineMatcher as ScratchMatcher;
 pub use online::{OnlineMatcher, OnlineUpdate};
 pub use snapshot::SnapshotError;
 pub use types::{GpsPoint, MatchedPoint, MatchedTrajectory, Route, Trajectory};

@@ -1,5 +1,5 @@
-//! Streaming (online) map matching: incremental decoders behind a
-//! session-per-device interface.
+//! Map matching as a resumable decoder: the one trait every matcher in the
+//! repository implements, for streaming and offline decoding alike.
 //!
 //! The batch engine serves complete, pre-collected trajectories; production
 //! traffic is the opposite shape — GPS points arrive one at a time from many
@@ -12,19 +12,20 @@
 //! [`OnlineMatcher`] is that contract. A *session* holds one trajectory's
 //! decoder state (the Viterbi beam and backpointers for the HMM family, the
 //! accumulated point/candidate history for MMA); the per-worker *scratch*
-//! ([`ScratchMatcher::Scratch`]) holds the reusable search buffers shared by
-//! every session a worker serves (warm Dijkstra pools, kNN heaps, forward
-//! workspaces). Each [`OnlineMatcher::push_point`] returns an [`OnlineUpdate`]:
-//! the *provisional* match of the newest point (what the decoder would
-//! answer if the stream ended now) plus the *stabilized prefix watermark* —
-//! the number of leading points whose final match can no longer change, no
-//! matter what arrives later.
+//! ([`OnlineMatcher::Scratch`]) holds the reusable search buffers shared by
+//! every session a worker serves (dense Dijkstra sweeps, kNN heaps, forward
+//! workspaces). [`OnlineMatcher::advance`] consumes one point and
+//! [`OnlineMatcher::update`] reports an [`OnlineUpdate`]: the *provisional*
+//! match of the newest point (what the decoder would answer if the stream
+//! ended now) plus the *stabilized prefix watermark* — the number of leading
+//! points whose final match can no longer change, no matter what arrives
+//! later. [`OnlineMatcher::push_point`] is the two in a row.
 //!
-//! **Offline as replay.** Feeding a whole trajectory through
-//! `begin_session` → `push_point`* → `finalize` must produce output
-//! identical to [`MapMatcher::match_trajectory`] — the offline decode *is*
-//! the online decode replayed; `tests/props_streaming.rs` property-tests
-//! this for every implementation in the repository.
+//! **Offline by construction.** [`OnlineMatcher::match_trajectory_with`] is
+//! a provided method — `begin_session` → `advance`* → `finalize` — and no
+//! matcher has a decode loop of its own, so the offline decode *is* the
+//! online decode replayed. [`MapMatcher`], the object-safe view `dyn`
+//! callers hold, is one blanket impl over this trait.
 //!
 //! **Sessions are detachable.** A session owns its entire decode history
 //! and borrows nothing from the scratch that last advanced it, so a
@@ -33,13 +34,14 @@
 //! output bit — see [`OnlineMatcher::session_stable`] for the eligibility
 //! test the load-aware router uses.
 //!
-//! [`MapMatcher::match_trajectory`]: crate::api::MapMatcher::match_trajectory
+//! [`MapMatcher`]: crate::api::MapMatcher
 
-use crate::api::{MatchResult, ScratchMatcher};
+use crate::api::{assert_finite_point, MatchResult};
 use crate::snapshot::SnapshotError;
-use crate::types::{GpsPoint, MatchedPoint};
+use crate::types::{GpsPoint, MatchedPoint, Trajectory};
 
-/// What one [`OnlineMatcher::push_point`] call tells the caller.
+/// What [`OnlineMatcher::update`] (and so each
+/// [`OnlineMatcher::push_point`]) tells the caller.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineUpdate {
     /// Best-known match of the point just pushed — the match the decoder
@@ -54,7 +56,7 @@ pub struct OnlineUpdate {
     pub stable_prefix: usize,
 }
 
-/// An incremental map matcher: the decoder as a resumable state machine.
+/// A map matcher: the decoder as a resumable state machine.
 ///
 /// Implementations split their mutable state in two:
 ///
@@ -66,46 +68,65 @@ pub struct OnlineUpdate {
 ///   streaming engine can hold thousands and **migrate** them between
 ///   workers mid-stream — any scratch continues the decode bitwise
 ///   identically.
-/// * **Scratch** — per-*worker* search buffers (inherited from
-///   [`ScratchMatcher`]): one scratch serves every session on that worker,
-///   exactly as it serves every trajectory in the batch engine. Scratch
-///   contents are pure caches (warm Dijkstra pools, kNN heaps, forward
-///   workspaces) and never influence decoder output.
+/// * **Scratch** — per-*worker* search buffers: one scratch serves every
+///   session on that worker, exactly as it serves every trajectory in the
+///   batch engine (`trmma_core::batch::par_match_pooled`). Scratch contents
+///   are pure caches (dense Dijkstra sweeps, kNN heaps, forward workspaces,
+///   recycled rows) and never influence decoder output.
+///
+/// `Send + Sync` is part of the contract: matchers are immutable at
+/// inference time and are shared by reference across worker threads.
 ///
 /// The contract, property-tested in `tests/props_streaming.rs`:
 ///
-/// 1. *Replay equivalence*: pushing a trajectory's points in order and
-///    finalizing returns output identical to
-///    [`MapMatcher::match_trajectory`] on the whole trajectory.
-/// 2. *Watermark soundness*: once an update reports `stable_prefix = w`,
+/// 1. *Watermark soundness*: once an update reports `stable_prefix = w`,
 ///    the first `w` matched points of any future `finalize` equal what
 ///    `finalize` would return right now.
-/// 3. *Scratch independence*: pushing the same points through the same
+/// 2. *Scratch independence*: pushing the same points through the same
 ///    session with different (or fresh) scratches yields identical
 ///    updates and an identical finalize — the property migration rests on.
 ///
-/// [`MapMatcher::match_trajectory`]: crate::api::MapMatcher::match_trajectory
-pub trait OnlineMatcher: ScratchMatcher {
+/// Replay equivalence — push-all then finalize equals the offline decode —
+/// holds by construction: [`OnlineMatcher::match_trajectory_with`] is that
+/// replay.
+pub trait OnlineMatcher: Send + Sync {
+    /// Short display name, used in experiment tables and recorded in every
+    /// session snapshot: a restore refuses a payload written under another
+    /// name, so renaming a matcher breaks rolling restarts.
+    const NAME: &'static str;
+
+    /// Per-worker mutable state.
+    type Scratch: Send;
+
     /// Per-session decoder state.
     type Session: Send;
+
+    /// Creates one worker's scratch.
+    fn make_scratch(&self) -> Self::Scratch;
+
+    /// Heap allocations `scratch` has absorbed so far: buffers served from
+    /// recycled storage on the per-point path instead of the allocator —
+    /// what the engines fold into their timing and router reports. Zero for
+    /// matchers whose scratch tracks nothing.
+    fn allocs_avoided(_scratch: &Self::Scratch) -> u64 {
+        0
+    }
 
     /// Opens a fresh session (no points yet).
     fn begin_session(&self) -> Self::Session;
 
-    /// Feeds the next GPS point of the session's trajectory; returns the
-    /// provisional match and the stabilized-prefix watermark.
-    fn push_point(
-        &self,
-        scratch: &mut Self::Scratch,
-        session: &mut Self::Session,
-        point: GpsPoint,
-    ) -> OnlineUpdate;
+    /// Consumes the next GPS point of the session's trajectory. Callers go
+    /// through [`OnlineMatcher::push_point`] or
+    /// [`OnlineMatcher::match_trajectory_with`], which validate the point
+    /// first.
+    fn advance(&self, scratch: &mut Self::Scratch, session: &mut Self::Session, point: GpsPoint);
+
+    /// The provisional match of the newest point and the stabilized-prefix
+    /// watermark, as of the last [`OnlineMatcher::advance`].
+    fn update(&self, scratch: &mut Self::Scratch, session: &mut Self::Session) -> OnlineUpdate;
 
     /// Closes the session: runs the final (global) decode over everything
-    /// pushed and stitches the route — identical to the offline
-    /// [`MapMatcher::match_trajectory`] on the same points.
-    ///
-    /// [`MapMatcher::match_trajectory`]: crate::api::MapMatcher::match_trajectory
+    /// pushed and stitches the route.
     fn finalize(&self, scratch: &mut Self::Scratch, session: Self::Session) -> MatchResult;
 
     /// Number of points pushed into `session` so far.
@@ -136,7 +157,7 @@ pub trait OnlineMatcher: ScratchMatcher {
     ///
     /// Implementations append raw payload bytes only; the engine wraps them
     /// in a versioned, checksummed envelope (`trmma_core::snapshot`) that
-    /// also records which matcher produced them.
+    /// also records [`OnlineMatcher::NAME`].
     fn snapshot_session(&self, session: &Self::Session, out: &mut Vec<u8>);
 
     /// Reconstructs a session from bytes written by
@@ -148,4 +169,47 @@ pub trait OnlineMatcher: ScratchMatcher {
     /// Fails with [`SnapshotError`] (never panics) on truncated or
     /// structurally invalid input.
     fn restore_session(&self, bytes: &[u8]) -> Result<Self::Session, SnapshotError>;
+
+    /// Feeds the next GPS point of the session's trajectory:
+    /// [`OnlineMatcher::advance`], then [`OnlineMatcher::update`].
+    ///
+    /// # Panics
+    /// Panics naming the point's index in the session and its value unless
+    /// x, y and t are all finite ([`crate::is_finite_point`]).
+    fn push_point(
+        &self,
+        scratch: &mut Self::Scratch,
+        session: &mut Self::Session,
+        point: GpsPoint,
+    ) -> OnlineUpdate {
+        assert_finite_point(self.session_len(session), &point);
+        self.advance(scratch, session, point);
+        self.update(scratch, session)
+    }
+
+    /// Opens a session and advances it through every point of `traj`.
+    ///
+    /// # Panics
+    /// Panics naming the first point that is not finite, as
+    /// [`OnlineMatcher::push_point`] does.
+    fn replay(&self, scratch: &mut Self::Scratch, traj: &Trajectory) -> Self::Session {
+        let mut session = self.begin_session();
+        for (i, &p) in traj.points.iter().enumerate() {
+            assert_finite_point(i, &p);
+            self.advance(scratch, &mut session, p);
+        }
+        session
+    }
+
+    /// The offline decode of `traj` through caller-owned scratch:
+    /// [`OnlineMatcher::replay`], then [`OnlineMatcher::finalize`]. Output
+    /// is independent of what the scratch served before.
+    ///
+    /// # Panics
+    /// Panics naming the first point that is not finite, as
+    /// [`OnlineMatcher::push_point`] does.
+    fn match_trajectory_with(&self, scratch: &mut Self::Scratch, traj: &Trajectory) -> MatchResult {
+        let session = self.replay(scratch, traj);
+        self.finalize(scratch, session)
+    }
 }

@@ -31,7 +31,9 @@ use trmma::roadnet::{
 };
 use trmma::traj::gen::{generate_trajectory, sparsify, TrajConfig};
 use trmma::traj::types::Trajectory;
-use trmma::traj::{CandidateFinder, CandidateScratch, MatchResult, Sample, ScratchMatcher};
+use trmma::traj::{
+    CandidateFinder, CandidateScratch, MapMatcher, MatchResult, OnlineMatcher, Sample,
+};
 
 /// Generates a city plus a handful of sparse samples from a seed pair.
 fn arbitrary_world(net_seed: u64, traj_seed: u64) -> (Arc<RoadNetwork>, Vec<Sample>) {
@@ -53,7 +55,7 @@ fn arbitrary_world(net_seed: u64, traj_seed: u64) -> (Arc<RoadNetwork>, Vec<Samp
 
 /// Asserts that the pooled parallel fan-out reproduces the sequential
 /// per-call output exactly, in the given order and in a shuffled order.
-fn assert_pooled_identical<M: ScratchMatcher + Sync>(
+fn assert_pooled_identical<M: OnlineMatcher>(
     matcher: &M,
     batch: &[Trajectory],
     threads: usize,
@@ -62,7 +64,7 @@ fn assert_pooled_identical<M: ScratchMatcher + Sync>(
     let reference: Vec<MatchResult> = batch.iter().map(|t| matcher.match_trajectory(t)).collect();
     let opts = BatchOptions::with_threads(threads);
     let (got, _) = par_match_pooled(matcher, batch, opts);
-    assert_eq!(got, reference, "{} diverged at {threads} threads", matcher.name());
+    assert_eq!(got, reference, "{} diverged at {threads} threads", M::NAME);
     let shuffled: Vec<Trajectory> = order.iter().map(|&i| batch[i].clone()).collect();
     let (got_shuffled, _) = par_match_pooled(matcher, &shuffled, opts);
     for (slot, &src) in order.iter().enumerate() {
@@ -70,7 +72,7 @@ fn assert_pooled_identical<M: ScratchMatcher + Sync>(
             got_shuffled[slot],
             reference[src],
             "{} shuffle broke keying at {threads} threads",
-            matcher.name()
+            M::NAME
         );
     }
 }

@@ -93,7 +93,7 @@ fn assert_loopback_identical<M: OnlineMatcher + 'static>(
         .expect("reply mid-stream")
     {
         Reply::Ack { .. } => *inflight -= 1,
-        r => panic!("{}: unexpected reply mid-stream: {r:?}", matcher.name()),
+        r => panic!("{}: unexpected reply mid-stream: {r:?}", M::NAME),
     };
     while !open.is_empty() {
         let pick = rng.gen_range(0..open.len());
@@ -125,7 +125,7 @@ fn assert_loopback_identical<M: OnlineMatcher + 'static>(
     }
     for &t in &order {
         let (points, result) = client.finalize(ids[t]).expect("finalize session");
-        assert_eq!(points as usize, trips[t].len(), "{}: ack count", matcher.name());
+        assert_eq!(points as usize, trips[t].len(), "{}: ack count", M::NAME);
         finals.insert(ids[t], result);
     }
     let mut scratch = matcher.make_scratch();
@@ -138,7 +138,7 @@ fn assert_loopback_identical<M: OnlineMatcher + 'static>(
             finals.get(&ids[i]),
             Some(&offline),
             "{}: socket decode of session {i} diverged from offline (window {window})",
-            matcher.name()
+            M::NAME
         );
     }
     server.stop();

@@ -91,19 +91,19 @@ fn assert_sharded_identical<M: OnlineMatcher>(mono: &M, sh: &M, batch: &[Traject
     for traj in batch {
         let offline = mono.match_trajectory(traj);
         let offline_sh = sh.match_trajectory(traj);
-        assert_bitwise(&offline, &offline_sh, mono.name());
+        assert_bitwise(&offline, &offline_sh, M::NAME);
 
         let (mut mscratch, mut msession) = (mono.make_scratch(), mono.begin_session());
         let (mut sscratch, mut ssession) = (sh.make_scratch(), sh.begin_session());
         for (i, &p) in traj.points.iter().enumerate() {
             let a = mono.push_point(&mut mscratch, &mut msession, p);
             let b = sh.push_point(&mut sscratch, &mut ssession, p);
-            assert_eq!(a, b, "{}: online update diverged at point {i}", mono.name());
+            assert_eq!(a, b, "{}: online update diverged at point {i}", M::NAME);
         }
         let fin = mono.finalize(&mut mscratch, msession);
         let fin_sh = sh.finalize(&mut sscratch, ssession);
-        assert_bitwise(&fin, &fin_sh, mono.name());
-        assert_bitwise(&fin, &offline, mono.name());
+        assert_bitwise(&fin, &fin_sh, M::NAME);
+        assert_bitwise(&fin, &offline, M::NAME);
     }
 }
 

@@ -32,14 +32,17 @@ use trmma::core::{
     FaultPlan, FinalizeReason, Mma, MmaConfig, SessionId, SessionSnapshot, StreamEngine,
     StreamEvent, StreamOptions,
 };
-use trmma::roadnet::{generate_city, NetworkConfig, RoadNetwork, RoutePlanner};
+use trmma::roadnet::{
+    generate_city, DistTable, GridCut, NetworkConfig, RoadNetwork, RoutePlanner, ShardPlan,
+    ShardedNetwork,
+};
 use trmma::traj::gen::{generate_trajectory, sparsify, TrajConfig};
 use trmma::traj::snapshot::{
     put_cand_sets, put_f64, put_matched, put_trajectory, put_usize, read_cand_sets,
     read_trajectory, Reader,
 };
-use trmma::traj::types::{MatchedPoint, Trajectory};
-use trmma::traj::{Candidate, MapMatcher, OnlineMatcher, Sample, ScratchMatcher, SnapshotError};
+use trmma::traj::types::{GpsPoint, MatchedPoint, Trajectory};
+use trmma::traj::{Candidate, MapMatcher, OnlineMatcher, Sample, SnapshotError};
 
 /// Generates a city plus a handful of sparse samples from a seed pair.
 fn arbitrary_world(net_seed: u64, traj_seed: u64) -> (Arc<RoadNetwork>, Vec<Sample>) {
@@ -76,7 +79,7 @@ fn assert_snapshot_transparent<M: OnlineMatcher>(matcher: &M, traj: &Trajectory,
     matcher.snapshot_session(&original, &mut payload);
     let envelope = SessionSnapshot {
         session: 42,
-        matcher: matcher.name().to_string(),
+        matcher: M::NAME.to_string(),
         seq: cut as u64,
         last_t,
         payload,
@@ -88,43 +91,35 @@ fn assert_snapshot_transparent<M: OnlineMatcher>(matcher: &M, traj: &Trajectory,
     for i in [0, mid, bytes.len() - 1] {
         let mut bad = bytes.clone();
         bad[i] ^= 0x10;
-        assert!(
-            SessionSnapshot::decode(&bad).is_err(),
-            "{}: corrupt byte {i} accepted",
-            matcher.name()
-        );
-        assert!(
-            SessionSnapshot::decode(&bytes[..i]).is_err(),
-            "{}: truncation accepted",
-            matcher.name()
-        );
+        assert!(SessionSnapshot::decode(&bad).is_err(), "{}: corrupt byte {i} accepted", M::NAME);
+        assert!(SessionSnapshot::decode(&bytes[..i]).is_err(), "{}: truncation accepted", M::NAME);
     }
     let decoded = SessionSnapshot::decode(&bytes).expect("envelope round-trips");
-    assert_eq!(decoded, envelope, "{}: envelope not bitwise-stable", matcher.name());
-    decoded.expect_matcher(matcher.name()).expect("matcher name preserved");
+    assert_eq!(decoded, envelope, "{}: envelope not bitwise-stable", M::NAME);
+    decoded.expect_matcher(M::NAME).expect("matcher name preserved");
     let mut restored =
         matcher.restore_session(&decoded.payload).expect("snapshot payload restores");
     assert_eq!(
         matcher.session_len(&restored),
         matcher.session_len(&original),
         "{}: restored length differs at cut {cut}",
-        matcher.name()
+        M::NAME
     );
     assert_eq!(
         matcher.session_watermark(&restored),
         matcher.session_watermark(&original),
         "{}: restored watermark differs at cut {cut}",
-        matcher.name()
+        M::NAME
     );
     for (i, &p) in traj.points[cut..].iter().enumerate() {
         let a = matcher.push_point(&mut scratch, &mut original, p);
         let b = matcher.push_point(&mut scratch, &mut restored, p);
-        assert_eq!(a, b, "{}: update {i} after restore diverged (cut {cut})", matcher.name());
+        assert_eq!(a, b, "{}: update {i} after restore diverged (cut {cut})", M::NAME);
     }
     let a = matcher.finalize(&mut scratch, original);
     let b = matcher.finalize(&mut scratch, restored);
-    assert_eq!(a, b, "{}: finalize diverged after restore (cut {cut})", matcher.name());
-    assert_eq!(b, offline, "{}: restored session diverged from offline", matcher.name());
+    assert_eq!(a, b, "{}: finalize diverged after restore (cut {cut})", M::NAME);
+    assert_eq!(b, offline, "{}: restored session diverged from offline", M::NAME);
 }
 
 /// Streams a prefix of every session into one engine, drains it to
@@ -185,7 +180,7 @@ fn assert_handoff_identical<M: OnlineMatcher + 'static>(
             finals.get(&(sid as SessionId)),
             Some(&matcher.match_trajectory(t)),
             "{} session {sid} diverged across handoff (cut {})",
-            matcher.name(),
+            M::NAME,
             cuts[sid]
         );
     }
@@ -348,6 +343,51 @@ fn hostile_hmm_and_nearest_payloads_in_a_valid_envelope_are_refused() {
         nearest.restore_session(&through_envelope(nearest.name(), payload)).err(),
         Some(SnapshotError::Malformed("matched segment out of range"))
     );
+}
+
+/// The name a `dyn MapMatcher` reports and the name a live engine session
+/// drains under, for one matcher.
+fn names<M: OnlineMatcher + 'static>(matcher: M, p: GpsPoint) -> (&'static str, String) {
+    let matcher = Arc::new(matcher);
+    let shown = (&*matcher as &dyn MapMatcher).name();
+    let engine = StreamEngine::new(matcher, StreamOptions::with_threads(1).idle_timeout_s(0.0));
+    assert!(engine.push(1, p));
+    let snaps = engine.drain_snapshots(Duration::from_secs(30));
+    let _ = engine.shutdown();
+    assert_eq!(snaps.len(), 1, "{shown}: one live session drains");
+    (shown, snaps[0].matcher.clone())
+}
+
+/// A restore refuses a snapshot whose matcher name differs from its own,
+/// so every constructor must keep writing the name its sessions were
+/// always written under: a renamed FMM would refuse every session a
+/// rolling restart hands it.
+#[test]
+fn matcher_names_are_pinned_for_every_constructor() {
+    let (net, samples) = arbitrary_world(3, 11);
+    let planner = Arc::new(RoutePlanner::untrained(&net));
+    let cfg = HmmConfig::default();
+    let plan = ShardPlan::new(&net, &GridCut::square(2, 5));
+    let sh = Arc::new(ShardedNetwork::build(net.clone(), plan, cfg.max_route_m));
+    let table = Arc::new(DistTable::build(&net, cfg.max_route_m));
+    let (n, p) = (net.clone(), samples[0].sparse.points[0]);
+    let (pl, c) = (|| planner.clone(), || cfg.clone());
+    let table_rows = [
+        ("Nearest", names(NearestMatcher::new(n.clone(), pl()), p)),
+        ("Nearest", names(NearestMatcher::sharded(sh.clone(), pl()), p)),
+        ("HMM", names(HmmMatcher::new(n.clone(), pl(), c()), p)),
+        ("HMM", names(HmmMatcher::sharded(sh.clone(), pl(), c()), p)),
+        ("FMM", names(FmmMatcher::new(n.clone(), pl(), c()), p)),
+        ("FMM", names(FmmMatcher::with_table(n.clone(), pl(), c(), table), p)),
+        ("FMM", names(FmmMatcher::sharded(sh.clone(), pl(), c()), p)),
+        ("LHMM", names(LhmmMatcher::fit(n.clone(), pl(), c(), &samples), p)),
+        ("LHMM", names(LhmmMatcher::fit_sharded(sh.clone(), pl(), c(), &samples), p)),
+        ("MMA", names(Mma::new(n, pl(), None, MmaConfig::small()), p)),
+        ("MMA", names(Mma::sharded(sh, pl(), None, MmaConfig::small()), p)),
+    ];
+    for (i, (want, (shown, snapshot))) in table_rows.into_iter().enumerate() {
+        assert_eq!((shown, snapshot.as_str()), (want, want), "constructor {i}");
+    }
 }
 
 proptest! {

@@ -19,7 +19,9 @@
 //!   arbitrary points in the stream changes nothing: the finalized output
 //!   of every `OnlineMatcher` stays bitwise-identical to the offline
 //!   decode, sessions are never split or duplicated, and the router's
-//!   migration counters balance.
+//!   migration counters balance;
+//! * **Input validation** — every matcher's `match_trajectory` and
+//!   `push_point` refuse a NaN or infinite x, y or t, naming the point.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -36,7 +38,7 @@ use trmma::core::{
 use trmma::roadnet::{generate_city, NetworkConfig, RoadNetwork, RoutePlanner};
 use trmma::traj::gen::{generate_trajectory, sparsify, TrajConfig};
 use trmma::traj::types::Trajectory;
-use trmma::traj::{OnlineMatcher, Sample};
+use trmma::traj::{MapMatcher, OnlineMatcher, Sample};
 
 /// Generates a city plus a handful of sparse samples from a seed pair.
 fn arbitrary_world(net_seed: u64, traj_seed: u64) -> (Arc<RoadNetwork>, Vec<Sample>) {
@@ -72,43 +74,38 @@ where
     for (i, &p) in traj.points.iter().enumerate() {
         let update = matcher.push_point(&mut scratch, &mut session, p);
         let provisional = update.provisional.expect("non-empty network yields a candidate");
-        assert_eq!(
-            provisional.t,
-            p.t,
-            "{}: provisional must match the pushed point",
-            matcher.name()
-        );
+        assert_eq!(provisional.t, p.t, "{}: provisional must match the pushed point", M::NAME);
         assert!(
             update.stable_prefix >= prev_watermark,
             "{}: watermark regressed at point {i}",
-            matcher.name()
+            M::NAME
         );
         assert!(
             update.stable_prefix <= i + 1,
             "{}: watermark beyond pushed count at point {i}",
-            matcher.name()
+            M::NAME
         );
         // The introspection API (what the engine's migration policy reads)
         // must agree with what push_point just reported.
-        assert_eq!(matcher.session_len(&session), i + 1, "{}: session_len", matcher.name());
+        assert_eq!(matcher.session_len(&session), i + 1, "{}: session_len", M::NAME);
         assert_eq!(
             matcher.session_watermark(&session),
             update.stable_prefix,
             "{}: session_watermark",
-            matcher.name()
+            M::NAME
         );
         assert_eq!(
             matcher.session_stable(&session),
             update.stable_prefix == i + 1,
             "{}: session_stable",
-            matcher.name()
+            M::NAME
         );
         prev_watermark = update.stable_prefix;
         watermarks.push(update.stable_prefix);
         prefix_decodes.push(matcher.finalize(&mut scratch, session.clone()).matched);
     }
     let online = matcher.finalize(&mut scratch, session);
-    assert_eq!(online, offline, "{}: online finalize != offline decode", matcher.name());
+    assert_eq!(online, offline, "{}: online finalize != offline decode", M::NAME);
     // Watermark soundness: the prefix pinned at time i is byte-identical in
     // every longer decode, including the final one.
     for (i, &w) in watermarks.iter().enumerate() {
@@ -117,14 +114,14 @@ where
                 &prefix_decodes[i][..w],
                 &later[..w],
                 "{}: stabilized prefix changed after point {i}",
-                matcher.name()
+                M::NAME
             );
         }
         assert_eq!(
             &prefix_decodes[i][..w],
             &offline.matched[..w],
             "{}: final decode contradicts watermark at point {i}",
-            matcher.name()
+            M::NAME
         );
     }
 }
@@ -192,14 +189,14 @@ fn assert_engine_identical<M: OnlineMatcher + 'static>(
         rs.migrations_requested,
         rs.migrations_completed + rs.migrations_refused + rs.migrations_missed,
         "{}: migrations never settled",
-        matcher.name()
+        M::NAME
     );
     assert_eq!(rs.migrations_missed, 0, "forced migrations target live sessions only");
     assert_eq!(rs.migrations_refused, 0, "forced migrations must not consult stability");
     let placed: u64 = rs.workers.iter().map(|w| w.sessions_placed).sum();
-    assert_eq!(placed, non_empty as u64, "{}: placement per session", matcher.name());
+    assert_eq!(placed, non_empty as u64, "{}: placement per session", M::NAME);
     let migrated_out: u64 = rs.workers.iter().map(|w| w.migrated_out).sum();
-    assert_eq!(migrated_out, rs.migrations_completed, "{}: detach counter", matcher.name());
+    assert_eq!(migrated_out, rs.migrations_completed, "{}: detach counter", M::NAME);
     let (events, stats) = engine.shutdown();
     let finals: HashMap<SessionId, _> = events
         .iter()
@@ -218,7 +215,7 @@ fn assert_engine_identical<M: OnlineMatcher + 'static>(
         stats.sessions_opened,
         non_empty as u64,
         "{}: a migration must never split a session",
-        matcher.name()
+        M::NAME
     );
     for (sid, t) in batch.iter().enumerate() {
         if t.is_empty() {
@@ -228,7 +225,7 @@ fn assert_engine_identical<M: OnlineMatcher + 'static>(
             finals.get(&(sid as SessionId)),
             Some(&matcher.match_trajectory(t)),
             "{} session {sid} diverged at {threads} threads",
-            matcher.name()
+            M::NAME
         );
     }
 }
@@ -306,6 +303,62 @@ proptest! {
         assert_engine_identical(&hmm, &batch, threads, interleave_seed, max_chunk, true);
         assert_engine_identical(&mma, &batch, threads, interleave_seed, max_chunk, true);
     }
+}
+
+/// The message `f` panics with.
+fn panic_message(f: impl FnOnce()) -> String {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("must panic");
+    match err.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(err) => err.downcast_ref::<&str>().map_or_else(String::new, |s| (*s).to_string()),
+    }
+}
+
+/// Puts NaN / ±inf into x, y and t of a trajectory's second point and
+/// asserts that both entry points refuse it, naming the index and value.
+fn assert_rejects_non_finite<M: OnlineMatcher>(matcher: &M, traj: &Trajectory) {
+    let p = traj.points[1];
+    for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let (mut x, mut y, mut t) = (p, p, p);
+        x.pos.x = v;
+        y.pos.y = v;
+        t.t = v;
+        for (axis, bad) in [("x", x), ("y", y), ("t", t)] {
+            let want = format!("{axis} = {v}");
+            let check = |msg: String| {
+                let named = msg.contains("GPS point 1 must have finite x, y and t");
+                assert!(named && msg.contains(&want), "{}: {msg} should name {want}", M::NAME);
+            };
+            let mut broken = traj.clone();
+            broken.points[1] = bad;
+            check(panic_message(|| {
+                let _ = matcher.match_trajectory(&broken);
+            }));
+            let mut scratch = matcher.make_scratch();
+            let mut session = matcher.begin_session();
+            matcher.push_point(&mut scratch, &mut session, traj.points[0]);
+            check(panic_message(|| {
+                let _ = matcher.push_point(&mut scratch, &mut session, bad);
+            }));
+        }
+    }
+}
+
+/// Direct callers get one input check, in the provided trait methods: a
+/// NaN or infinite coordinate or timestamp panics with the point's index
+/// and value before any decoder sees it.
+#[test]
+fn every_matcher_refuses_non_finite_points() {
+    let (net, samples) = arbitrary_world(3, 5);
+    let planner = Arc::new(RoutePlanner::untrained(&net));
+    let cfg = HmmConfig::default();
+    let traj = &samples[0].sparse;
+    assert_rejects_non_finite(&NearestMatcher::new(net.clone(), planner.clone()), traj);
+    assert_rejects_non_finite(&HmmMatcher::new(net.clone(), planner.clone(), cfg.clone()), traj);
+    assert_rejects_non_finite(&FmmMatcher::new(net.clone(), planner.clone(), cfg.clone()), traj);
+    let lhmm = LhmmMatcher::fit(net.clone(), planner.clone(), cfg, &samples);
+    assert_rejects_non_finite(&lhmm, traj);
+    assert_rejects_non_finite(&Mma::new(net, planner, None, MmaConfig::small()), traj);
 }
 
 /// Pushing a trajectory in one session and in several id-distinct sessions
