@@ -193,16 +193,6 @@ impl ViterbiState {
         self.watermark
     }
 
-    /// Whether the lattice has fully converged: every pushed point's final
-    /// match is already pinned (`watermark == len`). A stable state can be
-    /// handed to any other worker/scratch and continued bitwise-identically
-    /// with nothing provisional in flight — the cheap-migration test of the
-    /// streaming router.
-    #[must_use]
-    pub fn is_stable(&self) -> bool {
-        self.watermark >= self.points.len()
-    }
-
     /// Advances the decoder by one GPS point: `cands` is the candidate set
     /// of `p` (closest first), `emission` scores a candidate against `p`,
     /// and `transition` scores a candidate pair given the straight-line
@@ -566,7 +556,7 @@ mod tests {
         assert_eq!(picks[1].seg, SegmentId(3));
         // A single feasible survivor means the whole prefix is stable.
         assert_eq!(st.refresh_watermark(), 2);
-        assert!(st.is_stable(), "every pushed point is pinned");
+        assert_eq!(st.watermark(), st.len(), "every pushed point is pinned");
     }
 
     #[test]
@@ -583,7 +573,7 @@ mod tests {
         assert_eq!(picks[1].seg, SegmentId(3), "post-break layer decodes by emission");
         // The break froze layer 0; layer 1 still has two survivors.
         assert_eq!(st.refresh_watermark(), 1);
-        assert!(!st.is_stable(), "two survivors at the top: not fully converged");
+        assert!(st.watermark() < st.len(), "two survivors at the top: not fully converged");
     }
 
     #[test]

@@ -231,10 +231,6 @@ impl OnlineMatcher for HmmMatcher {
         session.state.watermark()
     }
 
-    fn session_stable(&self, session: &HmmSession) -> bool {
-        session.state.is_stable()
-    }
-
     fn snapshot_session(&self, session: &HmmSession, out: &mut Vec<u8>) {
         session.state.encode_snapshot(out);
     }
@@ -353,10 +349,6 @@ impl OnlineMatcher for FmmMatcher {
 
     fn session_watermark(&self, session: &HmmSession) -> usize {
         self.inner.session_watermark(session)
-    }
-
-    fn session_stable(&self, session: &HmmSession) -> bool {
-        self.inner.session_stable(session)
     }
 
     fn snapshot_session(&self, session: &HmmSession, out: &mut Vec<u8>) {

@@ -178,10 +178,6 @@ impl OnlineMatcher for LhmmMatcher {
         self.inner.session_watermark(session)
     }
 
-    fn session_stable(&self, session: &HmmSession) -> bool {
-        self.inner.session_stable(session)
-    }
-
     fn snapshot_session(&self, session: &HmmSession, out: &mut Vec<u8>) {
         self.inner.snapshot_session(session, out);
     }

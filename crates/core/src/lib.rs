@@ -26,9 +26,9 @@
 //! * [`stream`] — the streaming session engine: [`StreamEngine`]
 //!   multiplexes live `trmma_traj::OnlineMatcher` sessions (points arriving
 //!   one at a time, interleaved across devices) over the same per-worker
-//!   scratch model, behind a load-aware router (power-of-two-choices
-//!   placement plus migration of watermark-stable sessions off hot
-//!   workers, telemetered via [`RouterStats`]), with
+//!   scratch model, behind a load-aware router (each new session is
+//!   placed on the least-loaded worker and stays there, telemetered via
+//!   [`RouterStats`]), with crash recovery from a per-session journal,
 //!   provisional per-point matches, stabilized-prefix watermarks, and
 //!   idle-session finalize-on-timeout.
 //!

@@ -821,10 +821,34 @@ struct Pending {
 
 /// One accepted push awaiting its engine `Update` event.
 struct PendingAck {
+    /// The point's index within its session: the `seq` of its `Update`.
+    seq: usize,
     client_sid: u64,
     tenant: u64,
     reply: ReplyTx,
     window: Arc<AtomicUsize>,
+}
+
+/// One engine session's accepted pushes still awaiting their `Update`,
+/// oldest first, and the `seq` the next accepted push will get.
+#[derive(Default)]
+struct AckQueue {
+    next_seq: usize,
+    waiting: VecDeque<PendingAck>,
+}
+
+impl AckQueue {
+    /// The waiter an `Update` numbered `seq` answers: the oldest, if its
+    /// `seq` matches. After a worker panic the engine's journal replay
+    /// re-emits `Update`s the client already had; their `seq` is below the
+    /// oldest waiter's, and they answer nothing.
+    fn answer(&mut self, seq: usize) -> Option<PendingAck> {
+        if self.waiting.front()?.seq == seq {
+            self.waiting.pop_front()
+        } else {
+            None
+        }
+    }
 }
 
 struct FinWaiter {
@@ -843,7 +867,7 @@ struct Registry {
     sessions: HashMap<u64, SessionEntry>,
     by_engine: HashMap<SessionId, u64>,
     tenants: BTreeMap<u64, TenantState>,
-    acks: HashMap<SessionId, VecDeque<PendingAck>>,
+    acks: HashMap<SessionId, AckQueue>,
     fins: HashMap<SessionId, FinWaiter>,
     draining: bool,
 }
@@ -1279,7 +1303,7 @@ fn handle_open<M: OnlineMatcher + 'static>(
         }
     };
     reg.by_engine.insert(engine_sid, session);
-    reg.acks.insert(engine_sid, VecDeque::new());
+    reg.acks.insert(engine_sid, AckQueue::default());
     drop(reg);
     bump(&shared.counters.sessions_opened);
     send_reply(tx, Frame::new(FrameKind::Opened, tenant, session, Vec::new()));
@@ -1559,14 +1583,16 @@ fn deliver<M: OnlineMatcher + 'static>(
             // dead engine) surfaces as a typed Busy, never a silent drop.
             if engine.push(item.engine_sid, p) {
                 bump(&shared.counters.points_accepted);
-                let waiter = PendingAck {
+                let mut reg = shared.reg.lock().expect("registry poisoned");
+                let acks = reg.acks.entry(item.engine_sid).or_default();
+                acks.waiting.push_back(PendingAck {
+                    seq: acks.next_seq,
                     client_sid: item.client_sid,
                     tenant: item.tenant,
                     reply: item.reply,
                     window: item.window,
-                };
-                let mut reg = shared.reg.lock().expect("registry poisoned");
-                reg.acks.entry(item.engine_sid).or_default().push_back(waiter);
+                });
+                acks.next_seq += 1;
             } else {
                 item.window.fetch_sub(1, Ordering::AcqRel);
                 // The engine never saw the point, so the admission
@@ -1614,7 +1640,7 @@ fn handle_event<M: OnlineMatcher + 'static>(shared: &Shared<M>, ev: &StreamEvent
         StreamEvent::Update { session, seq, update, .. } => {
             let waiter = {
                 let mut reg = shared.reg.lock().expect("registry poisoned");
-                reg.acks.get_mut(session).and_then(VecDeque::pop_front)
+                reg.acks.get_mut(session).and_then(|q| q.answer(*seq))
             };
             if let Some(w) = waiter {
                 w.window.fetch_sub(1, Ordering::AcqRel);
@@ -1687,7 +1713,7 @@ fn handle_snapshot<M: OnlineMatcher + 'static>(
     loop {
         let settled = {
             let reg = shared.reg.lock().expect("registry poisoned");
-            reg.fins.is_empty() && reg.acks.values().all(VecDeque::is_empty)
+            reg.fins.is_empty() && reg.acks.values().all(|q| q.waiting.is_empty())
         };
         if settled || Instant::now() > deadline {
             break;
@@ -1714,8 +1740,8 @@ fn handle_snapshot<M: OnlineMatcher + 'static>(
         for mut snap in snaps {
             let Some(client) = reg.by_engine.remove(&snap.session) else { continue };
             let Some(entry) = reg.sessions.remove(&client) else { continue };
-            if let Some(waiters) = reg.acks.remove(&snap.session) {
-                flush_ack_waiters(shared, waiters);
+            if let Some(q) = reg.acks.remove(&snap.session) {
+                flush_ack_waiters(shared, q.waiting);
             }
             if let Some(t) = reg.tenants.get_mut(&entry.tenant) {
                 t.live_sessions = t.live_sessions.saturating_sub(1);
@@ -1730,10 +1756,9 @@ fn handle_snapshot<M: OnlineMatcher + 'static>(
         // Anything still waiting (sessions the engine did not hand back,
         // finalizes whose events never arrived) is retired with a typed
         // reply — window slots released, never a silent hang.
-        let leftover: Vec<VecDeque<PendingAck>> =
-            std::mem::take(&mut reg.acks).into_values().collect();
-        for waiters in leftover {
-            flush_ack_waiters(shared, waiters);
+        let leftover: Vec<AckQueue> = std::mem::take(&mut reg.acks).into_values().collect();
+        for q in leftover {
+            flush_ack_waiters(shared, q.waiting);
         }
         let fins: Vec<FinWaiter> = std::mem::take(&mut reg.fins).into_values().collect();
         for w in fins {
@@ -1767,6 +1792,8 @@ fn handle_restore<M: OnlineMatcher + 'static>(
         Err(code) => return refuse(shared, reply, tenant, client_sid, code, 0),
     };
     let had_points = snap.seq > 0;
+    // The engine numbers the restored session's updates on from here.
+    let first_seq = usize::try_from(snap.seq).unwrap_or(usize::MAX);
     let mut snap = snap;
     snap.session = engine_sid;
     // A zero-point snapshot (session opened, nothing pushed) is not handed
@@ -1786,7 +1813,7 @@ fn handle_restore<M: OnlineMatcher + 'static>(
         }
         reg.sessions.get_mut(&client_sid).expect("reserved above").closing = false;
         reg.by_engine.insert(engine_sid, client_sid);
-        reg.acks.insert(engine_sid, VecDeque::new());
+        reg.acks.insert(engine_sid, AckQueue { next_seq: first_seq, waiting: VecDeque::new() });
     }
     bump(&shared.counters.sessions_restored);
     send_reply(reply, Frame::new(FrameKind::Restored, tenant, client_sid, Vec::new()));

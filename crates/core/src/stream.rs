@@ -18,8 +18,8 @@
 //! [`StreamEngine::push`] routes a `(session id, point)` pair through the
 //! engine-side router: a new session is *placed* on a worker and stays
 //! there (its points are decoded in arrival order on its home worker)
-//! until it ends or is *migrated*.
-//! Points of *different* sessions may arrive in any interleaving. Every
+//! until it ends. Points of *different* sessions may arrive in any
+//! interleaving. Every
 //! processed point emits a [`StreamEvent::Update`] (provisional match +
 //! stabilized-prefix watermark + worker-side processing time) on the
 //! engine's event channel; [`StreamEngine::finish`], idle eviction, and
@@ -28,43 +28,22 @@
 //!
 //! **Routing.** A stateless `id % threads` router starves some workers
 //! while others queue up under skewed session-id distributions, so the
-//! router places each new session by *power-of-two-choices*: sample two
-//! distinct workers, place on the one with the lower instantaneous load
-//! (queue depth + live sessions) — the classic balanced-allocations
-//! result that exponentially tightens the load gap versus single-choice
-//! hashing. The router also
-//! *migrates* sessions: when the load gap between the hottest and coolest
-//! worker exceeds [`StreamOptions::rebalance_threshold`], the
-//! least-recently-pushed session on the hot worker is moved to the cool
-//! one — but only if its decoder is **watermark-stable**
-//! ([`OnlineMatcher::session_stable`]): every pushed point's final match
-//! is already pinned, so nothing provisional is in flight. Migration is
-//! *correct* for any session (sessions are detachable by contract and
-//! scratch never influences output — `tests/props_streaming.rs` forces
-//! migrations at arbitrary points and asserts bitwise offline identity);
-//! stability merely makes it cheap and honest. Per-worker telemetry
-//! (queue-depth high-water mark, sessions placed/migrated, points
-//! processed) is exposed through [`StreamEngine::router_stats`].
+//! router places each new session on the live worker with the lowest
+//! instantaneous load (queue depth + live sessions). A session never moves
+//! afterwards: like large-scale matchers that keep each trajectory's state
+//! on one worker (Fiedler et al., 2019), a session changes worker only
+//! when crash recovery rebuilds it. Per-worker telemetry (queue-depth
+//! high-water mark, sessions placed, points processed) is exposed through
+//! [`StreamEngine::router_stats`].
 //!
 //! **Placement is sticky.** A session's placement entry outlives the
 //! session instance: explicit finish and idle eviction leave it in place,
 //! so a reopened or reused session id keeps routing to the same worker
 //! and its commands stay FIFO-serialized behind the previous trip's —
 //! one id can never run live on two workers at once, matching the old
-//! `id % threads` guarantee. Stale entries (a few dozen bytes each) are
-//! reclaimed when a detach aimed at an ended session misses.
-//!
-//! **Migration protocol.** The router (engine side, under one lock) keeps
-//! a placement table. To move session `s` from worker `A` to `B` it sends
-//! `Detach(s)` down `A`'s command queue — FIFO ordering guarantees `A`
-//! first decodes every point of `s` already queued — and marks `s` *in
-//! transit*, buffering any arriving commands engine-side. `A` hands the
-//! detached [`OnlineMatcher::Session`] back on a reply channel; on the
-//! next engine call the router forwards it to `B` as `Attach`, flushes the
-//! buffered commands behind it (order preserved), and re-points the
-//! placement. Because `A` sends all of `s`'s updates before the detach
-//! reply and `B` decodes only after the attach, per-session event order is
-//! preserved end to end.
+//! `id % threads` guarantee. An entry whose trip has ended (the worker's
+//! `Ended` reply emptied its journal) is pruned once its worker's queue
+//! has drained.
 //!
 //! **Lifecycle and guarantees.**
 //!
@@ -80,7 +59,7 @@
 //!   incremental decoders cannot un-push evidence). So is a point with a
 //!   NaN or infinite x, y or t, which no decoder may see.
 //! * Decoding is a pure function of (model, point sequence), so for any
-//!   thread count, any cross-session interleaving and any migration
+//!   thread count, any cross-session interleaving and any crash-recovery
 //!   schedule, a session's finalized result is identical to
 //!   the offline `match_trajectory` on the same points — property-tested
 //!   in `tests/props_streaming.rs`.
@@ -111,7 +90,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -141,25 +120,25 @@ pub type SessionId = u64;
 ///   skipped, never decoded. A non-finite point is dropped the same way.
 /// * **Idle eviction** — `idle_timeout_s` finalizes sessions that go
 ///   quiet (the trip is assumed over); `0` disables eviction.
-/// * **Routing** — new sessions are placed by power-of-two-choices on
-///   the less loaded of two sampled workers, and `rebalance_threshold`
-///   sets the hot/cool worker load gap that triggers migration of
-///   watermark-stable sessions (`0` disables migration).
+/// * **Crash safety** — `checkpoint_every`, `push_timeout_s` and
+///   `max_worker_restarts` bound the replay after a worker panic, the
+///   backpressure wait, and the supervisor's respawns.
+///
+/// New sessions are placed on the least-loaded live worker and stay
+/// there; placement has no knob.
 ///
 /// ```
 /// use trmma_core::StreamOptions;
 ///
-/// // Default: hardware threads, 30 s idle eviction, 1024-deep queues,
-/// // load-aware routing with migration at a load gap of 16.
+/// // Default: hardware threads, 30 s idle eviction, 1024-deep queues.
 /// let opts = StreamOptions::default();
 /// assert_eq!(opts.threads, 0); // 0 = available_parallelism
-/// assert_eq!(opts.rebalance_threshold, 16);
+/// assert_eq!(opts.queue_capacity, 1024);
 ///
 /// // Builder style, mirroring `BatchOptions::with_threads`:
 /// let opts = StreamOptions::with_threads(4)
 ///     .idle_timeout_s(5.0)            // evict sessions quiet for 5 s
-///     .queue_capacity(256)            // push() blocks 256 commands deep
-///     .rebalance_threshold(0);        // no migration
+///     .queue_capacity(256);           // push() blocks 256 commands deep
 /// assert_eq!(opts.threads, 4);
 /// assert_eq!(opts.effective_threads(), 4);
 /// assert_eq!(opts.queue_capacity, 256);
@@ -175,11 +154,6 @@ pub struct StreamOptions {
     /// [`StreamEngine::push`] blocks while the target worker is this far
     /// behind.
     pub queue_capacity: usize,
-    /// Load gap (hottest minus coolest worker, in queued commands + live
-    /// sessions) above which the router migrates one watermark-stable
-    /// session per check off the hot worker. `0` disables automatic
-    /// migration.
-    pub rebalance_threshold: usize,
     /// Accepted points between per-session checkpoints: every this many
     /// accepted pushes a worker ships a snapshot of the session's decoder
     /// state back to the router, which trims the session's replay journal
@@ -205,7 +179,6 @@ impl Default for StreamOptions {
             threads: 0,
             idle_timeout_s: 30.0,
             queue_capacity: 1024,
-            rebalance_threshold: 16,
             checkpoint_every: 64,
             push_timeout_s: 30.0,
             max_worker_restarts: 64,
@@ -237,13 +210,6 @@ impl StreamOptions {
     #[must_use]
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Sets the load gap that triggers migration (`0` disables it).
-    #[must_use]
-    pub fn rebalance_threshold(mut self, gap: usize) -> Self {
-        self.rebalance_threshold = gap;
         self
     }
 
@@ -379,10 +345,6 @@ pub struct WorkerTelemetry {
     pub points: u64,
     /// New sessions the router placed on the worker.
     pub sessions_placed: u64,
-    /// Sessions migrated onto the worker.
-    pub migrated_in: u64,
-    /// Sessions migrated off the worker.
-    pub migrated_out: u64,
     /// Points the worker rejected as late or non-finite (see
     /// [`StreamStats::late_dropped`]; this is its live counterpart).
     pub late_dropped: u64,
@@ -394,7 +356,7 @@ pub struct WorkerTelemetry {
     pub allocs_avoided: u64,
 }
 
-/// Snapshot of the router's per-worker load and migration counters.
+/// Snapshot of the router's per-worker load and recovery counters.
 ///
 /// Obtained live from [`StreamEngine::router_stats`]; all counters are
 /// monotone over the engine's lifetime except `queue_depth` and
@@ -403,17 +365,6 @@ pub struct WorkerTelemetry {
 pub struct RouterStats {
     /// Per-worker telemetry, indexed by worker.
     pub workers: Vec<WorkerTelemetry>,
-    /// Migrations the router initiated (detach requests sent).
-    pub migrations_requested: u64,
-    /// Migrations that completed (session re-attached elsewhere).
-    pub migrations_completed: u64,
-    /// Migrations refused by the worker because the session was not
-    /// watermark-stable at detach time.
-    pub migrations_refused: u64,
-    /// Detach requests that found no live session (it had already
-    /// finished or been idle-evicted) — these reclaim the stale placement
-    /// instead of migrating.
-    pub migrations_missed: u64,
     /// Panicked workers the supervisor respawned in place.
     pub worker_restarts: u64,
     /// Sessions rebuilt after a worker panic (checkpoint restore + journal
@@ -433,10 +384,12 @@ pub struct RouterStats {
 }
 
 impl RouterStats {
-    /// Total sessions migrated between workers.
+    /// Sessions moved between live workers: always 0, because a session
+    /// stays on the worker that placed it. Kept for readers of the old
+    /// migration counter.
     #[must_use]
     pub fn migrated(&self) -> u64 {
-        self.migrations_completed
+        0
     }
 
     /// Points dropped as late across all workers (live counterpart of
@@ -463,7 +416,8 @@ impl RouterStats {
 
 /// Per-worker load counters shared between the engine-side router (reads
 /// for placement, writes `depth`/`depth_hwm`/`placed` on send) and the
-/// worker (writes the rest as it processes commands).
+/// worker (writes the rest as it processes commands), plus the worker's
+/// snapshot-drain latch.
 #[derive(Default)]
 struct WorkerLoad {
     depth: AtomicUsize,
@@ -471,11 +425,16 @@ struct WorkerLoad {
     live: AtomicUsize,
     points: AtomicU64,
     placed: AtomicU64,
-    migrated_in: AtomicU64,
-    migrated_out: AtomicU64,
     late_dropped: AtomicU64,
     idle_finalized: AtomicU64,
     allocs_avoided: AtomicU64,
+    /// The snapshot drain collecting sessions right now (numbered from 1;
+    /// 0 while none is). The worker holds a read lock on it across a
+    /// `Detach`'s check, removal and reply; the drain sets and clears it
+    /// under the write lock, so once cleared, every detach that took its
+    /// session is already on the reply channel and every later one leaves
+    /// its session live.
+    draining: RwLock<u64>,
     /// Set by the exiting worker thread (clean exit or panic) before it
     /// rings, since the woken supervisor may look before the thread ends.
     exited: AtomicBool,
@@ -495,8 +454,6 @@ impl WorkerLoad {
             live_sessions: self.live.load(Ordering::Relaxed),
             points: self.points.load(Ordering::Relaxed),
             sessions_placed: self.placed.load(Ordering::Relaxed),
-            migrated_in: self.migrated_in.load(Ordering::Relaxed),
-            migrated_out: self.migrated_out.load(Ordering::Relaxed),
             late_dropped: self.late_dropped.load(Ordering::Relaxed),
             idle_finalized: self.idle_finalized.load(Ordering::Relaxed),
             allocs_avoided: self.allocs_avoided.load(Ordering::Relaxed),
@@ -535,8 +492,8 @@ pub struct InjectedPanic;
 /// A seeded chaos schedule for tests:
 /// with probability `*_per_mille`/1000 per worker command, inject a worker
 /// panic (the supervisor must recover every session), stall the command
-/// (queue backpressure under the push deadline), or delay a migration
-/// reply (exercising the bounded reply waits). All draws come from one
+/// (queue backpressure under the push deadline), or delay a reply to the
+/// router (exercising the bounded reply waits). All draws come from one
 /// seeded SplitMix64 stream, so a given plan replays the same fault count
 /// against the same workload shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -659,30 +616,26 @@ enum Cmd<S> {
         session: SessionId,
         idx: u64,
     },
-    /// Hand the session's decoder state back to the router (migration or
-    /// snapshot drain). With `stable_only`, refuse unless the session is
-    /// watermark-stable.
+    /// Hand the session's decoder state back to the router for a snapshot
+    /// drain — but only while the worker's `draining` latch still names
+    /// `drain`, so a detach left queued by a drain that timed out can never
+    /// take a session for a later one.
     Detach {
         session: SessionId,
-        stable_only: bool,
+        drain: u64,
     },
-    /// Adopt a session detached from another worker (`restored: false`)
-    /// or rebuilt by crash recovery / [`StreamEngine::restore`]
-    /// (`restored: true` — not counted as a migration).
+    /// Adopt a session rebuilt by crash recovery or
+    /// [`StreamEngine::restore`].
     Attach {
         session: SessionId,
         live: Box<Live<S>>,
-        restored: bool,
     },
 }
 
 /// What workers report back to the router (engine side).
 enum Reply<S> {
-    /// Detach succeeded; the state travels back through the router, which
-    /// forwards it to the target worker.
+    /// Detach succeeded; the router freezes the state into a snapshot.
     Detached { session: SessionId, live: Box<Live<S>> },
-    /// Detach refused: the session was not watermark-stable.
-    DetachRefused { session: SessionId },
     /// Detach found no such session (it was evicted or finished first).
     DetachMiss { session: SessionId },
     /// Periodic checkpoint: the session's serialized decoder state after
@@ -693,6 +646,17 @@ enum Reply<S> {
     /// whose last processed command was `idx`: the router drops the
     /// trip's checkpoint and journal prefix.
     Ended { session: SessionId, idx: u64 },
+}
+
+impl<S> Reply<S> {
+    fn session(&self) -> SessionId {
+        match self {
+            Self::Detached { session, .. }
+            | Self::DetachMiss { session }
+            | Self::Checkpoint { session, .. }
+            | Self::Ended { session, .. } => *session,
+        }
+    }
 }
 
 struct Live<S> {
@@ -718,15 +682,6 @@ impl<S> Live<S> {
             since_ckpt: 0,
         }
     }
-}
-
-/// A command buffered engine-side while its session is in transit between
-/// workers. The journal index was assigned when the command was accepted
-/// (the command is already journaled — recovery replays the journal and
-/// discards the pending buffer).
-enum Pending {
-    Point(u64, GpsPoint),
-    Finish(u64),
 }
 
 /// One journaled command of a session.
@@ -787,21 +742,17 @@ impl SessionLog {
 /// (Removing the entry eagerly would race the worker: a finalize or
 /// eviction on the worker with commands still in flight could let one
 /// session id run live on two workers at once.) A stale entry costs a few
-/// dozen bytes; finished entries are pruned once their worker's queue has
-/// drained (the Finish provably processed — see
-/// `StreamEngine::prune_finished`), and evicted-but-never-finished ones
-/// are reclaimed when a detach aimed at them misses.
-enum Placement {
-    /// Decoding on `worker`; `last_push` drives the migrate-the-idlest
-    /// heuristic. `finished` means a Finish was the last command forwarded
-    /// — the entry is only kept to serialize a possible id reuse, and is
-    /// safe to prune once the worker's queue has drained.
-    On { worker: usize, last_push: Instant, finished: bool },
-    /// Detach requested `from` its old worker; commands buffer in
-    /// `pending` (in order, capped at the queue capacity — push blocks
-    /// past that) until the state lands on `to` (or the detach is refused
-    /// and the session stays on `from`).
-    InTransit { from: usize, to: usize, pending: Vec<Pending> },
+/// dozen bytes; an entry whose trip has ended — finished explicitly, or
+/// idle-evicted with nothing journaled after it — is pruned once its
+/// worker's queue has drained (see `StreamEngine::prune_finished`).
+struct Placement {
+    /// The worker decoding the session.
+    worker: usize,
+    /// The trip has ended: a Finish was the last command forwarded, or the
+    /// worker's `Ended` reply emptied the journal. The entry is only kept
+    /// to serialize a possible id reuse, and is safe to prune once the
+    /// worker's queue has drained.
+    finished: bool,
 }
 
 /// Engine-side router state, behind the engine's mutex. The worker
@@ -820,27 +771,17 @@ struct Router<S> {
     /// Per-session crash-recovery journals (checkpoint + command tail).
     logs: HashMap<SessionId, SessionLog>,
     replies: Receiver<Reply<S>>,
-    /// SplitMix64 state for power-of-two-choices sampling (deterministic;
-    /// placement affects only scheduling, never output).
-    rng: u64,
+    /// Sessions a snapshot drain has taken off their workers, waiting for
+    /// [`StreamEngine::drain_snapshots`] to hand them out.
+    drained: Vec<SessionSnapshot>,
+    /// Snapshot drains started, which numbers each drain's detaches.
+    drains: u64,
     pushes: u64,
-    migrations_requested: u64,
-    migrations_completed: u64,
-    migrations_refused: u64,
-    migrations_missed: u64,
     worker_restarts: u64,
     sessions_recovered: u64,
     points_replayed: u64,
     sessions_lost: u64,
     recovery_time_s: f64,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The engine's doorbell: a one-slot channel, so ringing a bell that is
@@ -973,28 +914,24 @@ fn worker_loop<M: OnlineMatcher>(
                         }
                         out.reply(Reply::Ended { session, idx });
                     }
-                    Cmd::Detach { session, stable_only } => {
+                    Cmd::Detach { session, drain } => {
                         if let Some(f) = faults {
                             f.on_reply();
                         }
-                        match live.remove(&session) {
-                            None => out.reply(Reply::DetachMiss { session }),
-                            Some(l) if stable_only && !matcher.session_stable(&l.session) => {
-                                live.insert(session, l);
-                                out.reply(Reply::DetachRefused { session });
-                            }
-                            Some(l) => {
-                                load.live.fetch_sub(1, Ordering::Relaxed);
-                                load.migrated_out.fetch_add(1, Ordering::Relaxed);
-                                out.reply(Reply::Detached { session, live: Box::new(l) });
+                        // Held across the check, the removal and the reply.
+                        let open = load.draining.read().unwrap_or_else(PoisonError::into_inner);
+                        if *open == drain {
+                            match live.remove(&session) {
+                                None => out.reply(Reply::DetachMiss { session }),
+                                Some(l) => {
+                                    load.live.fetch_sub(1, Ordering::Relaxed);
+                                    out.reply(Reply::Detached { session, live: Box::new(l) });
+                                }
                             }
                         }
                     }
-                    Cmd::Attach { session, live: l, restored } => {
+                    Cmd::Attach { session, live: l } => {
                         load.live.fetch_add(1, Ordering::Relaxed);
-                        if !restored {
-                            load.migrated_in.fetch_add(1, Ordering::Relaxed);
-                        }
                         let mut l = *l;
                         l.last_seen = Instant::now();
                         live.insert(session, l);
@@ -1076,7 +1013,6 @@ pub struct StreamEngine<M: OnlineMatcher + 'static> {
     outbox: Arc<Outbox<M::Session>>,
     loads: Arc<Vec<WorkerLoad>>,
     router: Mutex<Router<M::Session>>,
-    rebalance_gap: usize,
     queue_cap: usize,
     idle: Option<Duration>,
     checkpoint_every: usize,
@@ -1138,12 +1074,9 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
             place: HashMap::new(),
             logs: HashMap::new(),
             replies,
-            rng: 0x7272_6D6D_615F_7232, // arbitrary fixed seed: "trmma_r2"
+            drained: Vec::new(),
+            drains: 0,
             pushes: 0,
-            migrations_requested: 0,
-            migrations_completed: 0,
-            migrations_refused: 0,
-            migrations_missed: 0,
             worker_restarts: 0,
             sessions_recovered: 0,
             points_replayed: 0,
@@ -1157,7 +1090,6 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
             outbox,
             loads,
             router,
-            rebalance_gap: opts.rebalance_threshold,
             queue_cap,
             idle,
             checkpoint_every,
@@ -1213,8 +1145,8 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
     }
 
     /// Sends a command to `worker`, accounting queue depth; blocks while
-    /// the worker's queue is full. Used for the rare, small command
-    /// bursts of the migration/finish paths — the per-point hot path
+    /// the worker's queue is full. Used for the rare, small command bursts
+    /// of the finish, recovery and drain paths — the per-point hot path
     /// ([`StreamEngine::push`]) uses a lock-released `try_send` loop
     /// instead, so only these bounded sends ever hold the router lock
     /// across a wait. Returns `false` if the worker is gone (it panicked
@@ -1231,84 +1163,19 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
         }
     }
 
-    /// Picks the worker for a brand-new session by power-of-two-choices,
-    /// skipping permanently failed slots. Callers guarantee at least one
-    /// worker is alive.
-    #[allow(clippy::cast_possible_truncation)]
-    fn place_new(&self, router: &mut Router<M::Session>) -> usize {
-        let alive: Vec<usize> = (0..router.txs.len()).filter(|&w| !router.failed[w]).collect();
-        let n = alive.len();
-        debug_assert!(n > 0, "place_new requires a live worker");
-        let w = if n == 1 {
-            alive[0]
-        } else {
-            // Two distinct uniform picks; keep the less loaded.
-            let ai = (splitmix64(&mut router.rng) % n as u64) as usize;
-            let mut bi = (splitmix64(&mut router.rng) % (n - 1) as u64) as usize;
-            if bi >= ai {
-                bi += 1;
-            }
-            let (a, b) = (alive[ai], alive[bi]);
-            if self.loads[b].load() < self.loads[a].load() {
-                b
-            } else {
-                a
-            }
-        };
-        self.loads[w].placed.fetch_add(1, Ordering::Relaxed);
-        w
-    }
-
-    /// The least-loaded worker that has not permanently failed.
-    fn pick_survivor(&self, router: &Router<M::Session>) -> Option<usize> {
+    /// The least-loaded worker that has not permanently failed: where a
+    /// new session is placed, and where crash recovery rebuilds one whose
+    /// worker is gone for good.
+    fn least_loaded(&self, router: &Router<M::Session>) -> Option<usize> {
         (0..router.txs.len()).filter(|&w| !router.failed[w]).min_by_key(|&w| self.loads[w].load())
     }
 
-    /// Forwards the commands buffered while a session was in transit and
-    /// re-points its (sticky) placement at `worker`. With `gc_if_empty`
-    /// and nothing buffered, the placement is dropped instead — the one
-    /// place stale entries of ended sessions are reclaimed.
-    fn settle(
-        &self,
-        router: &mut Router<M::Session>,
-        session: SessionId,
-        worker: usize,
-        pending: Vec<Pending>,
-        gc_if_empty: bool,
-    ) {
-        if gc_if_empty && pending.is_empty() {
-            router.place.remove(&session);
-            return;
-        }
-        let finished = matches!(pending.last(), Some(Pending::Finish(_)));
-        for cmd in pending {
-            match cmd {
-                Pending::Point(idx, point) => {
-                    self.send_to(router, worker, Cmd::Push { session, point, idx });
-                }
-                Pending::Finish(idx) => {
-                    self.send_to(router, worker, Cmd::Finish { session, idx });
-                }
-            }
-        }
-        router.place.insert(session, Placement::On { worker, last_push: Instant::now(), finished });
-    }
-
-    /// Takes `session` out of transit, or `None` if it is not in transit —
-    /// a reply referring to it is stale (e.g. crash recovery already
-    /// re-homed the id) and must be dropped without touching the placement.
-    fn take_transit(
-        router: &mut Router<M::Session>,
-        session: SessionId,
-    ) -> Option<(usize, usize, Vec<Pending>)> {
-        match router.place.get_mut(&session) {
-            Some(Placement::InTransit { from, to, pending }) => {
-                let out = (*from, *to, std::mem::take(pending));
-                router.place.remove(&session);
-                Some(out)
-            }
-            _ => None,
-        }
+    /// Places a brand-new session on the least-loaded live worker. Callers
+    /// guarantee at least one worker is alive.
+    fn place_new(&self, router: &Router<M::Session>) -> usize {
+        let w = self.least_loaded(router).expect("place_new requires a live worker");
+        self.loads[w].placed.fetch_add(1, Ordering::Relaxed);
+        w
     }
 
     /// Applies one worker reply to the routing table.
@@ -1322,66 +1189,35 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
                 }
             }
             Reply::Ended { session, idx } => {
-                if let Some(log) = router.logs.get_mut(&session) {
-                    if log.on_ended(idx) {
-                        router.logs.remove(&session);
+                // A trip that ended with nothing journaled after it (an
+                // explicit finish, or an idle eviction no later point
+                // reopened) leaves only routing state behind: mark it so
+                // `prune_finished` reclaims it once the queue drains.
+                if router.logs.get_mut(&session).is_none_or(|log| log.on_ended(idx)) {
+                    router.logs.remove(&session);
+                    if let Some(p) = router.place.get_mut(&session) {
+                        p.finished = true;
                     }
                 }
             }
             Reply::Detached { session, live } => {
-                let Some((_, to, pending)) = Self::take_transit(router, session) else {
-                    // Stale: the state was already rebuilt elsewhere (crash
-                    // recovery) or the router never tracked the detach.
-                    return;
-                };
-                router.migrations_completed += 1;
-                // If the target slot died permanently while the state was
-                // in flight, land on a survivor instead.
-                let to = if router.failed[to] {
-                    match self.pick_survivor(router) {
-                        Some(w) => w,
-                        None => {
-                            router.sessions_lost += 1;
-                            router.logs.remove(&session);
-                            return;
-                        }
-                    }
-                } else {
-                    to
-                };
-                self.send_to(router, to, Cmd::Attach { session, live, restored: false });
-                self.settle(router, session, to, pending, false);
-            }
-            Reply::DetachRefused { session } => {
-                let Some((from, _, pending)) = Self::take_transit(router, session) else {
-                    return;
-                };
-                router.migrations_refused += 1;
-                // The session never moved: flush the buffer back to its
-                // old worker and keep the placement there.
-                self.settle(router, session, from, pending, false);
+                let mut payload = Vec::new();
+                self.matcher.snapshot_session(&live.session, &mut payload);
+                router.drained.push(SessionSnapshot {
+                    session,
+                    matcher: M::NAME.to_string(),
+                    seq: live.seq as u64,
+                    last_t: live.last_t,
+                    payload,
+                });
+                router.place.remove(&session);
+                router.logs.remove(&session);
             }
             Reply::DetachMiss { session } => {
-                let Some((_, to, pending)) = Self::take_transit(router, session) else {
-                    return;
-                };
-                router.migrations_missed += 1;
-                // The instance ended (evicted/finished) before the detach
-                // arrived. With nothing buffered this reclaims the stale
-                // placement; buffered commands open a fresh trip on the
-                // target instead.
-                let to = if router.failed[to] {
-                    match self.pick_survivor(router) {
-                        Some(w) => w,
-                        None => {
-                            router.place.remove(&session);
-                            return;
-                        }
-                    }
-                } else {
-                    to
-                };
-                self.settle(router, session, to, pending, true);
+                // The trip ended (idle eviction) before the drain reached
+                // it: there is nothing live to hand off.
+                router.place.remove(&session);
+                router.logs.remove(&session);
             }
         }
     }
@@ -1453,22 +1289,12 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
                 router.failed[w] = true;
             }
         }
-        // Re-home every session the dead workers held. In-transit sessions
-        // whose *source* died lost their state (it was in the worker or in
-        // a dropped command): rebuild on the migration target and discard
-        // the pending buffer — every pending command is already journaled.
-        // (A dead *target* needs no action here: the detached state is
-        // still safe on the source or in the reply channel, and the attach
-        // lands on the respawned slot — or is redirected by `apply_reply`
-        // if the slot failed permanently.)
+        // Re-home every session the dead workers held.
         let victims: Vec<(SessionId, usize)> = router
             .place
             .iter()
-            .filter_map(|(&sid, p)| match p {
-                Placement::On { worker, .. } if dead.contains(worker) => Some((sid, *worker)),
-                Placement::InTransit { from, to, .. } if dead.contains(from) => Some((sid, *to)),
-                _ => None,
-            })
+            .filter(|(_, p)| dead.contains(&p.worker))
+            .map(|(&sid, p)| (sid, p.worker))
             .collect();
         for (sid, target) in victims {
             // A placement with nothing journaled is sticky routing state
@@ -1486,7 +1312,7 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
                 continue;
             }
             let target =
-                if router.failed[target] { self.pick_survivor(router) } else { Some(target) };
+                if router.failed[target] { self.least_loaded(router) } else { Some(target) };
             let ok = target.is_some_and(|t| self.recover_session(router, sid, t));
             if !ok {
                 router.sessions_lost += 1;
@@ -1524,11 +1350,7 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
             None => Live::fresh(self.matcher.begin_session()),
         };
         let tail = log.tail.clone();
-        self.send_to(
-            router,
-            target,
-            Cmd::Attach { session: sid, live: Box::new(live), restored: true },
-        );
+        self.send_to(router, target, Cmd::Attach { session: sid, live: Box::new(live) });
         let mut finished = false;
         for (idx, cmd) in tail {
             match cmd {
@@ -1544,64 +1366,8 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
             }
         }
         router.sessions_recovered += 1;
-        router
-            .place
-            .insert(sid, Placement::On { worker: target, last_push: Instant::now(), finished });
+        router.place.insert(sid, Placement { worker: target, finished });
         true
-    }
-
-    /// Starts moving `session` to worker `to`; `stable_only` lets the
-    /// worker refuse unless the session is watermark-stable.
-    fn start_migration(
-        &self,
-        router: &mut Router<M::Session>,
-        session: SessionId,
-        to: usize,
-        stable_only: bool,
-    ) -> bool {
-        if to >= router.txs.len() || router.failed[to] {
-            return false;
-        }
-        let from = match router.place.get(&session) {
-            Some(&Placement::On { worker, .. }) if worker != to => worker,
-            _ => return false,
-        };
-        if !self.send_to(router, from, Cmd::Detach { session, stable_only }) {
-            return false;
-        }
-        router.migrations_requested += 1;
-        router.place.insert(session, Placement::InTransit { from, to, pending: Vec::new() });
-        true
-    }
-
-    /// One rebalance check: if the hottest worker is more than the
-    /// configured gap ahead of the coolest, migrate its least-recently
-    /// pushed session there (watermark-stable sessions only).
-    fn maybe_rebalance(&self, router: &mut Router<M::Session>) {
-        if self.rebalance_gap == 0 || router.txs.len() < 2 {
-            return;
-        }
-        let loads: Vec<usize> = self.loads.iter().map(WorkerLoad::load).collect();
-        let alive = || (0..loads.len()).filter(|&w| !router.failed[w]);
-        let Some(hot) = alive().max_by_key(|&w| loads[w]) else { return };
-        let Some(cool) = alive().min_by_key(|&w| loads[w]) else { return };
-        if loads[hot] - loads[cool] <= self.rebalance_gap {
-            return;
-        }
-        let candidate = router
-            .place
-            .iter()
-            .filter_map(|(&sid, p)| match p {
-                Placement::On { worker, last_push, finished: false } if *worker == hot => {
-                    Some((sid, *last_push))
-                }
-                _ => None,
-            })
-            .min_by_key(|&(_, t)| t)
-            .map(|(sid, _)| sid);
-        if let Some(sid) = candidate {
-            self.start_migration(router, sid, cool, true);
-        }
     }
 
     /// Feeds the next point of `session` (opening it if unseen), blocking
@@ -1613,10 +1379,10 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
     pub fn push(&self, session: SessionId, point: GpsPoint) -> bool {
         // The routing decision needs the router lock, but the wait for a
         // full worker queue must not: a blocking send under the lock
-        // would stall every other producer (and finish/migrate/stats) on
+        // would stall every other producer (and finish/stats) on
         // one hot worker. So: decide and try_send under the lock; on a
-        // full queue, release the lock, wait briefly, re-resolve — the
-        // placement may legitimately have moved (migration) meanwhile.
+        // full queue, release the lock, wait briefly, re-resolve — crash
+        // recovery may have re-homed the session meanwhile.
         let deadline = self.push_timeout.map(|d| Instant::now() + d);
         let mut backoff = Duration::from_micros(20);
         loop {
@@ -1627,43 +1393,13 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
             }
             let r = &mut *router;
             let worker = match r.place.get_mut(&session) {
-                Some(Placement::InTransit { pending, .. }) => {
-                    // The transit buffer honours the same bound as a
-                    // worker queue: past it, push blocks (lock released)
-                    // until the migration resolves — each retry's
-                    // drain_replies drives that resolution.
-                    if pending.len() >= self.queue_cap {
-                        drop(router);
-                        let Some(sleep) = clamped_backoff(deadline, Instant::now(), backoff) else {
-                            return false;
-                        };
-                        std::thread::sleep(sleep);
-                        backoff = (backoff * 2).min(Duration::from_millis(5));
-                        continue;
-                    }
-                    // Accepted into the transit buffer: journal now — on a
-                    // crash the journal is replayed and the buffer
-                    // discarded, so buffered commands must be a subset of
-                    // the journal from the moment they exist.
-                    let log = r.logs.entry(session).or_insert_with(SessionLog::new);
-                    let idx = log.next_idx;
-                    log.next_idx += 1;
-                    log.tail.push((idx, JCmd::Point(point)));
-                    pending.push(Pending::Point(idx, point));
-                    self.after_push(r);
-                    return true;
-                }
-                Some(Placement::On { worker, last_push, finished }) => {
-                    *last_push = Instant::now();
-                    *finished = false;
-                    *worker
+                Some(p) => {
+                    p.finished = false;
+                    p.worker
                 }
                 None => {
                     let w = self.place_new(r);
-                    r.place.insert(
-                        session,
-                        Placement::On { worker: w, last_push: Instant::now(), finished: false },
-                    );
+                    r.place.insert(session, Placement { worker: w, finished: false });
                     w
                 }
             };
@@ -1704,32 +1440,25 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
         }
     }
 
-    /// Post-push bookkeeping under the router lock: the push counter, the
-    /// periodic rebalance check, and the periodic sweep of finished
-    /// placements.
+    /// Post-push bookkeeping under the router lock: the push counter and
+    /// the periodic sweep of finished placements.
     fn after_push(&self, router: &mut Router<M::Session>) {
         router.pushes += 1;
-        if router.pushes.is_multiple_of(64) {
-            self.maybe_rebalance(router);
-        }
         if router.pushes.is_multiple_of(1024) {
             self.prune_finished(router);
         }
     }
 
-    /// Removes placements whose trip was finished AND whose worker's queue
+    /// Removes placements whose trip has ended AND whose worker's queue
     /// has since drained: the engine is the only sender (always under this
-    /// lock), so an observed depth of 0 proves the Finish was processed
-    /// and no live instance remains — removing the entry cannot split a
-    /// session. Bounds the placement table by the live session count plus
-    /// ids evicted-but-never-finished (those are reclaimed by detach-miss
-    /// instead).
+    /// lock), so an observed depth of 0 proves the last command was
+    /// processed and no live instance remains — removing the entry cannot
+    /// split a session. Bounds the placement table by the live session
+    /// count.
     fn prune_finished(&self, router: &mut Router<M::Session>) {
         let drained: Vec<bool> =
             self.loads.iter().map(|l| l.depth.load(Ordering::Relaxed) == 0).collect();
-        router.place.retain(
-            |_, p| !matches!(p, Placement::On { worker, finished: true, .. } if drained[*worker]),
-        );
+        router.place.retain(|_, p| !(p.finished && drained[p.worker]));
     }
 
     /// Ends `session` explicitly: its final decode arrives as a
@@ -1741,67 +1470,31 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
         let mut router = self.router.lock().expect("router poisoned");
         self.drain_replies(&mut router);
         let r = &mut *router;
-        match r.place.get_mut(&session) {
-            Some(Placement::InTransit { pending, .. }) => {
-                let log = r.logs.entry(session).or_insert_with(SessionLog::new);
-                let idx = log.next_idx;
-                log.next_idx += 1;
-                log.tail.push((idx, JCmd::Finish));
-                pending.push(Pending::Finish(idx));
-                true
-            }
-            Some(Placement::On { worker, finished, .. }) => {
-                let w = *worker;
-                *finished = true;
-                // Journal-first: if the worker dies before (or while)
-                // taking this, recovery replays the journaled finish —
-                // there is no retry loop here to double-journal it.
-                let log = r.logs.entry(session).or_insert_with(SessionLog::new);
-                let idx = log.next_idx;
-                log.next_idx += 1;
-                log.tail.push((idx, JCmd::Finish));
-                if !self.send_to(r, w, Cmd::Finish { session, idx }) {
-                    // Worker just died: the next drain_replies replays the
-                    // journal (including this finish) onto its successor.
-                    self.supervise(r);
-                }
-                true
-            }
-            None => true,
+        let Some(p) = r.place.get_mut(&session) else { return true };
+        p.finished = true;
+        let w = p.worker;
+        // Journal-first: if the worker dies before (or while) taking this,
+        // recovery replays the journaled finish — there is no retry loop
+        // here to double-journal it.
+        let log = r.logs.entry(session).or_insert_with(SessionLog::new);
+        let idx = log.next_idx;
+        log.next_idx += 1;
+        log.tail.push((idx, JCmd::Finish));
+        if !self.send_to(r, w, Cmd::Finish { session, idx }) {
+            // Worker just died: the next drain_replies replays the journal
+            // (including this finish) onto its successor.
+            self.supervise(r);
         }
+        true
     }
 
-    /// Forces `session` onto worker `to` (unconditional — used by tests
-    /// and operational tooling; the automatic policy only moves
-    /// watermark-stable sessions). Returns `false` when the session is
-    /// unknown, already on `to`, already in transit, or `to` is out of
-    /// range; the migration itself completes asynchronously.
-    pub fn migrate(&self, session: SessionId, to: usize) -> bool {
-        let mut router = self.router.lock().expect("router poisoned");
-        self.drain_replies(&mut router);
-        self.start_migration(&mut router, session, to, false)
-    }
-
-    /// Runs one rebalance check immediately (the same check `push` runs
-    /// periodically): migrate the least-recently-pushed watermark-stable
-    /// session off the hottest worker if the load gap warrants it.
-    pub fn rebalance(&self) {
-        let mut router = self.router.lock().expect("router poisoned");
-        self.drain_replies(&mut router);
-        self.maybe_rebalance(&mut router);
-    }
-
-    /// Snapshot of per-worker load/telemetry and migration counters.
+    /// Snapshot of per-worker load/telemetry and recovery counters.
     #[must_use]
     pub fn router_stats(&self) -> RouterStats {
         let mut router = self.router.lock().expect("router poisoned");
         self.drain_replies(&mut router);
         RouterStats {
             workers: self.loads.iter().map(WorkerLoad::snapshot).collect(),
-            migrations_requested: router.migrations_requested,
-            migrations_completed: router.migrations_completed,
-            migrations_refused: router.migrations_refused,
-            migrations_missed: router.migrations_missed,
             worker_restarts: router.worker_restarts,
             sessions_recovered: router.sessions_recovered,
             points_replayed: router.points_replayed,
@@ -1812,9 +1505,9 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
 
     /// Drains every event currently buffered, without blocking. Call
     /// periodically — the event channel is unbounded, so an undrained
-    /// engine buffers one update per pushed point. Also advances any
-    /// in-flight migration (like every engine entry point), so a consumer
-    /// that only polls still makes the router progress.
+    /// engine buffers one update per pushed point. Also applies worker
+    /// replies and supervises (like every engine entry point), so a
+    /// consumer that only polls still heals a panicked worker.
     pub fn poll_events(&self) -> Vec<StreamEvent> {
         self.wait_events(Duration::ZERO)
     }
@@ -1845,11 +1538,10 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
         }
     }
 
-    /// Blocks up to `timeout` for one event, advancing in-flight
-    /// migrations (and worker supervision) on every doorbell ring, so a
-    /// consumer blocked here cannot deadlock against a session whose
-    /// commands are buffered in transit (e.g. a `finish` issued right
-    /// after a `migrate`). The two empty outcomes are distinguishable:
+    /// Blocks up to `timeout` for one event, applying worker replies and
+    /// supervising on every doorbell ring, so a consumer blocked here
+    /// starts crash recovery as soon as a worker dies. The two empty
+    /// outcomes are distinguishable:
     /// [`RecvEventError::Timeout`] means a quiet stream that may yet emit;
     /// [`RecvEventError::Disconnected`] means every worker permanently
     /// failed and the buffer is drained, so no event can ever arrive.
@@ -1878,19 +1570,19 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
     }
 
     /// Waits (up to `timeout`) until the engine is quiescent: every worker
-    /// queue drained and no session in transit between workers. Polling
-    /// here also *drives* migration resolution. Returns whether quiescence
-    /// was reached. Worker-side telemetry (points decoded, migrations) is
-    /// only guaranteed complete for commands pushed before a successful
-    /// quiesce — snapshot [`StreamEngine::router_stats`] after it.
+    /// queue drained. Polling here also supervises, so a worker that dies
+    /// meanwhile is rebuilt and its replayed commands drained too. Returns
+    /// whether quiescence was reached. Worker-side telemetry (points
+    /// decoded, sessions live) is only guaranteed complete for commands
+    /// pushed before a successful quiesce — snapshot
+    /// [`StreamEngine::router_stats`] after it.
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
             let idle = {
                 let mut router = self.router.lock().expect("router poisoned");
                 self.drain_replies(&mut router);
-                router.place.values().all(|p| !matches!(p, Placement::InTransit { .. }))
-                    && self.loads.iter().all(|l| l.depth.load(Ordering::Relaxed) == 0)
+                self.loads.iter().all(|l| l.depth.load(Ordering::Relaxed) == 0)
             };
             if idle {
                 return true;
@@ -1906,87 +1598,66 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
     /// [`SessionSnapshot`] and removes it from the engine — the handoff
     /// half of a rolling restart. A successor engine (same matcher)
     /// resumes them all with [`StreamEngine::restore`] and the continued
-    /// decodes are bitwise-identical to never having stopped. In-flight
-    /// migrations are resolved first; sessions whose trip already ended
-    /// are skipped (there is nothing live to hand off). Worker panics
-    /// during the drain are supervised and the detach re-requested, so a
-    /// faulty engine still drains every recoverable session within
-    /// `timeout`.
+    /// decodes are bitwise-identical to never having stopped. Sessions
+    /// whose trip already ended are skipped (there is nothing live to hand
+    /// off). Worker panics during the drain are supervised and the detach
+    /// re-requested, so a faulty engine still drains every recoverable
+    /// session within `timeout`. A session its worker has not reached by
+    /// the deadline stays live here, exactly as if it had never been
+    /// asked: its detach, when the worker gets to it, does nothing.
     #[must_use]
     pub fn drain_snapshots(&self, timeout: Duration) -> Vec<SessionSnapshot> {
         let deadline = Instant::now() + timeout;
-        let mut out = Vec::new();
+        let set_draining = |drain: u64| {
+            for load in self.loads.iter() {
+                *load.draining.write().unwrap_or_else(PoisonError::into_inner) = drain;
+            }
+        };
         let mut router = self.router.lock().expect("router poisoned");
         self.drain_replies(&mut router);
-        // Resolve in-flight migrations so every session sits On a worker.
-        while router.place.values().any(|p| matches!(p, Placement::InTransit { .. }))
-            && Instant::now() < deadline
-        {
-            match router.replies.recv_timeout(Duration::from_millis(20)) {
-                Ok(reply) => self.apply_reply(&mut router, reply),
-                Err(_) => self.drain_replies(&mut router),
-            }
-        }
-        // Ask every live session off its worker (unconditionally — this is
-        // a handoff, not a rebalance, so stability doesn't matter).
-        let mut draining: HashSet<SessionId> = HashSet::new();
-        let targets: Vec<(SessionId, usize)> = router
-            .place
-            .iter()
-            .filter_map(|(&sid, p)| match p {
-                Placement::On { worker, finished: false, .. } => Some((sid, *worker)),
-                _ => None,
-            })
-            .collect();
-        for (sid, w) in targets {
-            if self.send_to(&router, w, Cmd::Detach { session: sid, stable_only: false }) {
-                draining.insert(sid);
-            }
-        }
-        while !draining.is_empty() && Instant::now() < deadline {
-            match router.replies.recv_timeout(Duration::from_millis(20)) {
-                Ok(Reply::Detached { session, live }) if draining.contains(&session) => {
-                    draining.remove(&session);
-                    let mut payload = Vec::new();
-                    self.matcher.snapshot_session(&live.session, &mut payload);
-                    out.push(SessionSnapshot {
-                        session,
-                        matcher: M::NAME.to_string(),
-                        seq: live.seq as u64,
-                        last_t: live.last_t,
-                        payload,
-                    });
-                    router.place.remove(&session);
-                    router.logs.remove(&session);
+        router.drains += 1;
+        let drain = router.drains;
+        set_draining(drain);
+        // Detached sessions leave the placement table and ended ones are
+        // marked finished: a session is waited for while its entry is live.
+        let is_live = |r: &Router<M::Session>, sid| r.place.get(&sid).is_some_and(|p| !p.finished);
+        let mut waiting: HashSet<SessionId> = HashSet::new();
+        let mut asked_at = None;
+        loop {
+            // Ask every live session off its worker — and again after crash
+            // recovery rebuilt some, since their detach died with the worker.
+            if asked_at != Some(router.sessions_recovered) {
+                asked_at = Some(router.sessions_recovered);
+                waiting = router.place.keys().copied().filter(|&s| is_live(&router, s)).collect();
+                for &session in &waiting {
+                    let w = router.place[&session].worker;
+                    self.send_to(&router, w, Cmd::Detach { session, drain });
                 }
-                Ok(Reply::DetachMiss { session }) if draining.contains(&session) => {
-                    // The trip ended (idle eviction) between the scan and
-                    // the detach: nothing live to hand off.
-                    draining.remove(&session);
-                    router.place.remove(&session);
-                    router.logs.remove(&session);
-                }
-                Ok(reply) => self.apply_reply(&mut router, reply),
-                Err(_) => {
-                    // Supervise: a worker may have died holding sessions we
-                    // are draining. Recovery re-homes them (placement goes
-                    // back to On), so re-request those detaches.
-                    self.drain_replies(&mut router);
-                    let again: Vec<(SessionId, usize)> = draining
-                        .iter()
-                        .filter_map(|&sid| match router.place.get(&sid) {
-                            Some(&Placement::On { worker, .. }) => Some((sid, worker)),
-                            Some(&Placement::InTransit { .. }) => None,
-                            None => None,
-                        })
-                        .collect();
-                    for (sid, w) in again {
-                        self.send_to(&router, w, Cmd::Detach { session: sid, stable_only: false });
+            }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if waiting.is_empty() || remaining.is_zero() {
+                break;
+            }
+            match router.replies.recv_timeout(remaining.min(Duration::from_millis(20))) {
+                Ok(reply) => {
+                    let sid = reply.session();
+                    self.apply_reply(&mut router, reply);
+                    if !is_live(&router, sid) {
+                        waiting.remove(&sid);
                     }
                 }
+                Err(_) => {
+                    self.drain_replies(&mut router);
+                    waiting.retain(|&s| is_live(&router, s));
+                }
             }
         }
-        out
+        // Close the latches. A worker replies under its own, so every detach
+        // that took its session is on the reply channel by now; the rest
+        // will leave their sessions where they are.
+        set_draining(0);
+        self.drain_replies(&mut router);
+        std::mem::take(&mut router.drained)
     }
 
     /// Resumes sessions checkpointed by [`StreamEngine::drain_snapshots`]
@@ -2024,7 +1695,7 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
                 last_idx: 0,
                 since_ckpt: 0,
             };
-            let w = self.place_new(&mut router);
+            let w = self.place_new(&router);
             let mut log = SessionLog::new();
             log.ckpt = Some(Ckpt {
                 idx: 0,
@@ -2033,15 +1704,8 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
                 last_t: live.last_t,
             });
             router.logs.insert(snap.session, log);
-            self.send_to(
-                &router,
-                w,
-                Cmd::Attach { session: snap.session, live: Box::new(live), restored: true },
-            );
-            router.place.insert(
-                snap.session,
-                Placement::On { worker: w, last_push: Instant::now(), finished: false },
-            );
+            self.send_to(&router, w, Cmd::Attach { session: snap.session, live: Box::new(live) });
+            router.place.insert(snap.session, Placement { worker: w, finished: false });
             router.sessions_recovered += 1;
             n += 1;
         }
@@ -2055,22 +1719,19 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
     /// recovered and flushed by the respawned worker), not propagated.
     #[must_use]
     pub fn shutdown(self) -> (Vec<StreamEvent>, StreamStats) {
-        // Settle the engine first, under a deadline: resolve in-flight
-        // migrations (a session detached but not yet re-attached lives
-        // only in the reply channel and would never be finalized), drain
-        // the queues of live workers, and supervise any late panic so its
-        // sessions are rebuilt before intake closes.
+        // Settle the engine first, under a deadline: drain the queues of
+        // live workers, and supervise any late panic so its sessions are
+        // rebuilt before intake closes.
         {
             let mut router = self.router.lock().expect("router poisoned");
             let deadline = Instant::now() + Duration::from_secs(10);
             loop {
                 self.drain_replies(&mut router);
-                let busy = router.place.values().any(|p| matches!(p, Placement::InTransit { .. }))
-                    || self
-                        .loads
-                        .iter()
-                        .enumerate()
-                        .any(|(w, l)| !router.failed[w] && l.depth.load(Ordering::Relaxed) > 0);
+                let busy = self
+                    .loads
+                    .iter()
+                    .enumerate()
+                    .any(|(w, l)| !router.failed[w] && l.depth.load(Ordering::Relaxed) > 0);
                 if !busy || Instant::now() >= deadline {
                     break;
                 }
@@ -2100,7 +1761,7 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use trmma_baselines::{HmmConfig, HmmMatcher, NearestMatcher};
+    use trmma_baselines::{HmmConfig, HmmMatcher};
     use trmma_roadnet::RoutePlanner;
     use trmma_traj::dataset::{build_dataset, DatasetConfig, Split};
     use trmma_traj::types::Trajectory;
@@ -2128,23 +1789,6 @@ mod tests {
                 StreamEvent::Update { .. } => None,
             })
             .collect()
-    }
-
-    /// Polls `router_stats` (which also drives migration resolution) until
-    /// `done` accepts a snapshot or the deadline passes; returns the last
-    /// snapshot either way.
-    fn wait_stats<M: OnlineMatcher + 'static>(
-        engine: &StreamEngine<M>,
-        done: impl Fn(&RouterStats) -> bool,
-    ) -> RouterStats {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let rs = engine.router_stats();
-            if done(&rs) || Instant::now() >= deadline {
-                return rs;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
     }
 
     #[test]
@@ -2361,15 +2005,11 @@ mod tests {
         let d = StreamOptions::default();
         assert_eq!(d.threads, 0);
         assert!(d.effective_threads() >= 1);
-        assert_eq!(d.rebalance_threshold, 16);
-        let o = StreamOptions::with_threads(3)
-            .idle_timeout_s(0.0)
-            .queue_capacity(0)
-            .rebalance_threshold(0);
+        assert_eq!(d.checkpoint_every, 64);
+        let o = StreamOptions::with_threads(3).idle_timeout_s(0.0).queue_capacity(0);
         assert_eq!(o.effective_threads(), 3);
         assert_eq!(o.queue_capacity, 1, "capacity clamps to 1");
         assert!(o.idle_timeout().is_none(), "0 disables eviction");
-        assert_eq!(o.rebalance_threshold, 0);
         assert!(StreamOptions::default().idle_timeout().is_some());
     }
 
@@ -2379,29 +2019,36 @@ mod tests {
         (0..n).map(|i| (i * threads) as SessionId).collect()
     }
 
+    /// Placement is the least-loaded rule: a worker's load (queue depth +
+    /// live sessions) never reads 0 while it holds a live session, so the
+    /// first `threads` sessions must land on `threads` distinct workers
+    /// however their ids collide.
     #[test]
     fn power_of_two_spreads_skewed_ids() {
         let (hmm, batch) = world();
         let threads = 3;
+        assert!(batch.len() > threads);
         let engine = StreamEngine::new(
             hmm.clone(),
             StreamOptions::with_threads(threads).idle_timeout_s(0.0),
         );
         let ids = skewed_ids(batch.len(), threads);
         // One session at a time: earlier sessions are live (load > 0) when
-        // later ones are placed, so p2c must route around them.
-        for (t, &sid) in batch.iter().zip(&ids) {
+        // later ones are placed, so the router must route around them.
+        for (k, (t, &sid)) in batch.iter().zip(&ids).enumerate() {
             for &p in &t.points {
                 engine.push(sid, p);
             }
+            let placed: Vec<u64> =
+                engine.router_stats().workers.iter().map(|w| w.sessions_placed).collect();
+            if k < threads {
+                let used = placed.iter().filter(|&&n| n == 1).count();
+                assert_eq!(used, k + 1, "session {k} went to a loaded worker: {placed:?}");
+            } else {
+                assert!(placed.iter().all(|&n| n >= 1), "an idle worker was skipped: {placed:?}");
+            }
         }
         let rs = engine.router_stats();
-        let used = rs.workers.iter().filter(|w| w.sessions_placed > 0).count();
-        assert!(
-            used >= 2,
-            "p2c left skewed ids on one worker: {:?}",
-            rs.workers.iter().map(|w| w.sessions_placed).collect::<Vec<_>>()
-        );
         let placed: u64 = rs.workers.iter().map(|w| w.sessions_placed).sum();
         assert_eq!(placed, batch.len() as u64);
         for &sid in &ids {
@@ -2415,157 +2062,78 @@ mod tests {
         }
     }
 
+    /// Idle eviction without a `finish` leaves only routing state behind:
+    /// the worker's `Ended` reply empties the journal and marks the
+    /// placement, and the drained-queue sweep then frees it.
     #[test]
-    fn forced_migration_preserves_offline_identity() {
+    fn evicted_placements_are_freed() {
         let (hmm, batch) = world();
-        let engine =
-            StreamEngine::new(hmm.clone(), StreamOptions::with_threads(3).idle_timeout_s(0.0));
-        let t = &batch[0];
-        // Bounce the session between workers on every push.
-        for (i, &p) in t.points.iter().enumerate() {
-            assert!(engine.push(5, p));
-            engine.migrate(5, i % 3);
-        }
-        engine.finish(5);
-        let rs = wait_stats(&engine, |rs| {
-            rs.migrations_requested
-                == rs.migrations_completed + rs.migrations_refused + rs.migrations_missed
-        });
-        assert!(rs.migrations_completed >= 1, "no migration ever completed: {rs:?}");
-        assert_eq!(rs.migrations_refused, 0, "forced migration must not consult stability");
-        let (events, stats) = engine.shutdown();
-        assert_eq!(stats.sessions_opened, 1, "migration must not split the session");
-        assert_eq!(stats.points, t.len() as u64);
-        let finals = collect_finalized(&events);
-        assert_eq!(finals.len(), 1);
-        let (reason, result) = &finals[&5];
-        assert_eq!(*reason, FinalizeReason::Explicit);
-        assert_eq!(*result, hmm.match_trajectory(t), "migrated decode diverged from offline");
-        let updates = events.iter().filter(|e| matches!(e, StreamEvent::Update { .. })).count();
-        assert_eq!(updates, t.len(), "every point decoded exactly once across migrations");
-    }
-
-    #[test]
-    fn rebalance_migrates_stable_sessions_off_hot_worker() {
-        let ds = build_dataset(&DatasetConfig::tiny());
-        let net = Arc::new(ds.net.clone());
-        let planner = Arc::new(RoutePlanner::untrained(&net));
-        // Nearest stabilizes instantly, so its sessions are always
-        // migration-eligible.
-        let nearest = Arc::new(NearestMatcher::new(net, planner));
-        let batch: Vec<Trajectory> =
-            ds.samples(Split::Test, 0.2, 22).into_iter().take(4).map(|s| s.sparse).collect();
-        let engine = StreamEngine::new(
-            nearest.clone(),
-            StreamOptions::with_threads(3).idle_timeout_s(0.0).rebalance_threshold(1),
-        );
+        let engine = StreamEngine::new(hmm, StreamOptions::with_threads(2).idle_timeout_s(0.2));
         for (sid, t) in batch.iter().enumerate() {
             for &p in &t.points {
-                engine.push(sid as SessionId, p);
+                assert!(engine.push(sid as SessionId, p));
             }
         }
-        // Pile every session onto worker 0, then let the policy unpile.
-        let mut forced = 0;
-        for sid in 0..batch.len() {
-            if engine.migrate(sid as SessionId, 0) {
-                forced += 1;
-            }
-        }
-        let rs = wait_stats(&engine, |rs| {
-            rs.workers[0].live_sessions == batch.len() && rs.migrations_completed == forced
-        });
-        assert_eq!(rs.workers[0].live_sessions, batch.len(), "forced pile-up failed: {rs:?}");
-        engine.rebalance();
-        // `migrations_completed` bumps when the attach is *sent*; wait for
-        // the target worker to have *processed* it (`migrated_in`).
-        let rs = wait_stats(&engine, |rs| {
-            rs.workers[1..].iter().map(|w| w.migrated_in).sum::<u64>() >= 1
-        });
-        assert!(rs.migrations_completed > forced, "rebalance never moved a stable session: {rs:?}");
-        let off_zero: u64 = rs.workers[1..].iter().map(|w| w.migrated_in).sum();
-        assert!(off_zero >= 1, "policy migration must land off the hot worker: {rs:?}");
-        for sid in 0..batch.len() {
-            engine.finish(sid as SessionId);
-        }
-        let (events, _) = engine.shutdown();
-        let finals = collect_finalized(&events);
-        for (sid, t) in batch.iter().enumerate() {
-            assert_eq!(finals[&(sid as SessionId)].1, nearest.match_trajectory(t));
-        }
-    }
-
-    #[test]
-    fn rebalance_refuses_unstable_sessions() {
-        use crate::{Mma, MmaConfig};
-        let ds = build_dataset(&DatasetConfig::tiny());
-        let net = Arc::new(ds.net.clone());
-        let planner = Arc::new(RoutePlanner::untrained(&net));
-        // MMA's watermark stays 0 until finalize: never migration-eligible.
-        let mma = Arc::new(Mma::new(net, planner, None, MmaConfig::small()));
-        let batch: Vec<Trajectory> =
-            ds.samples(Split::Test, 0.2, 23).into_iter().take(2).map(|s| s.sparse).collect();
-        let engine = StreamEngine::new(
-            mma.clone(),
-            StreamOptions::with_threads(2).idle_timeout_s(0.0).rebalance_threshold(1),
-        );
-        for (sid, t) in batch.iter().enumerate() {
-            for &p in &t.points {
-                engine.push(sid as SessionId, p);
-            }
-        }
-        let mut forced = 0;
-        for sid in 0..batch.len() {
-            if engine.migrate(sid as SessionId, 0) {
-                forced += 1;
-            }
-        }
-        let rs = wait_stats(&engine, |rs| {
-            rs.workers[0].live_sessions == batch.len() && rs.migrations_completed == forced
-        });
-        assert_eq!(rs.workers[0].live_sessions, batch.len(), "forced pile-up failed: {rs:?}");
-        engine.rebalance();
-        let rs = wait_stats(&engine, |rs| rs.migrations_refused >= 1);
-        assert!(rs.migrations_refused >= 1, "unstable session was not refused: {rs:?}");
-        for sid in 0..batch.len() {
-            engine.finish(sid as SessionId);
-        }
-        let (events, _) = engine.shutdown();
-        let finals = collect_finalized(&events);
-        for (sid, t) in batch.iter().enumerate() {
-            assert_eq!(finals[&(sid as SessionId)].1, mma.match_trajectory(t));
-        }
-    }
-
-    /// A consumer that only waits on `recv_event_timeout` (no further
-    /// pushes or stats calls) must still see the `Finalized` of a finish
-    /// that was buffered behind an in-flight migration — the event wait
-    /// itself drives migration resolution.
-    #[test]
-    fn finish_after_migrate_finalizes_without_further_engine_calls() {
-        let (hmm, batch) = world();
-        let engine =
-            StreamEngine::new(hmm.clone(), StreamOptions::with_threads(2).idle_timeout_s(0.0));
-        let t = &batch[0];
-        for &p in &t.points {
-            assert!(engine.push(3, p));
-        }
-        // The session lives on exactly one of the two workers, so one of
-        // these is a real move that puts it in transit.
-        assert!(engine.migrate(3, 0) || engine.migrate(3, 1));
-        engine.finish(3); // likely buffered while in transit
         let deadline = Instant::now() + Duration::from_secs(10);
-        let mut finalized = None;
-        while finalized.is_none() && Instant::now() < deadline {
-            if let Ok(StreamEvent::Finalized { session, result, .. }) =
-                engine.recv_event_timeout(Duration::from_millis(50))
-            {
-                finalized = Some((session, result));
+        while engine.router_stats().idle_finalized() < batch.len() as u64 {
+            assert!(Instant::now() < deadline, "idle sessions were never evicted");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(engine.quiesce(Duration::from_secs(10)));
+        {
+            let mut router = engine.router.lock().expect("router poisoned");
+            engine.drain_replies(&mut router);
+            assert!(router.logs.is_empty(), "ended trips keep no journal");
+            assert_eq!(router.place.len(), batch.len());
+            engine.prune_finished(&mut router);
+            assert!(router.place.is_empty(), "evicted placements outlived the sweep");
+        }
+        let (_, stats) = engine.shutdown();
+        assert_eq!(stats.finalized_idle, batch.len() as u64);
+    }
+
+    /// A drain whose deadline passes before the workers reach its detaches
+    /// must leave those sessions live, not half-detached: the points pushed
+    /// right behind those detaches continue the same trips, a later drain
+    /// collects each session once and whole, and `restore` resumes it.
+    /// Every worker command stalls, so the first drain's detaches are still
+    /// queued when the second drain starts.
+    #[test]
+    fn timed_out_drain_loses_no_session() {
+        let (hmm, batch) = world();
+        let plan = FaultPlan {
+            stall_per_mille: 1000,
+            stall: Duration::from_millis(1),
+            ..FaultPlan::default()
+        };
+        let opts = StreamOptions::with_threads(2).idle_timeout_s(0.0);
+        let engine = StreamEngine::with_faults(hmm.clone(), opts, plan);
+        for (sid, t) in batch.iter().enumerate() {
+            for &p in &t.points[..t.len() / 2] {
+                assert!(engine.push(sid as SessionId, p));
             }
         }
-        let (session, result) = finalized.expect("finalize stuck behind in-flight migration");
-        assert_eq!(session, 3);
-        assert_eq!(result, hmm.match_trajectory(t));
-        let _ = engine.shutdown();
+        let snaps = engine.drain_snapshots(Duration::ZERO);
+        assert_eq!(engine.restore(&snaps), Ok(snaps.len()));
+        for (sid, t) in batch.iter().enumerate() {
+            for &p in &t.points[t.len() / 2..] {
+                assert!(engine.push(sid as SessionId, p));
+            }
+        }
+        let snaps = engine.drain_snapshots(Duration::from_secs(30));
+        assert_eq!(snaps.len(), batch.len(), "each live session drains once");
+        assert_eq!(engine.restore(&snaps), Ok(batch.len()));
+        for sid in 0..batch.len() {
+            assert!(engine.finish(sid as SessionId));
+        }
+        let (events, stats) = engine.shutdown();
+        let finals = collect_finalized(&events);
+        assert_eq!(finals.len(), batch.len(), "a session was lost: {stats:?}");
+        for (sid, t) in batch.iter().enumerate() {
+            let (reason, result) = &finals[&(sid as SessionId)];
+            assert_eq!(*reason, FinalizeReason::Explicit);
+            assert_eq!(*result, hmm.match_trajectory(t), "session {sid} diverged");
+        }
     }
 
     /// Sticky placement: a session id reused after `finish` must queue
@@ -2624,18 +2192,16 @@ mod tests {
             for &p in &t.points {
                 engine.push(sid as SessionId, p);
             }
-            engine.migrate(sid as SessionId, sid % 2);
         }
-        let rs = wait_stats(&engine, |rs| {
-            rs.migrations_requested
-                == rs.migrations_completed + rs.migrations_refused + rs.migrations_missed
-        });
-        let migrated_in: u64 = rs.workers.iter().map(|w| w.migrated_in).sum();
-        let migrated_out: u64 = rs.workers.iter().map(|w| w.migrated_out).sum();
-        assert_eq!(migrated_out, rs.migrations_completed);
-        assert!(migrated_in <= migrated_out, "attach cannot precede detach");
+        assert!(engine.quiesce(Duration::from_secs(10)));
+        let rs = engine.router_stats();
         let placed: u64 = rs.workers.iter().map(|w| w.sessions_placed).sum();
         assert_eq!(placed, batch.len() as u64);
+        let live: usize = rs.workers.iter().map(|w| w.live_sessions).sum();
+        assert_eq!(live, batch.len(), "one live instance per session");
+        let points: u64 = rs.workers.iter().map(|w| w.points).sum();
+        assert_eq!(points, batch.iter().map(|t| t.len() as u64).sum::<u64>());
+        assert!(rs.workers.iter().all(|w| w.queue_depth == 0), "quiesced: {rs:?}");
         for sid in 0..batch.len() {
             engine.finish(sid as SessionId);
         }
@@ -2811,9 +2377,6 @@ mod tests {
                 assert!(first.push(sid as SessionId, p));
             }
         }
-        // One session mid-migration at drain time: the drain must resolve
-        // it rather than skip or split it.
-        first.migrate(0, 1);
         let mut snaps = first.drain_snapshots(Duration::from_secs(10));
         assert_eq!(snaps.len(), batch.len(), "every live session drains");
         assert!(

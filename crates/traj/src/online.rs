@@ -28,11 +28,9 @@
 //! callers hold, is one blanket impl over this trait.
 //!
 //! **Sessions are detachable.** A session owns its entire decode history
-//! and borrows nothing from the scratch that last advanced it, so a
-//! streaming engine may *migrate* a live session to a different worker
-//! (different scratch) between any two pushes without changing a single
-//! output bit — see [`OnlineMatcher::session_stable`] for the eligibility
-//! test the load-aware router uses.
+//! and borrows nothing from the scratch that last advanced it, so it can be
+//! frozen to bytes on one worker and resumed on another (crash recovery,
+//! rolling restarts) without changing a single output bit.
 //!
 //! [`MapMatcher`]: crate::api::MapMatcher
 
@@ -64,10 +62,10 @@ pub struct OnlineUpdate {
 ///   [`OnlineMatcher::begin_session`] and advanced one GPS point at a time.
 ///   A session is *detachable*: it owns everything the decode depends on
 ///   (the Viterbi lattice, MMA's accumulated candidate sets) and borrows
-///   nothing from the scratch it last ran on, so it is `Send` and a
-///   streaming engine can hold thousands and **migrate** them between
-///   workers mid-stream — any scratch continues the decode bitwise
-///   identically.
+///   nothing from the scratch it last ran on, so it is `Send`, a streaming
+///   engine can hold thousands, and any scratch continues the decode
+///   bitwise identically — a session rebuilt on another worker after a
+///   crash included.
 /// * **Scratch** — per-*worker* search buffers: one scratch serves every
 ///   session on that worker, exactly as it serves every trajectory in the
 ///   batch engine (`trmma_core::batch::par_match_pooled`). Scratch contents
@@ -84,7 +82,8 @@ pub struct OnlineUpdate {
 ///    `finalize` would return right now.
 /// 2. *Scratch independence*: pushing the same points through the same
 ///    session with different (or fresh) scratches yields identical
-///    updates and an identical finalize — the property migration rests on.
+///    updates and an identical finalize — the property crash recovery and
+///    snapshot restore rest on.
 ///
 /// Replay equivalence — push-all then finalize equals the offline decode —
 /// holds by construction: [`OnlineMatcher::match_trajectory_with`] is that
@@ -135,17 +134,6 @@ pub trait OnlineMatcher: Send + Sync {
     /// The session's current stabilized-prefix watermark — the value the
     /// last [`OnlineUpdate::stable_prefix`] reported (`0` before any push).
     fn session_watermark(&self, session: &Self::Session) -> usize;
-
-    /// Whether every pushed point has reached its final match
-    /// (`watermark == len`). A stable session's decode cannot be revised
-    /// by its own history, only extended by future points — the
-    /// eligibility test a load-aware streaming router applies before
-    /// migrating a session off a hot worker (migration is *correct*
-    /// regardless, because sessions are detachable; stability makes it
-    /// *cheap*, nothing provisional is in flight).
-    fn session_stable(&self, session: &Self::Session) -> bool {
-        self.session_watermark(session) >= self.session_len(session)
-    }
 
     /// Serializes the session's complete decoder state into `out`, using
     /// the wire primitives of [`crate::snapshot`]. Because sessions are

@@ -2,8 +2,8 @@
 //! flow through the `StreamEngine`, which answers each point with a
 //! provisional match plus a stabilized-prefix watermark and emits the final
 //! route when a trip ends — identical to the offline decode of the same
-//! points. The engine's load-aware router places each device by
-//! power-of-two-choices and reports per-worker telemetry.
+//! points. The engine's load-aware router places each device on the
+//! least-loaded worker, where it stays, and reports per-worker telemetry.
 //!
 //! A second act replays the same trips with seeded worker panics injected
 //! mid-stream: the supervisor respawns the dead workers and rebuilds every
@@ -48,7 +48,7 @@ fn main() {
         engine.finish(device as SessionId);
     }
     // Let the workers drain so the worker-side telemetry (points decoded,
-    // migrations) is complete before we snapshot it.
+    // sessions placed) is complete before we snapshot it.
     engine.quiesce(std::time::Duration::from_secs(10));
     let router = engine.router_stats();
     let (events, stats) = engine.shutdown();
@@ -96,14 +96,10 @@ fn main() {
     println!("\nrouter: per-worker telemetry");
     for (w, t) in router.workers.iter().enumerate() {
         println!(
-            "worker {w}: {} sessions placed, {} points decoded, queue-depth high-water {}, {} migrated in / {} out",
-            t.sessions_placed, t.points, t.queue_depth_hwm, t.migrated_in, t.migrated_out
+            "worker {w}: {} sessions placed, {} points decoded, queue-depth high-water {}, {} idle-evicted",
+            t.sessions_placed, t.points, t.queue_depth_hwm, t.idle_finalized
         );
     }
-    println!(
-        "migrations: {} completed, {} refused (not watermark-stable) of {} requested",
-        router.migrations_completed, router.migrations_refused, router.migrations_requested
-    );
 
     // Act two: the same trips under injected worker panics. The supervisor
     // respawns each dead worker and rebuilds its sessions from the latest

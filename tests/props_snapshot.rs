@@ -11,8 +11,8 @@
 //!   so is a payload a sender encoded *correctly* around a candidate the
 //!   decoder could not index, which no checksum catches;
 //! * **Engine handoff** — draining a live engine to snapshots at an
-//!   arbitrary cut point (including sessions snapshotted mid-migration)
-//!   and restoring onto a successor engine finalizes every session
+//!   arbitrary cut point and restoring onto a successor engine finalizes
+//!   every session
 //!   bitwise-identical to the offline decode;
 //! * **Chaos zero-loss** — with seeded fault injection (worker panics,
 //!   stalls, reply delays) the supervisor rebuilds every session from its
@@ -123,17 +123,15 @@ fn assert_snapshot_transparent<M: OnlineMatcher>(matcher: &M, traj: &Trajectory,
 }
 
 /// Streams a prefix of every session into one engine, drains it to
-/// snapshots (optionally with a forced migration in flight), restores on
-/// a successor engine, streams the rest, and asserts every final equals
-/// the offline decode of the full trajectory.
+/// snapshots, restores on a successor engine, streams the rest, and
+/// asserts every final equals the offline decode of the full trajectory.
 fn assert_handoff_identical<M: OnlineMatcher + 'static>(
     matcher: &Arc<M>,
     batch: &[Trajectory],
     threads: usize,
     cut_seed: u64,
-    migrate_in_flight: bool,
 ) {
-    let opts = || StreamOptions::with_threads(threads).idle_timeout_s(0.0).rebalance_threshold(0);
+    let opts = || StreamOptions::with_threads(threads).idle_timeout_s(0.0);
     let first = StreamEngine::new(matcher.clone(), opts());
     let mut rng = StdRng::seed_from_u64(cut_seed);
     let mut cuts = Vec::with_capacity(batch.len());
@@ -144,11 +142,6 @@ fn assert_handoff_identical<M: OnlineMatcher + 'static>(
         cuts.push(cut);
         for &p in &t.points[..cut] {
             assert!(first.push(sid as SessionId, p));
-        }
-    }
-    if migrate_in_flight && threads > 1 {
-        for sid in 0..batch.len() {
-            first.migrate(sid as SessionId, rng.gen_range(0..threads));
         }
     }
     let snaps = first.drain_snapshots(Duration::from_secs(30));
@@ -428,7 +421,6 @@ proptest! {
         traj_seed in 0u64..1_000,
         threads in 1usize..4,
         cut_seed in 0u64..1_000,
-        migrate in 0u8..2,
     ) {
         let (net, samples) = arbitrary_world(net_seed, traj_seed);
         if samples.is_empty() {
@@ -438,8 +430,8 @@ proptest! {
         let planner = Arc::new(RoutePlanner::untrained(&net));
         let hmm = Arc::new(HmmMatcher::new(net.clone(), planner.clone(), HmmConfig::default()));
         let mma = Arc::new(Mma::new(net.clone(), planner, None, MmaConfig::small()));
-        assert_handoff_identical(&hmm, &batch, threads, cut_seed, migrate == 1);
-        assert_handoff_identical(&mma, &batch, threads, cut_seed, migrate == 1);
+        assert_handoff_identical(&hmm, &batch, threads, cut_seed);
+        assert_handoff_identical(&mma, &batch, threads, cut_seed);
     }
 
     /// The acceptance bar of the supervision feature, as a property:

@@ -13,19 +13,13 @@
 //! * **Engine equivalence** — replaying many sessions through
 //!   `StreamEngine` under arbitrary cross-session interleavings, chunk
 //!   sizes and thread counts finalizes every session to
-//!   exactly the offline decode, with per-update provisional matches and
-//!   watermarks consistent with the direct session API;
-//! * **Migration safety** — forcing sessions to migrate between workers at
-//!   arbitrary points in the stream changes nothing: the finalized output
-//!   of every `OnlineMatcher` stays bitwise-identical to the offline
-//!   decode, sessions are never split or duplicated, and the router's
-//!   migration counters balance;
+//!   exactly the offline decode, for every `OnlineMatcher`, with each
+//!   session placed once and never split or duplicated;
 //! * **Input validation** — every matcher's `match_trajectory` and
 //!   `push_point` refuse a NaN or infinite x, y or t, naming the point.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -85,19 +79,13 @@ where
             "{}: watermark beyond pushed count at point {i}",
             M::NAME
         );
-        // The introspection API (what the engine's migration policy reads)
-        // must agree with what push_point just reported.
+        // The introspection API must agree with what push_point just
+        // reported.
         assert_eq!(matcher.session_len(&session), i + 1, "{}: session_len", M::NAME);
         assert_eq!(
             matcher.session_watermark(&session),
             update.stable_prefix,
             "{}: session_watermark",
-            M::NAME
-        );
-        assert_eq!(
-            matcher.session_stable(&session),
-            update.stable_prefix == i + 1,
-            "{}: session_stable",
             M::NAME
         );
         prev_watermark = update.stable_prefix;
@@ -128,24 +116,17 @@ where
 
 /// Replays sessions through a `StreamEngine` under an arbitrary
 /// interleaving (random session choice, random chunk length) and asserts
-/// every finalized result equals the offline decode. With
-/// `force_migrations`, a random force-migrate is issued after every chunk,
-/// so session state crosses workers at arbitrary stream positions.
+/// every finalized result equals the offline decode.
 fn assert_engine_identical<M: OnlineMatcher + 'static>(
     matcher: &Arc<M>,
     batch: &[Trajectory],
     threads: usize,
     interleave_seed: u64,
     max_chunk: usize,
-    force_migrations: bool,
 ) {
-    // Automatic rebalancing off: it issues stable-only detaches that a
-    // lagging decoder may legitimately refuse, which would trip the
-    // forced-migration counter asserts below. Forced `migrate()` calls
-    // are unaffected by the threshold.
     let engine = StreamEngine::new(
         matcher.clone(),
-        StreamOptions::with_threads(threads).idle_timeout_s(0.0).rebalance_threshold(0),
+        StreamOptions::with_threads(threads).idle_timeout_s(0.0),
     );
     let mut rng = StdRng::seed_from_u64(interleave_seed);
     let mut cursors = vec![0usize; batch.len()];
@@ -162,9 +143,6 @@ fn assert_engine_identical<M: OnlineMatcher + 'static>(
             assert!(engine.push(sid as SessionId, batch[sid].points[cursors[sid]]));
             cursors[sid] += 1;
         }
-        if force_migrations {
-            engine.migrate(sid as SessionId, rng.gen_range(0..threads));
-        }
         if cursors[sid] == batch[sid].len() {
             open.swap_remove(pick);
         }
@@ -172,31 +150,9 @@ fn assert_engine_identical<M: OnlineMatcher + 'static>(
     for sid in 0..batch.len() {
         engine.finish(sid as SessionId);
     }
-    // Let in-flight migrations resolve so the counters can be checked
-    // (polling router_stats also drives the resolution).
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let rs = loop {
-        let rs = engine.router_stats();
-        if rs.migrations_requested
-            == rs.migrations_completed + rs.migrations_refused + rs.migrations_missed
-            || Instant::now() >= deadline
-        {
-            break rs;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    };
-    assert_eq!(
-        rs.migrations_requested,
-        rs.migrations_completed + rs.migrations_refused + rs.migrations_missed,
-        "{}: migrations never settled",
-        M::NAME
-    );
-    assert_eq!(rs.migrations_missed, 0, "forced migrations target live sessions only");
-    assert_eq!(rs.migrations_refused, 0, "forced migrations must not consult stability");
+    let rs = engine.router_stats();
     let placed: u64 = rs.workers.iter().map(|w| w.sessions_placed).sum();
     assert_eq!(placed, non_empty as u64, "{}: placement per session", M::NAME);
-    let migrated_out: u64 = rs.workers.iter().map(|w| w.migrated_out).sum();
-    assert_eq!(migrated_out, rs.migrations_completed, "{}: detach counter", M::NAME);
     let (events, stats) = engine.shutdown();
     let finals: HashMap<SessionId, _> = events
         .iter()
@@ -214,7 +170,7 @@ fn assert_engine_identical<M: OnlineMatcher + 'static>(
     assert_eq!(
         stats.sessions_opened,
         non_empty as u64,
-        "{}: a migration must never split a session",
+        "{}: a session must never be split",
         M::NAME
     );
     for (sid, t) in batch.iter().enumerate() {
@@ -279,29 +235,8 @@ proptest! {
         // cover both session shapes; FMM/LHMM share HMM's session type.
         let hmm = Arc::new(HmmMatcher::new(net.clone(), planner.clone(), cfg));
         let mma = Arc::new(Mma::new(net.clone(), planner, None, MmaConfig::small()));
-        assert_engine_identical(&hmm, &batch, threads, interleave_seed, max_chunk, false);
-        assert_engine_identical(&mma, &batch, threads, interleave_seed, max_chunk, false);
-    }
-
-    #[test]
-    fn forced_migrations_preserve_offline_identity(
-        net_seed in 0u64..1_000,
-        traj_seed in 0u64..1_000,
-        threads in 2usize..5,
-        interleave_seed in 0u64..1_000,
-        max_chunk in 1usize..6,
-    ) {
-        let (net, samples) = arbitrary_world(net_seed, traj_seed);
-        if samples.is_empty() {
-            return Ok(());
-        }
-        let batch: Vec<Trajectory> = samples.iter().map(|s| s.sparse.clone()).collect();
-        let planner = Arc::new(RoutePlanner::untrained(&net));
-        let cfg = HmmConfig::default();
-        let hmm = Arc::new(HmmMatcher::new(net.clone(), planner.clone(), cfg));
-        let mma = Arc::new(Mma::new(net.clone(), planner, None, MmaConfig::small()));
-        assert_engine_identical(&hmm, &batch, threads, interleave_seed, max_chunk, true);
-        assert_engine_identical(&mma, &batch, threads, interleave_seed, max_chunk, true);
+        assert_engine_identical(&hmm, &batch, threads, interleave_seed, max_chunk);
+        assert_engine_identical(&mma, &batch, threads, interleave_seed, max_chunk);
     }
 }
 
@@ -372,16 +307,15 @@ fn sessions_sharing_a_worker_do_not_interfere() {
     let hmm = Arc::new(HmmMatcher::new(net, planner, HmmConfig::default()));
     let batch: Vec<Trajectory> = samples.iter().map(|s| s.sparse.clone()).collect();
     // One worker → every session lands on the same scratch.
-    assert_engine_identical(&hmm, &batch, 1, 17, 3, false);
+    assert_engine_identical(&hmm, &batch, 1, 17, 3);
 }
 
-/// The acceptance bar of the migration feature: every `OnlineMatcher` in
-/// the repository survives forced migrations at arbitrary stream positions
-/// with bitwise-identical output — including the decoders whose sessions
-/// carry a full Viterbi lattice (HMM/FMM/LHMM) and accumulated candidate
-/// sets (MMA).
+/// Every `OnlineMatcher` in the repository streams through a three-worker
+/// engine, interleaved with the other sessions, to bitwise-identical
+/// output — including the decoders whose sessions carry a full Viterbi
+/// lattice (HMM/FMM/LHMM) and accumulated candidate sets (MMA).
 #[test]
-fn every_matcher_survives_forced_migrations() {
+fn every_matcher_streams_through_the_engine_to_offline_identity() {
     let (net, samples) = arbitrary_world(6, 11);
     assert!(!samples.is_empty());
     let planner = Arc::new(RoutePlanner::untrained(&net));
@@ -392,9 +326,9 @@ fn every_matcher_survives_forced_migrations() {
     let fmm = Arc::new(FmmMatcher::new(net.clone(), planner.clone(), cfg.clone()));
     let lhmm = Arc::new(LhmmMatcher::fit(net.clone(), planner.clone(), cfg, &samples));
     let mma = Arc::new(Mma::new(net.clone(), planner, None, MmaConfig::small()));
-    assert_engine_identical(&nearest, &batch, 3, 23, 4, true);
-    assert_engine_identical(&hmm, &batch, 3, 23, 4, true);
-    assert_engine_identical(&fmm, &batch, 3, 23, 4, true);
-    assert_engine_identical(&lhmm, &batch, 3, 23, 4, true);
-    assert_engine_identical(&mma, &batch, 3, 23, 4, true);
+    assert_engine_identical(&nearest, &batch, 3, 23, 4);
+    assert_engine_identical(&hmm, &batch, 3, 23, 4);
+    assert_engine_identical(&fmm, &batch, 3, 23, 4);
+    assert_engine_identical(&lhmm, &batch, 3, 23, 4);
+    assert_engine_identical(&mma, &batch, 3, 23, 4);
 }
