@@ -909,6 +909,18 @@ mod tests {
         b.finish()
     }
 
+    /// A decoded graph keeps the invariant goal-directed sweeps rest on:
+    /// every segment length is its chord, bit for bit.
+    #[test]
+    fn decoded_lengths_are_their_chords_bit_for_bit() {
+        let g = Artifact::decode(full_artifact(&net())).unwrap().graph().unwrap();
+        assert!(g.num_segments() > 0);
+        for s in g.segments() {
+            let chord = g.node_pos(s.from).dist(g.node_pos(s.to));
+            assert_eq!(s.length.to_bits(), chord.to_bits(), "{:?} -> {:?}", s.from, s.to);
+        }
+    }
+
     #[test]
     fn round_trips_every_section() {
         let net = net();

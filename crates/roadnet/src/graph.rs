@@ -59,7 +59,10 @@ pub struct Segment {
     pub to: NodeId,
     /// Straight-line geometry from entrance to exit.
     pub line: SegLine,
-    /// Length in metres (cached).
+    /// Length in metres: exactly `from`'s position `.dist(to's)` — the
+    /// chord, bit for bit, as [`RoadNetwork::new`] sets it. Goal-directed
+    /// sweeps ([`SsspPool`](crate::shortest::SsspPool)) rest on it: no path
+    /// is shorter than the straight line between its ends.
     pub length: f64,
     /// Functional class.
     pub class: RoadClass,
@@ -99,7 +102,10 @@ static NEXT_NET_UID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64
 impl RoadNetwork {
     /// Builds a network from node positions and `(from, to, class)` edges.
     ///
-    /// Geometry and length are derived from the node positions. Duplicate
+    /// Geometry and length are derived from the node positions: a
+    /// segment's length is the chord `node_pos[from].dist(node_pos[to])`,
+    /// bit for bit. This is the only constructor (artifact decode comes
+    /// through it too), so every network keeps that invariant. Duplicate
     /// edges and self-loops are dropped (they carry no information for map
     /// matching and break route planning invariants).
     ///
@@ -397,6 +403,17 @@ mod tests {
         assert!((net.total_length_m() - 800.0).abs() < 1e-9);
         for id in net.segment_ids() {
             assert!((net.segment(id).length - 100.0).abs() < 1e-9);
+        }
+    }
+
+    /// The invariant goal-directed sweeps rest on (`shortest::goal_margin`).
+    #[test]
+    fn every_length_is_its_chord_bit_for_bit() {
+        let net = crate::gen::generate_city(&crate::gen::NetworkConfig::with_size(8, 8, 77));
+        assert!(net.num_segments() > 100);
+        for s in net.segments() {
+            let chord = net.node_pos(s.from).dist(net.node_pos(s.to));
+            assert_eq!(s.length.to_bits(), chord.to_bits(), "{:?} -> {:?}", s.from, s.to);
         }
     }
 

@@ -20,6 +20,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Mutex, OnceLock, RwLock};
 
+use trmma_geom::Vec2;
+
 use crate::graph::{NodeId, RoadNetwork, Segment, SegmentId};
 
 /// Which edge weight a search should minimise.
@@ -220,6 +222,45 @@ impl PoolWork {
     }
 }
 
+/// Panics unless `max_cost` is a search bound: `>= 0`, `+∞` included. A
+/// NaN bound would silently admit every path (`nd > NaN` never holds) and a
+/// negative one none but the source.
+pub(crate) fn assert_bound(max_cost: f64) {
+    assert!(max_cost >= 0.0, "search bound must be >= 0 (+inf allowed), got {max_cost}");
+}
+
+/// The margin a goal-directed sweep adds to its straight-line reach, or
+/// `None` when the sweep may not prune by straight-line distance: only a
+/// [`Weight::Length`] sweep has segment chords as lower bounds, and only a
+/// finite bound limits its reach.
+///
+/// A node `v` reached at `nd` may reach a goal `t` within `max_cost` only if
+/// `|v − t| ≤ max_cost − nd`: [`RoadNetwork::new`] makes every length its
+/// chord, and a chain of chords is never shorter than the line between its
+/// ends. Rounding (unit `u = 2^-53`) is what separates the computed test
+/// from that fact, and the margin absorbs all of it:
+/// * a computed length is within `3u` (relative) of its exact chord;
+/// * folding the `k` lengths of the rest of the path onto `nd` errs by at
+///   most `u` times a partial sum `≤ max_cost` per addition, `k·u·max_cost`
+///   in all;
+/// * `max_cost − nd`, adding the margin, squaring it and the squared
+///   distance add a few `u · max_cost` more.
+///
+/// A shortest path visits a node once, so `k < 2^32` (node ids are `u32`)
+/// and the total stays below `(2^32 + 16)·u·max_cost < 4.8e-7 · max_cost`:
+/// `1e-6 · max_cost` covers it twice. The `1e-9` m covers underflow, where
+/// squares of distances below `1.5e-154` m lose their relative precision.
+fn goal_margin(weight: Weight, max_cost: f64) -> Option<f64> {
+    (weight == Weight::Length && max_cost.is_finite()).then_some(1e-6 * max_cost + 1e-9)
+}
+
+/// Whether `a` and `b` lie farther than `reach` apart in a straight line.
+/// Compares squares, so no square root runs; a NaN on either side never
+/// answers `true`.
+fn beyond(a: Vec2, b: Vec2, reach: f64) -> bool {
+    a.dist_sq(b) > reach * reach
+}
+
 /// One node's entry in an [`SsspPool`]: its tentative distance, valid for
 /// the sweep whose generation equals `stamp`, and `target == stamp` while
 /// that sweep still has to settle the node for a caller.
@@ -254,6 +295,9 @@ pub struct SsspPool {
     slots: Vec<Slot>,
     gen: u32,
     heap: BinaryHeap<QueueItem>,
+    /// The targets the current sweep has still to settle, with their
+    /// positions; empty in a bounded sweep.
+    goals: Vec<(u32, Vec2)>,
     work: PoolWork,
 }
 
@@ -271,8 +315,8 @@ impl SsspPool {
     }
 
     /// Claims a fresh generation over `n` nodes and seeds `src` at
-    /// distance 0: no other slot carries the generation, and the heap holds
-    /// `src` alone.
+    /// distance 0: no other slot carries the generation, the heap holds
+    /// `src` alone and no goal is pending.
     fn begin(&mut self, n: usize, src: NodeId) -> u32 {
         if self.slots.len() < n {
             self.slots.resize(n, Slot::default());
@@ -284,6 +328,7 @@ impl SsspPool {
             self.gen = 1;
         }
         self.heap.clear();
+        self.goals.clear();
         self.slots[src.idx()] = Slot { dist: 0.0, stamp: self.gen, target: 0 };
         self.heap.push(QueueItem { dist: 0.0, node: src.0 });
         self.work.heap_pushes += 1;
@@ -294,26 +339,40 @@ impl SsspPool {
     /// key order, skips stale entries, and relaxes out-edges into nodes
     /// `allow` admits while the new distance stays within `max_cost`.
     /// `settle` sees every settled node once, in pop order, before it is
-    /// expanded, and returns `true` to end the sweep there.
+    /// expanded.
+    ///
+    /// With goals pending, settling the last one ends the sweep, and a
+    /// goal-directed sweep ([`goal_margin`]) does not push a node at `nd`
+    /// that lies farther than `max_cost − nd` (plus the margin) in a
+    /// straight line from every pending goal: no within-bound path to a
+    /// goal runs through it, so every goal settles to the value it would
+    /// without the gate.
     fn run(
         &mut self,
         net: &RoadNetwork,
         weight: Weight,
         max_cost: f64,
         allow: impl Fn(NodeId) -> bool,
-        mut settle: impl FnMut(u32, &mut Slot) -> bool,
+        mut settle: impl FnMut(u32, f64),
     ) {
-        let Self { slots, gen, heap, work } = self;
+        let Self { slots, gen, heap, goals, work } = self;
         let gen = *gen;
+        let margin = goal_margin(weight, max_cost).filter(|_| !goals.is_empty());
         while let Some(QueueItem { dist: d, node }) = heap.pop() {
             // Everything popped was pushed, hence stamped, by this sweep.
             let slot = &mut slots[node as usize];
             if d > slot.dist {
                 continue; // stale entry superseded by a later relaxation
             }
-            if settle(node, slot) {
-                return;
+            if slot.target == gen {
+                slot.target = 0;
+                let i = goals.iter().position(|g| g.0 == node).expect("a target is a goal");
+                goals.swap_remove(i);
+                if goals.is_empty() {
+                    return;
+                }
             }
+            settle(node, d);
             work.nodes_expanded += 1;
             for &seg in net.out_segments(NodeId(node)) {
                 let s = net.segment(seg);
@@ -324,6 +383,11 @@ impl SsspPool {
                 let slot = &mut slots[s.to.idx()];
                 let known = if slot.stamp == gen { slot.dist } else { f64::INFINITY };
                 if nd < known {
+                    // `line.b` is the position of `s.to`.
+                    let reach = margin.map(|m| max_cost - nd + m);
+                    if reach.is_some_and(|r| goals.iter().all(|&(_, g)| beyond(g, s.line.b, r))) {
+                        continue;
+                    }
                     slot.dist = nd;
                     slot.stamp = gen;
                     heap.push(QueueItem { dist: nd, node: s.to.0 });
@@ -337,11 +401,17 @@ impl SsspPool {
     /// sweep: `out[i]` becomes [`node_dist`]`(net, src, targets[i], weight,
     /// max_cost)`, bit for bit. Duplicate targets and `src` itself are
     /// allowed; the sweep stops as soon as every distinct target is
-    /// settled, and runs to the bound only when one of them is out of
-    /// reach. No targets, no sweep. Node ids must name nodes of `net`.
+    /// settled. A length sweep under a finite bound is goal-directed: a
+    /// target farther than the bound from `src` in a straight line is
+    /// answered `None` without a search, and the sweep expands only nodes
+    /// from which a pending target may still lie within the bound, so an
+    /// unreachable target costs a sweep toward it, not to the bound in
+    /// every direction. No targets, no sweep. Node ids must name nodes of
+    /// `net`.
     ///
     /// # Panics
-    /// Panics if `out.len() != targets.len()`.
+    /// Panics if `out.len() != targets.len()`, or if `max_cost` is NaN or
+    /// negative.
     pub fn node_dists_into(
         &mut self,
         net: &RoadNetwork,
@@ -352,32 +422,25 @@ impl SsspPool {
         out: &mut [Option<f64>],
     ) {
         assert_eq!(out.len(), targets.len(), "one answer per target");
+        assert_bound(max_cost);
         let gen = self.begin(net.num_nodes(), src);
-        let mut pending = 0usize;
+        let margin = goal_margin(weight, max_cost);
+        let from = net.node_pos(src);
         for &t in targets {
             let slot = &mut self.slots[t.idx()];
-            if slot.target != gen {
+            let pos = net.node_pos(t);
+            if slot.target != gen && !margin.is_some_and(|m| beyond(from, pos, max_cost + m)) {
                 slot.target = gen;
-                pending += 1;
+                self.goals.push((t.0, pos));
             }
         }
-        if pending > 0 {
-            self.run(
-                net,
-                weight,
-                max_cost,
-                |_| true,
-                |_, slot| {
-                    if slot.target == gen {
-                        slot.target = 0;
-                        pending -= 1;
-                    }
-                    pending == 0
-                },
-            );
+        if !self.goals.is_empty() {
+            self.run(net, weight, max_cost, |_| true, |_, _| {});
         }
         // Every target is settled, or the heap drained and every stamped
-        // node with it: a stamp of this sweep is a final distance.
+        // node with it: a stamp of this sweep is a final distance. A target
+        // out of straight-line reach is on no within-bound path, so nothing
+        // stamped it.
         for (o, &t) in out.iter_mut().zip(targets) {
             let slot = self.slots[t.idx()];
             *o = (slot.stamp == gen).then_some(slot.dist);
@@ -387,6 +450,9 @@ impl SsspPool {
     /// Early-exit Dijkstra from `src` to `dst` on the pool's slots: the
     /// one-target case of [`SsspPool::node_dists_into`]. Same contract and
     /// bits as [`node_dist`].
+    ///
+    /// # Panics
+    /// Panics if `max_cost` is NaN or negative.
     #[must_use]
     pub fn node_dist(
         &mut self,
@@ -405,6 +471,9 @@ impl SsspPool {
     /// (inclusive) with its distance, written as `(node, dist)` pairs
     /// sorted by node id into `out` (cleared first). The kernel of FMM's
     /// UBODT precomputation.
+    ///
+    /// # Panics
+    /// Panics if `delta` is NaN or negative.
     pub fn bounded_sssp_into(
         &mut self,
         net: &RoadNetwork,
@@ -423,6 +492,9 @@ impl SsspPool {
     /// even if `allow(src)` is false. The shard builder uses this to
     /// compute intra-shard distance tables without materializing per-shard
     /// subgraph copies.
+    ///
+    /// # Panics
+    /// Panics if `delta` is NaN or negative.
     pub fn bounded_sssp_filtered_into(
         &mut self,
         net: &RoadNetwork,
@@ -432,12 +504,10 @@ impl SsspPool {
         allow: impl Fn(NodeId) -> bool,
         out: &mut Vec<(NodeId, f64)>,
     ) {
+        assert_bound(delta);
         out.clear();
         self.begin(net.num_nodes(), src);
-        self.run(net, weight, delta, allow, |node, slot| {
-            out.push((NodeId(node), slot.dist));
-            false
-        });
+        self.run(net, weight, delta, allow, |node, dist| out.push((NodeId(node), dist)));
         out.sort_by_key(|e| e.0);
     }
 }
@@ -973,6 +1043,100 @@ mod tests {
         check(&mut pool, last);
         assert_eq!(pool.gen, 1);
         assert!(node_dist(&net, far, NodeId(0), Weight::Length, inf).is_some_and(|d| d > 0.0));
+    }
+
+    /// A target within straight-line reach of the bound but not within
+    /// the bound by road: an unpruned sweep drains every node within the
+    /// bound, the goal-directed one only those toward the target.
+    #[test]
+    fn a_draining_sweep_expands_fewer_nodes_than_the_bound_holds() {
+        let net = crate::gen::generate_city(&crate::gen::NetworkConfig::with_size(8, 8, 77));
+        let (src, bound) = (NodeId(0), 900.0);
+        let from = net.node_pos(src);
+        let t = (0..net.num_nodes() as u32)
+            .map(NodeId)
+            .find(|&t| {
+                from.dist(net.node_pos(t)) <= bound
+                    && node_dist(&net, src, t, Weight::Length, bound).is_none()
+            })
+            .expect("a target in straight-line reach but not by road");
+        let mut pool = SsspPool::new();
+        let before = pool.work();
+        let mut all = Vec::new();
+        pool.bounded_sssp_into(&net, src, Weight::Length, bound, &mut all);
+        let unpruned = pool.work().since(&before).nodes_expanded;
+        assert_eq!(unpruned, all.len() as u64, "a bounded sweep expands all it settles");
+        let before = pool.work();
+        assert_eq!(pool.node_dist(&net, src, t, Weight::Length, bound), None);
+        let pruned = pool.work().since(&before).nodes_expanded;
+        assert!(pruned < unpruned, "goal-directed sweep expanded {pruned} of {unpruned}");
+        // Under travel time nothing is pruned: a 1e-9 s bound still
+        // expands the source.
+        let before = pool.work();
+        let _ = pool.node_dist(&net, src, t, Weight::Time, 1e-9);
+        assert_eq!(pool.work().since(&before).nodes_expanded, 1);
+    }
+
+    #[test]
+    fn a_target_beyond_the_bound_in_a_straight_line_costs_no_expansion() {
+        let net = line3();
+        let mut pool = SsspPool::new();
+        let before = pool.work();
+        let mut out = [Some(1.0), Some(1.0)];
+        pool.node_dists_into(&net, NodeId(0), &[NodeId(2); 2], Weight::Length, 199.0, &mut out);
+        assert_eq!(out, [None, None]);
+        assert_eq!(pool.work().since(&before).nodes_expanded, 0);
+        // Unbounded, the same target is a search away.
+        assert!(pool.node_dist(&net, NodeId(0), NodeId(2), Weight::Length, 1e9).is_some());
+    }
+
+    /// A near-collinear chain (found by searching 3- and 4-node chains with
+    /// decimetre steps and ±1e-7 m offsets) whose computed path length is
+    /// exactly the bound while its straight line computes no shorter: the
+    /// middle node at 37 m reads `10.5² + 1e-14` squared metres from the
+    /// target, one ulp above the `10.5²` a margin-free prune allows.
+    #[test]
+    fn a_target_at_exactly_the_bound_stays_reachable_through_rounding() {
+        let pos = vec![Vec2::new(0.0, 0.0), Vec2::new(37.0, -1e-7), Vec2::new(47.5, 0.0)];
+        let edges = vec![
+            (NodeId(0), NodeId(1), RoadClass::Local),
+            (NodeId(1), NodeId(2), RoadClass::Local),
+        ];
+        let net = RoadNetwork::new(pos, edges);
+        let (src, dst) = (NodeId(0), NodeId(2));
+        let len = node_dist(&net, src, dst, Weight::Length, f64::INFINITY).unwrap();
+        assert_eq!(len, 47.5);
+        assert!(net.node_pos(src).dist(net.node_pos(dst)) >= len);
+        assert!(net.node_pos(NodeId(1)).dist_sq(net.node_pos(dst)) > (len - 37.0).powi(2));
+        let got = SsspPool::new().node_dist(&net, src, dst, Weight::Length, len);
+        assert_eq!(got.map(f64::to_bits), Some(len.to_bits()));
+        assert_eq!(got, node_dist(&net, src, dst, Weight::Length, len));
+    }
+
+    #[test]
+    #[should_panic(expected = "search bound must be >= 0 (+inf allowed), got NaN")]
+    fn a_nan_bound_is_refused_by_the_multi_target_sweep() {
+        let mut out = [None];
+        SsspPool::new().node_dists_into(
+            &line3(),
+            NodeId(0),
+            &[NodeId(2)],
+            Weight::Length,
+            f64::NAN,
+            &mut out,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "search bound must be >= 0 (+inf allowed), got -1")]
+    fn a_negative_bound_is_refused_by_the_bounded_sweep() {
+        SsspPool::new().bounded_sssp_into(
+            &line3(),
+            NodeId(0),
+            Weight::Length,
+            -1.0,
+            &mut Vec::new(),
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 use crate::graph::{NodeId, RoadNetwork, SegmentId};
 use crate::shard::ShardedNetwork;
-use crate::shortest::{CacheStats, DistCache, NetPos, SsspPool, Weight};
+use crate::shortest::{assert_bound, CacheStats, DistCache, NetPos, SsspPool, Weight};
 
 /// Why a byte image could not be adopted as a [`DistTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,8 +123,12 @@ pub struct DistTable {
 impl DistTable {
     /// Builds the table by sweeping every node with a bounded Dijkstra,
     /// reusing one pool's buffers across all sources.
+    ///
+    /// # Panics
+    /// Panics if `delta` is NaN or negative; `+∞` builds all pairs.
     #[must_use]
     pub fn build(net: &RoadNetwork, delta: f64) -> Self {
+        assert_bound(delta);
         let mut pool = SsspPool::new();
         Self::from_sweeps((0..net.num_nodes() as u32).map(NodeId), delta, |src, reach| {
             pool.bounded_sssp_into(net, src, Weight::Length, delta, reach);
@@ -309,8 +313,13 @@ impl TransitionProvider {
 
     /// A Dijkstra-backed provider with its own fresh cache; searches are
     /// bounded by `max_route_m`.
+    ///
+    /// # Panics
+    /// Panics if `max_route_m` is NaN or negative; `+∞` leaves searches
+    /// unbounded.
     #[must_use]
     pub fn dijkstra(max_route_m: f64) -> Self {
+        assert_bound(max_route_m);
         Self::with_backend(None, None, max_route_m)
     }
 
@@ -641,6 +650,41 @@ mod tests {
             }
         }
         assert!(provider.cache().stats().misses > 0);
+    }
+
+    /// A NaN bound used to admit every path: an all-pairs table whose own
+    /// `validate` refuses its delta.
+    #[test]
+    #[should_panic(expected = "search bound must be >= 0 (+inf allowed), got NaN")]
+    fn dist_table_build_refuses_a_nan_bound() {
+        let _ = DistTable::build(&chain5(), f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "search bound must be >= 0 (+inf allowed), got -0.5")]
+    fn dist_table_build_refuses_a_negative_bound() {
+        let _ = DistTable::build(&RoadNetwork::new(Vec::new(), Vec::new()), -0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "search bound must be >= 0 (+inf allowed), got NaN")]
+    fn dijkstra_provider_refuses_a_nan_bound() {
+        let _ = TransitionProvider::dijkstra(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "search bound must be >= 0 (+inf allowed), got -inf")]
+    fn dijkstra_provider_refuses_a_negative_bound() {
+        let _ = TransitionProvider::dijkstra(f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn an_infinite_bound_builds_all_reachable_pairs() {
+        // The one-way chain reaches 5 + 4 + 3 + 2 + 1 pairs.
+        let table = DistTable::build(&chain5(), f64::INFINITY);
+        assert_eq!(table.len(), 15);
+        assert_eq!(table.query(NodeId(0), NodeId(4)), Some(400.0));
+        assert_eq!(TransitionProvider::dijkstra(f64::INFINITY).max_route_m(), f64::INFINITY);
     }
 
     #[test]

@@ -1,6 +1,11 @@
 //! Map matching on sparse trajectories: compare the classic matchers
 //! (Nearest, HMM, FMM) against the learned MMA on one synthetic dataset.
 //!
+//! Exits non-zero if HMM and FMM decode any trip differently: both bound
+//! routes at 5 000 m, HMM by Dijkstra sweeps pruned toward their targets
+//! and FMM by its precomputed table, and the two must read the same
+//! distances bit for bit (DESIGN.md §16).
+//!
 //! ```sh
 //! cargo run --release --example map_matching
 //! ```
@@ -57,4 +62,14 @@ fn main() {
             per_traj_ms
         );
     }
+
+    let differ = test
+        .iter()
+        .filter(|s| hmm.match_trajectory(&s.sparse) != fmm.match_trajectory(&s.sparse))
+        .count();
+    if differ > 0 {
+        eprintln!("HMM and FMM decoded {differ} of {} trips differently", test.len());
+        std::process::exit(1);
+    }
+    println!("\nHMM and FMM decoded all {} trips identically", test.len());
 }

@@ -2,9 +2,10 @@
 //! hot inference loop must be *bitwise-identical* to the slow path it
 //! replaces.
 //!
-//! * the dense multi-target sweep: `SsspPool::node_dists_into` after an
-//!   arbitrary history of sweeps of every kind, under other bounds and on
-//!   another network, equals the cold allocating Dijkstra on every target;
+//! * the dense multi-target sweep: `SsspPool::node_dists_into`, pruned
+//!   toward its targets, after an arbitrary history of sweeps of every
+//!   kind, under other bounds and weights and on another network, equals
+//!   the cold allocating Dijkstra on every target;
 //! * bounded `DistCache`: a capacity-capped cache answers every lookup
 //!   identically to the uncapped cache and the cold search, while never
 //!   holding more than `cap` pairs;
@@ -37,13 +38,21 @@ proptest! {
     /// A pool's multi-target sweep after an arbitrary history — sweeps of
     /// every kind, under other bounds, alternating between two networks of
     /// different sizes — answers every target exactly like the cold
-    /// allocating Dijkstra: duplicate targets, the source among them, no
-    /// targets at all, targets beyond the bound. No stamp may leak.
+    /// allocating Dijkstra, which never prunes toward its target: goal-
+    /// directed length sweeps and plain travel-time ones; bounds 0, +∞,
+    /// fixed, arbitrary and exactly a target's distance; duplicate targets,
+    /// the source among them, no targets at all, targets beyond the bound
+    /// by road and in a straight line. No stamp may leak.
     #[test]
     fn multi_target_sweep_identical_to_cold_after_any_history(
         net_seeds in (0u64..1_000, 0u64..1_000),
         sweeps in prop::collection::vec(
-            (0u8..6, 0u32..10_000, prop::collection::vec(0u32..10_000, 0usize..7), 0usize..4),
+            (
+                0u8..8,
+                0u32..10_000,
+                prop::collection::vec(0u32..10_000, 0usize..7),
+                (0usize..6, 0.0f64..3_000.0),
+            ),
             1usize..16,
         ),
     ) {
@@ -51,35 +60,55 @@ proptest! {
             generate_city(&NetworkConfig::with_size(6, 6, net_seeds.0)),
             generate_city(&NetworkConfig::with_size(8, 8, net_seeds.1)),
         ];
-        let bounds = [0.0, 250.0, 900.0, f64::INFINITY];
         let mut pool = SsspPool::new();
         let mut reach = Vec::new();
-        for (i, (mode, s, ts, b)) in sweeps.iter().enumerate() {
+        for (i, (mode, s, ts, (b, free))) in sweeps.iter().enumerate() {
             let (net, kind) = (&nets[usize::from(mode % 2)], mode / 2);
+            let weight = if kind == 3 { Weight::Time } else { Weight::Length };
             let m = net.num_nodes() as u32;
-            let (src, bound) = (NodeId(s % m), bounds[*b]);
+            let src = NodeId(s % m);
             let mut targets: Vec<NodeId> = ts.iter().map(|t| NodeId(t % m)).collect();
-            match kind {
-                // Salted: a duplicate target and the source itself.
-                1 => {
-                    targets.extend(targets.first().copied());
-                    targets.push(src);
-                }
+            if kind % 2 == 1 {
+                // Salted: a duplicate target, the source itself and the
+                // node farthest from it in a straight line.
+                let from = net.node_pos(src);
+                let far = (0..m)
+                    .map(NodeId)
+                    .max_by(|a, b| {
+                        from.dist(net.node_pos(*a)).total_cmp(&from.dist(net.node_pos(*b)))
+                    })
+                    .unwrap();
+                targets.extend(targets.first().copied());
+                targets.extend([src, far]);
+            }
+            let bound = match b {
+                0 => 0.0,
+                1 => 250.0,
+                2 => 900.0,
+                3 => f64::INFINITY,
+                4 => *free,
+                // Exactly the first target's distance: it settles at the bound.
+                _ => targets
+                    .first()
+                    .and_then(|&t| node_dist(net, src, t, weight, f64::INFINITY))
+                    .unwrap_or(*free),
+            };
+            if kind == 2 {
                 // History of the other kind: a whole bounded sweep.
-                2 => pool.bounded_sssp_into(net, src, Weight::Length, bound, &mut reach),
-                _ => {}
+                pool.bounded_sssp_into(net, src, weight, bound, &mut reach);
             }
             let mut got = vec![Some(f64::NAN); targets.len()];
-            pool.node_dists_into(net, src, &targets, Weight::Length, bound, &mut got);
+            pool.node_dists_into(net, src, &targets, weight, bound, &mut got);
             for (&t, g) in targets.iter().zip(&got) {
-                let cold = node_dist(net, src, t, Weight::Length, bound);
+                let cold = node_dist(net, src, t, weight, bound);
                 prop_assert_eq!(
                     g.map(f64::to_bits), cold.map(f64::to_bits),
-                    "sweep {} {:?}->{:?} within {}: {:?} vs {:?}", i, src, t, bound, g, cold
+                    "sweep {} {:?}->{:?} within {} by {:?}: {:?} vs {:?}",
+                    i, src, t, bound, weight, g, cold
                 );
             }
             if let Some(&t) = targets.last() {
-                let one = pool.node_dist(net, src, t, Weight::Length, bound);
+                let one = pool.node_dist(net, src, t, weight, bound);
                 prop_assert_eq!(one, *got.last().unwrap(), "one-target case of sweep {}", i);
             }
         }
