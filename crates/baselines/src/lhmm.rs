@@ -21,7 +21,6 @@ use trmma_traj::types::GpsPoint;
 use trmma_traj::Sample;
 
 use crate::hmm::{HmmConfig, HmmMatcher, HmmScratch, HmmSession};
-use crate::TrainReport;
 
 /// Fitted HMM parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,7 +77,6 @@ pub fn fit_params(net: &RoadNetwork, samples: &[Sample], max_route_m: f64) -> Fi
 pub struct LhmmMatcher {
     inner: HmmMatcher,
     params: FittedParams,
-    report: TrainReport,
 }
 
 impl LhmmMatcher {
@@ -90,13 +88,9 @@ impl LhmmMatcher {
         base: HmmConfig,
         train: &[Sample],
     ) -> Self {
-        let started = std::time::Instant::now();
         let params = fit_params(&net, train, base.max_route_m);
         let cfg = HmmConfig { sigma_z_m: params.sigma_z_m, beta_m: params.beta_m, ..base };
-        let mut report = TrainReport::default();
-        report.epoch_times_s.push(started.elapsed().as_secs_f64());
-        report.epoch_losses.push(0.0);
-        Self { inner: HmmMatcher::new(net, planner, cfg), params, report }
+        Self { inner: HmmMatcher::new(net, planner, cfg), params }
     }
 
     /// Like [`LhmmMatcher::fit`], but decoding on a sharded network. The
@@ -111,25 +105,15 @@ impl LhmmMatcher {
         base: HmmConfig,
         train: &[Sample],
     ) -> Self {
-        let started = std::time::Instant::now();
         let params = fit_params(sharded.net(), train, base.max_route_m);
         let cfg = HmmConfig { sigma_z_m: params.sigma_z_m, beta_m: params.beta_m, ..base };
-        let mut report = TrainReport::default();
-        report.epoch_times_s.push(started.elapsed().as_secs_f64());
-        report.epoch_losses.push(0.0);
-        Self { inner: HmmMatcher::sharded(sharded, planner, cfg), params, report }
+        Self { inner: HmmMatcher::sharded(sharded, planner, cfg), params }
     }
 
     /// The fitted parameters.
     #[must_use]
     pub fn params(&self) -> FittedParams {
         self.params
-    }
-
-    /// The (single-pass) fitting report.
-    #[must_use]
-    pub fn report(&self) -> &TrainReport {
-        &self.report
     }
 
     /// The route-distance oracle (shared, read-only) of the fitted matcher.
@@ -251,13 +235,5 @@ mod tests {
         // The fitted parameters must stay in the same quality regime as the
         // hand-tuned ones (they are fitted to exactly this distribution).
         assert!(f_lhmm > 0.8 * f_hmm, "LHMM {f_lhmm:.3} collapsed vs HMM {f_hmm:.3}");
-    }
-
-    #[test]
-    fn fit_report_records_time() {
-        let (net, planner, train, _test, _cfg) = fixture();
-        let lhmm = LhmmMatcher::fit(net, planner, HmmConfig::default(), &train);
-        assert_eq!(lhmm.report().epoch_times_s.len(), 1);
-        assert!(lhmm.params().n_transition > 0);
     }
 }

@@ -80,50 +80,5 @@ pub use linear::LinearRecovery;
 pub use nearest::{NearestMatcher, NearestSession};
 pub use seq2seq::{Seq2SeqConfig, Seq2SeqFull};
 
-/// Summary of one training run (epoch wall-times feed Figs. 6 and 10).
-#[derive(Debug, Clone, Default)]
-pub struct TrainReport {
-    /// Mean training loss per epoch.
-    pub epoch_losses: Vec<f64>,
-    /// Wall-clock seconds per epoch.
-    pub epoch_times_s: Vec<f64>,
-}
-
-impl TrainReport {
-    /// Last epoch's mean loss.
-    #[must_use]
-    pub fn final_loss(&self) -> f64 {
-        self.epoch_losses.last().copied().unwrap_or(f64::NAN)
-    }
-
-    /// Mean seconds per epoch.
-    #[must_use]
-    pub fn mean_epoch_time_s(&self) -> f64 {
-        if self.epoch_times_s.is_empty() {
-            return 0.0;
-        }
-        self.epoch_times_s.iter().sum::<f64>() / self.epoch_times_s.len() as f64
-    }
-}
-
 #[cfg(test)]
-pub(crate) mod test_support {
-    use trmma_traj::api::TrajectoryRecovery;
-    use trmma_traj::types::Trajectory;
-
-    /// Every ε that [`trmma_traj::epsilon_ticks`] must refuse, handed to
-    /// `method.recover`: each has to panic naming `epsilon_s` and the value
-    /// instead of sizing an output from it.
-    pub fn assert_rejects_unusable_epsilon(method: &dyn TrajectoryRecovery, traj: &Trajectory) {
-        for (eps, shown) in
-            [(0.0, "got 0"), (-15.0, "got -15"), (f64::NAN, "got NaN"), (f64::INFINITY, "got inf")]
-        {
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                method.recover(traj, eps)
-            }))
-            .expect_err("an unusable ε must not be recovered with");
-            let msg = err.downcast_ref::<String>().expect("formatted panic message");
-            assert!(msg.contains("epsilon_s") && msg.contains(shown), "ε = {eps}: {msg}");
-        }
-    }
-}
+pub(crate) mod test_support;

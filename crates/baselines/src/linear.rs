@@ -222,6 +222,15 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_points_are_rejected_by_index() {
+        let (net, rec, cfg) = setup();
+        let mut rng = StdRng::seed_from_u64(6);
+        let raw = generate_trajectory(&net, &cfg, &mut rng).unwrap();
+        let s = sparsify(&raw, 0.25, &mut rng);
+        crate::test_support::assert_rejects_non_finite_points(&rec, &s.sparse, cfg.epsilon_s);
+    }
+
+    #[test]
     fn non_positive_intervals_have_no_missing_points() {
         let (net, rec, cfg) = setup();
         let mut rng = StdRng::seed_from_u64(7);

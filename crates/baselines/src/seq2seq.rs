@@ -10,19 +10,16 @@
 //! reproduce that efficiency *and* quality gap (Tables III, Figs. 5–6).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use trmma_geom::BBox;
-use trmma_nn::{Adam, Graph, GruCell, Linear, Matrix, Mlp, NodeId, Param};
+use trmma_nn::{Graph, GruCell, Linear, Matrix, Mlp, NodeId, Param, TrainReport};
 use trmma_roadnet::{RoadNetwork, SegmentId};
-use trmma_traj::api::{epsilon_ticks, CandidateFinder, TrajectoryRecovery};
+use trmma_traj::api::{assert_finite_point, epsilon_ticks, CandidateFinder, TrajectoryRecovery};
 use trmma_traj::types::{MatchedPoint, MatchedTrajectory, Trajectory};
 use trmma_traj::Sample;
-
-use crate::TrainReport;
 
 /// Hyper-parameters of [`Seq2SeqFull`].
 #[derive(Debug, Clone)]
@@ -153,50 +150,46 @@ impl Seq2SeqFull {
         self.decoder.step(g, x, h)
     }
 
-    /// Trains with teacher forcing, one Adam step per trajectory.
+    /// Trains with teacher forcing, one Adam step per trajectory, in an
+    /// order reshuffled every epoch from the config's seed.
     pub fn train(&mut self, samples: &[Sample], epochs: usize) -> TrainReport {
-        let mut opt = Adam::new(self.params.clone(), self.cfg.lr);
-        let mut report = TrainReport::default();
-        for _epoch in 0..epochs {
-            let started = Instant::now();
-            let mut loss_sum = 0.0;
-            let mut count = 0usize;
-            for s in samples {
-                if s.dense_truth.len() < 2 {
-                    continue;
-                }
-                let mut g = Graph::new();
-                let mut h = self.encode(&mut g, &s.sparse);
-                let mut hidden_rows = Vec::new();
-                let mut targets = Vec::new();
-                let mut ratio_targets = Vec::new();
-                // Teacher forcing along the dense ground truth.
-                for w in s.dense_truth.points.windows(2) {
-                    let (prev, cur) = (&w[0], &w[1]);
-                    h = self.decode_step(&mut g, h, prev.seg, prev.ratio);
-                    hidden_rows.push(h);
-                    targets.push(cur.seg.idx());
-                    ratio_targets.push(cur.ratio);
-                }
-                let hs = g.concat_rows(&hidden_rows);
-                let logits = self.seg_head.forward(&mut g, hs);
-                let seg_loss = g.softmax_cross_entropy(logits, &targets);
-                let ratio_pre = self.ratio_head.forward(&mut g, hs);
-                let ratio_pred = g.sigmoid(ratio_pre);
-                let ratio_loss =
-                    g.l1_loss(ratio_pred, Matrix::from_vec(ratio_targets.len(), 1, ratio_targets));
-                let scaled = g.scale(ratio_loss, self.cfg.lambda_ratio);
-                let loss = g.add(seg_loss, scaled);
-                opt.zero_grad();
-                g.backward(loss);
-                opt.step();
-                loss_sum += g.value(loss).get(0, 0);
-                count += 1;
-            }
-            report.epoch_losses.push(loss_sum / count.max(1) as f64);
-            report.epoch_times_s.push(started.elapsed().as_secs_f64());
+        let loss = |s: &Sample, backward: bool| self.sample_loss(s, backward);
+        let (lr, seed) = (self.cfg.lr, self.cfg.seed);
+        trmma_nn::train::fit(&self.params, loss, samples, None, epochs, lr, 1, seed)
+    }
+
+    /// Teacher-forced loss along one sample's dense ground truth,
+    /// back-propagated when `backward` is set; `None` for fewer than two
+    /// dense points.
+    fn sample_loss(&self, s: &Sample, backward: bool) -> Option<f64> {
+        if s.dense_truth.len() < 2 {
+            return None;
         }
-        report
+        let mut g = Graph::new();
+        let mut h = self.encode(&mut g, &s.sparse);
+        let mut hidden_rows = Vec::new();
+        let mut targets = Vec::new();
+        let mut ratio_targets = Vec::new();
+        for w in s.dense_truth.points.windows(2) {
+            let (prev, cur) = (&w[0], &w[1]);
+            h = self.decode_step(&mut g, h, prev.seg, prev.ratio);
+            hidden_rows.push(h);
+            targets.push(cur.seg.idx());
+            ratio_targets.push(cur.ratio);
+        }
+        let hs = g.concat_rows(&hidden_rows);
+        let logits = self.seg_head.forward(&mut g, hs);
+        let seg_loss = g.softmax_cross_entropy(logits, &targets);
+        let ratio_pre = self.ratio_head.forward(&mut g, hs);
+        let ratio_pred = g.sigmoid(ratio_pre);
+        let ratio_loss =
+            g.l1_loss(ratio_pred, Matrix::from_vec(ratio_targets.len(), 1, ratio_targets));
+        let scaled = g.scale(ratio_loss, self.cfg.lambda_ratio);
+        let loss = g.add(seg_loss, scaled);
+        if backward {
+            g.backward(loss);
+        }
+        Some(g.value(loss).get(0, 0))
     }
 }
 
@@ -205,7 +198,13 @@ impl TrajectoryRecovery for Seq2SeqFull {
         "Seq2SeqFull"
     }
 
+    /// # Panics
+    /// Panics naming the point unless every point's x, y and t are finite
+    /// (the check a matcher's input boundary applies).
     fn recover(&self, traj: &Trajectory, epsilon_s: f64) -> MatchedTrajectory {
+        for (i, p) in traj.points.iter().enumerate() {
+            assert_finite_point(i, p);
+        }
         if traj.is_empty() {
             return MatchedTrajectory::default();
         }
@@ -281,6 +280,15 @@ mod tests {
         let model = Seq2SeqFull::new(Arc::new(ds.net.clone()), cfg);
         let s = &ds.samples(Split::Test, 0.2, 3)[0];
         crate::test_support::assert_rejects_unusable_epsilon(&model, &s.sparse);
+    }
+
+    #[test]
+    fn non_finite_points_are_rejected_by_index() {
+        let ds = build_dataset(&DatasetConfig::tiny());
+        let cfg = Seq2SeqConfig { d_model: 16, d_emb: 8, ..Seq2SeqConfig::default() };
+        let model = Seq2SeqFull::new(Arc::new(ds.net.clone()), cfg);
+        let s = &ds.samples(Split::Test, 0.2, 3)[0];
+        crate::test_support::assert_rejects_non_finite_points(&model, &s.sparse, ds.epsilon_s);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use trmma_baselines::{Seq2SeqConfig, Seq2SeqFull, TrainReport};
+use trmma_baselines::{Seq2SeqConfig, Seq2SeqFull};
 use trmma_core::{Mma, MmaConfig, Trmma, TrmmaConfig};
+use trmma_nn::TrainReport;
 use trmma_node2vec::{train_embeddings, Node2VecConfig};
 use trmma_roadnet::{RoadNetwork, RoutePlanner};
 use trmma_traj::dataset::{build_dataset, Dataset, DatasetConfig, Split};

@@ -74,6 +74,10 @@ pub mod snapshot;
 pub mod stream;
 pub mod trmma;
 
+#[cfg(test)]
+#[path = "../../baselines/src/test_support.rs"]
+mod test_support;
+
 pub use artifact::{Artifact, ArtifactBuilder, ArtifactError, SectionKind, ShardsMeta};
 pub use batch::{par_match_pooled, BatchOptions, BatchRecovery, BatchTiming};
 pub use mma::{Mma, MmaConfig, MmaScratch, MmaSession};

@@ -1,19 +1,16 @@
 //! MMA: map matching as classification over a small candidate set (§IV).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use trmma_baselines::TrainReport;
 use trmma_geom::{cosine_similarity, BBox, Vec2};
 use trmma_nn::kernels::{
     argmax, matvec_skip_zero, relu_in_place, softmax_in_place, vecmat_skip_zero,
 };
 use trmma_nn::EncoderScratch;
-use trmma_nn::{Adam, Graph, Linear, Matrix, Mlp, NodeId, Param, TransformerEncoder};
+use trmma_nn::{Graph, Linear, Matrix, Mlp, NodeId, Param, TrainReport, TransformerEncoder};
 use trmma_roadnet::{RoadNetwork, RoutePlanner};
 use trmma_traj::api::{
     stitch_route, Candidate, CandidateFinder, CandidateScratch, MapMatcher, MatchResult,
@@ -396,67 +393,31 @@ impl Mma {
         Some(g.value(loss).get(0, 0))
     }
 
-    fn run_epoch(&self, samples: &[Sample], order: &[usize], opt: &mut Adam) -> f64 {
-        let batch = self.cfg.batch_size.max(1);
-        let mut loss_sum = 0.0;
-        let mut count = 0usize;
-        let mut in_batch = 0usize;
-        opt.zero_grad();
-        for &si in order {
-            if let Some(loss) = self.sample_loss(&samples[si], true) {
-                loss_sum += loss;
-                count += 1;
-                in_batch += 1;
-                if in_batch == batch {
-                    opt.step();
-                    opt.zero_grad();
-                    in_batch = 0;
-                }
-            }
-        }
-        if in_batch > 0 {
-            opt.step();
-            opt.zero_grad();
-        }
-        loss_sum / count.max(1) as f64
-    }
-
-    /// Mean BCE loss on held-out samples (no parameter updates).
+    /// Mean BCE loss on held-out samples, forward only (gradients gathered
+    /// so far are left alone); NaN when no sample is usable.
     #[must_use]
     pub fn validation_loss(&self, samples: &[Sample]) -> f64 {
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for s in samples {
-            if let Some(l) = self.sample_loss(s, false) {
-                total += l;
-                count += 1;
-            }
-        }
-        total / count.max(1) as f64
+        trmma_nn::train::validation_loss(samples, |s, backward| self.sample_loss(s, backward))
+            .unwrap_or(f64::NAN)
     }
 
     /// Trains with the BCE objective of Eq. 10, one Adam step per
     /// `batch_size` trajectories; labels come from each sample's
-    /// ground-truth matched points.
+    /// ground-truth matched points. Every call reshuffles from the
+    /// config's seed with a fresh optimiser, so `train(s, k)` is exactly
+    /// the first `k` epochs of any longer run.
     pub fn train(&mut self, samples: &[Sample], epochs: usize) -> TrainReport {
-        let mut opt = Adam::new(self.params.clone(), self.cfg.lr);
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x51_7E);
-        let mut order: Vec<usize> = (0..samples.len()).collect();
-        let mut report = TrainReport::default();
-        for _epoch in 0..epochs {
-            let started = Instant::now();
-            order.shuffle(&mut rng);
-            let mean = self.run_epoch(samples, &order, &mut opt);
-            report.epoch_losses.push(mean);
-            report.epoch_times_s.push(started.elapsed().as_secs_f64());
-        }
-        report
+        self.fit(samples, None, epochs)
     }
 
-    /// Trains with validation-based early stopping: keeps the weights of
-    /// the best validation epoch, stopping after `patience` epochs without
-    /// improvement ("all methods are trained to converge" with a 30 %
-    /// validation split, §VI-A).
+    /// Trains with validation-based early stopping, stopping after
+    /// `patience` epochs without a new best and restoring the best epoch's
+    /// weights — those of `train(train, k*)`, `k*` the best epoch ("all
+    /// methods are trained to converge" with a 30 % validation split,
+    /// §VI-A).
+    ///
+    /// # Panics
+    /// Panics naming `val.len()` when no validation sample is usable.
     pub fn train_early_stop(
         &mut self,
         train: &[Sample],
@@ -464,33 +425,18 @@ impl Mma {
         max_epochs: usize,
         patience: usize,
     ) -> TrainReport {
-        let mut opt = Adam::new(self.params.clone(), self.cfg.lr);
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x51_7E);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut report = TrainReport::default();
-        let mut best = f64::INFINITY;
-        let mut best_weights = trmma_nn::snapshot(&self.params);
-        let mut bad = 0usize;
-        for _epoch in 0..max_epochs {
-            let started = Instant::now();
-            order.shuffle(&mut rng);
-            let mean = self.run_epoch(train, &order, &mut opt);
-            report.epoch_losses.push(mean);
-            report.epoch_times_s.push(started.elapsed().as_secs_f64());
-            let vl = self.validation_loss(val);
-            if vl < best {
-                best = vl;
-                best_weights = trmma_nn::snapshot(&self.params);
-                bad = 0;
-            } else {
-                bad += 1;
-                if bad > patience {
-                    break;
-                }
-            }
-        }
-        trmma_nn::restore(&self.params, &best_weights);
-        report
+        self.fit(train, Some((val, patience)), max_epochs)
+    }
+
+    fn fit(
+        &self,
+        train: &[Sample],
+        early_stop: Option<(&[Sample], usize)>,
+        epochs: usize,
+    ) -> TrainReport {
+        let (lr, batch, seed) = (self.cfg.lr, self.cfg.batch_size, self.cfg.seed ^ 0x51_7E);
+        let loss = |s: &Sample, backward| self.sample_loss(s, backward);
+        trmma_nn::train::fit(&self.params, loss, train, early_stop, epochs, lr, batch, seed)
     }
 
     /// Serialises the trained weights (see [`trmma_nn::serialize`]).

@@ -130,4 +130,17 @@ mod tests {
         let rec = pipeline.recover(&s.sparse, ds.epsilon_s);
         assert!(!rec.is_empty());
     }
+
+    #[test]
+    fn unusable_epsilon_and_non_finite_points_are_rejected() {
+        let ds = build_dataset(&DatasetConfig::tiny());
+        let net = Arc::new(ds.net.clone());
+        let planner = Arc::new(RoutePlanner::untrained(&net));
+        let mma = Mma::new(net.clone(), planner, None, MmaConfig::small());
+        let model = Trmma::new(net, TrmmaConfig::small());
+        let pipeline = TrmmaPipeline::new(Box::new(mma), model, "TRMMA");
+        let s = &ds.samples(Split::Test, 0.2, 3)[0];
+        crate::test_support::assert_rejects_unusable_epsilon(&pipeline, &s.sparse);
+        crate::test_support::assert_rejects_non_finite_points(&pipeline, &s.sparse, ds.epsilon_s);
+    }
 }

@@ -1,19 +1,18 @@
 //! TRMMA: sparse trajectory recovery restricted to the matched route (§V).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use trmma_baselines::TrainReport;
 use trmma_geom::BBox;
 use trmma_nn::kernels::{
     add_rows_in_order, matvec_skip_zero, relu_in_place, softmax_in_place, vecmat_skip_zero,
 };
 use trmma_nn::EncoderScratch;
-use trmma_nn::{Adam, Graph, GruCell, Linear, Matrix, Mlp, NodeId, Param, TransformerEncoder};
+use trmma_nn::{
+    Graph, GruCell, Linear, Matrix, Mlp, NodeId, Param, TrainReport, TransformerEncoder,
+};
 use trmma_roadnet::{RoadNetwork, SegmentId};
 use trmma_traj::types::{MatchedPoint, MatchedTrajectory, Route, Trajectory};
 use trmma_traj::{epsilon_ticks, Sample};
@@ -383,71 +382,31 @@ impl Trmma {
         g.sigmoid(pre)
     }
 
-    fn run_epoch(&self, samples: &[Sample], order: &[usize], opt: &mut Adam) -> f64 {
-        let batch = self.cfg.batch_size.max(1);
-        let mut loss_sum = 0.0;
-        let mut count = 0usize;
-        let mut in_batch = 0usize;
-        opt.zero_grad();
-        for &si in order {
-            if let Some(loss) = self.train_step(&samples[si]) {
-                loss_sum += loss;
-                count += 1;
-                in_batch += 1;
-                if in_batch == batch {
-                    opt.step();
-                    opt.zero_grad();
-                    in_batch = 0;
-                }
-            }
-        }
-        if in_batch > 0 {
-            opt.step();
-            opt.zero_grad();
-        }
-        loss_sum / count.max(1) as f64
-    }
-
-    /// Mean multitask loss on held-out samples (no parameter updates; the
-    /// gradients accumulated by the shared forward/backward path are
-    /// discarded).
+    /// Mean multitask loss on held-out samples, forward only (gradients
+    /// gathered so far are left alone); NaN when no sample is usable.
     #[must_use]
     pub fn validation_loss(&self, samples: &[Sample]) -> f64 {
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for s in samples {
-            if let Some(l) = self.train_step(s) {
-                total += l;
-                count += 1;
-            }
-        }
-        for p in &self.params {
-            p.zero_grad();
-        }
-        total / count.max(1) as f64
+        trmma_nn::train::validation_loss(samples, |s, backward| self.sample_loss(s, backward))
+            .unwrap_or(f64::NAN)
     }
 
-    /// Trains on samples' ground-truth routes and dense trajectories with
-    /// the multitask loss of Eq. 19–21; one Adam step per `batch_size`
-    /// trajectories.
+    /// Trains with the multitask loss of Eq. 19–21 on samples'
+    /// ground-truth routes and dense trajectories, one Adam step per
+    /// `batch_size` trajectories. Every call reshuffles from the config's
+    /// seed with a fresh optimiser, so `train(s, k)` is exactly the first
+    /// `k` epochs of any longer run.
     pub fn train(&mut self, samples: &[Sample], epochs: usize) -> TrainReport {
-        let mut opt = Adam::new(self.params.clone(), self.cfg.lr);
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x7_12A);
-        let mut order: Vec<usize> = (0..samples.len()).collect();
-        let mut report = TrainReport::default();
-        for _epoch in 0..epochs {
-            let started = Instant::now();
-            order.shuffle(&mut rng);
-            let mean = self.run_epoch(samples, &order, &mut opt);
-            report.epoch_losses.push(mean);
-            report.epoch_times_s.push(started.elapsed().as_secs_f64());
-        }
-        report
+        self.fit(samples, None, epochs)
     }
 
-    /// Trains with validation-based early stopping, restoring the weights
-    /// of the best validation epoch (§VI-A's "trained to converge" with
-    /// the 30 % validation split).
+    /// Trains with validation-based early stopping, stopping after
+    /// `patience` epochs without a new best and restoring the best epoch's
+    /// weights — those of `train(train, k*)`, `k*` the best epoch ("all
+    /// methods are trained to converge" with a 30 % validation split,
+    /// §VI-A).
+    ///
+    /// # Panics
+    /// Panics naming `val.len()` when no validation sample is usable.
     pub fn train_early_stop(
         &mut self,
         train: &[Sample],
@@ -455,33 +414,18 @@ impl Trmma {
         max_epochs: usize,
         patience: usize,
     ) -> TrainReport {
-        let mut opt = Adam::new(self.params.clone(), self.cfg.lr);
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x7_12A);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut report = TrainReport::default();
-        let mut best = f64::INFINITY;
-        let mut best_weights = trmma_nn::snapshot(&self.params);
-        let mut bad = 0usize;
-        for _epoch in 0..max_epochs {
-            let started = Instant::now();
-            order.shuffle(&mut rng);
-            let mean = self.run_epoch(train, &order, &mut opt);
-            report.epoch_losses.push(mean);
-            report.epoch_times_s.push(started.elapsed().as_secs_f64());
-            let vl = self.validation_loss(val);
-            if vl < best {
-                best = vl;
-                best_weights = trmma_nn::snapshot(&self.params);
-                bad = 0;
-            } else {
-                bad += 1;
-                if bad > patience {
-                    break;
-                }
-            }
-        }
-        trmma_nn::restore(&self.params, &best_weights);
-        report
+        self.fit(train, Some((val, patience)), max_epochs)
+    }
+
+    fn fit(
+        &self,
+        train: &[Sample],
+        early_stop: Option<(&[Sample], usize)>,
+        epochs: usize,
+    ) -> TrainReport {
+        let (lr, batch, seed) = (self.cfg.lr, self.cfg.batch_size, self.cfg.seed ^ 0x7_12A);
+        let loss = |s: &Sample, backward| self.sample_loss(s, backward);
+        trmma_nn::train::fit(&self.params, loss, train, early_stop, epochs, lr, batch, seed)
     }
 
     /// Serialises the trained weights (see [`trmma_nn::serialize`]).
@@ -499,10 +443,10 @@ impl Trmma {
         trmma_nn::load_params(&self.params, blob)
     }
 
-    /// One teacher-forced forward/backward (gradients accumulate into the
-    /// params; the caller steps the optimiser). `None` when the sample is
-    /// unusable.
-    fn train_step(&self, sample: &Sample) -> Option<f64> {
+    /// One teacher-forced forward pass and its loss; gradients accumulate
+    /// into the params when `backward` is set (the caller steps the
+    /// optimiser). `None` when the sample is unusable.
+    fn sample_loss(&self, sample: &Sample, backward: bool) -> Option<f64> {
         let route = &sample.route.segs;
         if route.is_empty() || sample.dense_truth.len() < 3 || sample.sparse.len() < 2 {
             return None;
@@ -564,7 +508,9 @@ impl Trmma {
             g.l1_loss(all_ratio, Matrix::from_vec(ratio_targets.len(), 1, ratio_targets));
         let scaled = g.scale(ratio_loss, self.cfg.lambda);
         let loss = g.add(seg_loss, scaled);
-        g.backward(loss);
+        if backward {
+            g.backward(loss);
+        }
         Some(g.value(loss).get(0, 0))
     }
 
@@ -1063,14 +1009,49 @@ mod tests {
         let (net, ds) = setup();
         let train: Vec<_> = ds.samples(Split::Train, 0.2, 3).into_iter().take(8).collect();
         let val: Vec<_> = ds.samples(Split::Val, 0.2, 4).into_iter().take(4).collect();
-        let mut model = Trmma::new(net, TrmmaConfig::small());
+        let mut model = Trmma::new(net.clone(), TrmmaConfig::small());
         let report = model.train_early_stop(&train, &val, 6, 2);
         assert!(!report.epoch_losses.is_empty());
         assert!(report.epoch_losses.len() <= 6);
-        // The restored weights score no worse on validation than a final
-        // -epoch model would (they are by construction the best epoch).
-        let restored = model.validation_loss(&val);
-        assert!(restored.is_finite());
+        assert_eq!(report.val_losses.len(), report.epoch_losses.len());
+        // Every `train` call reshuffles from the seed with a fresh Adam, so
+        // the restored weights are exactly a plain run of the best epoch's
+        // length, and score that epoch's validation loss.
+        let vl = &report.val_losses;
+        let best = (0..vl.len()).fold(0, |b, i| if vl[i] < vl[b] { i } else { b });
+        let mut plain = Trmma::new(net, TrmmaConfig::small());
+        plain.train(&train, best + 1);
+        assert!(model.save_weights() == plain.save_weights(), "restored ≠ train(…, {})", best + 1);
+        assert_eq!(model.validation_loss(&val).to_bits(), vl[best].to_bits());
+    }
+
+    #[test]
+    fn validation_leaves_accumulated_gradients_alone() {
+        let (net, ds) = setup();
+        let samples = ds.samples(Split::Train, 0.2, 3);
+        let model = Trmma::new(net, TrmmaConfig::small());
+        // A gradient part-way through a batch: one sample back-propagated.
+        let usable = samples.iter().find(|s| model.sample_loss(s, true).is_some());
+        assert!(usable.is_some(), "the fixture has a trainable sample");
+        let before: Vec<Matrix> = model.params.iter().map(Param::grad).collect();
+        assert!(before.iter().any(|g| g.frobenius() > 0.0));
+        assert!(model.validation_loss(&samples[..4]).is_finite());
+        let after: Vec<Matrix> = model.params.iter().map(Param::grad).collect();
+        assert!(before == after, "validation changed the accumulated gradients");
+    }
+
+    #[test]
+    fn early_stopping_refuses_an_unusable_validation_set() {
+        let (net, ds) = setup();
+        let train: Vec<_> = ds.samples(Split::Train, 0.2, 3).into_iter().take(4).collect();
+        let mut model = Trmma::new(net, TrmmaConfig::small());
+        assert!(model.validation_loss(&[]).is_nan());
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            model.train_early_stop(&train, &[], 10, 2)
+        }))
+        .expect_err("an empty validation set must be refused");
+        let msg = err.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("val.len() = 0") && msg.contains("usable"), "{msg}");
     }
 
     impl Trmma {

@@ -15,8 +15,11 @@
 //!   differences (see the `grad_check` tests).
 //! * [`Param`] — persistent learnable state shared across graphs (and
 //!   across inference threads) via `Arc<RwLock<…>>`; gradients accumulate
-//!   into the param when the graph is back-propagated, and [`Adam`]
-//!   consumes them.
+//!   into the param when the graph is back-propagated.
+//! * [`train`] — the one training loop: [`train::fit`] shuffles,
+//!   accumulates gradients over a batch, steps a (crate-private) Adam and
+//!   optionally early-stops on a validation set; a model only supplies its
+//!   params and one sample's loss.
 //! * [`layers`] — the modules the paper uses: [`Linear`], [`Mlp`],
 //!   [`LayerNorm`], [`MultiHeadAttention`], [`TransformerEncoder`] (Eq. 4–6)
 //!   and [`GruCell`] (the decoder of TRMMA), plus sinusoidal positional
@@ -51,9 +54,10 @@ pub mod graph;
 pub mod kernels;
 pub mod layers;
 pub mod matrix;
-pub mod optim;
+mod optim;
 pub mod param;
 pub mod serialize;
+pub mod train;
 
 pub use graph::{Graph, NodeId};
 pub use layers::{
@@ -61,9 +65,9 @@ pub use layers::{
     TransformerEncoder,
 };
 pub use matrix::Matrix;
-pub use optim::{Adam, LrSchedule, Sgd};
 pub use param::{Init, Param};
-pub use serialize::{load_params, restore, save_params, snapshot, LoadError};
+pub use serialize::{load_params, save_params, LoadError};
+pub use train::TrainReport;
 
 #[cfg(test)]
 mod grad_check;

@@ -1,50 +1,38 @@
-//! First-order optimisers over [`Param`] collections.
+//! The optimiser [`crate::train::fit`] steps.
 
 use crate::param::Param;
 
+/// Global gradient-norm bound applied before every step.
+const CLIP_NORM: f64 = 5.0;
+
 /// Adam (Kingma & Ba) with bias correction — the de-facto optimiser for the
-/// paper's transformer models (learning rate 1e-3 in §VI-A).
+/// paper's transformer models (learning rate 1e-3 in §VI-A) — clipping the
+/// global gradient norm to [`CLIP_NORM`].
 #[derive(Debug)]
-pub struct Adam {
+pub(crate) struct Adam {
     params: Vec<Param>,
     lr: f64,
     beta1: f64,
     beta2: f64,
     eps: f64,
     t: u64,
-    /// Optional global-norm gradient clip.
-    clip_norm: Option<f64>,
 }
 
 impl Adam {
     /// Creates an Adam optimiser over `params`.
-    #[must_use]
-    pub fn new(params: Vec<Param>, lr: f64) -> Self {
-        Self { params, lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, clip_norm: Some(5.0) }
-    }
-
-    /// Overrides the gradient-clipping threshold (`None` disables).
-    #[must_use]
-    pub fn with_clip(mut self, clip: Option<f64>) -> Self {
-        self.clip_norm = clip;
-        self
-    }
-
-    /// Number of managed parameters tensors.
-    #[must_use]
-    pub fn num_params(&self) -> usize {
-        self.params.len()
+    pub(crate) fn new(params: Vec<Param>, lr: f64) -> Self {
+        Self { params, lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0 }
     }
 
     /// Clears accumulated gradients on every managed parameter.
-    pub fn zero_grad(&self) {
+    pub(crate) fn zero_grad(&self) {
         for p in &self.params {
             p.zero_grad();
         }
     }
 
     /// Applies one update step from the accumulated gradients.
-    pub fn step(&mut self) {
+    pub(crate) fn step(&mut self) {
         self.t += 1;
         let scale = self.clip_scale();
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
@@ -66,7 +54,6 @@ impl Adam {
     }
 
     fn clip_scale(&self) -> f64 {
-        let Some(limit) = self.clip_norm else { return 1.0 };
         let total_sq: f64 = self
             .params
             .iter()
@@ -76,88 +63,10 @@ impl Adam {
             })
             .sum();
         let norm = total_sq.sqrt();
-        if norm > limit {
-            limit / norm
+        if norm > CLIP_NORM {
+            CLIP_NORM / norm
         } else {
             1.0
-        }
-    }
-}
-
-impl Adam {
-    /// Overrides the learning rate (used by [`LrSchedule`]).
-    pub fn set_lr(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-
-    /// The current learning rate.
-    #[must_use]
-    pub fn lr(&self) -> f64 {
-        self.lr
-    }
-}
-
-/// Linear-warmup + exponential-decay learning-rate schedule.
-///
-/// `lr(step) = base · min(step / warmup, 1) · decay^(epoch)` — the standard
-/// recipe for small-transformer training; drive it manually with
-/// [`LrSchedule::lr_at`] and [`Adam::set_lr`].
-#[derive(Debug, Clone)]
-pub struct LrSchedule {
-    base: f64,
-    warmup_steps: usize,
-    decay_per_epoch: f64,
-}
-
-impl LrSchedule {
-    /// Creates a schedule.
-    #[must_use]
-    pub fn new(base: f64, warmup_steps: usize, decay_per_epoch: f64) -> Self {
-        Self { base, warmup_steps, decay_per_epoch }
-    }
-
-    /// The learning rate at a given optimiser step / epoch.
-    #[must_use]
-    pub fn lr_at(&self, step: usize, epoch: usize) -> f64 {
-        let warm = if self.warmup_steps == 0 {
-            1.0
-        } else {
-            ((step + 1) as f64 / self.warmup_steps as f64).min(1.0)
-        };
-        self.base * warm * self.decay_per_epoch.powi(epoch as i32)
-    }
-}
-
-/// Plain stochastic gradient descent (used by Node2Vec and as a baseline in
-/// optimiser tests).
-#[derive(Debug)]
-pub struct Sgd {
-    params: Vec<Param>,
-    lr: f64,
-}
-
-impl Sgd {
-    /// Creates an SGD optimiser over `params`.
-    #[must_use]
-    pub fn new(params: Vec<Param>, lr: f64) -> Self {
-        Self { params, lr }
-    }
-
-    /// Clears accumulated gradients.
-    pub fn zero_grad(&self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-
-    /// Applies one descent step.
-    pub fn step(&self) {
-        for p in &self.params {
-            let mut inner = p.write();
-            let inner = &mut *inner;
-            for i in 0..inner.value.len() {
-                inner.value.data_mut()[i] -= self.lr * inner.grad.data()[i];
-            }
         }
     }
 }
@@ -168,7 +77,7 @@ mod tests {
     use crate::graph::Graph;
     use crate::matrix::Matrix;
 
-    /// Minimise (w - 3)² with each optimiser; both must converge.
+    /// Minimise (w - 3)².
     fn quadratic_loss(p: &Param) -> f64 {
         let mut g = Graph::new();
         let w = g.param(p);
@@ -192,54 +101,26 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let p = Param::from_matrix(Matrix::row_vec(vec![0.0]));
-        let opt = Sgd::new(vec![p.clone()], 0.1);
-        for _ in 0..200 {
-            opt.zero_grad();
-            quadratic_loss(&p);
-            opt.step();
-        }
-        assert!((p.value().get(0, 0) - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
     fn clipping_bounds_update_magnitude() {
-        let p = Param::from_matrix(Matrix::row_vec(vec![0.0]));
-        // Huge artificial gradient.
-        p.accumulate_grad(&Matrix::row_vec(vec![1e9]));
-        let mut opt = Adam::new(vec![p.clone()], 0.1).with_clip(Some(1.0));
+        // Gradient norm 5e9, far beyond the bound: it is scaled to norm 5.
+        let p = Param::from_matrix(Matrix::row_vec(vec![0.0, 0.0]));
+        p.accumulate_grad(&Matrix::row_vec(vec![3e9, 4e9]));
+        let mut opt = Adam::new(vec![p.clone()], 0.1);
+        assert_eq!(opt.clip_scale(), CLIP_NORM / 5e9);
         opt.step();
-        // One Adam step with lr 0.1 moves at most ~lr.
-        assert!(p.value().get(0, 0).abs() <= 0.11);
-    }
-
-    #[test]
-    fn lr_schedule_warms_up_and_decays() {
-        let sched = LrSchedule::new(1e-3, 10, 0.5);
-        assert!((sched.lr_at(0, 0) - 1e-4).abs() < 1e-12);
-        assert!((sched.lr_at(9, 0) - 1e-3).abs() < 1e-12);
-        assert!((sched.lr_at(100, 0) - 1e-3).abs() < 1e-12);
-        assert!((sched.lr_at(100, 2) - 0.25e-3).abs() < 1e-12);
-        // Zero warmup is the identity.
-        let flat = LrSchedule::new(2e-3, 0, 1.0);
-        assert_eq!(flat.lr_at(0, 5), 2e-3);
-    }
-
-    #[test]
-    fn adam_lr_override() {
-        let p = Param::from_matrix(Matrix::row_vec(vec![0.0]));
-        let mut opt = Adam::new(vec![p], 1e-3);
-        assert_eq!(opt.lr(), 1e-3);
-        opt.set_lr(5e-4);
-        assert_eq!(opt.lr(), 5e-4);
+        // One Adam step with lr 0.1 moves each weight by at most ~lr.
+        assert!(p.value().data().iter().all(|w| w.abs() <= 0.11));
+        // Inside the bound the gradient passes unscaled.
+        p.zero_grad();
+        p.accumulate_grad(&Matrix::row_vec(vec![3.0, 4.0]));
+        assert_eq!(opt.clip_scale(), 1.0);
     }
 
     #[test]
     fn zero_grad_clears_all() {
         let p = Param::from_matrix(Matrix::row_vec(vec![0.0, 0.0]));
         p.accumulate_grad(&Matrix::row_vec(vec![1.0, 2.0]));
-        let opt = Sgd::new(vec![p.clone()], 0.1);
+        let opt = Adam::new(vec![p.clone()], 0.1);
         opt.zero_grad();
         assert_eq!(p.grad().data(), &[0.0, 0.0]);
     }

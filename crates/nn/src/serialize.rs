@@ -2,8 +2,8 @@
 //!
 //! Two layers:
 //!
-//! * [`snapshot`] / [`restore`] — in-memory copies of parameter values,
-//!   used by validation-based early stopping (keep the best epoch);
+//! * `snapshot` / `restore` — in-memory copies of parameter values,
+//!   used by [`crate::train::fit`]'s early stopping (keep the best epoch);
 //! * [`save_params`] / [`load_params`] — a versioned little-endian binary
 //!   format so trained MMA/TRMMA models can be written to disk and reloaded
 //!   without retraining.
@@ -87,16 +87,16 @@ impl std::error::Error for LoadError {}
 
 /// In-memory copies of the parameter values (cheap early-stopping state).
 #[must_use]
-pub fn snapshot(params: &[Param]) -> Vec<Matrix> {
+pub(crate) fn snapshot(params: &[Param]) -> Vec<Matrix> {
     params.iter().map(Param::value).collect()
 }
 
-/// Restores values captured by [`snapshot`].
+/// Restores values captured by `snapshot`.
 ///
 /// # Panics
 /// Panics on count or shape mismatch — snapshots are only valid for the
 /// parameter collection they were taken from.
-pub fn restore(params: &[Param], saved: &[Matrix]) {
+pub(crate) fn restore(params: &[Param], saved: &[Matrix]) {
     assert_eq!(params.len(), saved.len(), "snapshot/param count mismatch");
     for (p, m) in params.iter().zip(saved) {
         p.set_value(m.clone());

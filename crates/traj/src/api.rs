@@ -122,14 +122,15 @@ pub fn is_finite_point(p: &GpsPoint) -> bool {
     p.pos.x.is_finite() && p.pos.y.is_finite() && p.t.is_finite()
 }
 
-/// The matchers' one input check: the provided
+/// The one input check on GPS points: the provided
 /// [`OnlineMatcher::push_point`] and [`OnlineMatcher::replay`] run every
-/// point through it before a decoder sees it.
+/// point through it before a decoder sees it, and so does every
+/// [`TrajectoryRecovery`] that reads points without a matcher.
 ///
 /// # Panics
 /// Panics naming `index` and the point's value unless
 /// [`is_finite_point`] holds.
-pub(crate) fn assert_finite_point(index: usize, p: &GpsPoint) {
+pub fn assert_finite_point(index: usize, p: &GpsPoint) {
     assert!(
         is_finite_point(p),
         "GPS point {index} must have finite x, y and t, got x = {}, y = {}, t = {}",

@@ -1,5 +1,7 @@
 //! Quickstart: generate a synthetic city + trajectories, train MMA and
-//! TRMMA briefly, then map-match and recover one sparse trajectory.
+//! TRMMA briefly with early stopping, then map-match and recover one
+//! sparse trajectory. Exits non-zero unless training lowers each model's
+//! validation loss.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -8,6 +10,7 @@
 use std::sync::Arc;
 
 use trmma::core::{Mma, MmaConfig, Trmma, TrmmaConfig, TrmmaPipeline};
+use trmma::nn::TrainReport;
 use trmma::roadnet::RoutePlanner;
 use trmma::traj::dataset::{build_dataset, DatasetConfig, Split};
 use trmma::traj::{recovery_metrics, MapMatcher, TrajectoryRecovery};
@@ -27,6 +30,7 @@ fn main() {
 
     // 2. Sparse samples at γ = 0.2 (inputs have 5× longer intervals).
     let train = ds.samples(Split::Train, 0.2, 1);
+    let val = ds.samples(Split::Val, 0.2, 3);
     let test = ds.samples(Split::Test, 0.2, 2);
 
     // 3. The shared route planner, fitted on historical training routes.
@@ -36,13 +40,21 @@ fn main() {
     }
     let planner = Arc::new(planner);
 
-    // 4. Train MMA (map matching) and TRMMA (recovery) briefly.
+    // 4. Train MMA (map matching) and TRMMA (recovery) with early stopping
+    //    on the validation split: up to 8 epochs, patience 2, best epoch's
+    //    weights restored.
     let mut mma = Mma::new(net.clone(), planner, None, MmaConfig::small());
-    let report = mma.train(&train, 8);
-    println!("MMA trained: final BCE loss {:.4}", report.final_loss());
+    let untrained = mma.validation_loss(&val);
+    let report = mma.train_early_stop(&train, &val, 8, 2);
+    let mma_ok = report_early_stop("MMA", untrained, mma.validation_loss(&val), &report);
     let mut model = Trmma::new(net.clone(), TrmmaConfig::small());
-    let report = model.train(&train, 8);
-    println!("TRMMA trained: final loss {:.4}", report.final_loss());
+    let untrained = model.validation_loss(&val);
+    let report = model.train_early_stop(&train, &val, 8, 2);
+    let trmma_ok = report_early_stop("TRMMA", untrained, model.validation_loss(&val), &report);
+    if !(mma_ok && trmma_ok) {
+        eprintln!("training did not lower the validation loss");
+        std::process::exit(1);
+    }
 
     // 5. Match + recover one test trajectory to show the shapes involved.
     let sample = &test[0];
@@ -81,4 +93,15 @@ fn main() {
         sums.3 / n
     );
     println!("(toy-sized data and training — the bench harness in crates/bench runs the paper-shaped experiments)");
+}
+
+/// Prints one model's early-stopped run; whether its restored validation
+/// loss beats the untrained one.
+fn report_early_stop(name: &str, untrained: f64, restored: f64, report: &TrainReport) -> bool {
+    println!(
+        "{name} trained: {} epochs run, final train loss {:.4}, validation loss {untrained:.4} untrained -> {restored:.4} restored",
+        report.epoch_losses.len(),
+        report.final_loss()
+    );
+    restored < untrained
 }

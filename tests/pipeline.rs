@@ -146,13 +146,21 @@ fn early_stopping_never_worse_than_final_epoch_on_val() {
     let mut a = Mma::new(net.clone(), planner.clone(), None, MmaConfig::small());
     a.train(subset, 5);
     let plain_val = a.validation_loss(val);
-    let mut b = Mma::new(net, planner, None, MmaConfig::small());
-    b.train_early_stop(subset, val, 5, 1);
+    let mut b = Mma::new(net.clone(), planner.clone(), None, MmaConfig::small());
+    let report = b.train_early_stop(subset, val, 5, 1);
     let early_val = b.validation_loss(val);
     assert!(
         early_val <= plain_val + 1e-9,
         "early stopping kept a worse epoch: {early_val} vs {plain_val}"
     );
+    // The restored weights are byte for byte a plain run of the best
+    // epoch's length (every `train` call reshuffles from the seed with a
+    // fresh optimiser).
+    let vl = &report.val_losses;
+    let best = (0..vl.len()).fold(0, |b, i| if vl[i] < vl[b] { i } else { b });
+    let mut c = Mma::new(net, planner, None, MmaConfig::small());
+    c.train(subset, best + 1);
+    assert!(b.save_weights() == c.save_weights(), "restored ≠ train(…, {})", best + 1);
 }
 
 #[test]
