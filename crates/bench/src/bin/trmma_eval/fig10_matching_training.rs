@@ -7,36 +7,35 @@
 //! full-network baseline trained for recovery (Fig. 6).
 
 use trmma_baselines::{FmmMatcher, HmmConfig};
-use trmma_bench::harness::{timed, trained_mma, Bundle, ExpConfig};
-use trmma_bench::report::{write_json, Table};
+use trmma_bench::harness::{timed, trained_mma, ExpConfig};
+use trmma_bench::report::secs;
 use trmma_node2vec::{train_embeddings, Node2VecConfig};
 
-fn main() {
-    let cfg = ExpConfig::from_env();
-    println!("== Fig. 10: matching training time per epoch (s) ==\n");
-    let mut table = Table::new(&["Dataset", "Cost", "seconds"]);
-    let mut json = Vec::new();
-    for dcfg in cfg.dataset_configs() {
-        let bundle = Bundle::prepare(&dcfg, 0.1, cfg.mma_config().d0);
+use crate::{Figure, Row};
+
+pub(crate) fn run(cfg: &ExpConfig) {
+    Figure {
+        name: "fig10_matching_training",
+        header: "== Fig. 10: matching training time per epoch (s) ==".into(),
+        columns: &["Dataset", "Cost", "seconds"],
+        expected: "Expected shape (paper Fig. 10): MMA's per-epoch cost is small; one-off precomputations amortise.",
+    }
+    .run(cfg, |bundle, table, json| {
         let (_, report) = trained_mma(&bundle, cfg.mma_config(), cfg.epochs);
         let fmm = FmmMatcher::new(bundle.net.clone(), bundle.planner.clone(), HmmConfig::default());
         let n2v_cfg = Node2VecConfig { dim: cfg.mma_config().d0, ..Node2VecConfig::default() };
         let (_, n2v_s) = timed(|| train_embeddings(&bundle.net, &n2v_cfg));
 
-        for (what, secs) in [
+        for (what, seconds) in [
             ("MMA s/epoch", report.mean_epoch_time_s()),
             ("FMM UBODT build (one-off)", fmm.precompute_s),
             ("Node2Vec pretrain (one-off)", n2v_s),
         ] {
-            table.row(vec![bundle.ds.name.clone(), what.into(), format!("{secs:.2}")]);
-            json.push(trmma_bench::json!({
-                "dataset": bundle.ds.name,
-                "cost": what,
-                "seconds": secs,
-            }));
+            Row::default()
+                .field("dataset", &bundle.ds.name, &bundle.ds.name)
+                .field("cost", what, what)
+                .field("seconds", &seconds, secs(seconds))
+                .push(table, json);
         }
-    }
-    table.print();
-    println!("\nExpected shape (paper Fig. 10): MMA's per-epoch cost is small; one-off precomputations amortise.");
-    write_json("fig10_matching_training", &trmma_bench::Value::Array(json));
+    });
 }

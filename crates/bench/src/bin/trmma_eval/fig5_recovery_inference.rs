@@ -10,19 +10,22 @@ use std::sync::Arc;
 use trmma_baselines::{FmmMatcher, HmmConfig, HmmMatcher, LinearRecovery, NearestMatcher};
 use trmma_bench::harness::{
     eval_recovery, eval_recovery_batch, per_1000, trained_mma, trained_seq2seq, trained_trmma,
-    Bundle, ExpConfig,
+    ExpConfig,
 };
-use trmma_bench::report::{write_json, Table};
+use trmma_bench::report::pct;
 use trmma_core::{mma::SharedMma, BatchOptions, BatchRecovery, TrmmaPipeline};
 use trmma_traj::TrajectoryRecovery;
 
-fn main() {
-    let cfg = ExpConfig::from_env();
-    println!("== Fig. 5: recovery inference time (s / 1000 trajectories) ==\n");
-    let mut table = Table::new(&["Dataset", "Method", "s/1k", "Accuracy"]);
-    let mut json = Vec::new();
-    for dcfg in cfg.dataset_configs() {
-        let bundle = Bundle::prepare(&dcfg, 0.1, cfg.mma_config().d0);
+use crate::{Figure, Row};
+
+pub(crate) fn run(cfg: &ExpConfig) {
+    Figure {
+        name: "fig5_recovery_inference",
+        header: "== Fig. 5: recovery inference time (s / 1000 trajectories) ==".into(),
+        columns: &["Dataset", "Method", "s/1k", "Accuracy"],
+        expected: "Expected shape (paper Fig. 5): TRMMA much faster than Seq2SeqFull at equal-or-better accuracy; the batch engine divides TRMMA's time by roughly the core count.",
+    }
+    .run(cfg, |bundle, table, json| {
         let eps = bundle.ds.epsilon_s;
 
         let near = NearestMatcher::new(bundle.net.clone(), bundle.planner.clone());
@@ -39,43 +42,25 @@ fn main() {
 
         let methods: Vec<&dyn TrajectoryRecovery> =
             vec![&near_lin, &hmm_lin, &fmm_lin, &seq2seq, &pipeline];
-        for m in methods {
-            let (metrics, secs) = eval_recovery(&bundle.net, m, &bundle.test, eps);
-            let s1k = per_1000(secs, bundle.test.len());
-            table.row(vec![
-                bundle.ds.name.clone(),
-                m.name().into(),
-                format!("{s1k:.3}"),
-                format!("{:.2}", 100.0 * metrics.accuracy),
-            ]);
-            json.push(trmma_bench::json!({
-                "dataset": bundle.ds.name,
-                "method": m.name(),
-                "sec_per_1000": s1k,
-                "accuracy": metrics.accuracy,
-            }));
-        }
+        let mut rows: Vec<_> = methods
+            .into_iter()
+            .map(|m| (m.name().to_string(), eval_recovery(&bundle.net, m, &bundle.test, eps)))
+            .collect();
 
         // The batched engine over the same trained models: identical output,
         // all cores, per-worker scratch reuse.
         let (_, trmma) = pipeline.into_parts();
         let engine = BatchRecovery::new(mma, Arc::new(trmma), BatchOptions::default());
-        let (metrics, secs) = eval_recovery_batch(&bundle.net, &engine, &bundle.test, eps);
-        let s1k = per_1000(secs, bundle.test.len());
-        table.row(vec![
-            bundle.ds.name.clone(),
-            "TRMMA (batch)".into(),
-            format!("{s1k:.3}"),
-            format!("{:.2}", 100.0 * metrics.accuracy),
-        ]);
-        json.push(trmma_bench::json!({
-            "dataset": bundle.ds.name,
-            "method": "TRMMA (batch)",
-            "sec_per_1000": s1k,
-            "accuracy": metrics.accuracy,
-        }));
-    }
-    table.print();
-    println!("\nExpected shape (paper Fig. 5): TRMMA much faster than Seq2SeqFull at equal-or-better accuracy; the batch engine divides TRMMA's time by roughly the core count.");
-    write_json("fig5_recovery_inference", &trmma_bench::Value::Array(json));
+        let batch = eval_recovery_batch(&bundle.net, &engine, &bundle.test, eps);
+        rows.push(("TRMMA (batch)".into(), batch));
+        for (name, (metrics, secs)) in rows {
+            let s1k = per_1000(secs, bundle.test.len());
+            Row::default()
+                .field("dataset", &bundle.ds.name, &bundle.ds.name)
+                .field("method", &name, &name)
+                .field("sec_per_1000", &s1k, format!("{s1k:.3}"))
+                .field("accuracy", &metrics.accuracy, pct(metrics.accuracy))
+                .push(table, json);
+        }
+    });
 }

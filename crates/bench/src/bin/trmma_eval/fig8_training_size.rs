@@ -7,38 +7,35 @@
 //! smaller so the crossover shifts right).
 
 use trmma_baselines::{FmmMatcher, HmmConfig, LinearRecovery};
-use trmma_bench::harness::{eval_recovery, Bundle, ExpConfig};
-use trmma_bench::report::{write_json, Table};
-use trmma_core::{Mma, Trmma, TrmmaPipeline};
+use trmma_bench::harness::{eval_recovery, trained_mma, trained_trmma, ExpConfig};
+use trmma_bench::json;
+use trmma_core::TrmmaPipeline;
+
+use crate::Figure;
 
 const FRACTIONS: [f64; 5] = [0.05, 0.2, 0.4, 0.7, 1.0];
 
-fn main() {
-    let cfg = ExpConfig::from_env();
-    println!("== Fig. 8: recovery accuracy vs training-data fraction ==\n");
-    let mut table = Table::new(&["Dataset", "Method", "5%", "20%", "40%", "70%", "100%"]);
-    let mut json = Vec::new();
-    for dcfg in cfg.dataset_configs() {
-        let bundle = Bundle::prepare(&dcfg, 0.1, cfg.mma_config().d0);
+pub(crate) fn run(cfg: &ExpConfig) {
+    Figure {
+        name: "fig8_training_size",
+        header: "== Fig. 8: recovery accuracy vs training-data fraction ==".into(),
+        columns: &["Dataset", "Method", "5%", "20%", "40%", "70%", "100%"],
+        expected: "Expected shape (paper Fig. 8): TRMMA rises with data and crosses the flat Linear line.",
+    }
+    .run(cfg, |mut bundle, table, json| {
         let eps = bundle.ds.epsilon_s;
         let fmm = FmmMatcher::new(bundle.net.clone(), bundle.planner.clone(), HmmConfig::default());
         let linear = LinearRecovery::new(bundle.net.clone(), fmm, "Linear");
         let (lin_metrics, _) = eval_recovery(&bundle.net, &linear, &bundle.test, eps);
 
+        let all = std::mem::take(&mut bundle.train);
         let mut trmma_accs = Vec::new();
         for &frac in &FRACTIONS {
-            let take = ((bundle.train.len() as f64) * frac).ceil().max(1.0) as usize;
-            let subset = &bundle.train[..take.min(bundle.train.len())];
-            let mut mma = Mma::new(
-                bundle.net.clone(),
-                bundle.planner.clone(),
-                Some(bundle.node2vec.clone()),
-                trmma_core::MmaConfig { d0: bundle.node2vec.cols(), ..cfg.mma_config() },
-            );
-            mma.train(subset, cfg.epochs);
-            let mut model = Trmma::new(bundle.net.clone(), cfg.trmma_config());
-            model.train(subset, cfg.epochs);
-            let pipeline = TrmmaPipeline::new(Box::new(mma), model, "TRMMA");
+            let take = ((all.len() as f64) * frac).ceil().max(1.0) as usize;
+            bundle.train = all[..take.min(all.len())].to_vec();
+            let (mma, _) = trained_mma(&bundle, cfg.mma_config(), cfg.epochs);
+            let (trmma, _) = trained_trmma(&bundle, cfg.trmma_config(), cfg.epochs);
+            let pipeline = TrmmaPipeline::new(Box::new(mma), trmma, "TRMMA");
             let (m, _) = eval_recovery(&bundle.net, &pipeline, &bundle.test, eps);
             trmma_accs.push(m.accuracy);
         }
@@ -49,16 +46,11 @@ fn main() {
         let mut trm_row = vec![bundle.ds.name.clone(), "TRMMA".into()];
         trm_row.extend(trmma_accs.iter().map(|a| format!("{a:.3}")));
         table.row(trm_row);
-        json.push(trmma_bench::json!({
+        json.push(json!({
             "dataset": bundle.ds.name,
             "fractions": FRACTIONS,
             "linear_accuracy": lin_metrics.accuracy,
             "trmma_accuracy": trmma_accs,
         }));
-    }
-    table.print();
-    println!(
-        "\nExpected shape (paper Fig. 8): TRMMA rises with data and crosses the flat Linear line."
-    );
-    write_json("fig8_training_size", &trmma_bench::Value::Array(json));
+    });
 }

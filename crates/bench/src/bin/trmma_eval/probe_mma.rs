@@ -1,41 +1,23 @@
 //! Diagnostic: MMA point-accuracy convergence and candidate coverage.
 //! Not part of the paper's tables; used to tune training defaults.
 
-use trmma_bench::harness::{Bundle, ExpConfig};
+use trmma_bench::harness::{trained_mma, Bundle, ExpConfig};
 use trmma_core::Mma;
-use trmma_traj::api::CandidateFinder;
 
-fn main() {
-    let cfg = ExpConfig::from_env();
+use crate::fig2_candidates::coverage_by_kc;
+
+pub(crate) fn run(cfg: &ExpConfig) {
     let dcfg = &cfg.dataset_configs()[0];
     let bundle = Bundle::prepare(dcfg, 0.1, cfg.mma_config().d0);
 
     // Candidate coverage at kc=10 (upper bound for MMA's point accuracy).
-    let finder = CandidateFinder::new(&bundle.net, 10);
-    let mut cover = 0usize;
-    let mut nearest_hit = 0usize;
-    let mut total = 0usize;
-    for s in &bundle.test {
-        for (p, t) in s.sparse.points.iter().zip(&s.sparse_truth) {
-            let cands = finder.candidates(p.pos);
-            total += 1;
-            cover += usize::from(cands.iter().any(|c| c.seg == t.seg));
-            nearest_hit += usize::from(cands[0].seg == t.seg);
-        }
-    }
+    let (coverage, total) = coverage_by_kc(&bundle.net, &bundle.test);
     println!(
         "coverage@10 = {:.3}, nearest-hit = {:.3} ({} points)",
-        cover as f64 / total as f64,
-        nearest_hit as f64 / total as f64,
-        total
+        coverage[9], coverage[0], total
     );
 
-    let mut mma = Mma::new(
-        bundle.net.clone(),
-        bundle.planner.clone(),
-        Some(bundle.node2vec.clone()),
-        trmma_core::MmaConfig { d0: bundle.node2vec.cols(), ..cfg.mma_config() },
-    );
+    let (mut mma, _) = trained_mma(&bundle, cfg.mma_config(), 0);
     let acc = |m: &Mma| -> f64 {
         let mut hit = 0usize;
         let mut twin_err = 0usize;

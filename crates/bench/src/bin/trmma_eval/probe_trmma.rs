@@ -3,7 +3,7 @@
 //! pure linear interpolation along the true route.
 
 use trmma_bench::harness::{Bundle, ExpConfig};
-use trmma_core::{Trmma, TrmmaConfig};
+use trmma_core::Trmma;
 use trmma_roadnet::shortest::DistCache;
 use trmma_traj::epsilon_ticks;
 use trmma_traj::metrics::recovery_metrics;
@@ -47,8 +47,7 @@ fn linear_on_truth(bundle: &Bundle, s: &trmma_traj::Sample, epsilon: f64) -> Mat
     MatchedTrajectory::new(out)
 }
 
-fn main() {
-    let cfg = ExpConfig::from_env();
+pub(crate) fn run(cfg: &ExpConfig) {
     let dcfg = &cfg.dataset_configs()[0];
     let bundle = Bundle::prepare(dcfg, 0.1, cfg.mma_config().d0);
     let eps = bundle.ds.epsilon_s;
@@ -83,6 +82,4 @@ fn main() {
         );
         eval("trmma", &|s| model.recover_from_match(&s.sparse, &s.sparse_truth, &s.route, eps));
     }
-
-    let _ = TrmmaConfig::default();
 }

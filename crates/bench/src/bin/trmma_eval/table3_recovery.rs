@@ -14,32 +14,35 @@
 
 use trmma_baselines::{FmmMatcher, HmmConfig, LinearRecovery, NearestMatcher};
 use trmma_bench::harness::{
-    eval_recovery, per_1000, trained_mma, trained_seq2seq, trained_trmma, Bundle, ExpConfig,
+    eval_recovery, per_1000, trained_mma, trained_seq2seq, trained_trmma, ExpConfig,
 };
-use trmma_bench::report::{write_json, Table};
+use trmma_bench::report::{meters, pct, secs};
 use trmma_core::TrmmaPipeline;
 use trmma_traj::TrajectoryRecovery;
 
-fn main() {
-    let cfg = ExpConfig::from_env();
-    println!(
-        "== Table III: recovery quality (gamma=0.1, scale {:.2}, {} epochs) ==\n",
-        cfg.scale, cfg.epochs
-    );
-    let mut table = Table::new(&[
-        "Dataset",
-        "Method",
-        "Recall",
-        "Precision",
-        "F1",
-        "Accuracy",
-        "MAE(m)",
-        "RMSE(m)",
-        "s/1k",
-    ]);
-    let mut json = Vec::new();
-    for dcfg in cfg.dataset_configs() {
-        let bundle = Bundle::prepare(&dcfg, 0.1, cfg.mma_config().d0);
+use crate::{Figure, Row};
+
+pub(crate) fn run(cfg: &ExpConfig) {
+    Figure {
+        name: "table3_recovery",
+        header: format!(
+            "== Table III: recovery quality (gamma=0.1, scale {:.2}, {} epochs) ==",
+            cfg.scale, cfg.epochs
+        ),
+        columns: &[
+            "Dataset",
+            "Method",
+            "Recall",
+            "Precision",
+            "F1",
+            "Accuracy",
+            "MAE(m)",
+            "RMSE(m)",
+            "s/1k",
+        ],
+        expected: "Expected shape (paper Table III): TRMMA best on all metrics per dataset.",
+    }
+    .run(cfg, |bundle, table, json| {
         let eps = bundle.ds.epsilon_s;
 
         let nearest = NearestMatcher::new(bundle.net.clone(), bundle.planner.clone());
@@ -56,32 +59,19 @@ fn main() {
 
         let methods: Vec<&dyn TrajectoryRecovery> = vec![&near_lin, &fmm_lin, &seq2seq, &pipeline];
         for m in methods {
-            let (metrics, secs) = eval_recovery(&bundle.net, m, &bundle.test, eps);
-            table.row(vec![
-                bundle.ds.name.clone(),
-                m.name().into(),
-                format!("{:.2}", 100.0 * metrics.recall),
-                format!("{:.2}", 100.0 * metrics.precision),
-                format!("{:.2}", 100.0 * metrics.f1),
-                format!("{:.2}", 100.0 * metrics.accuracy),
-                format!("{:.1}", metrics.mae),
-                format!("{:.1}", metrics.rmse),
-                format!("{:.2}", per_1000(secs, bundle.test.len())),
-            ]);
-            json.push(trmma_bench::json!({
-                "dataset": bundle.ds.name,
-                "method": m.name(),
-                "recall": metrics.recall,
-                "precision": metrics.precision,
-                "f1": metrics.f1,
-                "accuracy": metrics.accuracy,
-                "mae_m": metrics.mae,
-                "rmse_m": metrics.rmse,
-                "sec_per_1000": per_1000(secs, bundle.test.len()),
-            }));
+            let (metrics, infer_s) = eval_recovery(&bundle.net, m, &bundle.test, eps);
+            let s1k = per_1000(infer_s, bundle.test.len());
+            Row::default()
+                .field("dataset", &bundle.ds.name, &bundle.ds.name)
+                .field("method", m.name(), m.name())
+                .field("recall", &metrics.recall, pct(metrics.recall))
+                .field("precision", &metrics.precision, pct(metrics.precision))
+                .field("f1", &metrics.f1, pct(metrics.f1))
+                .field("accuracy", &metrics.accuracy, pct(metrics.accuracy))
+                .field("mae_m", &metrics.mae, meters(metrics.mae))
+                .field("rmse_m", &metrics.rmse, meters(metrics.rmse))
+                .field("sec_per_1000", &s1k, secs(s1k))
+                .push(table, json);
         }
-    }
-    table.print();
-    println!("\nExpected shape (paper Table III): TRMMA best on all metrics per dataset.");
-    write_json("table3_recovery", &trmma_bench::Value::Array(json));
+    });
 }

@@ -16,63 +16,49 @@
 //! accuracy.
 
 use trmma_baselines::{HmmConfig, HmmMatcher, LinearRecovery, NearestMatcher};
-use trmma_bench::harness::{eval_recovery, trained_mma, trained_trmma, Bundle, ExpConfig};
-use trmma_bench::report::{write_json, Table};
+use trmma_bench::harness::{eval_recovery, trained_mma, trained_trmma, ExpConfig};
+use trmma_bench::json;
 use trmma_core::{MmaConfig, TrmmaConfig, TrmmaPipeline};
 use trmma_traj::TrajectoryRecovery;
 
-fn main() {
-    let cfg = ExpConfig::from_env();
-    println!("== Table IV: TRMMA ablations (accuracy %) ==\n");
-    let mut table = Table::new(&["Method", "Dataset", "Accuracy"]);
-    let mut json = Vec::new();
-    for dcfg in cfg.dataset_configs() {
-        let bundle = Bundle::prepare(&dcfg, 0.1, cfg.mma_config().d0);
-        let eps = bundle.ds.epsilon_s;
+use crate::Figure;
+
+pub(crate) fn run(cfg: &ExpConfig) {
+    Figure {
+        name: "table4_ablation",
+        header: "== Table IV: TRMMA ablations (accuracy %) ==".into(),
+        columns: &["Method", "Dataset", "Accuracy"],
+        expected: "Expected shape (paper Table IV): full TRMMA on top, every ablation below it.",
+    }
+    .run(cfg, |bundle, table, json| {
+        let (eps, epochs) = (bundle.ds.epsilon_s, cfg.epochs);
 
         // Matchers.
         let mk_hmm =
             || HmmMatcher::new(bundle.net.clone(), bundle.planner.clone(), HmmConfig::default());
         let mk_near = || NearestMatcher::new(bundle.net.clone(), bundle.planner.clone());
-        let (mma_full, _) = trained_mma(&bundle, cfg.mma_config(), cfg.epochs);
-        let (mma_no_ctx, _) = trained_mma(
-            &bundle,
-            MmaConfig { use_candidate_context: false, ..cfg.mma_config() },
-            cfg.epochs,
-        );
-        let (mma_no_dir, _) = trained_mma(
-            &bundle,
-            MmaConfig { use_direction: false, ..cfg.mma_config() },
-            cfg.epochs,
-        );
-        let (mma_for_lin, _) = trained_mma(&bundle, cfg.mma_config(), cfg.epochs);
+        let mma = |config| trained_mma(&bundle, config, epochs).0;
+        let mma_full = mma(cfg.mma_config());
+        let mma_no_ctx = mma(MmaConfig { use_candidate_context: false, ..cfg.mma_config() });
+        let mma_no_dir = mma(MmaConfig { use_direction: false, ..cfg.mma_config() });
+        let mma_for_lin = mma(cfg.mma_config());
 
         // Recovery models.
-        let (trmma, _) = trained_trmma(&bundle, cfg.trmma_config(), cfg.epochs);
-        let (trmma_hmm, _) = trained_trmma(&bundle, cfg.trmma_config(), cfg.epochs);
-        let (trmma_near, _) = trained_trmma(&bundle, cfg.trmma_config(), cfg.epochs);
-        let (trmma_no_df, _) = trained_trmma(
-            &bundle,
-            TrmmaConfig { use_dualformer: false, ..cfg.trmma_config() },
-            cfg.epochs,
-        );
-        let (trmma_c, _) = trained_trmma(&bundle, cfg.trmma_config(), cfg.epochs);
-        let (trmma_di, _) = trained_trmma(&bundle, cfg.trmma_config(), cfg.epochs);
+        let trmma = |config| trained_trmma(&bundle, config, epochs).0;
+        let trmma_full = trmma(cfg.trmma_config());
+        let trmma_hmm = trmma(cfg.trmma_config());
+        let trmma_near = trmma(cfg.trmma_config());
+        let trmma_no_df = trmma(TrmmaConfig { use_dualformer: false, ..cfg.trmma_config() });
+        let trmma_c = trmma(cfg.trmma_config());
+        let trmma_di = trmma(cfg.trmma_config());
 
         let methods: Vec<Box<dyn TrajectoryRecovery>> = vec![
-            Box::new(TrmmaPipeline::new(Box::new(mma_full), trmma, "TRMMA")),
+            Box::new(TrmmaPipeline::new(Box::new(mma_full), trmma_full, "TRMMA")),
             Box::new(TrmmaPipeline::new(Box::new(mk_hmm()), trmma_hmm, "TRMMA-HMM")),
             Box::new(TrmmaPipeline::new(Box::new(mk_near()), trmma_near, "TRMMA-Near")),
             Box::new(LinearRecovery::new(bundle.net.clone(), mma_for_lin, "MMA+linear")),
             Box::new(LinearRecovery::new(bundle.net.clone(), mk_near(), "Nearest+linear")),
-            Box::new(TrmmaPipeline::new(
-                Box::new({
-                    let (m, _) = trained_mma(&bundle, cfg.mma_config(), cfg.epochs);
-                    m
-                }),
-                trmma_no_df,
-                "TRMMA-DF",
-            )),
+            Box::new(TrmmaPipeline::new(Box::new(mma(cfg.mma_config())), trmma_no_df, "TRMMA-DF")),
             Box::new(TrmmaPipeline::new(Box::new(mma_no_ctx), trmma_c, "TRMMA-C")),
             Box::new(TrmmaPipeline::new(Box::new(mma_no_dir), trmma_di, "TRMMA-DI")),
         ];
@@ -83,14 +69,11 @@ fn main() {
                 bundle.ds.name.clone(),
                 format!("{:.2}", 100.0 * metrics.accuracy),
             ]);
-            json.push(trmma_bench::json!({
+            json.push(json!({
                 "dataset": bundle.ds.name,
                 "method": m.name(),
                 "accuracy": metrics.accuracy,
             }));
         }
-    }
-    table.print();
-    println!("\nExpected shape (paper Table IV): full TRMMA on top, every ablation below it.");
-    write_json("table4_ablation", &trmma_bench::Value::Array(json));
+    });
 }

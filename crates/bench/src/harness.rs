@@ -1,4 +1,4 @@
-//! Dataset/model preparation shared by all experiment binaries.
+//! Dataset/model preparation shared by every `trmma-eval` experiment.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -173,10 +173,13 @@ impl Bundle {
         Self { ds, net, planner: Arc::new(planner), node2vec, train, test, gamma }
     }
 
-    /// Re-samples train/test at a different γ (for the sparsity sweeps).
+    /// Re-samples train/test at each of `gammas`, concatenated in that
+    /// order: the sparsity sweeps test at one γ at a time and train on a mix.
     #[must_use]
-    pub fn resample(&self, gamma: f64) -> (Vec<Sample>, Vec<Sample>) {
-        (self.ds.samples(Split::Train, gamma, 71), self.ds.samples(Split::Test, gamma, 72))
+    pub fn resample(&self, gammas: &[f64]) -> (Vec<Sample>, Vec<Sample>) {
+        let at =
+            |split, seed| gammas.iter().flat_map(|&g| self.ds.samples(split, g, seed)).collect();
+        (at(Split::Train, 71), at(Split::Test, 72))
     }
 }
 
@@ -369,9 +372,10 @@ mod tests {
         assert!(!bundle.train.is_empty());
         assert!(!bundle.test.is_empty());
         assert_eq!(bundle.node2vec.shape().0, bundle.net.num_segments());
-        let (tr2, te2) = bundle.resample(0.5);
+        let (tr2, te2) = bundle.resample(&[0.5]);
         assert_eq!(tr2.len(), bundle.train.len());
         assert_eq!(te2.len(), bundle.test.len());
+        assert_eq!(bundle.resample(&[0.2, 0.5]).0.len(), 2 * tr2.len());
         // Higher γ keeps more points.
         let before: usize = bundle.train.iter().map(|s| s.sparse.len()).sum();
         let after: usize = tr2.iter().map(|s| s.sparse.len()).sum();

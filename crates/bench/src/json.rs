@@ -1,6 +1,6 @@
 //! Dependency-free JSON values and serialisation for experiment artifacts.
 //!
-//! The experiment binaries emit small flat JSON records (method, dataset,
+//! The `trmma-eval` experiments emit small flat JSON records (method, dataset,
 //! metric values). This module provides the [`Value`] tree, the [`crate::json!`]
 //! object/array literal macro and a pretty printer — the subset of
 //! `serde_json` the harness needs, without the dependency.

@@ -1,5 +1,7 @@
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§VI). Each table/figure is a binary under `src/bin/`; shared
+//! evaluation (§VI). Each table/figure is a subcommand of the `trmma-eval`
+//! binary (`trmma-eval table3_recovery`, …; `src/bin/trmma_eval/`), which
+//! also runs the two training probes (`probe_mma`, `probe_trmma`); shared
 //! preparation (datasets, trained models, timing, reporting) lives here.
 //!
 //! Scale knobs (environment variables, read once per process):
@@ -10,10 +12,10 @@
 //! * `TRMMA_PROFILE` — `small` (default) or `paper` model widths.
 //! * `TRMMA_DATASETS`— comma list among `PT,XA,BJ,CD` (default all four).
 //!
-//! Every binary prints the paper-style rows to stdout *and* appends a JSON
-//! artifact under `target/experiments/` so EXPERIMENTS.md numbers are
-//! reproducible. Performance numbers come from the standalone `benchmark/`
-//! package, not from this crate.
+//! Every table and figure prints the paper-style rows to stdout *and*
+//! writes a JSON artifact, `target/experiments/<name>.json`. Performance
+//! numbers come from the standalone `benchmark/` package, not from this
+//! crate.
 //!
 //! # Example
 //!

@@ -18,8 +18,10 @@
 //! flat forward-only workspace of MMA and its encoder, the `Graph` that
 //! holds TRMMA's bound decoder weights — lives in a per-worker scratch
 //! ([`MmaScratch`], [`RecoveryScratch`]) created once per thread and
-//! reused for every trajectory that thread claims. Shared network-distance lookups go
-//! through `DistCache`, whose misses run on a reused Dijkstra pool.
+//! reused for every trajectory that thread claims. No distance cache is
+//! involved: route stitching plans each gap through the shared
+//! [`trmma_roadnet::RoutePlanner`], whose searches keep their own
+//! per-thread buffers.
 //!
 //! **Determinism.** Inference is a pure function of (model, trajectory), so
 //! results are written back by input index and are bitwise-identical for
@@ -207,13 +209,8 @@ where
 /// buffers plus the flat workspace its scorer and encoder run on) and the
 /// TRMMA `Graph`, which only ever holds one trajectory's decoder-weight
 /// bindings — neither model records an operation at inference time (see
-/// [`Mma::match_points_with`], [`Trmma::recover_from_match_with`]).
-/// Network-distance lookups
-/// during post-batch evaluation go through a shared [`DistCache`], whose
-/// misses run on a reused Dijkstra pool internally (see [`SsspPool`]).
-///
-/// [`DistCache`]: trmma_roadnet::shortest::DistCache
-/// [`SsspPool`]: trmma_roadnet::shortest::SsspPool
+/// [`Mma::match_points_with`], [`Trmma::recover_from_match_with`]). It
+/// holds no distance cache: nothing in batch inference reads one.
 #[derive(Default)]
 pub struct RecoveryScratch {
     mma: MmaScratch,

@@ -941,6 +941,9 @@ impl<M: OnlineMatcher + 'static> Server<M> {
     ///
     /// # Errors
     /// Propagates the bind failure.
+    ///
+    /// # Panics
+    /// Like [`StreamEngine::new`], if `cfg.stream.checkpoint_every` is `0`.
     pub fn start(matcher: Arc<M>, cfg: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;

@@ -158,8 +158,10 @@ pub struct StreamOptions {
     /// accepted pushes a worker ships a snapshot of the session's decoder
     /// state back to the router, which trims the session's replay journal
     /// to the commands after it. Smaller = less replay after a crash but
-    /// more serialization on the hot path; `0` disables checkpointing
-    /// (recovery then replays the whole trip from the journal).
+    /// more serialization on the hot path; `1` checkpoints after every
+    /// point. It must be at least 1: it also bounds each journal, so there
+    /// is no setting that never checkpoints. [`StreamEngine::new`] panics
+    /// on `0`.
     pub checkpoint_every: usize,
     /// Deadline for [`StreamEngine::push`]'s backpressure wait: if the
     /// target worker's queue stays full this long, push gives up and
@@ -213,8 +215,9 @@ impl StreamOptions {
         self
     }
 
-    /// Sets the per-session checkpoint cadence (`0` disables
-    /// checkpointing; recovery then replays whole trips).
+    /// Sets the per-session checkpoint cadence in accepted points (at
+    /// least 1: [`StreamEngine::new`] panics on `0`, because the cadence
+    /// also bounds each session's replay journal).
     #[must_use]
     pub fn checkpoint_every(mut self, accepted_points: usize) -> Self {
         self.checkpoint_every = accepted_points;
@@ -1023,6 +1026,9 @@ pub struct StreamEngine<M: OnlineMatcher + 'static> {
 
 impl<M: OnlineMatcher + 'static> StreamEngine<M> {
     /// Spawns the worker pool around a shared matcher.
+    ///
+    /// # Panics
+    /// Panics naming the value if `opts.checkpoint_every` is `0`.
     #[must_use]
     pub fn new(matcher: Arc<M>, opts: StreamOptions) -> Self {
         Self::build(matcher, opts, None)
@@ -1032,6 +1038,9 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
     /// plan: workers panic/stall and replies lag per `plan`, and the
     /// supervisor is expected to keep every session whole regardless.
     /// Tests only — a production engine runs fault-free.
+    ///
+    /// # Panics
+    /// Like [`StreamEngine::new`].
     #[must_use]
     pub fn with_faults(matcher: Arc<M>, opts: StreamOptions, plan: FaultPlan) -> Self {
         Self::build(matcher, opts, Some(Arc::new(FaultState::new(plan))))
@@ -1040,7 +1049,8 @@ impl<M: OnlineMatcher + 'static> StreamEngine<M> {
     fn build(matcher: Arc<M>, opts: StreamOptions, faults: Option<Arc<FaultState>>) -> Self {
         let threads = opts.effective_threads().max(1);
         let idle = opts.idle_timeout();
-        let checkpoint_every = opts.checkpoint_every.max(1);
+        let checkpoint_every = opts.checkpoint_every;
+        assert!(checkpoint_every > 0, "checkpoint_every must be > 0, got {checkpoint_every}");
         let queue_cap = opts.queue_capacity.max(1);
         let push_timeout = (opts.push_timeout_s > 0.0 && opts.push_timeout_s.is_finite())
             .then(|| Duration::from_secs_f64(opts.push_timeout_s));
@@ -1998,6 +2008,13 @@ mod tests {
         let (events, stats) = engine.shutdown();
         assert!(events.is_empty());
         assert_eq!(stats, StreamStats::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint_every must be > 0, got 0")]
+    fn zero_checkpoint_cadence_is_rejected_at_build() {
+        let (hmm, _) = world();
+        let _ = StreamEngine::new(hmm, StreamOptions::with_threads(1).checkpoint_every(0));
     }
 
     #[test]
