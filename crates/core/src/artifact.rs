@@ -1130,6 +1130,20 @@ mod tests {
         let got: Vec<(u16, usize, u32)> =
             art.sections().iter().map(|s| (s.kind, s.len, s.crc)).collect();
         assert_eq!(got, [(1, 1537, 0x2daf_2f75), (2, 7456, 0x5037_bf06), (5, 6936, 0xb6fd_ada8)]);
+
+        // The whole image, header and section table included, with a
+        // params section (two named blobs) and an embedding table.
+        let plan = ShardPlan::new(&net, &GridCut { tiles_x: 2, tiles_y: 2, seed: 9 });
+        let emb = Matrix::from_vec(3, 2, vec![0.5, -1.25, 0.0, -0.0, 1e-300, 7.0]);
+        let mut b = ArtifactBuilder::new();
+        b.graph(&net);
+        b.dist_table(&DistTable::build(&net, 600.0));
+        b.embeddings(&emb);
+        b.shards(&ShardedNetwork::build(Arc::new(net.clone()), plan, 600.0));
+        b.params("mma", b"TNN1\x01\x00\x00\x00\x00\x00\x00\x00");
+        b.params("trmma", &[0xff; 5]);
+        let image = b.finish();
+        assert_eq!((image.len(), crc32(&image)), (16_178, 0xa6c7_20ab));
     }
 
     #[test]

@@ -2182,6 +2182,30 @@ mod tests {
         assert_eq!(Frame::decode(&wrong_magic), Err(SnapshotError::BadMagic));
     }
 
+    /// The reply builders the server writes with, pinned to the bytes of
+    /// `tests/golden_formats.rs`'s hand-laid ack and to a refusal.
+    #[test]
+    fn reply_frame_bytes_are_pinned() {
+        let hex = |f: Frame| -> String {
+            f.encode().unwrap().iter().map(|b| format!("{b:02x}")).collect()
+        };
+        let m = trmma_traj::types::MatchedPoint {
+            seg: trmma_roadnet::SegmentId(11),
+            ratio: 0.375,
+            t: 60.5,
+        };
+        let update = trmma_traj::OnlineUpdate { provisional: Some(m), stable_prefix: 3 };
+        assert_eq!(
+            hex(ack_frame(7, 42, 5, &update)),
+            "54524d5001001107000000000000002a00000000000000250000000500000000000000030000000000\
+             0000010b000000000000000000d83f0000000000404e400848364c"
+        );
+        assert_eq!(
+            hex(refused_frame(7, 42, RefuseCode::BadVersion, 9)),
+            "54524d5001001807000000000000002a00000000000000050000000109000000af73d6c7"
+        );
+    }
+
     #[test]
     fn kind_and_code_tables_are_involutions() {
         for k in 0..=u8::MAX {
