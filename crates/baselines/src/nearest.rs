@@ -99,7 +99,7 @@ impl OnlineMatcher for NearestMatcher {
 
     fn restore_session(&self, bytes: &[u8]) -> Result<NearestSession, SnapshotError> {
         let mut r = Reader::new(bytes);
-        let n = r.seq_len()?;
+        let n = r.seq_len(20)?;
         let mut matched = Vec::with_capacity(n);
         for _ in 0..n {
             matched.push(r.matched()?);

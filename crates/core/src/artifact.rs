@@ -50,8 +50,8 @@
 //!   sorted by `(src, dst)`: the table's own [`DistTable::records`],
 //!   copied verbatim.
 //! * **Params** — `blob_count u32 |` then per blob a length-prefixed
-//!   name and a length-prefixed [`trmma_nn::serialize`] weight blob
-//!   (which carries its own magic/version/shape validation).
+//!   name and a length-prefixed [`crate::weights`] blob (which carries its
+//!   own magic/version/shape validation).
 //! * **Embeddings** — `rows u64 | cols u64 | f64-bits*` (one node2vec
 //!   vector per road segment, rows = `num_segments`).
 //! * **Shards** — `delta f64-bits | node_count u64 | shard_of u32* |
@@ -77,7 +77,7 @@ use trmma_roadnet::{
 };
 use trmma_traj::snapshot::{self, Reader, SnapshotError};
 
-use crate::snapshot::crc32;
+use crate::snapshot::{crc32, open, seal, Guard};
 
 /// Artifact magic: "TRMA" (TRMma Artifact).
 pub const MAGIC: [u8; 4] = *b"TRMA";
@@ -101,7 +101,7 @@ pub enum SectionKind {
     Graph = 1,
     /// The bounded all-pairs distance table (FMM's UBODT).
     DistTable = 2,
-    /// Named trained-weight blobs ([`trmma_nn::serialize`] format).
+    /// Named trained-weight blobs ([`crate::weights`] format).
     Params = 3,
     /// The node2vec embedding table (one row per segment).
     Embeddings = 4,
@@ -221,8 +221,11 @@ impl From<SnapshotError> for ArtifactError {
         match e {
             SnapshotError::Truncated => Self::Truncated,
             SnapshotError::Malformed(what) => Self::Malformed(what),
-            // The snapshot codec's envelope-level errors cannot arise from
-            // the scalar accessors used here.
+            // The envelope's errors: its CRC is the header's.
+            SnapshotError::BadMagic => Self::BadMagic,
+            SnapshotError::BadVersion(v) => Self::BadVersion(v),
+            SnapshotError::Checksum => Self::HeaderChecksum,
+            // The rest cannot arise from the scalar accessors used here.
             _ => Self::Malformed("unexpected codec error"),
         }
     }
@@ -332,7 +335,7 @@ impl ArtifactBuilder {
     }
 
     /// Adds a named trained-weight blob (the output of
-    /// [`trmma_nn::serialize::save_params`], e.g. via `Mma::save_weights`).
+    /// [`crate::weights::save_params`], e.g. via `Mma::save_weights`).
     /// All blobs land in one params section when the builder finishes.
     pub fn params(&mut self, name: &str, blob: &[u8]) -> &mut Self {
         self.params.push((name.to_string(), blob.to_vec()));
@@ -373,21 +376,21 @@ impl ArtifactBuilder {
         let header_len = PREFIX_BYTES + n * ENTRY_BYTES + 4;
         let total: usize = header_len + self.sections.iter().map(|(_, s)| s.len()).sum::<usize>();
         let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&MAGIC);
-        snapshot::put_u16(&mut out, VERSION);
-        snapshot::put_u16(&mut out, u16::try_from(n).expect("more than u16::MAX sections"));
-        snapshot::put_u64(&mut out, total as u64);
-        let mut offset = header_len;
-        for (kind, payload) in &self.sections {
-            snapshot::put_u16(&mut out, *kind as u16);
-            snapshot::put_u16(&mut out, 0); // reserved
-            snapshot::put_u64(&mut out, offset as u64);
-            snapshot::put_u64(&mut out, payload.len() as u64);
-            snapshot::put_u32(&mut out, crc32(payload));
-            offset += payload.len();
-        }
-        let hcrc = crc32(&out);
-        snapshot::put_u32(&mut out, hcrc);
+        seal(&mut out, MAGIC, VERSION, |out| {
+            snapshot::put_u16(out, u16::try_from(n).expect("more than u16::MAX sections"));
+            snapshot::put_u64(out, total as u64);
+            let mut offset = header_len;
+            for (kind, payload) in &self.sections {
+                snapshot::put_u16(out, *kind as u16);
+                snapshot::put_u16(out, 0); // reserved
+                snapshot::put_u64(out, offset as u64);
+                snapshot::put_u64(out, payload.len() as u64);
+                snapshot::put_u32(out, crc32(payload));
+                offset += payload.len();
+            }
+            Ok(())
+        })
+        .expect("the header writes no length-checked field");
         for (_, payload) in &self.sections {
             out.extend_from_slice(payload);
         }
@@ -475,44 +478,28 @@ impl Artifact {
     /// See [`Artifact::decode`].
     pub fn from_shared(slab: Arc<Vec<u8>>) -> Result<Self, ArtifactError> {
         let bytes: &[u8] = &slab;
-        let mut r = Reader::new(bytes);
-        let mut magic = [0u8; 4];
-        for b in &mut magic {
-            *b = r.u8().map_err(|_| ArtifactError::Truncated)?;
-        }
-        if magic != MAGIC {
-            return Err(ArtifactError::BadMagic);
-        }
-        let version = r.u16().map_err(|_| ArtifactError::Truncated)?;
-        if version != VERSION {
-            return Err(ArtifactError::BadVersion(version));
-        }
-        let n = r.u16().map_err(|_| ArtifactError::Truncated)? as usize;
-        let declared = r.u64().map_err(|_| ArtifactError::Truncated)?;
-        if declared != bytes.len() as u64 {
-            return Err(ArtifactError::LengthMismatch { declared, actual: bytes.len() as u64 });
-        }
-        let header_len = PREFIX_BYTES + n * ENTRY_BYTES + 4;
-        if bytes.len() < header_len {
-            return Err(ArtifactError::Truncated);
-        }
-        let mut sections = Vec::with_capacity(n);
-        for _ in 0..n {
-            let kind = r.u16().map_err(|_| ArtifactError::Truncated)?;
-            let _reserved = r.u16().map_err(|_| ArtifactError::Truncated)?;
-            let offset = r.u64().map_err(|_| ArtifactError::Truncated)?;
-            let len = r.u64().map_err(|_| ArtifactError::Truncated)?;
-            let crc = r.u32().map_err(|_| ArtifactError::Truncated)?;
-            let offset = usize::try_from(offset).map_err(|_| ArtifactError::Truncated)?;
-            let len = usize::try_from(len).map_err(|_| ArtifactError::Truncated)?;
-            sections.push(SectionInfo { kind, offset, len, crc });
-        }
-        // The header CRC covers everything up to itself; verify before
-        // trusting any offset it protects.
-        let stored_hcrc = r.u32().map_err(|_| ArtifactError::Truncated)?;
-        if crc32(&bytes[..header_len - 4]) != stored_hcrc {
-            return Err(ArtifactError::HeaderChecksum);
-        }
+        // The header CRC covers everything up to itself and is verified
+        // before any offset it protects is trusted.
+        let (sections, tail) = open(bytes, MAGIC, Guard::Version(VERSION), |_, r| {
+            let n = r.u16()? as usize;
+            let declared = r.u64()?;
+            if declared != bytes.len() as u64 {
+                return Err(ArtifactError::LengthMismatch { declared, actual: bytes.len() as u64 });
+            }
+            if bytes.len() < PREFIX_BYTES + n * ENTRY_BYTES + 4 {
+                return Err(ArtifactError::Truncated);
+            }
+            let mut sections = Vec::with_capacity(n);
+            for _ in 0..n {
+                let (kind, _reserved, offset, len, crc) =
+                    (r.u16()?, r.u16()?, r.u64()?, r.u64()?, r.u32()?);
+                let offset = usize::try_from(offset).map_err(|_| ArtifactError::Truncated)?;
+                let len = usize::try_from(len).map_err(|_| ArtifactError::Truncated)?;
+                sections.push(SectionInfo { kind, offset, len, crc });
+            }
+            Ok(sections)
+        })?;
+        let header_len = bytes.len() - tail.len();
         // Sections must tile the rest of the image exactly, in order: no
         // gaps, no overlaps, no trailing garbage. Payload CRCs are NOT
         // checked here — each accessor verifies its own section when it
@@ -556,16 +543,21 @@ impl Artifact {
     /// verifying the payload CRC. Checked on every call: the accessors
     /// are startup-path code, invoked once per process per section.
     fn verified_section(&self, kind: SectionKind) -> Result<(SectionInfo, &[u8]), ArtifactError> {
+        let (s, payload) = self.section(kind)?;
+        if crc32(payload) != s.crc {
+            return Err(ArtifactError::SectionChecksum { kind: s.kind });
+        }
+        Ok((s, payload))
+    }
+
+    /// The payload of `kind` together with its table entry, unverified.
+    fn section(&self, kind: SectionKind) -> Result<(SectionInfo, &[u8]), ArtifactError> {
         let s = *self
             .sections
             .iter()
             .find(|s| s.kind == kind as u16)
             .ok_or(ArtifactError::MissingSection(kind))?;
-        let payload = &self.slab[s.offset..s.offset + s.len];
-        if crc32(payload) != s.crc {
-            return Err(ArtifactError::SectionChecksum { kind: s.kind });
-        }
-        Ok((s, payload))
+        Ok((s, &self.slab[s.offset..s.offset + s.len]))
     }
 
     /// Materializes the road graph. Node references are range-checked here
@@ -579,18 +571,12 @@ impl Artifact {
     /// [`ArtifactError::MissingSection`] / [`ArtifactError::Malformed`].
     pub fn graph(&self) -> Result<RoadNetwork, ArtifactError> {
         let mut r = Reader::new(self.verified_section(SectionKind::Graph)?.1);
-        let n_nodes = r.usize()?;
-        if n_nodes.checked_mul(16).is_none_or(|b| b > r.remaining()) {
-            return Err(ArtifactError::Truncated);
-        }
+        let n_nodes = r.seq_len(16)?;
         let mut pos = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
             pos.push(trmma_geom::Vec2::new(r.f64()?, r.f64()?));
         }
-        let n_segs = r.usize()?;
-        if n_segs.checked_mul(9).is_none_or(|b| b > r.remaining()) {
-            return Err(ArtifactError::Truncated);
-        }
+        let n_segs = r.seq_len(9)?;
         let mut edges = Vec::with_capacity(n_segs);
         for _ in 0..n_segs {
             let from = r.u32()? as usize;
@@ -660,28 +646,17 @@ impl Artifact {
     /// [`ArtifactError::MissingSection`] when the artifact has no shards
     /// section; [`ArtifactError::SectionChecksum`] on corrupt metadata.
     pub fn shards_meta(&self) -> Result<ShardsMeta, ArtifactError> {
-        let s = *self
-            .sections
-            .iter()
-            .find(|s| s.kind == SectionKind::Shards as u16)
-            .ok_or(ArtifactError::MissingSection(SectionKind::Shards))?;
-        let payload = &self.slab[s.offset..s.offset + s.len];
+        let (s, payload) = self.section(SectionKind::Shards)?;
         let mut r = Reader::new(payload);
         let delta = r.f64()?;
-        let node_count = r.usize()?;
-        if node_count.checked_mul(4).is_none_or(|b| b > r.remaining()) {
-            return Err(ArtifactError::Truncated);
-        }
+        let node_count = r.seq_len(4)?;
         let mut shard_of = Vec::with_capacity(node_count);
         for _ in 0..node_count {
             shard_of.push(r.u32()?);
         }
-        let num_shards = r.usize()?;
+        let num_shards = r.seq_len(12)?;
         if num_shards == 0 {
             return Err(ArtifactError::Malformed("shards section declares zero shards"));
-        }
-        if num_shards.checked_mul(12).is_none_or(|b| b > r.remaining()) {
-            return Err(ArtifactError::Truncated);
         }
         let mut shard_counts = Vec::with_capacity(num_shards);
         let mut shard_crcs = Vec::with_capacity(num_shards);
@@ -814,7 +789,7 @@ impl Artifact {
     }
 
     /// The weight blob stored under `name`, as written by
-    /// [`trmma_nn::serialize::save_params`] — feed it to `load_params` (or
+    /// [`crate::weights::save_params`] — feed it to `load_params` (or
     /// `Mma::load_weights` / `Trmma::load_weights`), which re-validates
     /// magic, version and shapes against the receiving model.
     ///

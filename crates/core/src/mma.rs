@@ -439,19 +439,20 @@ impl Mma {
         trmma_nn::train::fit(&self.params, loss, train, early_stop, epochs, lr, batch, seed)
     }
 
-    /// Serialises the trained weights (see [`trmma_nn::serialize`]).
+    /// Serialises the trained weights (a [`crate::weights`] blob).
     #[must_use]
     pub fn save_weights(&self) -> Vec<u8> {
-        trmma_nn::save_params(&self.params).to_vec()
+        crate::weights::save_params(&self.params)
     }
 
     /// Loads weights produced by [`Mma::save_weights`] into a model of the
     /// same configuration.
     ///
     /// # Errors
-    /// Fails (without modifying the model) on any header/shape mismatch.
-    pub fn load_weights(&mut self, blob: &[u8]) -> Result<(), trmma_nn::LoadError> {
-        trmma_nn::load_params(&self.params, blob)
+    /// Fails (without modifying the model) on any header, count or shape
+    /// mismatch and on trailing bytes ([`crate::weights::load_params`]).
+    pub fn load_weights(&mut self, blob: &[u8]) -> Result<(), SnapshotError> {
+        crate::weights::load_params(&self.params, blob)
     }
 
     /// Per-point matching without route stitching (Algorithm 1 lines 1–9).

@@ -5,8 +5,9 @@
 //! [`StreamEngine::restore`], worker supervision — but points still had to
 //! originate in-process. This module carries them across a process
 //! boundary: a versioned, length-prefixed binary protocol (magic `TRMP`)
-//! whose frames reuse the fixed-width little-endian codec and `crc32` of
-//! the snapshot layer, served by [`Server`] and spoken by [`ServeClient`].
+//! whose frames travel in the one envelope of [`crate::snapshot`]
+//! ([`seal`] / [`open`], CRC checked before any field is parsed), served
+//! by [`Server`] and spoken by [`ServeClient`].
 //!
 //! # Wire format
 //!
@@ -77,13 +78,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use trmma_traj::snapshot::{
-    put_bytes, put_gps, put_matched, put_u16, put_u32, put_u64, put_u8, read_match_result, Reader,
+    put_bytes, put_gps, put_matched, put_u32, put_u64, put_u8, read_match_result, Reader,
     SnapshotError,
 };
 use trmma_traj::types::GpsPoint;
 use trmma_traj::OnlineMatcher;
 
-use crate::snapshot::{crc32, SessionSnapshot};
+use crate::snapshot::{open, seal, Guard, SessionSnapshot};
 use crate::stream::{Bell, FaultPlan, SessionId, StreamEngine, StreamEvent, StreamOptions};
 
 /// The four magic bytes every ingest frame starts with.
@@ -291,43 +292,53 @@ impl Frame {
     /// length field.
     pub fn encode(&self) -> Result<Vec<u8>, SnapshotError> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len() + 4);
-        out.extend_from_slice(&MAGIC);
-        put_u16(&mut out, self.version);
-        put_u8(&mut out, self.kind);
-        put_u64(&mut out, self.tenant);
-        put_u64(&mut out, self.session);
-        put_bytes(&mut out, &self.payload)?;
-        let crc = crc32(&out);
-        put_u32(&mut out, crc);
+        seal(&mut out, MAGIC, self.version, |out| {
+            put_u8(out, self.kind);
+            put_u64(out, self.tenant);
+            put_u64(out, self.session);
+            put_bytes(out, &self.payload)
+        })?;
         Ok(out)
     }
 
     /// Decodes one complete frame from `buf`. Never panics: truncation,
     /// bad magic, checksum mismatch and structural damage each return
-    /// their typed [`SnapshotError`]. The version and kind fields are
-    /// *not* validated here — the server answers those with typed
-    /// refusals rather than failing the decode.
+    /// their typed [`SnapshotError`], the checksum before any field is
+    /// parsed. The version and kind fields are *not* validated here — the
+    /// server answers those with typed refusals rather than failing the
+    /// decode.
     pub fn decode(buf: &[u8]) -> Result<Self, SnapshotError> {
         if buf.len() < HEADER_LEN + 4 {
             return Err(SnapshotError::Truncated);
         }
-        if buf[..4] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let body = &buf[..buf.len() - 4];
-        let stored = u32::from_le_bytes(buf[buf.len() - 4..].try_into().expect("4 bytes"));
-        if crc32(body) != stored {
-            return Err(SnapshotError::Checksum);
-        }
-        let mut r = Reader::new(&body[4..]);
-        let version = r.u16()?;
-        let kind = r.u8()?;
-        let tenant = r.u64()?;
-        let session = r.u64()?;
-        let payload = r.bytes()?.to_vec();
-        r.expect_end()?;
-        Ok(Self { version, kind, tenant, session, payload })
+        let (frame, _) = open(buf, MAGIC, Guard::Crc, |version, r| {
+            let (kind, tenant, session) = (r.u8()?, r.u64()?, r.u64()?);
+            let payload = r.bytes()?.to_vec();
+            Ok::<_, SnapshotError>(Self { version, kind, tenant, session, payload })
+        })?;
+        Ok(frame)
     }
+}
+
+/// Reads a frame's fixed [`HEADER_LEN`]-byte prefix, taken off a socket
+/// before the rest: its tenant and session (at fixed offsets, so even a
+/// frame that fails validation gets its refusal addressed) and the length
+/// of the whole frame — or [`SnapshotError::BadMagic`], then
+/// [`SnapshotError::Oversize`] carrying the announced payload length when
+/// it exceeds `max_payload`, so that neither is read or allocated for.
+fn frame_head(
+    header: &[u8; HEADER_LEN],
+    max_payload: usize,
+) -> (u64, u64, Result<usize, SnapshotError>) {
+    let mut r = Reader::new(&header[4 + 2 + 1..]);
+    let (Ok(tenant), Ok(session), Ok(len)) = (r.u64(), r.u64(), r.u32()) else {
+        unreachable!("HEADER_LEN spans every fixed field")
+    };
+    let frame_len = Reader::new(header).magic(MAGIC).and_then(|()| match len as usize {
+        len if len > max_payload => Err(SnapshotError::Oversize { len }),
+        len => Ok(HEADER_LEN + len + 4),
+    });
+    (tenant, session, frame_len)
 }
 
 /// A parsed server reply — the typed view of a reply [`Frame`].
@@ -586,7 +597,7 @@ impl ServeStats {
             slow_loris_closed: r.u64()?,
             tenants: Vec::new(),
         };
-        let n = r.seq_len()?;
+        let n = r.seq_len(48)?;
         s.tenants.reserve(n);
         for _ in 0..n {
             s.tenants.push(TenantLoad {
@@ -1147,24 +1158,23 @@ fn connection_loop<M: OnlineMatcher + 'static>(stream: TcpStream, shared: &Arc<S
                 break;
             }
         }
-        // Tenant and session sit at fixed offsets, so even a frame that
-        // fails validation gets its refusal addressed correctly.
-        let tenant = u64::from_le_bytes(header[7..15].try_into().expect("8 bytes"));
-        let session = u64::from_le_bytes(header[15..23].try_into().expect("8 bytes"));
-        if header[..4] != MAGIC {
-            refuse(shared, &tx, tenant, session, RefuseCode::BadMagic, 0);
-            break;
-        }
-        let payload_len = u32::from_le_bytes(header[23..27].try_into().expect("4 bytes")) as usize;
-        if payload_len > shared.cfg.max_payload {
-            // Refuse on the declared length alone — the announced bytes
-            // are never read, so a hostile length cannot tie up memory.
-            bump(&shared.counters.oversize_rejected);
-            let detail = u32::try_from(payload_len).unwrap_or(u32::MAX);
-            refuse(shared, &tx, tenant, session, RefuseCode::Oversize, detail);
-            break;
-        }
-        let mut frame_buf = vec![0u8; HEADER_LEN + payload_len + 4];
+        let (tenant, session, frame_len) = frame_head(&header, shared.cfg.max_payload);
+        let frame_len = match frame_len {
+            Ok(n) => n,
+            Err(SnapshotError::Oversize { len }) => {
+                // Refuse on the declared length alone — the announced bytes
+                // are never read, so a hostile length cannot tie up memory.
+                bump(&shared.counters.oversize_rejected);
+                let detail = u32::try_from(len).unwrap_or(u32::MAX);
+                refuse(shared, &tx, tenant, session, RefuseCode::Oversize, detail);
+                break;
+            }
+            Err(_) => {
+                refuse(shared, &tx, tenant, session, RefuseCode::BadMagic, 0);
+                break;
+            }
+        };
+        let mut frame_buf = vec![0u8; frame_len];
         frame_buf[..HEADER_LEN].copy_from_slice(&header);
         match read_full(&mut stream, &mut frame_buf[HEADER_LEN..], shared) {
             ReadFull::Full => {}
@@ -1939,16 +1949,9 @@ impl ServeClient {
     pub fn recv_frame(&mut self) -> Result<Frame, ClientError> {
         let mut header = [0u8; HEADER_LEN];
         self.stream.read_exact(&mut header)?;
-        if header[..4] != MAGIC {
-            return Err(ClientError::Wire(SnapshotError::BadMagic));
-        }
-        let payload_len = u32::from_le_bytes(header[23..27].try_into().expect("4 bytes")) as usize;
-        if payload_len > self.max_payload {
-            // Mirror the server's edge check: refuse on the declared
-            // length alone, before allocating or reading the body.
-            return Err(ClientError::Wire(SnapshotError::Oversize { len: payload_len }));
-        }
-        let mut buf = vec![0u8; HEADER_LEN + payload_len + 4];
+        // Mirror the server's edge check: refuse on the declared length
+        // alone, before allocating or reading the body.
+        let mut buf = vec![0u8; frame_head(&header, self.max_payload).2?];
         buf[..HEADER_LEN].copy_from_slice(&header);
         self.stream.read_exact(&mut buf[HEADER_LEN..])?;
         Ok(Frame::decode(&buf)?)

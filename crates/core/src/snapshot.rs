@@ -1,4 +1,19 @@
-//! Versioned, checksummed envelopes around serialized streaming sessions.
+//! The one envelope every framed format travels in, and the session
+//! checkpoint framed in it.
+//!
+//! Session checkpoints (TRMS, below), ingest wire frames (TRMP,
+//! [`crate::serve`]) and the artifact header (TRMA, [`crate::artifact`])
+//! all share one shape, written by [`seal`] and checked by [`open`]:
+//!
+//! ```text
+//! magic [u8; 4] | version u16 | body | CRC-32 of every byte before it
+//! ```
+//!
+//! [`open`] checks the magic first, then either the version or the CRC,
+//! as its [`Guard`] says: a checkpoint or an artifact whose version this
+//! build does not read is refused before anything else, while a wire
+//! frame is checksummed before it is parsed and its version handed to the
+//! server, which answers a foreign one with a typed refusal.
 //!
 //! [`crate::stream::StreamEngine`] survives worker panics and rolling
 //! restarts by freezing live [`OnlineMatcher`] sessions to bytes and
@@ -21,7 +36,7 @@
 //!   payload but must survive a restore for event numbering and
 //!   late-point drops to continue exactly where they left off;
 //! * the trailing **CRC-32** (IEEE 802.3) detects torn or bit-rotted
-//!   checkpoints before any of the above is trusted.
+//!   checkpoints before the checkpoint is used.
 //!
 //! All scalar encoding (fixed-width little-endian, `f64` as exact bit
 //! patterns) comes from [`trmma_traj::snapshot`]; decoding never panics.
@@ -84,8 +99,8 @@ const fn fold(word: u32, lane: usize) -> u32 {
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) of `bytes` —
-/// the checksum trailing every [`SessionSnapshot`] envelope and guarding
-/// every [`crate::artifact`] section. Slice-by-16: artifact images run to
+/// the checksum trailing every [`seal`]ed envelope and guarding every
+/// [`crate::artifact`] section. Slice-by-16: artifact images run to
 /// megabytes and are checksummed on every load, so the bit-at-a-time
 /// loop (8 shift/xor steps per *bit*) would dominate the zero-parse
 /// cold-start path it exists to protect.
@@ -104,6 +119,81 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
+}
+
+/// Which check [`open`] runs right after the magic.
+#[derive(Debug, Clone, Copy)]
+pub enum Guard {
+    /// Refuse every version but this one, then parse the body, then verify
+    /// the CRC that follows it. What follows the CRC is the caller's.
+    Version(u16),
+    /// Verify the CRC in the last four bytes before parsing anything, then
+    /// hand the version to the body unjudged. Nothing may follow the body.
+    Crc,
+}
+
+/// Appends `magic | version | body | CRC-32 of those bytes` to `out`;
+/// `body` writes the fields between the version and the CRC.
+///
+/// # Errors
+/// Whatever `body` returns; `out` then holds a partial envelope.
+pub fn seal(
+    out: &mut Vec<u8>,
+    magic: [u8; 4],
+    version: u16,
+    body: impl FnOnce(&mut Vec<u8>) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    let start = out.len();
+    out.extend_from_slice(&magic);
+    snapshot::put_u16(out, version);
+    body(out)?;
+    let crc = crc32(&out[start..]);
+    snapshot::put_u32(out, crc);
+    Ok(())
+}
+
+/// Opens an envelope [`seal`]ed at the start of `bytes`: the magic, then
+/// the checks of `guard` in its order. `body` reads the fields between
+/// the version and the CRC from the cursor it is handed, together with
+/// the version. Returns what `body` returned and the bytes after the CRC.
+///
+/// # Errors
+/// [`SnapshotError::Truncated`] / [`SnapshotError::BadMagic`] /
+/// [`SnapshotError::BadVersion`] / [`SnapshotError::Checksum`], converted
+/// into `E`, or whatever `body` returns.
+pub fn open<'a, T, E: From<SnapshotError>>(
+    bytes: &'a [u8],
+    magic: [u8; 4],
+    guard: Guard,
+    body: impl FnOnce(u16, &mut Reader<'a>) -> Result<T, E>,
+) -> Result<(T, &'a [u8]), E> {
+    Reader::new(bytes).magic(magic)?;
+    match guard {
+        Guard::Version(want) => {
+            let mut r = Reader::new(&bytes[4..]);
+            let version = r.u16()?;
+            if version != want {
+                return Err(SnapshotError::BadVersion(version).into());
+            }
+            let value = body(version, &mut r)?;
+            let sealed = bytes.len() - r.remaining();
+            if r.u32()? != crc32(&bytes[..sealed]) {
+                return Err(SnapshotError::Checksum.into());
+            }
+            Ok((value, &bytes[sealed + 4..]))
+        }
+        Guard::Crc => {
+            let sealed = bytes.len().checked_sub(4).filter(|&n| n >= 4);
+            let sealed = sealed.ok_or(SnapshotError::Truncated)?;
+            if Reader::new(&bytes[sealed..]).u32()? != crc32(&bytes[..sealed]) {
+                return Err(SnapshotError::Checksum.into());
+            }
+            let mut r = Reader::new(&bytes[4..sealed]);
+            let value = body(r.u16()?, &mut r)?;
+            r.expect_end()?;
+            Ok((value, &bytes[bytes.len()..]))
+        }
+    }
 }
 
 /// One checkpointed streaming session: the matcher's serialized decoder
@@ -138,45 +228,30 @@ impl SessionSnapshot {
     /// envelope.
     pub fn encode(&self) -> Result<Vec<u8>, SnapshotError> {
         let mut out = Vec::with_capacity(self.payload.len() + 64);
-        out.extend_from_slice(&MAGIC);
-        snapshot::put_u16(&mut out, VERSION);
-        snapshot::put_bytes(&mut out, self.matcher.as_bytes())?;
-        snapshot::put_u64(&mut out, self.session);
-        snapshot::put_u64(&mut out, self.seq);
-        snapshot::put_f64(&mut out, self.last_t);
-        snapshot::put_bytes(&mut out, &self.payload)?;
-        let crc = crc32(&out);
-        snapshot::put_u32(&mut out, crc);
+        seal(&mut out, MAGIC, VERSION, |out| {
+            snapshot::put_bytes(out, self.matcher.as_bytes())?;
+            snapshot::put_u64(out, self.session);
+            snapshot::put_u64(out, self.seq);
+            snapshot::put_f64(out, self.last_t);
+            snapshot::put_bytes(out, &self.payload)
+        })?;
         Ok(out)
     }
 
-    /// Parses and verifies an envelope: magic, version, checksum, and
-    /// structural integrity — the matcher payload itself is validated
-    /// later, by the restoring matcher's
+    /// Parses and verifies an envelope: magic, version, structure,
+    /// checksum, no trailing bytes — the matcher payload itself is
+    /// validated later, by the restoring matcher's
     /// [`trmma_traj::online::OnlineMatcher::restore_session`].
     pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let body_len = bytes.len().checked_sub(4).ok_or(SnapshotError::Truncated)?;
-        let mut r = Reader::new(bytes);
-        let magic = [r.u8()?, r.u8()?, r.u8()?, r.u8()?];
-        if magic != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = r.u16()?;
-        if version != VERSION {
-            return Err(SnapshotError::BadVersion(version));
-        }
-        let matcher = String::from_utf8(r.bytes()?.to_vec())
-            .map_err(|_| SnapshotError::Malformed("matcher name not UTF-8"))?;
-        let session = r.u64()?;
-        let seq = r.u64()?;
-        let last_t = r.f64()?;
-        let payload = r.bytes()?.to_vec();
-        let stored_crc = r.u32()?;
-        r.expect_end()?;
-        if crc32(&bytes[..body_len]) != stored_crc {
-            return Err(SnapshotError::Checksum);
-        }
-        Ok(Self { session, matcher, seq, last_t, payload })
+        let (snap, rest) = open(bytes, MAGIC, Guard::Version(VERSION), |_, r| {
+            let matcher = String::from_utf8(r.bytes()?.to_vec())
+                .map_err(|_| SnapshotError::Malformed("matcher name not UTF-8"))?;
+            let (session, seq, last_t) = (r.u64()?, r.u64()?, r.f64()?);
+            let payload = r.bytes()?.to_vec();
+            Ok::<_, SnapshotError>(Self { session, matcher, seq, last_t, payload })
+        })?;
+        Reader::new(rest).expect_end()?;
+        Ok(snap)
     }
 
     /// Fails with [`SnapshotError::WrongMatcher`] unless the snapshot was
@@ -279,9 +354,9 @@ mod tests {
     fn version_and_matcher_guards() {
         let mut v2 = sample().encode().unwrap();
         v2[4] = 2; // bump version field
-        let tail = v2.len() - 4;
-        let crc = crc32(&v2[..tail]);
-        v2[tail..].copy_from_slice(&crc.to_le_bytes());
+        v2.truncate(v2.len() - 4);
+        let crc = crc32(&v2);
+        snapshot::put_u32(&mut v2, crc);
         assert_eq!(SessionSnapshot::decode(&v2).unwrap_err(), SnapshotError::BadVersion(2));
 
         let snap = sample();

@@ -56,7 +56,6 @@ pub mod layers;
 pub mod matrix;
 mod optim;
 pub mod param;
-pub mod serialize;
 pub mod train;
 
 pub use graph::{Graph, NodeId};
@@ -66,7 +65,6 @@ pub use layers::{
 };
 pub use matrix::Matrix;
 pub use param::{Init, Param};
-pub use serialize::{load_params, save_params, LoadError};
 pub use train::TrainReport;
 
 #[cfg(test)]

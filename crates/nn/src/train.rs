@@ -9,9 +9,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::matrix::Matrix;
 use crate::optim::Adam;
 use crate::param::Param;
-use crate::serialize::{restore, snapshot};
 
 /// Summary of one training run (epoch wall-times feed Figs. 6 and 10).
 #[derive(Debug, Clone, Default)]
@@ -139,12 +139,40 @@ pub fn fit<S>(
     report
 }
 
+/// In-memory copies of the parameter values (early stopping's best
+/// epoch).
+fn snapshot(params: &[Param]) -> Vec<Matrix> {
+    params.iter().map(Param::value).collect()
+}
+
+/// Restores values captured by [`snapshot`] from the same parameters.
+fn restore(params: &[Param], saved: &[Matrix]) {
+    assert_eq!(params.len(), saved.len(), "snapshot/param count mismatch");
+    for (p, m) in params.iter().zip(saved) {
+        p.set_value(m.clone());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::Graph;
-    use crate::matrix::Matrix;
+    use crate::param::Init;
     use rand::Rng;
+
+    #[test]
+    fn snapshot_restore_round_trips() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let ps = vec![
+            Param::new(3, 4, Init::Xavier, &mut rng),
+            Param::new(1, 7, Init::Uniform(0.3), &mut rng),
+            Param::new(2, 2, Init::Zeros, &mut rng),
+        ];
+        let saved = snapshot(&ps);
+        ps[1].set_value(Matrix::full(1, 7, 9.0));
+        restore(&ps, &saved);
+        assert_ne!(ps[1].value().data(), Matrix::full(1, 7, 9.0).data());
+    }
 
     /// A toy regression sample; `usable = false` makes `sample_loss`
     /// return `None`, as an empty trajectory does for the real models.

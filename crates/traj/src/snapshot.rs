@@ -58,13 +58,30 @@ pub enum SnapshotError {
         /// The actual byte length that did not fit.
         len: usize,
     },
+    /// A weight blob holds a different number of parameters than the
+    /// model loading it.
+    CountMismatch {
+        /// Parameters the model has.
+        expected: usize,
+        /// Parameters the blob holds.
+        found: usize,
+    },
+    /// A weight blob's parameter differs in shape from the model's.
+    ShapeMismatch {
+        /// Index of the offending parameter.
+        index: usize,
+        /// `(rows, cols)` of the model's parameter.
+        expected: (usize, usize),
+        /// `(rows, cols)` stored in the blob.
+        found: (usize, usize),
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Truncated => write!(f, "snapshot truncated"),
-            Self::BadMagic => write!(f, "not a session snapshot (bad magic)"),
+            Self::BadMagic => write!(f, "bad magic: not the expected format"),
             Self::BadVersion(v) => write!(f, "unsupported snapshot version {v}"),
             Self::Checksum => write!(f, "snapshot checksum mismatch"),
             Self::WrongMatcher { expected, found } => {
@@ -73,6 +90,12 @@ impl std::fmt::Display for SnapshotError {
             Self::Malformed(what) => write!(f, "malformed snapshot: {what}"),
             Self::Oversize { len } => {
                 write!(f, "snapshot section of {len} bytes exceeds the u32 length field")
+            }
+            Self::CountMismatch { expected, found } => {
+                write!(f, "parameter count mismatch: model has {expected}, blob has {found}")
+            }
+            Self::ShapeMismatch { index, expected: (er, ec), found: (fr, fc) } => {
+                write!(f, "parameter {index} is {fr}×{fc} in the blob, {er}×{ec} in the model")
             }
         }
     }
@@ -193,6 +216,16 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// Reads four bytes and fails with [`SnapshotError::BadMagic`] unless
+    /// they are `magic`.
+    pub fn magic(&mut self, magic: [u8; 4]) -> Result<(), SnapshotError> {
+        if self.take(4)? == magic {
+            Ok(())
+        } else {
+            Err(SnapshotError::BadMagic)
+        }
+    }
+
     /// Reads a `u8`.
     pub fn u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
@@ -218,13 +251,13 @@ impl<'a> Reader<'a> {
         usize::try_from(self.u64()?).map_err(|_| SnapshotError::Malformed("usize overflow"))
     }
 
-    /// Reads a length field used to size an allocation, rejecting values
-    /// that could not possibly fit in the remaining bytes (corrupt lengths
-    /// must not trigger huge allocations).
-    pub fn seq_len(&mut self) -> Result<usize, SnapshotError> {
+    /// Reads an element count used to size an allocation, rejecting
+    /// counts whose elements — each at least `min_bytes` long on the wire —
+    /// could not fit in the remaining bytes (a corrupt count must not
+    /// trigger a huge allocation).
+    pub fn seq_len(&mut self, min_bytes: usize) -> Result<usize, SnapshotError> {
         let n = self.usize()?;
-        // Every encoded element is at least one byte.
-        if n > self.remaining() {
+        if n.checked_mul(min_bytes).is_none_or(|b| b > self.remaining()) {
             return Err(SnapshotError::Truncated);
         }
         Ok(n)
@@ -272,7 +305,7 @@ pub fn put_trajectory(out: &mut Vec<u8>, traj: &Trajectory) {
 
 /// Decodes a trajectory written by [`put_trajectory`].
 pub fn read_trajectory(r: &mut Reader<'_>) -> Result<Trajectory, SnapshotError> {
-    let n = r.seq_len()?;
+    let n = r.seq_len(24)?;
     let mut points = Vec::with_capacity(n);
     for _ in 0..n {
         points.push(r.gps()?);
@@ -294,10 +327,10 @@ pub fn put_cand_sets(out: &mut Vec<u8>, sets: &[Vec<Candidate>]) {
 
 /// Decodes candidate sets written by [`put_cand_sets`].
 pub fn read_cand_sets(r: &mut Reader<'_>) -> Result<Vec<Vec<Candidate>>, SnapshotError> {
-    let layers = r.seq_len()?;
+    let layers = r.seq_len(8)?;
     let mut sets = Vec::with_capacity(layers);
     for _ in 0..layers {
-        let n = r.seq_len()?;
+        let n = r.seq_len(20)?;
         let mut set = Vec::with_capacity(n);
         for _ in 0..n {
             set.push(r.candidate()?);
@@ -317,7 +350,7 @@ pub fn put_route(out: &mut Vec<u8>, route: &Route) {
 
 /// Decodes a route written by [`put_route`].
 pub fn read_route(r: &mut Reader<'_>) -> Result<Route, SnapshotError> {
-    let n = r.seq_len()?;
+    let n = r.seq_len(4)?;
     let mut segs = Vec::with_capacity(n);
     for _ in 0..n {
         segs.push(SegmentId(r.u32()?));
@@ -338,7 +371,7 @@ pub fn put_match_result(out: &mut Vec<u8>, res: &MatchResult) {
 
 /// Decodes a match result written by [`put_match_result`].
 pub fn read_match_result(r: &mut Reader<'_>) -> Result<MatchResult, SnapshotError> {
-    let n = r.seq_len()?;
+    let n = r.seq_len(20)?;
     let mut matched = Vec::with_capacity(n);
     for _ in 0..n {
         matched.push(r.matched()?);
@@ -384,7 +417,7 @@ mod tests {
         let mut buf = Vec::new();
         put_usize(&mut buf, 1 << 40);
         let mut r = Reader::new(&buf);
-        assert_eq!(r.seq_len(), Err(SnapshotError::Truncated));
+        assert_eq!(r.seq_len(1), Err(SnapshotError::Truncated));
     }
 
     #[test]
@@ -470,5 +503,9 @@ mod tests {
         assert!(!SnapshotError::Truncated.to_string().is_empty());
         assert!(!SnapshotError::Malformed("x").to_string().is_empty());
         assert!(SnapshotError::Oversize { len: 5 }.to_string().contains('5'));
+        let e = SnapshotError::CountMismatch { expected: 2, found: 3 };
+        assert!(e.to_string().contains('2') && e.to_string().contains('3'));
+        let e = SnapshotError::ShapeMismatch { index: 4, expected: (3, 4), found: (4, 3) };
+        assert!(e.to_string().contains("4×3"));
     }
 }

@@ -136,6 +136,19 @@ fn trained_models_persist_and_reload() {
 }
 
 #[test]
+fn weight_blobs_with_trailing_bytes_are_refused() {
+    let (_ds, net, planner, _train, _test) = fixture();
+    let mut mma = Mma::new(net.clone(), planner, None, MmaConfig::small());
+    let mut trmma = Trmma::new(net, TrmmaConfig::small());
+    let mut mma_blob = mma.save_weights();
+    let mut trmma_blob = trmma.save_weights();
+    mma_blob.push(0);
+    trmma_blob.extend_from_slice(b"tail");
+    assert!(mma.load_weights(&mma_blob).is_err(), "a byte after the last MMA value loaded");
+    assert!(trmma.load_weights(&trmma_blob).is_err(), "bytes after the last TRMMA value loaded");
+}
+
+#[test]
 fn early_stopping_never_worse_than_final_epoch_on_val() {
     let (_ds, net, planner, train, _test) = fixture();
     let subset = &train[..train.len().min(8)];
