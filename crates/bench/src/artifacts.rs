@@ -45,7 +45,7 @@ pub fn build_image(
     for (name, blob) in weights {
         b.params(name, blob);
     }
-    b.embeddings(&bundle.node2vec);
+    b.embeddings(bundle.node2vec());
     if let Some(n) = shards {
         b.shards(&build_sharded(&bundle.net, n, delta));
     }

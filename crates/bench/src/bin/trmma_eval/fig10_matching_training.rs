@@ -7,9 +7,8 @@
 //! full-network baseline trained for recovery (Fig. 6).
 
 use trmma_baselines::{FmmMatcher, HmmConfig};
-use trmma_bench::harness::{timed, trained_mma, ExpConfig};
+use trmma_bench::harness::{trained_mma, ExpConfig};
 use trmma_bench::report::secs;
-use trmma_node2vec::{train_embeddings, Node2VecConfig};
 
 use crate::{Figure, Row};
 
@@ -23,8 +22,7 @@ pub(crate) fn run(cfg: &ExpConfig) {
     .run(cfg, |bundle, table, json| {
         let (_, report) = trained_mma(&bundle, cfg.mma_config(), cfg.epochs);
         let fmm = FmmMatcher::new(bundle.net.clone(), bundle.planner.clone(), HmmConfig::default());
-        let n2v_cfg = Node2VecConfig { dim: cfg.mma_config().d0, ..Node2VecConfig::default() };
-        let (_, n2v_s) = timed(|| train_embeddings(&bundle.net, &n2v_cfg));
+        let n2v_s = bundle.node2vec_s();
 
         for (what, seconds) in [
             ("MMA s/epoch", report.mean_epoch_time_s()),

@@ -1,6 +1,6 @@
 //! Dataset/model preparation shared by every `trmma-eval` experiment.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use trmma_baselines::{Seq2SeqConfig, Seq2SeqFull};
@@ -146,8 +146,12 @@ pub struct Bundle {
     /// Route planner fitted on the training routes (the paper's shared
     /// "DA-based" routine).
     pub planner: Arc<RoutePlanner>,
-    /// Pre-trained Node2Vec segment embeddings (`W_G` of Eq. 1).
-    pub node2vec: trmma_nn::Matrix,
+    /// Node2Vec segment embeddings (`W_G` of Eq. 1) and the seconds their
+    /// training took, trained on first use ([`Bundle::node2vec`]): most
+    /// figures never read them.
+    node2vec: OnceLock<(trmma_nn::Matrix, f64)>,
+    /// Embedding width Node2Vec trains at.
+    d0: usize,
     /// Training samples (sparse at γ).
     pub train: Vec<Sample>,
     /// Test samples (sparse at γ).
@@ -168,9 +172,29 @@ impl Bundle {
         for s in &train {
             planner.observe(&s.route.segs);
         }
-        let n2v_cfg = Node2VecConfig { dim: d0, ..Node2VecConfig::default() };
-        let node2vec = train_embeddings(&net, &n2v_cfg);
-        Self { ds, net, planner: Arc::new(planner), node2vec, train, test, gamma }
+        let node2vec = OnceLock::new();
+        Self { ds, net, planner: Arc::new(planner), node2vec, d0, train, test, gamma }
+    }
+
+    /// Pre-trained Node2Vec segment embeddings (`W_G` of Eq. 1), trained
+    /// once, on the first call.
+    #[must_use]
+    pub fn node2vec(&self) -> &trmma_nn::Matrix {
+        &self.node2vec_run().0
+    }
+
+    /// Wall-clock seconds the bundle's one Node2Vec training took
+    /// (training it now if nothing has asked for the embeddings yet).
+    #[must_use]
+    pub fn node2vec_s(&self) -> f64 {
+        self.node2vec_run().1
+    }
+
+    fn node2vec_run(&self) -> &(trmma_nn::Matrix, f64) {
+        self.node2vec.get_or_init(|| {
+            let n2v_cfg = Node2VecConfig { dim: self.d0, ..Node2VecConfig::default() };
+            timed(|| train_embeddings(&self.net, &n2v_cfg))
+        })
     }
 
     /// Re-samples train/test at each of `gammas`, concatenated in that
@@ -186,9 +210,9 @@ impl Bundle {
 /// Trains MMA on the bundle; returns the model and its training report.
 #[must_use]
 pub fn trained_mma(bundle: &Bundle, cfg: MmaConfig, epochs: usize) -> (Mma, TrainReport) {
-    let cfg = MmaConfig { d0: bundle.node2vec.cols(), ..cfg };
+    let cfg = MmaConfig { d0: bundle.node2vec().cols(), ..cfg };
     let mut mma =
-        Mma::new(bundle.net.clone(), bundle.planner.clone(), Some(bundle.node2vec.clone()), cfg);
+        Mma::new(bundle.net.clone(), bundle.planner.clone(), Some(bundle.node2vec().clone()), cfg);
     let report = mma.train(&bundle.train, epochs);
     (mma, report)
 }
@@ -371,7 +395,7 @@ mod tests {
         let bundle = Bundle::prepare(&cfg, 0.2, 16);
         assert!(!bundle.train.is_empty());
         assert!(!bundle.test.is_empty());
-        assert_eq!(bundle.node2vec.shape().0, bundle.net.num_segments());
+        assert_eq!(bundle.node2vec().shape().0, bundle.net.num_segments());
         let (tr2, te2) = bundle.resample(&[0.5]);
         assert_eq!(tr2.len(), bundle.train.len());
         assert_eq!(te2.len(), bundle.test.len());
