@@ -482,6 +482,20 @@ pub struct TenantLoad {
     pub live_sessions: u64,
 }
 
+impl TenantLoad {
+    /// The fields in wire order.
+    fn fields_mut(&mut self) -> [&mut u64; 6] {
+        [
+            &mut self.tenant,
+            &mut self.points,
+            &mut self.throttled,
+            &mut self.queue_full,
+            &mut self.refused,
+            &mut self.live_sessions,
+        ]
+    }
+}
+
 /// Counter block of one [`Server`], in the style of
 /// [`RouterStats`](crate::RouterStats).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -531,38 +545,45 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
+    /// The counters in wire order — one list, so the encoder and the
+    /// decoder cannot disagree on it.
+    fn counters_mut(&mut self) -> [&mut u64; 20] {
+        [
+            &mut self.connections,
+            &mut self.frames_in,
+            &mut self.frames_out,
+            &mut self.bytes_in,
+            &mut self.bytes_out,
+            &mut self.points_accepted,
+            &mut self.acks_out,
+            &mut self.busy,
+            &mut self.refused,
+            &mut self.sessions_opened,
+            &mut self.sessions_finalized,
+            &mut self.sessions_restored,
+            &mut self.snapshots_out,
+            &mut self.crc_rejected,
+            &mut self.oversize_rejected,
+            &mut self.unknown_kind,
+            &mut self.bad_version,
+            &mut self.wrong_tenant,
+            &mut self.late_refused,
+            &mut self.slow_loris_closed,
+        ]
+    }
+
     /// Encodes the counters for a [`FrameKind::StatsReply`] payload.
     #[must_use]
     pub fn wire_encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(21 * 8 + self.tenants.len() * 48);
-        for v in [
-            self.connections,
-            self.frames_in,
-            self.frames_out,
-            self.bytes_in,
-            self.bytes_out,
-            self.points_accepted,
-            self.acks_out,
-            self.busy,
-            self.refused,
-            self.sessions_opened,
-            self.sessions_finalized,
-            self.sessions_restored,
-            self.snapshots_out,
-            self.crc_rejected,
-            self.oversize_rejected,
-            self.unknown_kind,
-            self.bad_version,
-            self.wrong_tenant,
-            self.late_refused,
-            self.slow_loris_closed,
-        ] {
-            put_u64(&mut out, v);
+        let mut counters = Self { tenants: Vec::new(), ..*self };
+        for v in counters.counters_mut() {
+            put_u64(&mut out, *v);
         }
         put_u64(&mut out, self.tenants.len() as u64);
-        for t in &self.tenants {
-            for v in [t.tenant, t.points, t.throttled, t.queue_full, t.refused, t.live_sessions] {
-                put_u64(&mut out, v);
+        for mut t in self.tenants.iter().copied() {
+            for v in t.fields_mut() {
+                put_u64(&mut out, *v);
             }
         }
         out
@@ -574,40 +595,18 @@ impl ServeStats {
     /// [`SnapshotError`] on truncated or malformed input.
     pub fn wire_decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = Reader::new(bytes);
-        let mut s = Self {
-            connections: r.u64()?,
-            frames_in: r.u64()?,
-            frames_out: r.u64()?,
-            bytes_in: r.u64()?,
-            bytes_out: r.u64()?,
-            points_accepted: r.u64()?,
-            acks_out: r.u64()?,
-            busy: r.u64()?,
-            refused: r.u64()?,
-            sessions_opened: r.u64()?,
-            sessions_finalized: r.u64()?,
-            sessions_restored: r.u64()?,
-            snapshots_out: r.u64()?,
-            crc_rejected: r.u64()?,
-            oversize_rejected: r.u64()?,
-            unknown_kind: r.u64()?,
-            bad_version: r.u64()?,
-            wrong_tenant: r.u64()?,
-            late_refused: r.u64()?,
-            slow_loris_closed: r.u64()?,
-            tenants: Vec::new(),
-        };
+        let mut s = Self::default();
+        for v in s.counters_mut() {
+            *v = r.u64()?;
+        }
         let n = r.seq_len(48)?;
         s.tenants.reserve(n);
         for _ in 0..n {
-            s.tenants.push(TenantLoad {
-                tenant: r.u64()?,
-                points: r.u64()?,
-                throttled: r.u64()?,
-                queue_full: r.u64()?,
-                refused: r.u64()?,
-                live_sessions: r.u64()?,
-            });
+            let mut t = TenantLoad::default();
+            for v in t.fields_mut() {
+                *v = r.u64()?;
+            }
+            s.tenants.push(t);
         }
         r.expect_end()?;
         Ok(s)
