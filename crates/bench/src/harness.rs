@@ -172,8 +172,8 @@ impl Bundle {
         for s in &train {
             planner.observe(&s.route.segs);
         }
-        let node2vec = OnceLock::new();
-        Self { ds, net, planner: Arc::new(planner), node2vec, d0, train, test, gamma }
+        let planner = Arc::new(planner);
+        Self { ds, net, planner, node2vec: OnceLock::new(), d0, train, test, gamma }
     }
 
     /// Pre-trained Node2Vec segment embeddings (`W_G` of Eq. 1), trained

@@ -50,7 +50,7 @@
 //!   sorted by `(src, dst)`: the table's own [`DistTable::records`],
 //!   copied verbatim.
 //! * **Params** — `blob_count u32 |` then per blob a length-prefixed
-//!   name and a length-prefixed [`crate::weights`] blob (which carries its
+//!   name and a length-prefixed TNN1 weight blob (which carries its
 //!   own magic/version/shape validation).
 //! * **Embeddings** — `rows u64 | cols u64 | f64-bits*` (one node2vec
 //!   vector per road segment, rows = `num_segments`).
@@ -101,7 +101,7 @@ pub enum SectionKind {
     Graph = 1,
     /// The bounded all-pairs distance table (FMM's UBODT).
     DistTable = 2,
-    /// Named trained-weight blobs ([`crate::weights`] format).
+    /// Named trained-weight blobs (TNN1, as `Mma::save_weights` writes).
     Params = 3,
     /// The node2vec embedding table (one row per segment).
     Embeddings = 4,
@@ -334,8 +334,8 @@ impl ArtifactBuilder {
         self
     }
 
-    /// Adds a named trained-weight blob (the output of
-    /// [`crate::weights::save_params`], e.g. via `Mma::save_weights`).
+    /// Adds a named trained-weight blob (the output of `Mma::save_weights`
+    /// or `Trmma::save_weights`).
     /// All blobs land in one params section when the builder finishes.
     pub fn params(&mut self, name: &str, blob: &[u8]) -> &mut Self {
         self.params.push((name.to_string(), blob.to_vec()));
@@ -789,8 +789,8 @@ impl Artifact {
     }
 
     /// The weight blob stored under `name`, as written by
-    /// [`crate::weights::save_params`] — feed it to `load_params` (or
-    /// `Mma::load_weights` / `Trmma::load_weights`), which re-validates
+    /// `Mma::save_weights` / `Trmma::save_weights` — feed it to
+    /// `Mma::load_weights` / `Trmma::load_weights`, which re-validates
     /// magic, version and shapes against the receiving model.
     ///
     /// # Errors

@@ -73,7 +73,7 @@ pub mod serve;
 pub mod snapshot;
 pub mod stream;
 pub mod trmma;
-pub mod weights;
+mod weights;
 
 #[cfg(test)]
 #[path = "../../baselines/src/test_support.rs"]

@@ -428,7 +428,7 @@ impl Trmma {
         trmma_nn::train::fit(&self.params, loss, train, early_stop, epochs, lr, batch, seed)
     }
 
-    /// Serialises the trained weights (a [`crate::weights`] blob).
+    /// Serialises the trained weights as a TNN1 blob (`weights.rs`).
     #[must_use]
     pub fn save_weights(&self) -> Vec<u8> {
         crate::weights::save_params(&self.params)
@@ -439,7 +439,7 @@ impl Trmma {
     ///
     /// # Errors
     /// Fails (without modifying the model) on any header, count or shape
-    /// mismatch and on trailing bytes ([`crate::weights::load_params`]).
+    /// mismatch and on trailing bytes.
     pub fn load_weights(&mut self, blob: &[u8]) -> Result<(), SnapshotError> {
         crate::weights::load_params(&self.params, blob)
     }

@@ -27,7 +27,7 @@ const VERSION: u32 = 1;
 /// differently-shaped model. No real model comes within orders of
 /// magnitude of this.
 #[must_use]
-pub fn save_params(params: &[Param]) -> Vec<u8> {
+pub(crate) fn save_params(params: &[Param]) -> Vec<u8> {
     let field = |n: usize, what: &str| -> u32 {
         snapshot::check_u32_len(n).unwrap_or_else(|_| panic!("{what} {n} exceeds the u32 field"))
     };
@@ -56,7 +56,7 @@ pub fn save_params(params: &[Param]) -> Vec<u8> {
 /// `u16::MAX`) / [`SnapshotError::CountMismatch`] /
 /// [`SnapshotError::ShapeMismatch`], or [`SnapshotError::Malformed`] when
 /// bytes follow the last value.
-pub fn load_params(params: &[Param], blob: &[u8]) -> Result<(), SnapshotError> {
+pub(crate) fn load_params(params: &[Param], blob: &[u8]) -> Result<(), SnapshotError> {
     let mut r = Reader::new(blob);
     r.magic(MAGIC)?;
     let version = r.u32()?;
@@ -79,7 +79,10 @@ pub fn load_params(params: &[Param], blob: &[u8]) -> Result<(), SnapshotError> {
         if r.remaining() < n * 8 {
             return Err(SnapshotError::Truncated);
         }
-        let data = (0..n).map(|_| r.f64()).collect::<Result<Vec<_>, _>>()?;
+        let mut data = Vec::with_capacity(n);
+        for _ in 0..n {
+            data.push(r.f64()?);
+        }
         loaded.push(Matrix::from_vec(shape.0, shape.1, data));
     }
     r.expect_end()?;

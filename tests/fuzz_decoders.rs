@@ -71,6 +71,10 @@ fn track(delta: isize) {
     });
 }
 
+// SAFETY: every method forwards its caller's arguments unchanged to the
+// `System` allocator, so the caller's guarantees are the ones `System`
+// needs, and returns `System`'s result; the counting beside it touches
+// only thread-local `Cell`s, never allocates, and cannot unwind.
 #[allow(clippy::cast_possible_wrap)]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
