@@ -225,8 +225,13 @@ impl From<SnapshotError> for ArtifactError {
             SnapshotError::BadMagic => Self::BadMagic,
             SnapshotError::BadVersion(v) => Self::BadVersion(v),
             SnapshotError::Checksum => Self::HeaderChecksum,
-            // The rest cannot arise from the scalar accessors used here.
-            _ => Self::Malformed("unexpected codec error"),
+            // The scalar accessors used here cannot raise these; each is
+            // still named, so a new codec error fails to compile until it
+            // is mapped.
+            SnapshotError::WrongMatcher { .. } => Self::Malformed("matcher mismatch"),
+            SnapshotError::Oversize { .. } => Self::Malformed("length exceeds its u32 field"),
+            SnapshotError::CountMismatch { .. } => Self::Malformed("parameter count mismatch"),
+            SnapshotError::ShapeMismatch { .. } => Self::Malformed("parameter shape mismatch"),
         }
     }
 }

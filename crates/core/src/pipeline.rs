@@ -31,11 +31,6 @@ impl TrmmaPipeline {
         &self.model
     }
 
-    /// Mutable access to the recovery model.
-    pub fn model_mut(&mut self) -> &mut Trmma {
-        &mut self.model
-    }
-
     /// Dismantles the pipeline into its matcher and recovery model — e.g.
     /// to rewrap a sequentially evaluated pipeline into the batch engine
     /// without retraining.

@@ -29,11 +29,11 @@
 //! # Service semantics
 //!
 //! * **Backpressure, end to end.** Each connection has a bounded inflight
-//!   window (accepted-but-unacked pushes); each tenant has a points/s
-//!   token bucket and a bounded queue; the queue is drained round-robin
-//!   across tenants (one point per tenant per cycle) so one hot tenant
-//!   cannot starve the rest; and when [`StreamEngine::push`] hits its
-//!   `push_timeout_s` deadline the client sees [`BusyCode::PushTimeout`].
+//!   window (accepted-but-unacked pushes); each tenant has a bounded
+//!   queue, drained round-robin across tenants (one point per tenant per
+//!   cycle) so one hot tenant cannot starve the rest; and when
+//!   [`StreamEngine::push`] hits its `push_timeout_s` deadline the client
+//!   sees [`BusyCode::PushTimeout`].
 //! * **Rolling restart.** A [`FrameKind::Snapshot`] frame quiesces
 //!   admissions, drains every live session through
 //!   [`StreamEngine::drain_snapshots`], and streams one
@@ -54,7 +54,7 @@
 //! # Trust model
 //!
 //! Tenant ids are client-asserted — there is no authentication layer, so
-//! tenant isolation (session caps, rate limits, fairness rows) is
+//! tenant isolation (session caps, queue bounds, fairness rows) is
 //! *cooperative*: it protects well-behaved tenants from each other's
 //! load, not from an adversary who spoofs another tenant's id. What the
 //! server does guarantee against hostile input is bounded resource use:
@@ -65,7 +65,7 @@
 //! not mutually trusted.
 //!
 //! [`ServeStats`] counts what happened — accepted/refused frames,
-//! per-tenant throttle events, bytes in/out, restore counts — in the same
+//! per-tenant queue-full events, bytes in/out, restore counts — in the same
 //! style as [`RouterStats`](crate::RouterStats).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -91,7 +91,7 @@ use crate::stream::{Bell, FaultPlan, SessionId, StreamEngine, StreamEvent, Strea
 pub const MAGIC: [u8; 4] = *b"TRMP";
 
 /// Protocol version spoken by this build.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// Fixed envelope prefix: magic + version + kind + tenant + session +
 /// payload length. The payload bytes and the trailing CRC-32 follow.
@@ -237,8 +237,8 @@ impl RefuseCode {
 pub enum BusyCode {
     /// The tenant's pending queue is full.
     QueueFull = 0,
-    /// The tenant's points/s token bucket is empty.
-    Throttled = 1,
+    // Code 1 stays unassigned: version-1 peers read it as a rate-limit
+    // refusal, so reusing it would change what an old reading means.
     /// [`StreamEngine::push`] hit its `push_timeout_s` deadline (worker
     /// queues stayed full) — the deadline surfaces here instead of a
     /// silent drop.
@@ -254,7 +254,6 @@ impl BusyCode {
     pub fn from_u8(c: u8) -> Option<Self> {
         Some(match c {
             0 => Self::QueueFull,
-            1 => Self::Throttled,
             2 => Self::PushTimeout,
             3 => Self::Window,
             _ => return None,
@@ -413,9 +412,14 @@ impl Reply {
     /// Parses a reply frame into its typed form.
     ///
     /// # Errors
+    /// [`SnapshotError::BadVersion`] for a version other than [`VERSION`]
+    /// (another version may lay a payload out differently), and
     /// [`SnapshotError`] when the frame is not a reply kind or its payload
     /// does not decode.
     pub fn parse(f: &Frame) -> Result<Self, SnapshotError> {
+        if f.version != VERSION {
+            return Err(SnapshotError::BadVersion(f.version));
+        }
         let kind =
             FrameKind::from_u8(f.kind).ok_or(SnapshotError::Malformed("unknown reply kind"))?;
         let mut r = Reader::new(&f.payload);
@@ -463,8 +467,8 @@ impl Reply {
     }
 }
 
-/// Per-tenant slice of [`ServeStats`] — the fairness evidence: a throttled
-/// or queue-capped tenant shows up here without moving any other tenant's
+/// Per-tenant slice of [`ServeStats`] — the fairness evidence: a
+/// queue-capped tenant shows up here without moving any other tenant's
 /// counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantLoad {
@@ -472,8 +476,6 @@ pub struct TenantLoad {
     pub tenant: u64,
     /// Points accepted into the tenant's queue.
     pub points: u64,
-    /// Pushes bounced by the tenant's token bucket.
-    pub throttled: u64,
     /// Pushes bounced by the tenant's full queue.
     pub queue_full: u64,
     /// Frames refused on this tenant's sessions.
@@ -484,11 +486,10 @@ pub struct TenantLoad {
 
 impl TenantLoad {
     /// The fields in wire order.
-    fn fields_mut(&mut self) -> [&mut u64; 6] {
+    fn fields_mut(&mut self) -> [&mut u64; 5] {
         [
             &mut self.tenant,
             &mut self.points,
-            &mut self.throttled,
             &mut self.queue_full,
             &mut self.refused,
             &mut self.live_sessions,
@@ -575,7 +576,7 @@ impl ServeStats {
     /// Encodes the counters for a [`FrameKind::StatsReply`] payload.
     #[must_use]
     pub fn wire_encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(21 * 8 + self.tenants.len() * 48);
+        let mut out = Vec::with_capacity(21 * 8 + self.tenants.len() * 40);
         let mut counters = Self { tenants: Vec::new(), ..*self };
         for v in counters.counters_mut() {
             put_u64(&mut out, *v);
@@ -599,7 +600,7 @@ impl ServeStats {
         for v in s.counters_mut() {
             *v = r.u64()?;
         }
-        let n = r.seq_len(48)?;
+        let n = r.seq_len(40)?;
         s.tenants.reserve(n);
         for _ in 0..n {
             let mut t = TenantLoad::default();
@@ -628,11 +629,6 @@ pub struct ServeConfig {
     pub stream: StreamOptions,
     /// Live-session cap per tenant.
     pub max_sessions_per_tenant: usize,
-    /// Token-bucket refill rate per tenant, points per second; `0`
-    /// disables rate limiting.
-    pub rate_points_per_s: f64,
-    /// Token-bucket burst size per tenant.
-    pub burst: f64,
     /// Bound of each tenant's pending-point queue.
     pub tenant_queue: usize,
     /// Bound of each connection's accepted-but-unacked push window.
@@ -644,8 +640,6 @@ pub struct ServeConfig {
     /// Largest payload the server will read; a bigger declared length is
     /// refused without reading it.
     pub max_payload: usize,
-    /// Deadline for quiescing and draining on a [`FrameKind::Snapshot`].
-    pub drain_timeout_s: f64,
     /// Seeded chaos for the engine (tests): see [`FaultPlan`].
     pub faults: Option<FaultPlan>,
 }
@@ -656,13 +650,10 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             stream: StreamOptions::with_threads(2).idle_timeout_s(0.0),
             max_sessions_per_tenant: 256,
-            rate_points_per_s: 0.0,
-            burst: 64.0,
             tenant_queue: 1024,
             inflight_window: 64,
             read_timeout_s: 10.0,
             max_payload: 1 << 20,
-            drain_timeout_s: 10.0,
             faults: None,
         }
     }
@@ -687,14 +678,6 @@ impl ServeConfig {
     #[must_use]
     pub fn max_sessions_per_tenant(mut self, n: usize) -> Self {
         self.max_sessions_per_tenant = n;
-        self
-    }
-
-    /// Sets the per-tenant token-bucket rate (`0` = unlimited) and burst.
-    #[must_use]
-    pub fn rate_limit(mut self, points_per_s: f64, burst: f64) -> Self {
-        self.rate_points_per_s = points_per_s;
-        self.burst = burst;
         self
     }
 
@@ -723,13 +706,6 @@ impl ServeConfig {
     #[must_use]
     pub fn max_payload(mut self, n: usize) -> Self {
         self.max_payload = n;
-        self
-    }
-
-    /// Sets the snapshot drain deadline in seconds.
-    #[must_use]
-    pub fn drain_timeout_s(mut self, s: f64) -> Self {
-        self.drain_timeout_s = s;
         self
     }
 
@@ -781,30 +757,13 @@ struct SessionEntry {
     closing: bool,
 }
 
+#[derive(Default)]
 struct TenantState {
-    tokens: f64,
-    last_refill: Instant,
     queue: VecDeque<Pending>,
     live_sessions: u64,
     points: u64,
-    throttled: u64,
     queue_full: u64,
     refused: u64,
-}
-
-impl TenantState {
-    fn new(burst: f64) -> Self {
-        Self {
-            tokens: burst,
-            last_refill: Instant::now(),
-            queue: VecDeque::new(),
-            live_sessions: 0,
-            points: 0,
-            throttled: 0,
-            queue_full: 0,
-            refused: 0,
-        }
-    }
 }
 
 enum PendingKind {
@@ -1063,7 +1022,6 @@ fn collect_stats<M: OnlineMatcher + 'static>(shared: &Shared<M>) -> ServeStats {
         s.tenants.push(TenantLoad {
             tenant,
             points: t.points,
-            throttled: t.throttled,
             queue_full: t.queue_full,
             refused: t.refused,
             live_sessions: t.live_sessions,
@@ -1334,8 +1292,7 @@ fn reserve_session<M: OnlineMatcher + 'static>(
     if reg.sessions.contains_key(&session) {
         return Err(RefuseCode::AlreadyOpen);
     }
-    let burst = shared.cfg.burst;
-    let t = reg.tenants.entry(tenant).or_insert_with(|| TenantState::new(burst));
+    let t = reg.tenants.entry(tenant).or_default();
     if t.live_sessions as usize >= shared.cfg.max_sessions_per_tenant {
         t.refused += 1;
         return Err(RefuseCode::SessionLimit);
@@ -1397,23 +1354,8 @@ fn handle_push<M: OnlineMatcher + 'static>(
     }
     let engine_sid = entry.engine_sid;
     let prev_t = entry.last_t;
-    let rate = shared.cfg.rate_points_per_s;
-    let (burst, queue_cap) = (shared.cfg.burst, shared.cfg.tenant_queue);
-    let t = reg.tenants.entry(tenant).or_insert_with(|| TenantState::new(burst));
-    if rate > 0.0 {
-        let now = Instant::now();
-        let dt = now.duration_since(t.last_refill).as_secs_f64();
-        t.tokens = (t.tokens + dt * rate).min(burst);
-        t.last_refill = now;
-        if t.tokens < 1.0 {
-            t.throttled += 1;
-            drop(reg);
-            busy(shared, tx, tenant, session, BusyCode::Throttled);
-            return;
-        }
-        t.tokens -= 1.0;
-    }
-    if t.queue.len() >= queue_cap {
+    let t = reg.tenants.entry(tenant).or_default();
+    if t.queue.len() >= shared.cfg.tenant_queue {
         t.queue_full += 1;
         drop(reg);
         busy(shared, tx, tenant, session, BusyCode::QueueFull);
@@ -1683,7 +1625,7 @@ fn handle_event<M: OnlineMatcher + 'static>(shared: &Shared<M>, ev: &StreamEvent
 }
 
 /// Retires ack waiters whose `Update` events will never arrive (the
-/// snapshot settle hit `drain_timeout_s`): each waiter's inflight-window
+/// snapshot settle hit [`DRAIN_TIMEOUT`]): each waiter's inflight-window
 /// slot is released — mirroring the PushTimeout cleanup in [`deliver`] —
 /// and answered with a typed Busy, so the connection's window cannot leak
 /// into a permanent `Busy(Window)` wall.
@@ -1698,6 +1640,9 @@ fn flush_ack_waiters<M: OnlineMatcher + 'static>(
     }
 }
 
+/// Deadline for quiescing and draining on a [`FrameKind::Snapshot`].
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// The rolling-restart drain: flush every queued command, wait for the
 /// engine to settle (all acks and finals delivered), then stream one
 /// `SnapshotData` per live session followed by `SnapshotDone`.
@@ -1708,7 +1653,7 @@ fn handle_snapshot<M: OnlineMatcher + 'static>(
     session: u64,
     reply: &ReplyTx,
 ) {
-    let deadline = Instant::now() + Duration::from_secs_f64(shared.cfg.drain_timeout_s.max(0.1));
+    let deadline = Instant::now() + DRAIN_TIMEOUT;
     // Admissions were cut off when the Snapshot frame was dispatched
     // (draining = true); flush what was already admitted.
     loop {
@@ -2173,6 +2118,9 @@ mod tests {
         // them with typed replies); corruption does not.
         let odd = Frame { version: 9, kind: 200, tenant: 0, session: 0, payload: vec![1, 2] };
         assert_eq!(Frame::decode(&odd.encode().unwrap()).unwrap(), odd);
+        // A client does not read a reply laid out by another version.
+        let old = Frame { version: 1, ..Frame::new(FrameKind::Opened, 7, 42, Vec::new()) };
+        assert!(matches!(Reply::parse(&old), Err(SnapshotError::BadVersion(1))));
         for cut in 0..bytes.len() {
             assert!(Frame::decode(&bytes[..cut]).is_err());
         }
@@ -2199,12 +2147,12 @@ mod tests {
         let update = trmma_traj::OnlineUpdate { provisional: Some(m), stable_prefix: 3 };
         assert_eq!(
             hex(ack_frame(7, 42, 5, &update)),
-            "54524d5001001107000000000000002a00000000000000250000000500000000000000030000000000\
-             0000010b000000000000000000d83f0000000000404e400848364c"
+            "54524d5002001107000000000000002a00000000000000250000000500000000000000030000000000\
+             0000010b000000000000000000d83f0000000000404e40d8dd33c8"
         );
         assert_eq!(
             hex(refused_frame(7, 42, RefuseCode::BadVersion, 9)),
-            "54524d5001001807000000000000002a00000000000000050000000109000000af73d6c7"
+            "54524d5002001807000000000000002a00000000000000050000000109000000887408c5"
         );
     }
 
@@ -2224,12 +2172,14 @@ mod tests {
         }
         assert!(FrameKind::from_u8(0).is_none());
         assert!(FrameKind::from_u8(99).is_none());
+        // The retired rate limit's code stays unassigned.
+        assert!(BusyCode::from_u8(1).is_none());
     }
 
     #[test]
     fn stats_wire_codec_round_trips() {
         let mut s = ServeStats { connections: 3, frames_in: 100, busy: 2, ..Default::default() };
-        s.tenants.push(TenantLoad { tenant: 9, points: 55, throttled: 4, ..Default::default() });
+        s.tenants.push(TenantLoad { tenant: 9, points: 55, queue_full: 4, ..Default::default() });
         let bytes = s.wire_encode();
         assert_eq!(ServeStats::wire_decode(&bytes).unwrap(), s);
         assert!(ServeStats::wire_decode(&bytes[..bytes.len() - 1]).is_err());

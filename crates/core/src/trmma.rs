@@ -172,13 +172,6 @@ impl Trmma {
         &self.net
     }
 
-    /// Shared handle to the road network (for wiring batch engines and
-    /// sibling models without re-loading the network).
-    #[must_use]
-    pub fn network_arc(&self) -> Arc<RoadNetwork> {
-        self.net.clone()
-    }
-
     /// DualFormer encoding (Eq. 11–14): returns `H` (`ℓ_R × dh`).
     fn encode(
         &self,

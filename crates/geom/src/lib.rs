@@ -2,16 +2,13 @@
 //!
 //! Everything downstream (the R-tree, the road network, map matching, the
 //! trajectory generator) works in a **local planar frame** measured in
-//! metres: a [`Vec2`] is an `(x, y)` position, produced from raw WGS-84
-//! coordinates by a [`Projector`] (equirectangular projection around a
-//! dataset-specific reference point). This matches what the paper's datasets
-//! do implicitly — city-scale extents (≤ 30 km, Table II) where the
-//! equirectangular error is far below GPS noise (≈ 5–30 m).
+//! metres: a [`Vec2`] is an `(x, y)` position. The synthetic city generator
+//! emits this frame directly; the paper's city-scale extents (≤ 30 km,
+//! Table II) are where a planar frame's error stays far below GPS noise
+//! (≈ 5–30 m).
 //!
 //! The crate provides:
 //!
-//! * [`GeoPoint`] — raw latitude/longitude with haversine distance;
-//! * [`Projector`] — lat/lng ↔ local metres;
 //! * [`Vec2`] — planar vector algebra (dot, norm, cosine similarity — the
 //!   direction features of MMA §IV-B);
 //! * [`SegLine`] — a directed straight segment with point projection,
@@ -38,7 +35,7 @@ mod point;
 mod segline;
 
 pub use bbox::BBox;
-pub use point::{GeoPoint, Projector, Vec2, EARTH_RADIUS_M};
+pub use point::Vec2;
 pub use segline::SegLine;
 
 /// Cosine similarity between two planar vectors.

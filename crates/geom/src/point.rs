@@ -1,34 +1,3 @@
-/// Mean Earth radius in metres (IUGG).
-pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
-
-/// A raw WGS-84 coordinate, as found in GPS trajectories (Definition 2).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GeoPoint {
-    /// Latitude in degrees, positive north.
-    pub lat: f64,
-    /// Longitude in degrees, positive east.
-    pub lng: f64,
-}
-
-impl GeoPoint {
-    /// Creates a new geographic point.
-    #[must_use]
-    pub fn new(lat: f64, lng: f64) -> Self {
-        Self { lat, lng }
-    }
-
-    /// Great-circle distance to `other` in metres (haversine formula).
-    #[must_use]
-    pub fn haversine_m(&self, other: &GeoPoint) -> f64 {
-        let (lat1, lng1) = (self.lat.to_radians(), self.lng.to_radians());
-        let (lat2, lng2) = (other.lat.to_radians(), other.lng.to_radians());
-        let dlat = lat2 - lat1;
-        let dlng = lng2 - lng1;
-        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlng / 2.0).sin().powi(2);
-        2.0 * EARTH_RADIUS_M * a.sqrt().asin()
-    }
-}
-
 /// A position or displacement in the local planar frame, in metres.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
@@ -106,86 +75,9 @@ impl std::ops::Neg for Vec2 {
     }
 }
 
-/// Equirectangular projection around a reference point.
-///
-/// For city-scale extents the distortion relative to the haversine distance
-/// is below 0.1 %, i.e. centimetres — negligible next to GPS noise. The
-/// projection is exactly invertible, so datasets can round-trip between
-/// WGS-84 storage and planar processing.
-#[derive(Debug, Clone, Copy)]
-pub struct Projector {
-    origin: GeoPoint,
-    cos_lat: f64,
-}
-
-impl Projector {
-    /// Creates a projector centred on `origin`.
-    #[must_use]
-    pub fn new(origin: GeoPoint) -> Self {
-        Self { origin, cos_lat: origin.lat.to_radians().cos() }
-    }
-
-    /// The reference point of the projection.
-    #[must_use]
-    pub fn origin(&self) -> GeoPoint {
-        self.origin
-    }
-
-    /// Projects a geographic coordinate to local metres.
-    #[must_use]
-    pub fn project(&self, p: GeoPoint) -> Vec2 {
-        let x = (p.lng - self.origin.lng).to_radians() * self.cos_lat * EARTH_RADIUS_M;
-        let y = (p.lat - self.origin.lat).to_radians() * EARTH_RADIUS_M;
-        Vec2::new(x, y)
-    }
-
-    /// Inverse projection from local metres back to WGS-84.
-    #[must_use]
-    pub fn unproject(&self, v: Vec2) -> GeoPoint {
-        let lat = self.origin.lat + (v.y / EARTH_RADIUS_M).to_degrees();
-        let lng = self.origin.lng + (v.x / (EARTH_RADIUS_M * self.cos_lat)).to_degrees();
-        GeoPoint::new(lat, lng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn haversine_known_distance() {
-        // Porto city centre to Vila Nova de Gaia across the Douro: ~2 km.
-        let a = GeoPoint::new(41.1496, -8.6109);
-        let b = GeoPoint::new(41.1333, -8.6167);
-        let d = a.haversine_m(&b);
-        assert!(d > 1_500.0 && d < 2_500.0, "d = {d}");
-    }
-
-    #[test]
-    fn haversine_zero_for_same_point() {
-        let a = GeoPoint::new(39.9, 116.4);
-        assert_eq!(a.haversine_m(&a), 0.0);
-    }
-
-    #[test]
-    fn projection_round_trips() {
-        let proj = Projector::new(GeoPoint::new(41.15, -8.61));
-        let p = GeoPoint::new(41.1623, -8.5987);
-        let back = proj.unproject(proj.project(p));
-        assert!((back.lat - p.lat).abs() < 1e-9);
-        assert!((back.lng - p.lng).abs() < 1e-9);
-    }
-
-    #[test]
-    fn projection_preserves_distance_at_city_scale() {
-        let proj = Projector::new(GeoPoint::new(30.66, 104.06)); // Chengdu
-        let a = GeoPoint::new(30.70, 104.10);
-        let b = GeoPoint::new(30.62, 104.02);
-        let planar = proj.project(a).dist(proj.project(b));
-        let geodesic = a.haversine_m(&b);
-        let rel_err = (planar - geodesic).abs() / geodesic;
-        assert!(rel_err < 1e-3, "relative error {rel_err}");
-    }
 
     #[test]
     fn vec2_algebra() {

@@ -234,12 +234,6 @@ impl RoadNetwork {
         self.reverse_twin[seg.idx()]
     }
 
-    /// Maximum out-degree over nodes (the `~deg` of the complexity analysis).
-    #[must_use]
-    pub fn max_out_degree(&self) -> usize {
-        self.out_segs.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Bounding box of the whole network.
     #[must_use]
     pub fn bbox(&self) -> BBox {

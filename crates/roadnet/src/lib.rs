@@ -26,9 +26,7 @@
 //!   scale past one-process-owns-the-whole-graph;
 //! * [`gen`] — a synthetic city generator standing in for the paper's
 //!   OpenStreetMap extracts (see DESIGN.md §1 for the substitution
-//!   rationale);
-//! * [`io`] — a plain-text interchange format so user-supplied networks can
-//!   be loaded.
+//!   rationale).
 //!
 //! # Example
 //!
@@ -50,7 +48,6 @@
 
 pub mod gen;
 pub mod graph;
-pub mod io;
 pub mod planner;
 pub mod shard;
 pub mod shortest;

@@ -41,7 +41,6 @@
 pub mod api;
 pub mod dataset;
 pub mod gen;
-pub mod io;
 pub mod metrics;
 pub mod online;
 pub mod snapshot;

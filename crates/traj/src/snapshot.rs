@@ -80,14 +80,14 @@ pub enum SnapshotError {
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Truncated => write!(f, "snapshot truncated"),
+            Self::Truncated => write!(f, "input truncated"),
             Self::BadMagic => write!(f, "bad magic: not the expected format"),
-            Self::BadVersion(v) => write!(f, "unsupported snapshot version {v}"),
-            Self::Checksum => write!(f, "snapshot checksum mismatch"),
+            Self::BadVersion(v) => write!(f, "unsupported format version {v}"),
+            Self::Checksum => write!(f, "envelope checksum mismatch"),
             Self::WrongMatcher { expected, found } => {
                 write!(f, "snapshot is for matcher {found:?}, not {expected:?}")
             }
-            Self::Malformed(what) => write!(f, "malformed snapshot: {what}"),
+            Self::Malformed(what) => write!(f, "malformed input: {what}"),
             Self::Oversize { len } => {
                 write!(f, "snapshot section of {len} bytes exceeds the u32 length field")
             }

@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use trmma::baselines::{FmmMatcher, HmmConfig, HmmMatcher, LhmmMatcher, NearestMatcher};
-use trmma::core::serve::{push_payload, Frame, FrameKind, Reply, ServeStats, TenantLoad};
+use trmma::core::serve::{push_payload, Frame, FrameKind, Reply, ServeStats, TenantLoad, VERSION};
 use trmma::core::snapshot::crc32;
 use trmma::core::{Artifact, ArtifactBuilder, Mma, MmaConfig, SessionSnapshot, Trmma, TrmmaConfig};
 use trmma::nn::Matrix;
@@ -266,7 +266,7 @@ fn reply_frames(hmm: &HmmMatcher, sample: &Sample, snapshot: &[u8]) -> Vec<Frame
     put_u8(&mut ack, 1);
     put_matched(&mut ack, &result.matched[0]);
     let mut stats = ServeStats { connections: 3, frames_in: 100, busy: 2, ..Default::default() };
-    stats.tenants.push(TenantLoad { tenant: 9, points: 55, throttled: 4, ..Default::default() });
+    stats.tenants.push(TenantLoad { tenant: 9, points: 55, queue_full: 4, ..Default::default() });
     stats.tenants.push(TenantLoad { tenant: 11, refused: 1, ..Default::default() });
     let mut refused = vec![3];
     put_u32(&mut refused, 9);
@@ -355,7 +355,7 @@ fn every_decoder_survives_mutated_input() {
             let kind = if rng.gen_range(0..8) == 0 { rng.gen::<u32>() as u8 } else { frame.kind };
             check("Reply::parse", &payload, |b| {
                 Reply::parse(&Frame {
-                    version: 1,
+                    version: VERSION,
                     kind,
                     tenant: 7,
                     session: 42,
