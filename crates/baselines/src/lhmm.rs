@@ -2,12 +2,12 @@
 //!
 //! LHMM (Shi et al., ICDE 2023) enhances the classic HMM by *learning* its
 //! probabilities from data instead of hand-tuning them. This surrogate
-//! keeps the mechanism at the scale of this reproduction: the emission
-//! deviation σ_z and the transition scale β are fitted by maximum
-//! likelihood on the training corpus (σ̂ = RMS perpendicular distance of
-//! true matches; β̂ = mean absolute detour between consecutive true
-//! matches, the MLE of an exponential scale), and per-segment transition
-//! priors from the shared route planner re-weight the Viterbi transitions.
+//! learns two scalars and nothing else: the emission deviation σ_z and the
+//! transition scale β are fitted by maximum likelihood on the training
+//! corpus (σ̂ = RMS perpendicular distance of true matches; β̂ = mean
+//! absolute detour between consecutive true matches, the MLE of an
+//! exponential scale). [`LhmmMatcher`] is an [`HmmMatcher`] built with
+//! those two values, and delegates every call to it (DESIGN.md §1).
 
 use std::sync::Arc;
 

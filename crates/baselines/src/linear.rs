@@ -8,13 +8,15 @@
 use std::sync::Arc;
 
 use trmma_roadnet::{RoadNetwork, SegmentId};
-use trmma_traj::api::{epsilon_ticks, MapMatcher, TrajectoryRecovery};
+use trmma_traj::api::{assert_recoverable, epsilon_ticks, MapMatcher, TrajectoryRecovery};
 use trmma_traj::types::{MatchedPoint, MatchedTrajectory, Route, Trajectory};
 
-/// Linear-interpolation recovery over any matcher's route.
+/// Linear-interpolation recovery over any matcher's route. The matcher is
+/// shared, so one trained model can feed this and a learned recovery at
+/// once.
 pub struct LinearRecovery<M: MapMatcher> {
     net: Arc<RoadNetwork>,
-    matcher: M,
+    matcher: Arc<M>,
     name: &'static str,
 }
 
@@ -22,14 +24,8 @@ impl<M: MapMatcher> LinearRecovery<M> {
     /// Wraps `matcher`; `name` labels the method in experiment tables
     /// (e.g. "Linear", "MMA+linear").
     #[must_use]
-    pub fn new(net: Arc<RoadNetwork>, matcher: M, name: &'static str) -> Self {
+    pub fn new(net: Arc<RoadNetwork>, matcher: Arc<M>, name: &'static str) -> Self {
         Self { net, matcher, name }
-    }
-
-    /// Access to the wrapped matcher.
-    #[must_use]
-    pub fn matcher(&self) -> &M {
-        &self.matcher
     }
 }
 
@@ -82,7 +78,11 @@ impl<M: MapMatcher> TrajectoryRecovery for LinearRecovery<M> {
         self.name
     }
 
+    /// # Panics
+    /// Panics naming the first point that is not finite or whose `t` does
+    /// not rise above its predecessor's ([`assert_recoverable`]).
     fn recover(&self, traj: &Trajectory, epsilon_s: f64) -> MatchedTrajectory {
+        assert_recoverable(traj);
         let result = self.matcher.match_trajectory(traj);
         if result.matched.is_empty() {
             return MatchedTrajectory::default();
@@ -99,12 +99,7 @@ impl<M: MapMatcher> TrajectoryRecovery for LinearRecovery<M> {
             let (b_idx, b_off) =
                 scale.offset_of(&self.net, b.seg, b.ratio, cursor).unwrap_or((cursor, prev_off));
             let b_off = b_off.max(prev_off); // guard against backtracking noise
-            let interval = b.t - a.t;
-            let missing = if interval > 0.0 {
-                epsilon_ticks(interval, epsilon_s).saturating_sub(1)
-            } else {
-                0
-            };
+            let missing = epsilon_ticks(b.t - a.t, epsilon_s).saturating_sub(1);
             for j in 1..=missing {
                 let f = j as f64 / (missing + 1) as f64;
                 let off = prev_off + f * (b_off - prev_off);
@@ -122,6 +117,7 @@ impl<M: MapMatcher> TrajectoryRecovery for LinearRecovery<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hmm::{HmmConfig, HmmMatcher};
     use crate::nearest::NearestMatcher;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -133,7 +129,7 @@ mod tests {
         let net = Arc::new(generate_city(&NetworkConfig::with_size(12, 12, 61)));
         let planner = Arc::new(RoutePlanner::untrained(&net));
         let matcher = NearestMatcher::new(net.clone(), planner);
-        let rec = LinearRecovery::new(net.clone(), matcher, "Linear");
+        let rec = LinearRecovery::new(net.clone(), Arc::new(matcher), "Linear");
         (net, rec, TrajConfig { min_points: 14, min_od_dist_m: 900.0, ..TrajConfig::default() })
     }
 
@@ -231,16 +227,15 @@ mod tests {
     }
 
     #[test]
-    fn non_positive_intervals_have_no_missing_points() {
+    fn non_increasing_timestamps_are_rejected_by_index() {
         let (net, rec, cfg) = setup();
         let mut rng = StdRng::seed_from_u64(7);
         let raw = generate_trajectory(&net, &cfg, &mut rng).unwrap();
-        let mut sparse = sparsify(&raw, 0.25, &mut rng).sparse;
-        // Equal and decreasing timestamps: every gap has interval <= 0.
-        let t0 = sparse.points[0].t;
-        for (i, p) in sparse.points.iter_mut().enumerate() {
-            p.t = t0 - (i / 2) as f64;
-        }
-        assert_eq!(rec.recover(&sparse, cfg.epsilon_s).len(), sparse.len());
+        let sparse = sparsify(&raw, 0.25, &mut rng).sparse;
+        crate::test_support::assert_rejects_non_increasing_times(&rec, &sparse, cfg.epsilon_s);
+        let planner = Arc::new(RoutePlanner::untrained(&net));
+        let hmm = HmmMatcher::new(net.clone(), planner, HmmConfig::default());
+        let hmm_lin = LinearRecovery::new(net, Arc::new(hmm), "HMM+linear");
+        crate::test_support::assert_rejects_non_increasing_times(&hmm_lin, &sparse, cfg.epsilon_s);
     }
 }

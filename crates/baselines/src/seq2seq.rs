@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use trmma_geom::BBox;
 use trmma_nn::{Graph, GruCell, Linear, Matrix, Mlp, NodeId, Param, TrainReport};
 use trmma_roadnet::{RoadNetwork, SegmentId};
-use trmma_traj::api::{assert_finite_point, epsilon_ticks, CandidateFinder, TrajectoryRecovery};
+use trmma_traj::api::{assert_recoverable, epsilon_ticks, CandidateFinder, TrajectoryRecovery};
 use trmma_traj::types::{MatchedPoint, MatchedTrajectory, Trajectory};
 use trmma_traj::Sample;
 
@@ -199,12 +199,10 @@ impl TrajectoryRecovery for Seq2SeqFull {
     }
 
     /// # Panics
-    /// Panics naming the point unless every point's x, y and t are finite
-    /// (the check a matcher's input boundary applies).
+    /// Panics naming the first point that is not finite or whose `t` does
+    /// not rise above its predecessor's ([`assert_recoverable`]).
     fn recover(&self, traj: &Trajectory, epsilon_s: f64) -> MatchedTrajectory {
-        for (i, p) in traj.points.iter().enumerate() {
-            assert_finite_point(i, p);
-        }
+        assert_recoverable(traj);
         if traj.is_empty() {
             return MatchedTrajectory::default();
         }
@@ -289,6 +287,15 @@ mod tests {
         let model = Seq2SeqFull::new(Arc::new(ds.net.clone()), cfg);
         let s = &ds.samples(Split::Test, 0.2, 3)[0];
         crate::test_support::assert_rejects_non_finite_points(&model, &s.sparse, ds.epsilon_s);
+    }
+
+    #[test]
+    fn non_increasing_timestamps_are_rejected_by_index() {
+        let ds = build_dataset(&DatasetConfig::tiny());
+        let cfg = Seq2SeqConfig { d_model: 16, d_emb: 8, ..Seq2SeqConfig::default() };
+        let model = Seq2SeqFull::new(Arc::new(ds.net.clone()), cfg);
+        let s = &ds.samples(Split::Test, 0.2, 3)[0];
+        crate::test_support::assert_rejects_non_increasing_times(&model, &s.sparse, ds.epsilon_s);
     }
 
     #[test]

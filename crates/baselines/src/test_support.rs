@@ -3,7 +3,7 @@
 //! file by path).
 
 use trmma_traj::api::TrajectoryRecovery;
-use trmma_traj::types::Trajectory;
+use trmma_traj::types::{GpsPoint, Trajectory};
 
 /// Runs `f`, which must panic, and returns its formatted message.
 fn panic_message(f: impl FnOnce(), why: &str) -> String {
@@ -50,5 +50,26 @@ pub fn assert_rejects_non_finite_points(
             "a non-finite point must not be recovered from",
         );
         assert!(msg.contains(&format!("GPS point {i} must have finite")), "point {i}: {msg}");
+    }
+}
+
+/// `traj`'s first two points `p0, p1` as `[p0, p1 with t = p0.t]` and as
+/// `[p1, p0 with t = p1.t − 30]`, handed to `method.recover`: each has to
+/// panic naming point 1 ([`trmma_traj::api::assert_recoverable`]) instead
+/// of emitting output whose timestamps do not increase.
+pub fn assert_rejects_non_increasing_times(
+    method: &dyn TrajectoryRecovery,
+    traj: &Trajectory,
+    epsilon_s: f64,
+) {
+    let (p0, p1) = (traj.points[0], traj.points[1]);
+    let repeated = Trajectory { points: vec![p0, GpsPoint { t: p0.t, ..p1 }] };
+    let backward = Trajectory { points: vec![p1, GpsPoint { t: p1.t - 30.0, ..p0 }] };
+    for bad in [repeated, backward] {
+        let msg = panic_message(
+            || drop(method.recover(&bad, epsilon_s)),
+            "timestamps that do not increase must not be recovered from",
+        );
+        assert!(msg.contains("GPS point 1 must have t above point 0's"), "{msg}");
     }
 }

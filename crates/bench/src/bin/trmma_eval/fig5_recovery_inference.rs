@@ -13,7 +13,7 @@ use trmma_bench::harness::{
     ExpConfig,
 };
 use trmma_bench::report::pct;
-use trmma_core::{mma::SharedMma, BatchOptions, BatchRecovery, TrmmaPipeline};
+use trmma_core::{BatchOptions, BatchRecovery};
 use trmma_traj::TrajectoryRecovery;
 
 use crate::{Figure, Row};
@@ -29,16 +29,15 @@ pub(crate) fn run(cfg: &ExpConfig) {
         let eps = bundle.ds.epsilon_s;
 
         let near = NearestMatcher::new(bundle.net.clone(), bundle.planner.clone());
-        let near_lin = LinearRecovery::new(bundle.net.clone(), near, "Nearest+Lin");
+        let near_lin = LinearRecovery::new(bundle.net.clone(), Arc::new(near), "Nearest+Lin");
         let hmm = HmmMatcher::new(bundle.net.clone(), bundle.planner.clone(), HmmConfig::default());
-        let hmm_lin = LinearRecovery::new(bundle.net.clone(), hmm, "HMM+Lin");
+        let hmm_lin = LinearRecovery::new(bundle.net.clone(), Arc::new(hmm), "HMM+Lin");
         let fmm = FmmMatcher::new(bundle.net.clone(), bundle.planner.clone(), HmmConfig::default());
-        let fmm_lin = LinearRecovery::new(bundle.net.clone(), fmm, "Linear");
+        let fmm_lin = LinearRecovery::new(bundle.net.clone(), Arc::new(fmm), "Linear");
         let (seq2seq, _) = trained_seq2seq(&bundle, cfg.seq2seq_config(), cfg.epochs.min(3));
         let (mma, _) = trained_mma(&bundle, cfg.mma_config(), cfg.epochs.min(3));
-        let mma = Arc::new(mma);
         let (trmma, _) = trained_trmma(&bundle, cfg.trmma_config(), cfg.epochs.min(3));
-        let pipeline = TrmmaPipeline::new(Box::new(SharedMma(mma.clone())), trmma, "TRMMA");
+        let pipeline = BatchRecovery::new(Arc::new(mma), Arc::new(trmma), BatchOptions::default());
 
         let methods: Vec<&dyn TrajectoryRecovery> =
             vec![&near_lin, &hmm_lin, &fmm_lin, &seq2seq, &pipeline];
@@ -47,11 +46,9 @@ pub(crate) fn run(cfg: &ExpConfig) {
             .map(|m| (m.name().to_string(), eval_recovery(&bundle.net, m, &bundle.test, eps)))
             .collect();
 
-        // The batched engine over the same trained models: identical output,
-        // all cores, per-worker scratch reuse.
-        let (_, trmma) = pipeline.into_parts();
-        let engine = BatchRecovery::new(mma, Arc::new(trmma), BatchOptions::default());
-        let batch = eval_recovery_batch(&bundle.net, &engine, &bundle.test, eps);
+        // The same pipeline over the whole batch: identical output, all
+        // cores, per-worker scratch reuse.
+        let batch = eval_recovery_batch(&bundle.net, &pipeline, &bundle.test, eps);
         rows.push(("TRMMA (batch)".into(), batch));
         for (name, (metrics, secs)) in rows {
             let s1k = per_1000(secs, bundle.test.len());

@@ -4,11 +4,13 @@
 //! method's accuracy degrades as γ shrinks; TRMMA stays on top across the
 //! whole sweep.
 
+use std::sync::Arc;
+
 use trmma_baselines::{FmmMatcher, HmmConfig, LinearRecovery};
 use trmma_bench::harness::{eval_recovery, trained_mma, trained_trmma, ExpConfig};
 use trmma_bench::report::Table;
 use trmma_bench::{json, Value};
-use trmma_core::TrmmaPipeline;
+use trmma_core::{BatchOptions, BatchRecovery};
 
 use crate::Figure;
 
@@ -30,11 +32,11 @@ pub(crate) fn run(cfg: &ExpConfig) {
     .run(cfg, |mut bundle, table, json| {
         let eps = bundle.ds.epsilon_s;
         let fmm = FmmMatcher::new(bundle.net.clone(), bundle.planner.clone(), HmmConfig::default());
-        let linear = LinearRecovery::new(bundle.net.clone(), fmm, "Linear");
+        let linear = LinearRecovery::new(bundle.net.clone(), Arc::new(fmm), "Linear");
         bundle.train = bundle.resample(&TRAIN_GAMMAS).0;
         let (mma, _) = trained_mma(&bundle, cfg.mma_config(), cfg.epochs);
         let (trmma, _) = trained_trmma(&bundle, cfg.trmma_config(), cfg.epochs);
-        let pipeline = TrmmaPipeline::new(Box::new(mma), trmma, "TRMMA");
+        let pipeline = BatchRecovery::new(Arc::new(mma), Arc::new(trmma), BatchOptions::default());
 
         let (mut lin, mut trm) = (Vec::new(), Vec::new());
         for gamma in GAMMAS {

@@ -6,10 +6,12 @@
 //! after a few percent of the corpus (paper: 1–3 %; here the corpus is
 //! smaller so the crossover shifts right).
 
+use std::sync::Arc;
+
 use trmma_baselines::{FmmMatcher, HmmConfig, LinearRecovery};
 use trmma_bench::harness::{eval_recovery, trained_mma, trained_trmma, ExpConfig};
 use trmma_bench::json;
-use trmma_core::TrmmaPipeline;
+use trmma_core::{BatchOptions, BatchRecovery};
 
 use crate::Figure;
 
@@ -25,7 +27,7 @@ pub(crate) fn run(cfg: &ExpConfig) {
     .run(cfg, |mut bundle, table, json| {
         let eps = bundle.ds.epsilon_s;
         let fmm = FmmMatcher::new(bundle.net.clone(), bundle.planner.clone(), HmmConfig::default());
-        let linear = LinearRecovery::new(bundle.net.clone(), fmm, "Linear");
+        let linear = LinearRecovery::new(bundle.net.clone(), Arc::new(fmm), "Linear");
         let (lin_metrics, _) = eval_recovery(&bundle.net, &linear, &bundle.test, eps);
 
         let all = std::mem::take(&mut bundle.train);
@@ -35,7 +37,7 @@ pub(crate) fn run(cfg: &ExpConfig) {
             bundle.train = all[..take.min(all.len())].to_vec();
             let (mma, _) = trained_mma(&bundle, cfg.mma_config(), cfg.epochs);
             let (trmma, _) = trained_trmma(&bundle, cfg.trmma_config(), cfg.epochs);
-            let pipeline = TrmmaPipeline::new(Box::new(mma), trmma, "TRMMA");
+            let pipeline = BatchRecovery::new(Arc::new(mma), Arc::new(trmma), BatchOptions::default());
             let (m, _) = eval_recovery(&bundle.net, &pipeline, &bundle.test, eps);
             trmma_accs.push(m.accuracy);
         }

@@ -12,12 +12,14 @@
 //! Expected shape: TRMMA best on every metric; Seq2SeqFull between the
 //! interpolation baselines and TRMMA on segment metrics.
 
+use std::sync::Arc;
+
 use trmma_baselines::{FmmMatcher, HmmConfig, LinearRecovery, NearestMatcher};
 use trmma_bench::harness::{
     eval_recovery, per_1000, trained_mma, trained_seq2seq, trained_trmma, ExpConfig,
 };
 use trmma_bench::report::{meters, pct, secs};
-use trmma_core::TrmmaPipeline;
+use trmma_core::{BatchOptions, BatchRecovery};
 use trmma_traj::TrajectoryRecovery;
 
 use crate::{Figure, Row};
@@ -46,16 +48,16 @@ pub(crate) fn run(cfg: &ExpConfig) {
         let eps = bundle.ds.epsilon_s;
 
         let nearest = NearestMatcher::new(bundle.net.clone(), bundle.planner.clone());
-        let near_lin = LinearRecovery::new(bundle.net.clone(), nearest, "Nearest+Lin");
+        let near_lin = LinearRecovery::new(bundle.net.clone(), Arc::new(nearest), "Nearest+Lin");
         let fmm = FmmMatcher::new(bundle.net.clone(), bundle.planner.clone(), HmmConfig::default());
-        let fmm_lin = LinearRecovery::new(bundle.net.clone(), fmm, "Linear");
+        let fmm_lin = LinearRecovery::new(bundle.net.clone(), Arc::new(fmm), "Linear");
         // The |E|-softmax baseline converges (to its plateau) in a few
         // epochs and trains an order of magnitude slower than TRMMA; cap it
         // so the table regenerates in minutes.
         let (seq2seq, _) = trained_seq2seq(&bundle, cfg.seq2seq_config(), cfg.epochs.min(8));
         let (mma, _) = trained_mma(&bundle, cfg.mma_config(), cfg.epochs);
         let (trmma, _) = trained_trmma(&bundle, cfg.trmma_config(), cfg.epochs);
-        let pipeline = TrmmaPipeline::new(Box::new(mma), trmma, "TRMMA");
+        let pipeline = BatchRecovery::new(Arc::new(mma), Arc::new(trmma), BatchOptions::default());
 
         let methods: Vec<&dyn TrajectoryRecovery> = vec![&near_lin, &fmm_lin, &seq2seq, &pipeline];
         for m in methods {

@@ -20,8 +20,7 @@ use std::sync::Arc;
 use trmma_baselines::{HmmConfig, HmmMatcher, LinearRecovery, NearestMatcher};
 use trmma_bench::harness::{eval_recovery, trained_mma, trained_trmma, ExpConfig};
 use trmma_bench::json;
-use trmma_core::mma::SharedMma;
-use trmma_core::{MmaConfig, Trmma, TrmmaConfig, TrmmaPipeline};
+use trmma_core::{BatchOptions, BatchRecovery, MmaConfig, TrmmaConfig};
 use trmma_traj::TrajectoryRecovery;
 
 use crate::Figure;
@@ -36,36 +35,34 @@ pub(crate) fn run(cfg: &ExpConfig) {
     .run(cfg, |bundle, table, json| {
         let (eps, epochs) = (bundle.ds.epsilon_s, cfg.epochs);
 
-        // Matchers. Each distinct configuration trains once; the rows that
-        // share a configuration share its weights.
-        let mk_hmm =
-            || HmmMatcher::new(bundle.net.clone(), bundle.planner.clone(), HmmConfig::default());
-        let mk_near = || NearestMatcher::new(bundle.net.clone(), bundle.planner.clone());
-        let mma = |config| SharedMma(Arc::new(trained_mma(&bundle, config, epochs).0));
+        // Matchers and recovery models. Each distinct configuration trains
+        // once; the rows that share a configuration share its weights.
+        let mk_hmm = || {
+            Arc::new(HmmMatcher::new(
+                bundle.net.clone(),
+                bundle.planner.clone(),
+                HmmConfig::default(),
+            ))
+        };
+        let mk_near = || Arc::new(NearestMatcher::new(bundle.net.clone(), bundle.planner.clone()));
+        let mma = |config| Arc::new(trained_mma(&bundle, config, epochs).0);
         let mma_full = mma(cfg.mma_config());
         let mma_no_ctx = mma(MmaConfig { use_candidate_context: false, ..cfg.mma_config() });
         let mma_no_dir = mma(MmaConfig { use_direction: false, ..cfg.mma_config() });
-
-        // Recovery models: the full configuration is trained once and
-        // copied into each pipeline that uses it.
-        let trmma = |config| trained_trmma(&bundle, config, epochs).0;
-        let full_weights = trmma(cfg.trmma_config()).save_weights();
-        let trmma_full = || {
-            let mut model = Trmma::new(bundle.net.clone(), cfg.trmma_config());
-            model.load_weights(&full_weights).expect("same configuration");
-            model
-        };
+        let trmma = |config| Arc::new(trained_trmma(&bundle, config, epochs).0);
+        let trmma_full = trmma(cfg.trmma_config());
         let trmma_no_df = trmma(TrmmaConfig { use_dualformer: false, ..cfg.trmma_config() });
 
+        let opts = BatchOptions::default();
         let methods: Vec<Box<dyn TrajectoryRecovery>> = vec![
-            Box::new(TrmmaPipeline::new(Box::new(mma_full.clone()), trmma_full(), "TRMMA")),
-            Box::new(TrmmaPipeline::new(Box::new(mk_hmm()), trmma_full(), "TRMMA-HMM")),
-            Box::new(TrmmaPipeline::new(Box::new(mk_near()), trmma_full(), "TRMMA-Near")),
+            Box::new(BatchRecovery::new(mma_full.clone(), trmma_full.clone(), opts)),
+            Box::new(BatchRecovery::new(mk_hmm(), trmma_full.clone(), opts).named("TRMMA-HMM")),
+            Box::new(BatchRecovery::new(mk_near(), trmma_full.clone(), opts).named("TRMMA-Near")),
             Box::new(LinearRecovery::new(bundle.net.clone(), mma_full.clone(), "MMA+linear")),
             Box::new(LinearRecovery::new(bundle.net.clone(), mk_near(), "Nearest+linear")),
-            Box::new(TrmmaPipeline::new(Box::new(mma_full), trmma_no_df, "TRMMA-DF")),
-            Box::new(TrmmaPipeline::new(Box::new(mma_no_ctx), trmma_full(), "TRMMA-C")),
-            Box::new(TrmmaPipeline::new(Box::new(mma_no_dir), trmma_full(), "TRMMA-DI")),
+            Box::new(BatchRecovery::new(mma_full, trmma_no_df, opts).named("TRMMA-DF")),
+            Box::new(BatchRecovery::new(mma_no_ctx, trmma_full.clone(), opts).named("TRMMA-C")),
+            Box::new(BatchRecovery::new(mma_no_dir, trmma_full, opts).named("TRMMA-DI")),
         ];
         for m in &methods {
             let (metrics, _) = eval_recovery(&bundle.net, m.as_ref(), &bundle.test, eps);

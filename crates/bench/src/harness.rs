@@ -310,9 +310,9 @@ pub fn eval_matching_pooled<M: trmma_traj::OnlineMatcher>(
 /// per-trajectory metrics plus the batch wall-clock seconds (metric
 /// computation excluded). The parallel analogue of [`eval_recovery`].
 #[must_use]
-pub fn eval_recovery_batch(
+pub fn eval_recovery_batch<M: trmma_traj::OnlineMatcher>(
     net: &RoadNetwork,
-    engine: &trmma_core::BatchRecovery,
+    engine: &trmma_core::BatchRecovery<M>,
     test: &[Sample],
     epsilon_s: f64,
 ) -> (trmma_traj::RecoveryMetrics, f64) {

@@ -8,7 +8,8 @@
 //! * [`par_match_pooled`] — map-matches a `&[Trajectory]` across a worker
 //!   pool sharing one immutable [`OnlineMatcher`] ([`Mma`] or a baseline),
 //!   one scratch per worker;
-//! * [`BatchRecovery`] — the full MMA → TRMMA pipeline over a batch.
+//! * [`BatchRecovery`] — the one recovery pipeline, any matcher feeding
+//!   TRMMA, over a batch or (as a [`TrajectoryRecovery`]) one trajectory.
 //!
 //! **Sharing/ownership model.** Workers are `std::thread::scope` threads
 //! pulling indices from one atomic counter (work stealing by construction:
@@ -17,7 +18,8 @@
 //! written during inference; every mutable buffer — the k-NN heaps, the
 //! flat forward-only workspace of MMA and its encoder, the `Graph` that
 //! holds TRMMA's bound decoder weights — lives in a per-worker scratch
-//! ([`MmaScratch`], [`RecoveryScratch`]) created once per thread and
+//! (the matcher's [`OnlineMatcher::Scratch`], such as [`MmaScratch`], plus
+//! TRMMA's `Graph` in [`BatchRecovery`]) created once per thread and
 //! reused for every trajectory that thread claims. No distance cache is
 //! involved: route stitching plans each gap through the shared
 //! [`trmma_roadnet::RoutePlanner`], whose searches keep their own
@@ -27,16 +29,19 @@
 //! results are written back by input index and are bitwise-identical for
 //! any thread count and any input order — property-tested in this module
 //! and in `tests/props_batch.rs`.
+//!
+//! [`Mma`]: crate::Mma
+//! [`MmaScratch`]: crate::MmaScratch
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use trmma_nn::Graph;
-use trmma_traj::api::MatchResult;
+use trmma_traj::api::{assert_recoverable, MatchResult, TrajectoryRecovery};
 use trmma_traj::online::OnlineMatcher;
 use trmma_traj::types::{MatchedTrajectory, Trajectory};
 
-use crate::mma::{Mma, MmaScratch};
 use crate::trmma::Trmma;
 
 /// Tuning knobs of the batch engine. The default (`threads: 0`) sizes the
@@ -80,94 +85,13 @@ pub struct BatchTiming {
 }
 
 /// Fans `items` out over `threads` workers, each with its own scratch state
-/// from `make_state`, preserving input order in the output.
+/// from `make_state`, preserving input order in the output and timing each
+/// item. Each worker's retiring scratch is folded through `finish` and the
+/// results summed — how per-worker counters (arena reuse and the like)
+/// surface without any cross-thread traffic on the hot path.
 ///
 /// The core loop of the engine; everything public in this module is a thin
 /// wrapper choosing the state type and the per-item function.
-pub(crate) fn parallel_map<T, R, S, FS, F>(
-    items: &[T],
-    threads: usize,
-    make_state: FS,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    S: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    parallel_map_finish(items, threads, make_state, f, |_| 0).0
-}
-
-/// [`parallel_map`] that additionally folds each worker's retiring scratch
-/// through `finish` and sums the results — how per-worker counters (arena
-/// reuse and the like) surface without any cross-thread traffic on the hot
-/// path.
-pub(crate) fn parallel_map_finish<T, R, S, FS, F, FF>(
-    items: &[T],
-    threads: usize,
-    make_state: FS,
-    f: F,
-    finish: FF,
-) -> (Vec<R>, u64)
-where
-    T: Sync,
-    R: Send,
-    S: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-    FF: Fn(&S) -> u64 + Sync,
-{
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        let mut state = make_state();
-        let out = items.iter().map(|item| f(&mut state, item)).collect();
-        return (out, finish(&state));
-    }
-    // When workers outnumber cores, a worker that never blocks loses the
-    // core *mid-item* for a full scheduler timeslice — several
-    // milliseconds charged to whichever unlucky trajectory it was on, the
-    // dominant p99 spike of oversubscribed runs. Yielding between items
-    // moves those preemptions to item boundaries, where they cost no
-    // measured latency. With threads <= cores the yield is a no-op.
-    let oversubscribed =
-        threads > std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let next = AtomicUsize::new(0);
-    let buckets: Vec<(Vec<(usize, R)>, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = make_state();
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(&mut state, &items[i])));
-                        if oversubscribed {
-                            std::thread::yield_now();
-                        }
-                    }
-                    (local, finish(&state))
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("batch worker panicked")).collect()
-    });
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut stat = 0u64;
-    for (bucket, s) in buckets {
-        stat += s;
-        for (i, r) in bucket {
-            out[i] = Some(r);
-        }
-    }
-    let out = out.into_iter().map(|r| r.expect("every index is claimed exactly once")).collect();
-    (out, stat)
-}
-
 fn timed_map<T, R, S, FS, F, FF>(
     items: &[T],
     threads: usize,
@@ -184,108 +108,131 @@ where
     FF: Fn(&S) -> u64 + Sync,
 {
     let started = std::time::Instant::now();
-    let (pairs, allocs_avoided) = parallel_map_finish(
-        items,
-        threads,
-        make_state,
-        |state, item| {
-            let t0 = std::time::Instant::now();
-            let r = f(state, item);
-            (r, t0.elapsed().as_secs_f64())
-        },
-        finish,
-    );
+    let timed = |state: &mut S, item: &T| {
+        let t0 = std::time::Instant::now();
+        let r = f(state, item);
+        (r, t0.elapsed().as_secs_f64())
+    };
+    let n = items.len();
+    let (pairs, allocs_avoided): (Vec<(R, f64)>, u64) = if threads <= 1 || n <= 1 {
+        let mut state = make_state();
+        let out = items.iter().map(|item| timed(&mut state, item)).collect();
+        (out, finish(&state))
+    } else {
+        // When workers outnumber cores, a worker that never blocks loses
+        // the core *mid-item* for a full scheduler timeslice — several
+        // milliseconds charged to whichever unlucky trajectory it was on,
+        // the dominant p99 spike of oversubscribed runs. Yielding between
+        // items moves those preemptions to item boundaries, where they cost
+        // no measured latency. With threads <= cores the yield is a no-op.
+        let oversubscribed =
+            threads > std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let next = AtomicUsize::new(0);
+        let buckets: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut state = make_state();
+                        let mut local = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            local.push((i, timed(&mut state, &items[i])));
+                            if oversubscribed {
+                                std::thread::yield_now();
+                            }
+                        }
+                        (local, finish(&state))
+                    })
+                })
+                .collect();
+            // A worker's panic reaches the caller with its own payload, as
+            // it would on the sequential path.
+            handles.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))).collect()
+        });
+        let mut out: Vec<Option<(R, f64)>> = (0..n).map(|_| None).collect();
+        let mut stat = 0u64;
+        for (bucket, s) in buckets {
+            stat += s;
+            for (i, r) in bucket {
+                out[i] = Some(r);
+            }
+        }
+        let out =
+            out.into_iter().map(|r| r.expect("every index is claimed exactly once")).collect();
+        (out, stat)
+    };
     let wall_s = started.elapsed().as_secs_f64();
-    let mut results = Vec::with_capacity(pairs.len());
-    let mut per_item_s = Vec::with_capacity(pairs.len());
-    for (r, dt) in pairs {
-        results.push(r);
-        per_item_s.push(dt);
-    }
+    let (results, per_item_s) = pairs.into_iter().unzip();
     (results, BatchTiming { per_item_s, wall_s, allocs_avoided })
 }
 
-/// Per-worker scratch of the full recovery pipeline: the MMA state (search
-/// buffers plus the flat workspace its scorer and encoder run on) and the
-/// TRMMA `Graph`, which only ever holds one trajectory's decoder-weight
-/// bindings — neither model records an operation at inference time (see
+/// Parallel batched trajectory recovery — any matcher feeding TRMMA
+/// (Algorithm 2 line 1), shared by every worker; see module docs. MMA is
+/// the paper's wiring, and swapping the matcher yields the `TRMMA-HMM` and
+/// `TRMMA-Near` ablations of Table IV without touching the recovery model.
+///
+/// Each worker runs [`OnlineMatcher::match_trajectory_with`] then
+/// [`Trmma::recover_from_match_with`] through its own scratch pair: the
+/// matcher's [`OnlineMatcher::Scratch`] and the TRMMA `Graph`, which only
+/// ever holds one trajectory's decoder-weight bindings (see
 /// [`Mma::match_points_with`], [`Trmma::recover_from_match_with`]). It
-/// holds no distance cache: nothing in batch inference reads one.
-#[derive(Default)]
-pub struct RecoveryScratch {
-    mma: MmaScratch,
-    graph: Graph,
-}
-
-impl RecoveryScratch {
-    /// Empty scratch state.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Parallel batched trajectory recovery (MMA → TRMMA) with shared models;
-/// see module docs. Each worker runs [`OnlineMatcher::match_trajectory_with`] then
-/// [`Trmma::recover_from_match_with`] through its own [`RecoveryScratch`];
-/// the models' weights are read through their shared `Param` locks a
-/// constant number of times per trajectory (once per layer application of
-/// a whole-trajectory batch, or when the decoder binds them), never per
+/// holds no distance cache: nothing in batch inference reads one. The
+/// models' weights are read through their shared `Param` locks a constant
+/// number of times per trajectory (once per layer application of a
+/// whole-trajectory batch, or when the decoder binds them), never per
 /// point, per candidate or per decoded step.
-#[derive(Clone)]
-pub struct BatchRecovery {
-    mma: Arc<Mma>,
+///
+/// As a [`TrajectoryRecovery`] it recovers one trajectory on a fresh
+/// scratch pair, with the same output as the batch.
+///
+/// [`Mma::match_points_with`]: crate::Mma::match_points_with
+pub struct BatchRecovery<M: OnlineMatcher> {
+    matcher: Arc<M>,
     model: Arc<Trmma>,
     opts: BatchOptions,
+    name: &'static str,
 }
 
-impl BatchRecovery {
-    /// Wraps the matcher and recovery models for batch serving.
+impl<M: OnlineMatcher> BatchRecovery<M> {
+    /// Wires `matcher` into the recovery `model` for batch serving,
+    /// labelled `"TRMMA"` in tables.
     #[must_use]
-    pub fn new(mma: Arc<Mma>, model: Arc<Trmma>, opts: BatchOptions) -> Self {
-        Self { mma, model, opts }
+    pub fn new(matcher: Arc<M>, model: Arc<Trmma>, opts: BatchOptions) -> Self {
+        Self { matcher, model, opts, name: "TRMMA" }
     }
 
-    /// The wrapped recovery model.
+    /// The same pipeline under the table label `name` ("TRMMA-HMM",
+    /// "TRMMA-Near", …); a display label only.
     #[must_use]
-    pub fn model(&self) -> &Trmma {
-        &self.model
+    pub fn named(self, name: &'static str) -> Self {
+        Self { name, ..self }
     }
 
-    /// The wrapped matcher.
-    #[must_use]
-    pub fn matcher(&self) -> &Mma {
-        &self.mma
+    fn make_scratch(&self) -> (M::Scratch, Graph) {
+        (self.matcher.make_scratch(), Graph::new())
     }
 
     fn recover_one(
         &self,
-        scratch: &mut RecoveryScratch,
+        (scratch, graph): &mut (M::Scratch, Graph),
         traj: &Trajectory,
         epsilon_s: f64,
     ) -> MatchedTrajectory {
-        let result = self.mma.match_trajectory_with(&mut scratch.mma, traj);
-        self.model.recover_from_match_with(
-            &mut scratch.graph,
-            traj,
-            &result.matched,
-            &result.route,
-            epsilon_s,
-        )
+        assert_recoverable(traj);
+        let result = self.matcher.match_trajectory_with(scratch, traj);
+        self.model.recover_from_match_with(graph, traj, &result.matched, &result.route, epsilon_s)
     }
 
-    /// Recovers every trajectory of the batch; output `i` corresponds to
-    /// input `i` and is identical to running the sequential pipeline on
-    /// `batch[i]`.
-    #[must_use]
-    pub fn recover_batch(&self, batch: &[Trajectory], epsilon_s: f64) -> Vec<MatchedTrajectory> {
-        let threads = self.opts.effective_threads(batch.len());
-        parallel_map(batch, threads, RecoveryScratch::new, |scratch, traj| {
-            self.recover_one(scratch, traj, epsilon_s)
-        })
-    }
-
-    /// [`BatchRecovery::recover_batch`] plus per-item and wall-clock timing.
+    /// Recovers every trajectory of the batch, with per-item and
+    /// wall-clock timing; output `i` corresponds to input `i` and is
+    /// identical to [`TrajectoryRecovery::recover`] on `batch[i]`.
+    ///
+    /// # Panics
+    /// As [`TrajectoryRecovery::recover`] does, on any trajectory of the
+    /// batch.
     #[must_use]
     pub fn recover_batch_timed(
         &self,
@@ -296,10 +243,24 @@ impl BatchRecovery {
         timed_map(
             batch,
             threads,
-            RecoveryScratch::new,
+            || self.make_scratch(),
             |scratch, traj| self.recover_one(scratch, traj, epsilon_s),
-            |scratch| scratch.mma.allocs_avoided(),
+            |(scratch, _)| M::allocs_avoided(scratch),
         )
+    }
+}
+
+impl<M: OnlineMatcher> TrajectoryRecovery for BatchRecovery<M> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// # Panics
+    /// Panics naming the first point that is not finite or whose `t` does
+    /// not rise above its predecessor's ([`assert_recoverable`]), and
+    /// unless `epsilon_s` is finite and positive.
+    fn recover(&self, traj: &Trajectory, epsilon_s: f64) -> MatchedTrajectory {
+        self.recover_one(&mut self.make_scratch(), traj, epsilon_s)
     }
 }
 
@@ -332,7 +293,7 @@ pub fn par_match_pooled<M: OnlineMatcher>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mma::MmaConfig;
+    use crate::mma::{Mma, MmaConfig};
     use crate::trmma::TrmmaConfig;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
@@ -392,7 +353,7 @@ mod tests {
             .collect();
 
         let engine = BatchRecovery::new(mma, model, BatchOptions::with_threads(4));
-        let got = engine.recover_batch(&batch, eps);
+        let got = engine.recover_batch_timed(&batch, eps).0;
         assert_eq!(got, reference, "parallel batch diverged from sequential");
 
         // Shuffled input: results must follow their trajectories, keyed by
@@ -400,7 +361,7 @@ mod tests {
         let mut order: Vec<usize> = (0..batch.len()).collect();
         order.shuffle(&mut StdRng::seed_from_u64(11));
         let shuffled: Vec<Trajectory> = order.iter().map(|&i| batch[i].clone()).collect();
-        let got_shuffled = engine.recover_batch(&shuffled, eps);
+        let got_shuffled = engine.recover_batch_timed(&shuffled, eps).0;
         for (slot, &src) in order.iter().enumerate() {
             assert_eq!(got_shuffled[slot], reference[src], "shuffle broke keying");
         }
@@ -471,10 +432,93 @@ mod tests {
         let (net, planner, ds) = setup();
         let (mma, model) = trained_models(&net, &planner, &ds);
         let engine = BatchRecovery::new(mma, model, BatchOptions::default());
-        assert!(engine.recover_batch(&[], ds.epsilon_s).is_empty());
+        assert!(engine.recover_batch_timed(&[], ds.epsilon_s).0.is_empty());
         let one: Vec<Trajectory> =
             ds.samples(Split::Test, 0.2, 7).into_iter().take(1).map(|s| s.sparse).collect();
-        assert_eq!(engine.recover_batch(&one, ds.epsilon_s).len(), 1);
+        assert_eq!(engine.recover_batch_timed(&one, ds.epsilon_s).0.len(), 1);
+    }
+
+    #[test]
+    fn full_pipeline_produces_aligned_output() {
+        let (net, planner, ds) = setup();
+        let train = ds.samples(Split::Train, 0.2, 1);
+        let mut mma = Mma::new(net.clone(), planner, None, MmaConfig::small());
+        mma.train(&train, 3);
+        let mut model = Trmma::new(net.clone(), TrmmaConfig::small());
+        model.train(&train, 3);
+        let pipeline = BatchRecovery::new(Arc::new(mma), Arc::new(model), BatchOptions::default());
+
+        let s = &ds.samples(Split::Test, 0.2, 2)[0];
+        let rec = pipeline.recover(&s.sparse, ds.epsilon_s);
+        assert_eq!(rec.len(), s.dense_truth.len());
+        let m = trmma_traj::metrics::recovery_metrics(&net, &rec, &s.dense_truth, None);
+        assert!(m.accuracy > 0.0);
+        assert_eq!(pipeline.name(), "TRMMA");
+    }
+
+    #[test]
+    fn matcher_swap_ablation_compiles_and_runs() {
+        let (net, planner, ds) = setup();
+        let nearest = Arc::new(trmma_baselines::NearestMatcher::new(net.clone(), planner));
+        let model = Arc::new(Trmma::new(net, TrmmaConfig::small()));
+        let pipeline =
+            BatchRecovery::new(nearest, model, BatchOptions::default()).named("TRMMA-Near");
+        let s = &ds.samples(Split::Test, 0.2, 3)[0];
+        let rec = pipeline.recover(&s.sparse, ds.epsilon_s);
+        assert!(!rec.is_empty());
+        assert_eq!(pipeline.name(), "TRMMA-Near");
+    }
+
+    #[test]
+    fn unusable_epsilon_and_non_finite_points_are_rejected() {
+        let (net, planner, ds) = setup();
+        let mma = Mma::new(net.clone(), planner, None, MmaConfig::small());
+        let model = Trmma::new(net, TrmmaConfig::small());
+        let pipeline = BatchRecovery::new(Arc::new(mma), Arc::new(model), BatchOptions::default());
+        let s = &ds.samples(Split::Test, 0.2, 3)[0];
+        crate::test_support::assert_rejects_unusable_epsilon(&pipeline, &s.sparse);
+        crate::test_support::assert_rejects_non_finite_points(&pipeline, &s.sparse, ds.epsilon_s);
+    }
+
+    /// Every matcher wired into TRMMA refuses timestamps that do not rise,
+    /// through `recover` and through the batch path alike.
+    #[test]
+    fn non_increasing_timestamps_are_rejected_after_every_matcher() {
+        use trmma_baselines::{FmmMatcher, HmmConfig, HmmMatcher, NearestMatcher};
+        let (net, planner, ds) = setup();
+        let model = Arc::new(Trmma::new(net.clone(), TrmmaConfig::small()));
+        let s = &ds.samples(Split::Test, 0.2, 3)[0];
+        let check = |method: &dyn TrajectoryRecovery| {
+            crate::test_support::assert_rejects_non_increasing_times(
+                method,
+                &s.sparse,
+                ds.epsilon_s,
+            );
+        };
+        let opts = BatchOptions::with_threads(1);
+        let mma = Mma::new(net.clone(), planner.clone(), None, MmaConfig::small());
+        let hmm = HmmMatcher::new(net.clone(), planner.clone(), HmmConfig::default());
+        let fmm = FmmMatcher::new(net.clone(), planner.clone(), HmmConfig::default());
+        let near = Arc::new(NearestMatcher::new(net, planner));
+        check(&BatchRecovery::new(Arc::new(mma), model.clone(), opts));
+        check(&BatchRecovery::new(Arc::new(hmm), model.clone(), opts));
+        check(&BatchRecovery::new(Arc::new(fmm), model.clone(), opts));
+        check(&BatchRecovery::new(near.clone(), model.clone(), opts));
+        let mut repeated = s.sparse.clone();
+        repeated.points[2].t = repeated.points[1].t;
+        let batch = [s.sparse.clone(), repeated];
+        for threads in [1, 2] {
+            let engine = BatchRecovery::new(
+                near.clone(),
+                model.clone(),
+                BatchOptions::with_threads(threads),
+            );
+            let run = || engine.recover_batch_timed(&batch, ds.epsilon_s);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("the batch path must refuse what recover refuses");
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains("GPS point 2 must have t above point 1's"), "{threads}: {msg}");
+        }
     }
 
     #[test]

@@ -17,12 +17,13 @@
 //!   point's segment among the route's segments — respecting route order
 //!   (Eq. 17) — and regresses its position ratio (Eq. 18), trained with the
 //!   multitask loss of Eq. 19–21 (Algorithm 2).
-//! * [`pipeline::TrmmaPipeline`] — the end-to-end system (MMA feeding
-//!   TRMMA) plus the ablation wirings of Table IV.
-//! * [`batch`] — the batched, parallel inference engine: [`par_match_pooled`]
-//!   and [`BatchRecovery`] fan a `&[Trajectory]` out across worker threads
-//!   that share one immutable model and reuse per-worker scratch state,
-//!   with output bitwise-identical to the sequential API.
+//! * [`batch`] — the end-to-end system and its batched, parallel inference
+//!   engine: [`BatchRecovery`] is the one recovery pipeline, any matcher
+//!   feeding TRMMA (MMA by default; the matcher swaps of Table IV are other
+//!   wirings), and it and [`par_match_pooled`] fan a `&[Trajectory]` out
+//!   across worker threads that share one immutable model and reuse
+//!   per-worker scratch state, with output bitwise-identical to the
+//!   sequential API.
 //! * [`stream`] — the streaming session engine: [`StreamEngine`]
 //!   multiplexes live `trmma_traj::OnlineMatcher` sessions (points arriving
 //!   one at a time, interleaved across devices) over the same per-worker
@@ -68,7 +69,6 @@
 pub mod artifact;
 pub mod batch;
 pub mod mma;
-pub mod pipeline;
 pub mod serve;
 pub mod snapshot;
 pub mod stream;
@@ -82,7 +82,6 @@ mod test_support;
 pub use artifact::{Artifact, ArtifactBuilder, ArtifactError, SectionKind, ShardsMeta};
 pub use batch::{par_match_pooled, BatchOptions, BatchRecovery, BatchTiming};
 pub use mma::{Mma, MmaConfig, MmaScratch, MmaSession};
-pub use pipeline::TrmmaPipeline;
 pub use serve::{
     BusyCode, ClientError, Frame, FrameKind, RefuseCode, Reply, ServeClient, ServeConfig,
     ServeStats, Server, TenantLoad,

@@ -12,9 +12,7 @@ use trmma_nn::kernels::{
 use trmma_nn::EncoderScratch;
 use trmma_nn::{Graph, Linear, Matrix, Mlp, NodeId, Param, TrainReport, TransformerEncoder};
 use trmma_roadnet::{RoadNetwork, RoutePlanner};
-use trmma_traj::api::{
-    stitch_route, Candidate, CandidateFinder, CandidateScratch, MapMatcher, MatchResult,
-};
+use trmma_traj::api::{stitch_route, Candidate, CandidateFinder, CandidateScratch, MatchResult};
 use trmma_traj::online::{OnlineMatcher, OnlineUpdate};
 use trmma_traj::snapshot::{self, Reader, SnapshotError};
 use trmma_traj::types::{GpsPoint, MatchedPoint, Trajectory};
@@ -702,26 +700,10 @@ impl OnlineMatcher for Mma {
     }
 }
 
-/// A cheaply cloneable handle making a shared model usable as a matcher:
-/// one trained [`Mma`] behind an `Arc` can be wired into a
-/// [`crate::TrmmaPipeline`] *and* a [`crate::BatchRecovery`] simultaneously
-/// without duplicating weights.
-#[derive(Clone)]
-pub struct SharedMma(pub Arc<Mma>);
-
-impl MapMatcher for SharedMma {
-    fn name(&self) -> &'static str {
-        Mma::NAME
-    }
-
-    fn match_trajectory(&self, traj: &Trajectory) -> MatchResult {
-        self.0.match_trajectory(traj)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trmma_traj::api::MapMatcher;
     use trmma_traj::dataset::{build_dataset, DatasetConfig, Split};
     use trmma_traj::metrics::matching_metrics;
 

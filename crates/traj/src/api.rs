@@ -44,8 +44,8 @@ pub fn stitch_route(
     MatchResult { matched, route }
 }
 
-/// The object-safe view of a matcher — what `dyn` callers hold
-/// (`TrmmaPipeline`, `LinearRecovery`, the experiment tables). Every
+/// The object-safe view of a matcher — what `dyn` callers hold (the
+/// matching tables) and what `LinearRecovery` asks of its matcher. Every
 /// [`OnlineMatcher`] is one through the blanket impl below, so no matcher
 /// implements it by hand.
 ///
@@ -87,8 +87,11 @@ pub trait TrajectoryRecovery: Send + Sync {
     /// Recovers the map-matched ε-sampling trajectory of sparse `traj`.
     ///
     /// # Panics
-    /// Implementations count ε-ticks through [`epsilon_ticks`], which
-    /// panics unless `epsilon_s` is finite and positive.
+    /// Implementations check `traj` through [`assert_recoverable`], which
+    /// panics naming the first point that is not finite or whose `t` does
+    /// not rise above its predecessor's, and count ε-ticks through
+    /// [`epsilon_ticks`], which panics unless `epsilon_s` is finite and
+    /// positive.
     fn recover(&self, traj: &Trajectory, epsilon_s: f64) -> MatchedTrajectory;
 }
 
@@ -110,6 +113,30 @@ pub fn epsilon_ticks(interval_s: f64, epsilon_s: f64) -> usize {
         "epsilon_s must be finite and > 0.0, got {epsilon_s}"
     );
     (interval_s / epsilon_s).round() as usize
+}
+
+/// The input check of every [`TrajectoryRecovery`]: each point passes
+/// [`assert_finite_point`], and timestamps strictly increase. A recovered
+/// trajectory is an ε-sampling whose points keep their input order
+/// (Definition 7); a repeated or backward `t` leaves no interval to
+/// sample, so it is refused here rather than emitted as output whose
+/// timestamps do not increase.
+///
+/// # Panics
+/// Panics naming the first point that is not finite, or the first index
+/// whose `t` is not above its predecessor's.
+pub fn assert_recoverable(traj: &Trajectory) {
+    let mut prev_t = f64::NEG_INFINITY;
+    for (i, p) in traj.points.iter().enumerate() {
+        assert_finite_point(i, p);
+        assert!(
+            p.t > prev_t,
+            "GPS point {i} must have t above point {}'s t = {prev_t}, got t = {}",
+            i - 1,
+            p.t
+        );
+        prev_t = p.t;
+    }
 }
 
 /// Whether x, y and t of `p` are all finite — the check every input
@@ -324,6 +351,24 @@ mod tests {
             assert!(!is_finite_point(&GpsPoint { pos: Vec2::new(bad, -2.0), ..ok }));
             assert!(!is_finite_point(&GpsPoint { pos: Vec2::new(1.0, bad), ..ok }));
             assert!(!is_finite_point(&GpsPoint { t: bad, ..ok }));
+        }
+    }
+
+    #[test]
+    fn assert_recoverable_names_the_first_point_that_does_not_rise() {
+        let at = |t| GpsPoint { pos: Vec2::new(1.0, -2.0), t };
+        assert_recoverable(&Trajectory::default());
+        assert_recoverable(&Trajectory { points: vec![at(0.0), at(15.0), at(15.5)] });
+        for (times, shown) in [
+            (vec![0.0, 15.0, 15.0], "GPS point 2 must have t above point 1's t = 15, got t = 15"),
+            (vec![30.0, 0.0], "GPS point 1 must have t above point 0's t = 30, got t = 0"),
+            (vec![0.0, f64::NAN], "GPS point 1 must have finite x, y and t"),
+        ] {
+            let traj = Trajectory { points: times.into_iter().map(at).collect() };
+            let err = std::panic::catch_unwind(|| assert_recoverable(&traj))
+                .expect_err("a trajectory whose t does not rise must be refused");
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains(shown), "{msg}");
         }
     }
 

@@ -47,8 +47,8 @@ pub mod snapshot;
 pub mod types;
 
 pub use api::{
-    epsilon_ticks, is_finite_point, stitch_route, Candidate, CandidateFinder, CandidateScratch,
-    MapMatcher, MatchResult, TrajectoryRecovery,
+    assert_recoverable, epsilon_ticks, is_finite_point, stitch_route, Candidate, CandidateFinder,
+    CandidateScratch, MapMatcher, MatchResult, TrajectoryRecovery,
 };
 pub use dataset::{build_dataset, Dataset, DatasetConfig, Split};
 pub use gen::{sparsify, RawTrajectory, Sample, TrajConfig};

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use trmma::core::{Mma, MmaConfig, Trmma, TrmmaConfig, TrmmaPipeline};
+use trmma::core::{BatchOptions, BatchRecovery, Mma, MmaConfig, Trmma, TrmmaConfig};
 use trmma::nn::TrainReport;
 use trmma::roadnet::RoutePlanner;
 use trmma::traj::dataset::{build_dataset, DatasetConfig, Split};
@@ -64,7 +64,7 @@ fn main() {
         sample.sparse.len(),
         matched.route.len()
     );
-    let pipeline = TrmmaPipeline::new(Box::new(mma), model, "TRMMA");
+    let pipeline = BatchRecovery::new(Arc::new(mma), Arc::new(model), BatchOptions::default());
     let recovered = pipeline.recover(&sample.sparse, ds.epsilon_s);
     println!(
         "recovered {} points at ε = {} s (ground truth has {})",

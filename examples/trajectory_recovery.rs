@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use trmma::baselines::{FmmMatcher, HmmConfig, LinearRecovery};
-use trmma::core::{Mma, MmaConfig, Trmma, TrmmaConfig, TrmmaPipeline};
+use trmma::core::{BatchOptions, BatchRecovery, Mma, MmaConfig, Trmma, TrmmaConfig};
 use trmma::roadnet::RoutePlanner;
 use trmma::traj::dataset::{build_dataset, DatasetConfig, Split};
 use trmma::traj::{recovery_metrics, TrajectoryRecovery};
@@ -25,14 +25,14 @@ fn main() {
 
     // Baseline: FMM matching + linear interpolation along the route.
     let fmm = FmmMatcher::new(net.clone(), planner.clone(), HmmConfig::default());
-    let linear = LinearRecovery::new(net.clone(), fmm, "Linear");
+    let linear = LinearRecovery::new(net.clone(), Arc::new(fmm), "Linear");
 
     // Ours: MMA matching + TRMMA route-restricted decoding.
     let mut mma = Mma::new(net.clone(), planner, None, MmaConfig::small());
     mma.train(&train, 6);
     let mut model = Trmma::new(net.clone(), TrmmaConfig::small());
     model.train(&train, 6);
-    let trmma = TrmmaPipeline::new(Box::new(mma), model, "TRMMA");
+    let trmma = BatchRecovery::new(Arc::new(mma), Arc::new(model), BatchOptions::default());
 
     println!("{:>6} {:>12} {:>10} {:>10} {:>10}", "gamma", "method", "accuracy", "F1", "MAE(m)");
     for gamma in [0.1, 0.3, 0.5] {

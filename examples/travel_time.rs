@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use trmma::core::{Mma, MmaConfig, Trmma, TrmmaConfig, TrmmaPipeline};
+use trmma::core::{BatchOptions, BatchRecovery, Mma, MmaConfig, Trmma, TrmmaConfig};
 use trmma::roadnet::RoutePlanner;
 use trmma::traj::dataset::{build_dataset, DatasetConfig, Split};
 use trmma::traj::types::MatchedTrajectory;
@@ -84,7 +84,7 @@ fn main() {
     mma.train(&train, 8);
     let mut model = Trmma::new(net.clone(), TrmmaConfig::small());
     model.train(&train, 8);
-    let pipeline = TrmmaPipeline::new(Box::new(mma), model, "TRMMA");
+    let pipeline = BatchRecovery::new(Arc::new(mma), Arc::new(model), BatchOptions::default());
     let recovered: Vec<MatchedTrajectory> =
         test.iter().map(|s| pipeline.recover(&s.sparse, ds.epsilon_s)).collect();
     let recovered_speeds = estimate_speeds(&net, &recovered);

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use trmma::baselines::{FmmMatcher, HmmConfig, HmmMatcher, LinearRecovery, NearestMatcher};
-use trmma::core::{Mma, MmaConfig, Trmma, TrmmaConfig, TrmmaPipeline};
+use trmma::core::{BatchOptions, BatchRecovery, Mma, MmaConfig, Trmma, TrmmaConfig};
 use trmma::roadnet::RoutePlanner;
 use trmma::traj::dataset::{build_dataset, Dataset, DatasetConfig, Split};
 use trmma::traj::{matching_metrics, recovery_metrics, MapMatcher, Sample, TrajectoryRecovery};
@@ -65,7 +65,7 @@ fn recovery_pipeline_outputs_align_with_epsilon_grid() {
     mma.train(&train[..train.len().min(8)], 2);
     let mut model = Trmma::new(net.clone(), TrmmaConfig::small());
     model.train(&train[..train.len().min(8)], 2);
-    let pipeline = TrmmaPipeline::new(Box::new(mma), model, "TRMMA");
+    let pipeline = BatchRecovery::new(Arc::new(mma), Arc::new(model), BatchOptions::default());
     for s in &test {
         let rec = pipeline.recover(&s.sparse, ds.epsilon_s);
         assert_eq!(rec.len(), s.dense_truth.len(), "ε-grid length");
@@ -81,7 +81,7 @@ fn recovery_pipeline_outputs_align_with_epsilon_grid() {
 fn linear_recovery_over_any_matcher_is_well_formed() {
     let (ds, net, planner, _train, test) = fixture();
     let fmm = FmmMatcher::new(net.clone(), planner, HmmConfig::default());
-    let rec = LinearRecovery::new(net.clone(), fmm, "Linear");
+    let rec = LinearRecovery::new(net.clone(), Arc::new(fmm), "Linear");
     let cache = trmma::roadnet::shortest::DistCache::new();
     for s in &test {
         let out = rec.recover(&s.sparse, ds.epsilon_s);
@@ -122,8 +122,8 @@ fn trained_models_persist_and_reload() {
     let mut model2 = Trmma::new(net.clone(), TrmmaConfig::small());
     model2.load_weights(&trmma_blob).expect("same-config load");
 
-    let p1 = TrmmaPipeline::new(Box::new(mma), model, "TRMMA");
-    let p2 = TrmmaPipeline::new(Box::new(mma2), model2, "TRMMA");
+    let p1 = BatchRecovery::new(Arc::new(mma), Arc::new(model), BatchOptions::default());
+    let p2 = BatchRecovery::new(Arc::new(mma2), Arc::new(model2), BatchOptions::default());
     for s in test.iter().take(4) {
         let a = p1.recover(&s.sparse, ds.epsilon_s);
         let b = p2.recover(&s.sparse, ds.epsilon_s);
